@@ -37,8 +37,6 @@ from .model import (
     ContextualLoss,
     Distribution,
     Problem,
-    QuantityKernel,
-    TransitionKernel,
     make_stationary_problem,
     problem_to_dict,
     validate_problem,
@@ -60,12 +58,9 @@ from .oracle import (
 )
 from .reduction import (
     BarLossTable,
-    MdpView,
     bar_loss_table,
     myopic_bayes_estimate,
     myopic_tie_set,
-    observation_estimate_loss,
-    to_mdp,
 )
 from .solver import (
     ReportRow,
@@ -94,13 +89,11 @@ __all__ = [
     "InvalidModelError",
     "InvalidParams",
     "MarkovStrategy",
-    "MdpView",
     "MismatchedResult",
     "NotStochastic",
     "OracleReport",
     "PlannerStyle",
     "Problem",
-    "QuantityKernel",
     "ReportRow",
     "RoundOutOfRange",
     "SearchSpaceTooLarge",
@@ -109,7 +102,6 @@ __all__ = [
     "SolveResult",
     "TieBreakRule",
     "Trajectory",
-    "TransitionKernel",
     "TrellisDocument",
     "TrellisEdge",
     "TrellisNode",
@@ -134,7 +126,6 @@ __all__ = [
     "myopic_bayes_estimate",
     "myopic_strategy",
     "myopic_tie_set",
-    "observation_estimate_loss",
     "optimal_strategy",
     "problem_to_dict",
     "random_history_strategy",
@@ -143,7 +134,6 @@ __all__ = [
     "solution_report",
     "solve",
     "strategy_count",
-    "to_mdp",
     "validate_problem",
     "verify_lemma1",
 ]

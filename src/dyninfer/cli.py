@@ -23,11 +23,12 @@ from typing import Any
 import numpy as np
 
 from . import examples as example_models
-from .errors import DynamicInferenceError, InvalidModelError
+from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
 from .evaluate import MarkovStrategy, evaluate_markov, simulate
 from .model import Distribution, Problem, problem_to_dict, validate_problem
 from .oracle import HistoryMode, OracleReport, brute_force_optimum, random_problem
 from .reduction import bar_loss_table
+from .rng import check_seed
 from .solver import SolveResult, TieBreakRule, minimum_inference_loss, solve
 from .trellis import export_trellis
 
@@ -215,6 +216,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     gaps = []
     lines = []
     if args.instances is not None:
+        if args.instances < 1:
+            raise InvalidParams(f"--instances must be >= 1, got {args.instances}")
+        check_seed(args.seed)
         rng = np.random.default_rng(args.seed)
         for index in range(args.instances):
             n = int(rng.integers(1, 4))

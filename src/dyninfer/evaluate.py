@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InvalidParams, ShapeMismatch
 from .model import Problem
-from .reduction import bar_loss_table, myopic_bayes_index
-from .rng import uniform_matrix
+from .reduction import bar_loss_table
+from .rng import check_seed, uniform_matrix
 from .solver import SolveResult
 
 DEFAULT_TRAJECTORY_CAP = 10_000
@@ -91,11 +91,9 @@ def optimal_strategy(result: SolveResult) -> MarkovStrategy:
 
 def myopic_strategy(problem: Problem) -> MarkovStrategy:
     """The round-by-round single-round optimal strategy (ignores the future)."""
-    choices = np.empty((problem.n, len(problem.x_space)), dtype=np.int64)
-    for i in range(1, problem.n + 1):
-        for xi in range(len(problem.x_space)):
-            choices[i - 1, xi] = myopic_bayes_index(problem, i, xi)
-    return MarkovStrategy(problem.n, problem.x_space.labels, problem.yhat_space.labels, choices)
+    return MarkovStrategy(
+        problem.n, problem.x_space.labels, problem.yhat_space.labels, bar_loss_table(problem).myopic
+    )
 
 
 def _check_strategy(problem: Problem, strategy: MarkovStrategy) -> None:
@@ -126,22 +124,17 @@ def evaluate_markov(problem: Problem, strategy: MarkovStrategy) -> EvalResult:
     """
     _check_strategy(problem, strategy)
     bar = bar_loss_table(problem).values
-    n, nx = problem.n, len(problem.x_space)
-    v = np.empty((n, nx))
-    for i in range(n, 0, -1):
-        k = i - 1
-        transition = problem.transitions[k] if i < n else None
-        for xi in range(nx):
-            ai = strategy.choices[k, xi]
-            value = bar[k, xi, ai]
-            if transition is not None:
-                expected = 0.0
-                for xn in range(nx):
-                    expected += transition.table[xi, ai, xn] * v[k + 1, xn]
-                value = value + expected
-            v[k, xi] = value
+    choices = strategy.choices
+    v = np.take_along_axis(bar, choices[..., None], axis=-1)[..., 0]
+    for k in range(problem.n - 2, -1, -1):
+        # row xi is the law of the next observation after the estimate chosen at xi
+        transition = problem.transitions[k][np.arange(len(problem.x_space)), choices[k]]
+        expected = 0.0
+        for xn in range(len(problem.x_space)):
+            expected = expected + transition[:, xn] * v[k + 1, xn]
+        v[k] += expected
     j = 0.0
-    for xi in range(nx):
+    for xi in range(len(problem.x_space)):
         j += problem.init.probs[xi] * v[0, xi]
     v.setflags(write=False)
     return EvalResult(problem, strategy, float(j), v)
@@ -207,12 +200,13 @@ def simulate(
     _check_strategy(problem, strategy)
     if not isinstance(rollouts, int) or rollouts < 1:
         raise InvalidParams(f"rollouts must be an integer >= 1, got {rollouts!r}")
+    check_seed(seed)
     n = problem.n
     uniforms = uniform_matrix(seed, rollouts, 2 * n)
 
     init_cdf = _row_cdfs(problem.init.probs[None, :])[0]
-    quantity_cdfs = [_row_cdfs(k.table) for k in problem.quantities]
-    transition_cdfs = [_row_cdfs(k.table) for k in problem.transitions]
+    quantity_cdfs = _row_cdfs(problem.quantities)
+    transition_cdfs = _row_cdfs(problem.transitions)
 
     xs = (uniforms[:, 0][:, None] >= init_cdf[None, :]).sum(axis=1)
     losses = np.zeros(rollouts)

@@ -2,23 +2,25 @@
 
 A :class:`Problem` describes one finite sequential-estimation instance: an
 observation space, a quantity space and an estimate space (each a finite
-:class:`Alphabet`), the distribution of the first observation, one controlled
-observation-transition kernel per round 2..n, one quantity kernel per round
-1..n, and a contextual loss table over (observation, quantity, estimate)
-triples. Rounds are 1-indexed; the transition kernel for round ``i`` gives
-the law of the round-``i`` observation given the previous observation and the
-previous estimate.
+:class:`Alphabet`), the distribution of the first observation, the
+controlled observation-transition kernels of rounds 2..n stacked in one
+array, the quantity kernels of rounds 1..n stacked in another, and a
+contextual loss table over (observation, quantity, estimate) triples. Rounds
+are 1-indexed; ``transitions[i - 2]`` is the law of the round-``i``
+observation given the previous observation and the previous estimate.
 
 All containers are validated at construction and immutable afterwards, so a
-Problem can be shared freely across threads. Probability rows whose sum
-drifts from 1 by at most ``ROW_SUM_TOLERANCE`` are renormalized exactly once;
-larger drift is rejected.
+Problem can be shared freely across threads. Raw kernel tables enter through
+:func:`validate_problem`, :func:`make_stationary_problem` and
+:func:`problem_from_tables`; there, probability rows whose sum drifts from 1
+by at most ``ROW_SUM_TOLERANCE`` are renormalized exactly once, and larger
+drift is rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,18 +36,37 @@ from .errors import (
 ROW_SUM_TOLERANCE = 1e-9
 
 
-def _normalize_row(row: np.ndarray, what: str) -> np.ndarray:
-    if np.any(row < 0.0):
-        raise NotStochastic(f"{what} has a negative entry: {row.tolist()}")
-    total = float(row.sum())
-    if not (1.0 - ROW_SUM_TOLERANCE <= total <= 1.0 + ROW_SUM_TOLERANCE):
-        raise NotStochastic(f"{what} sums to {total!r}, outside 1 +/- {ROW_SUM_TOLERANCE}")
-    return row / total
+def _row_sums(table: np.ndarray, describe: Callable[..., str]) -> np.ndarray:
+    """Sums over the last axis of ``table``, every row checked to be a distribution.
+
+    The first bad row in index order is reported, with ``describe`` called on
+    its index to name it.
+    """
+    negative = (table < 0.0).any(axis=-1)
+    totals = table.sum(axis=-1)
+    bad = negative | ~((totals >= 1.0 - ROW_SUM_TOLERANCE) & (totals <= 1.0 + ROW_SUM_TOLERANCE))
+    if bad.any():
+        index = tuple(np.argwhere(bad)[0].tolist())
+        if negative[index]:
+            raise NotStochastic(f"{describe(*index)} has a negative entry: {table[index].tolist()}")
+        raise NotStochastic(
+            f"{describe(*index)} sums to {float(totals[index])!r}, outside 1 +/- {ROW_SUM_TOLERANCE}"
+        )
+    return totals
+
+
+def _normalized(table: np.ndarray, describe: Callable[..., str]) -> np.ndarray:
+    return table / _row_sums(table, describe)[..., None]
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _check_horizon(n: object) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidModelError(f"horizon must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +115,7 @@ class Distribution:
             raise DimensionMismatch(
                 f"distribution has shape {probs.shape}, alphabet has {len(self.alphabet)} labels"
             )
-        object.__setattr__(self, "probs", _freeze(_normalize_row(probs, "distribution")))
+        object.__setattr__(self, "probs", _freeze(_normalized(probs, lambda: "distribution")))
 
     @classmethod
     def point_mass(cls, alphabet: Alphabet, label: str) -> "Distribution":
@@ -109,83 +130,6 @@ class Distribution:
         if not isinstance(other, Distribution):
             return NotImplemented
         return self.alphabet == other.alphabet and np.array_equal(self.probs, other.probs)
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionKernel:
-    """Law of the round-``round`` observation given (previous x, previous estimate).
-
-    ``table[x_prev, yhat_prev, x_next]`` is a probability; every
-    (x_prev, yhat_prev) row is a valid distribution over the x alphabet.
-    """
-
-    round: int
-    x_space: Alphabet
-    yhat_space: Alphabet
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=np.float64)
-        nx, na = len(self.x_space), len(self.yhat_space)
-        if table.shape != (nx, na, nx):
-            raise DimensionMismatch(
-                f"transition kernel for round {self.round} has shape {table.shape}, expected {(nx, na, nx)}"
-            )
-        out = np.empty_like(table)
-        for xi, x in enumerate(self.x_space):
-            for ai, yhat in enumerate(self.yhat_space):
-                out[xi, ai] = _normalize_row(
-                    table[xi, ai], f"transition row (round {self.round}, x={x!r}, yhat={yhat!r})"
-                )
-        object.__setattr__(self, "table", _freeze(out))
-
-    def row(self, x: str, yhat: str) -> Distribution:
-        return Distribution(self.x_space, self.table[self.x_space.index(x), self.yhat_space.index(yhat)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransitionKernel):
-            return NotImplemented
-        return (
-            self.round == other.round
-            and self.x_space == other.x_space
-            and self.yhat_space == other.yhat_space
-            and np.array_equal(self.table, other.table)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class QuantityKernel:
-    """Law of the round-``round`` quantity given the current observation."""
-
-    round: int
-    x_space: Alphabet
-    y_space: Alphabet
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=np.float64)
-        nx, ny = len(self.x_space), len(self.y_space)
-        if table.shape != (nx, ny):
-            raise DimensionMismatch(
-                f"quantity kernel for round {self.round} has shape {table.shape}, expected {(nx, ny)}"
-            )
-        out = np.empty_like(table)
-        for xi, x in enumerate(self.x_space):
-            out[xi] = _normalize_row(table[xi], f"quantity row (round {self.round}, x={x!r})")
-        object.__setattr__(self, "table", _freeze(out))
-
-    def row(self, x: str) -> Distribution:
-        return Distribution(self.y_space, self.table[self.x_space.index(x)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuantityKernel):
-            return NotImplemented
-        return (
-            self.round == other.round
-            and self.x_space == other.x_space
-            and self.y_space == other.y_space
-            and np.array_equal(self.table, other.table)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,11 +166,47 @@ class ContextualLoss:
         )
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float64 array; a writable array is copied first."""
+    array = np.asarray(values, dtype=np.float64)
+    return _freeze(array.copy()) if array.flags.writeable else array
+
+
+def _check_kernels(table: np.ndarray, rounds: int, row_shape: tuple[int, ...], what: str) -> None:
+    """Raise unless ``table`` stacks ``rounds`` kernels of shape ``row_shape``."""
+    if table.ndim != len(row_shape) + 1 or table.shape[1:] != row_shape:
+        raise DimensionMismatch(f"{what} kernels have shape {table.shape}, expected {(rounds,) + row_shape}")
+    if table.shape[0] != rounds:
+        raise HorizonMismatch(f"expected {rounds} {what} kernels, got {table.shape[0]}")
+
+
+def _transition_rows(x_space: Alphabet, yhat_space: Alphabet) -> Callable[..., str]:
+    return lambda k, xi, ai: (
+        f"transition row (round {k + 2}, x={x_space.labels[xi]!r}, yhat={yhat_space.labels[ai]!r})"
+    )
+
+
+def _quantity_rows(x_space: Alphabet) -> Callable[..., str]:
+    return lambda k, xi: f"quantity row (round {k + 1}, x={x_space.labels[xi]!r})"
+
+
 @dataclass(frozen=True, eq=False)
 class Problem:
     """A complete, validated instance over ``n`` rounds.
 
-    Immutable after construction; safe for concurrent read access.
+    ``transitions[i - 2, x_prev, yhat_prev, x]`` is the probability of
+    observation ``x`` in round ``i`` (2..n) after observation ``x_prev`` and
+    estimate ``yhat_prev`` in round ``i - 1``; ``quantities[i - 1, x, y]`` is
+    the probability of quantity ``y`` given observation ``x`` in round ``i``.
+    Both are read-only float64 arrays, of shapes (n-1, |X|, |Yhat|, |X|) and
+    (n, |X|, |Y|). A stationary problem holds broadcast views of one table,
+    whose round axis has stride 0.
+
+    Construction checks shapes, signs and row sums, and stores the kernel
+    values as given, without renormalizing them, so ``dataclasses.replace``
+    keeps them bit for bit; a writable array is copied first. Raw tables go
+    through :func:`problem_from_tables` instead. Immutable after
+    construction; safe for concurrent read access.
     """
 
     n: int
@@ -234,56 +214,29 @@ class Problem:
     y_space: Alphabet
     yhat_space: Alphabet
     init: Distribution
-    transitions: tuple[TransitionKernel, ...]
-    quantities: tuple[QuantityKernel, ...]
+    transitions: np.ndarray  # (n-1, |X|, |Yhat|, |X|)
+    quantities: np.ndarray  # (n, |X|, |Y|)
     loss: ContextualLoss
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidModelError(f"horizon must be an integer >= 1, got {self.n!r}")
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        object.__setattr__(self, "quantities", tuple(self.quantities))
-        if len(self.transitions) != self.n - 1:
-            raise HorizonMismatch(
-                f"expected {self.n - 1} transition kernels for n={self.n}, got {len(self.transitions)}"
-            )
-        if len(self.quantities) != self.n:
-            raise HorizonMismatch(
-                f"expected {self.n} quantity kernels for n={self.n}, got {len(self.quantities)}"
-            )
+        _check_horizon(self.n)
+        nx, ny, na = len(self.x_space), len(self.y_space), len(self.yhat_space)
+        transitions = _read_only(self.transitions)
+        quantities = _read_only(self.quantities)
+        _check_kernels(transitions, self.n - 1, (nx, na, nx), "transition")
+        _check_kernels(quantities, self.n, (nx, ny), "quantity")
+        _row_sums(transitions, _transition_rows(self.x_space, self.yhat_space))
+        _row_sums(quantities, _quantity_rows(self.x_space))
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "quantities", quantities)
         if self.init.alphabet != self.x_space:
             raise DimensionMismatch("initial distribution is not indexed by the x alphabet")
-        for offset, kernel in enumerate(self.transitions):
-            if kernel.round != offset + 2:
-                raise HorizonMismatch(
-                    f"transition kernel at position {offset} is stamped round {kernel.round}, expected {offset + 2}"
-                )
-            if kernel.x_space != self.x_space or kernel.yhat_space != self.yhat_space:
-                raise DimensionMismatch(f"transition kernel for round {kernel.round} uses foreign alphabets")
-        for offset, kernel in enumerate(self.quantities):
-            if kernel.round != offset + 1:
-                raise HorizonMismatch(
-                    f"quantity kernel at position {offset} is stamped round {kernel.round}, expected {offset + 1}"
-                )
-            if kernel.x_space != self.x_space or kernel.y_space != self.y_space:
-                raise DimensionMismatch(f"quantity kernel for round {kernel.round} uses foreign alphabets")
         if (
             self.loss.x_space != self.x_space
             or self.loss.y_space != self.y_space
             or self.loss.yhat_space != self.yhat_space
         ):
             raise DimensionMismatch("loss table uses foreign alphabets")
-
-    def transition_for_round(self, i: int) -> TransitionKernel:
-        """Kernel of the round-``i`` observation, i in 2..n."""
-        if not 2 <= i <= self.n:
-            raise RoundOutOfRange(f"transition round {i} outside 2..{self.n}")
-        return self.transitions[i - 2]
-
-    def quantity_for_round(self, i: int) -> QuantityKernel:
-        if not 1 <= i <= self.n:
-            raise RoundOutOfRange(f"round {i} outside 1..{self.n}")
-        return self.quantities[i - 1]
 
     def check_round(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -298,10 +251,53 @@ class Problem:
             and self.y_space == other.y_space
             and self.yhat_space == other.yhat_space
             and self.init == other.init
-            and self.transitions == other.transitions
-            and self.quantities == other.quantities
+            and np.array_equal(self.transitions, other.transitions)
+            and np.array_equal(self.quantities, other.quantities)
             and self.loss == other.loss
         )
+
+
+def _normalized_stack(
+    table, rounds: int, row_shape: tuple[int, ...], what: str, describe: Callable[..., str]
+) -> np.ndarray:
+    table = np.asarray(table, dtype=np.float64)
+    single = table.shape[:1] == (1,)  # one kernel for every round
+    _check_kernels(table, 1 if single else rounds, row_shape, what)
+    return np.broadcast_to(_freeze(_normalized(table, describe)), (rounds,) + row_shape)
+
+
+def problem_from_tables(
+    n: int,
+    init: Distribution,
+    transitions: np.ndarray | Sequence,
+    quantities: np.ndarray | Sequence,
+    loss: ContextualLoss,
+) -> Problem:
+    """Build a Problem from raw kernel tables, dividing every row by its sum once.
+
+    ``transitions`` stacks the kernels of rounds 2..n, shape
+    (n-1, |X|, |Yhat|, |X|), and ``quantities`` those of rounds 1..n, shape
+    (n, |X|, |Y|). A stack of a single kernel serves every round: it is
+    normalized once and stored as a read-only broadcast view. Alphabets are
+    taken from ``init`` (observations) and ``loss`` (quantities and
+    estimates). A negative entry, or a row sum outside
+    1 +/- ``ROW_SUM_TOLERANCE``, raises NotStochastic naming the row.
+    """
+    _check_horizon(n)
+    x_space, y_space, yhat_space = init.alphabet, loss.y_space, loss.yhat_space
+    if loss.x_space != x_space:
+        raise DimensionMismatch("loss and initial distribution disagree on the x alphabet")
+    nx, ny, na = len(x_space), len(y_space), len(yhat_space)
+    return Problem(
+        n,
+        x_space,
+        y_space,
+        yhat_space,
+        init,
+        _normalized_stack(transitions, n - 1, (nx, na, nx), "transition", _transition_rows(x_space, yhat_space)),
+        _normalized_stack(quantities, n, (nx, ny), "quantity", _quantity_rows(x_space)),
+        loss,
+    )
 
 
 def make_stationary_problem(
@@ -311,29 +307,24 @@ def make_stationary_problem(
     quantity_table: np.ndarray | Sequence,
     loss: ContextualLoss,
 ) -> Problem:
-    """Build a Problem whose per-round kernels are copies of one-round tables.
+    """Build a Problem whose rounds all share one transition and one quantity table.
 
-    ``transition_table`` may be None when ``n == 1`` (no transitions exist).
-    Alphabets are taken from ``init`` (observations) and ``loss`` (quantities
-    and estimates).
+    ``transition_table`` has shape (|X|, |Yhat|, |X|) and may be None when
+    ``n == 1`` (no transitions exist; it is ignored then); ``quantity_table``
+    has shape (|X|, |Y|). Each table is normalized once and the problem holds
+    read-only broadcast views of it, one table for all rounds. Alphabets are
+    taken from ``init`` (observations) and ``loss`` (quantities and
+    estimates).
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidModelError(f"horizon must be an integer >= 1, got {n!r}")
-    x_space = init.alphabet
-    if loss.x_space != x_space:
-        raise DimensionMismatch("loss and initial distribution disagree on the x alphabet")
-    y_space, yhat_space = loss.y_space, loss.yhat_space
-    transitions: tuple[TransitionKernel, ...] = ()
-    if n > 1:
-        if transition_table is None:
-            raise HorizonMismatch(f"a transition table is required for n={n}")
-        base = np.asarray(transition_table, dtype=np.float64)
-        transitions = tuple(
-            TransitionKernel(i, x_space, yhat_space, base.copy()) for i in range(2, n + 1)
-        )
-    quantity = np.asarray(quantity_table, dtype=np.float64)
-    quantities = tuple(QuantityKernel(i, x_space, y_space, quantity.copy()) for i in range(1, n + 1))
-    return Problem(n, x_space, y_space, yhat_space, init, transitions, quantities, loss)
+    _check_horizon(n)
+    if n == 1:
+        nx = len(init.alphabet)
+        transitions = np.empty((0, nx, len(loss.yhat_space), nx))
+    elif transition_table is None:
+        raise HorizonMismatch(f"a transition table is required for n={n}")
+    else:
+        transitions = np.asarray(transition_table, dtype=np.float64)[None]
+    return problem_from_tables(n, init, transitions, np.asarray(quantity_table, dtype=np.float64)[None], loss)
 
 
 # ---------------------------------------------------------------------------
@@ -372,39 +363,43 @@ def _row_from_object(obj, alphabet: Alphabet, what: str) -> np.ndarray:
     return np.array([_number(obj[label], f"{what}[{label!r}]") for label in alphabet])
 
 
-def _parse_pair_key(key: str, x_space: Alphabet, yhat_space: Alphabet) -> tuple[str, str]:
-    matches = [
-        (x, yhat) for x in x_space for yhat in yhat_space if f"{x}|{yhat}" == key
-    ]
-    if len(matches) != 1:
-        raise InvalidModelError(
-            f"transition key {key!r} does not identify exactly one 'x_prev|yhat_prev' pair"
-        )
-    return matches[0]
+def _pair_index(x_space: Alphabet, yhat_space: Alphabet) -> dict[str, tuple[int, int] | None]:
+    """Composite ``"x|yhat"`` keys to index pairs; None marks a key that names two pairs."""
+    pairs: dict[str, tuple[int, int] | None] = {}
+    for xi, x in enumerate(x_space):
+        for ai, yhat in enumerate(yhat_space):
+            key = f"{x}|{yhat}"
+            pairs[key] = None if key in pairs else (xi, ai)
+    return pairs
 
 
-def _transition_from_object(obj, i: int, x_space: Alphabet, yhat_space: Alphabet) -> TransitionKernel:
+def _transition_from_object(
+    obj, i: int, x_space: Alphabet, yhat_space: Alphabet, pairs: Mapping[str, tuple[int, int] | None]
+) -> np.ndarray:
     if not isinstance(obj, Mapping):
         raise InvalidModelError(f"transitions[{i - 2}] must be an object")
-    table = np.full((len(x_space), len(yhat_space), len(x_space)), np.nan)
-    seen = set()
+    table = np.empty((len(x_space), len(yhat_space), len(x_space)))
+    filled = np.zeros((len(x_space), len(yhat_space)), dtype=bool)
     for key, row in obj.items():
-        x, yhat = _parse_pair_key(key, x_space, yhat_space)
-        if (x, yhat) in seen:
-            raise InvalidModelError(f"transition key {key!r} appears twice in round {i}")
-        seen.add((x, yhat))
-        table[x_space.index(x), yhat_space.index(yhat)] = _row_from_object(
-            row, x_space, f"transition row (round {i}, key {key!r})"
-        )
-    missing = [
-        f"{x}|{yhat}" for x in x_space for yhat in yhat_space if (x, yhat) not in seen
-    ]
-    if missing:
+        pair = pairs.get(key)
+        if pair is None:
+            raise InvalidModelError(
+                f"transition key {key!r} does not identify exactly one 'x_prev|yhat_prev' pair"
+            )
+        table[pair] = _row_from_object(row, x_space, f"transition row (round {i}, key {key!r})")
+        filled[pair] = True
+    if not filled.all():
+        missing = [
+            f"{x}|{yhat}"
+            for xi, x in enumerate(x_space)
+            for ai, yhat in enumerate(yhat_space)
+            if not filled[xi, ai]
+        ]
         raise DimensionMismatch(f"transitions for round {i} are missing rows {missing}")
-    return TransitionKernel(i, x_space, yhat_space, table)
+    return table
 
 
-def _quantity_from_object(obj, i: int, x_space: Alphabet, y_space: Alphabet) -> QuantityKernel:
+def _quantity_from_object(obj, i: int, x_space: Alphabet, y_space: Alphabet) -> np.ndarray:
     if not isinstance(obj, Mapping):
         raise InvalidModelError(f"quantities[{i - 1}] must be an object")
     unknown = set(obj) - set(x_space.labels)
@@ -413,10 +408,9 @@ def _quantity_from_object(obj, i: int, x_space: Alphabet, y_space: Alphabet) -> 
     missing = set(x_space.labels) - set(obj)
     if missing:
         raise DimensionMismatch(f"quantities for round {i} are missing rows for {sorted(missing)}")
-    table = np.stack(
+    return np.stack(
         [_row_from_object(obj[x], y_space, f"quantity row (round {i}, x={x!r})") for x in x_space]
     )
-    return QuantityKernel(i, x_space, y_space, table)
 
 
 def _loss_from_records(records, x_space: Alphabet, y_space: Alphabet, yhat_space: Alphabet) -> ContextualLoss:
@@ -449,21 +443,23 @@ def _loss_from_records(records, x_space: Alphabet, y_space: Alphabet, yhat_space
 def validate_problem(candidate: Mapping) -> Problem:
     """Validate a raw model document (a parsed JSON dict) into a Problem.
 
-    Accepts the documented model format, including the ``stationary: true``
-    flag that expands length-1 ``transitions``/``quantities`` arrays to the
-    full horizon.
+    Accepts the documented model format. With ``"stationary": true`` (a JSON
+    boolean) the single ``transitions`` and ``quantities`` entries are parsed
+    and normalized once, and the problem holds read-only broadcast views of
+    them over the full horizon (see :func:`problem_from_tables`).
     """
     if not isinstance(candidate, Mapping):
         raise InvalidModelError(f"model document must be an object, got {type(candidate).__name__}")
-    n_raw = _require(candidate, "n")
-    if isinstance(n_raw, bool) or not isinstance(n_raw, int) or n_raw < 1:
-        raise InvalidModelError(f"n must be an integer >= 1, got {n_raw!r}")
-    n = n_raw
+    n = _require(candidate, "n")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidModelError(f"n must be an integer >= 1, got {n!r}")
     x_space = _space_from(candidate, "x_space")
     y_space = _space_from(candidate, "y_space")
     yhat_space = _space_from(candidate, "yhat_space")
     init = Distribution(x_space, _row_from_object(_require(candidate, "init"), x_space, "init"))
-    stationary = bool(candidate.get("stationary", False))
+    stationary = candidate.get("stationary", False)
+    if not isinstance(stationary, bool):
+        raise InvalidModelError(f"stationary must be true or false, got {stationary!r}")
 
     raw_transitions = _require(candidate, "transitions")
     raw_quantities = _require(candidate, "quantities")
@@ -478,39 +474,41 @@ def validate_problem(candidate: Mapping) -> Problem:
             raise HorizonMismatch(
                 f"stationary model expects a single quantity entry, got {len(raw_quantities)}"
             )
-        raw_transitions = list(raw_transitions) * (n - 1) if n > 1 else []
-        raw_quantities = list(raw_quantities) * n
-    if len(raw_transitions) != n - 1:
-        raise HorizonMismatch(f"expected {n - 1} transition entries for n={n}, got {len(raw_transitions)}")
-    if len(raw_quantities) != n:
-        raise HorizonMismatch(f"expected {n} quantity entries for n={n}, got {len(raw_quantities)}")
+        if n == 1:
+            raw_transitions = []
+    else:
+        if len(raw_transitions) != n - 1:
+            raise HorizonMismatch(f"expected {n - 1} transition entries for n={n}, got {len(raw_transitions)}")
+        if len(raw_quantities) != n:
+            raise HorizonMismatch(f"expected {n} quantity entries for n={n}, got {len(raw_quantities)}")
 
-    transitions = tuple(
-        _transition_from_object(obj, i + 2, x_space, yhat_space) for i, obj in enumerate(raw_transitions)
-    )
-    quantities = tuple(
-        _quantity_from_object(obj, i + 1, x_space, y_space) for i, obj in enumerate(raw_quantities)
-    )
+    nx, ny, na = len(x_space), len(y_space), len(yhat_space)
+    pairs = _pair_index(x_space, yhat_space)
+    transitions = np.empty((len(raw_transitions), nx, na, nx))
+    for k, obj in enumerate(raw_transitions):
+        transitions[k] = _transition_from_object(obj, k + 2, x_space, yhat_space, pairs)
+    quantities = np.empty((len(raw_quantities), nx, ny))
+    for k, obj in enumerate(raw_quantities):
+        quantities[k] = _quantity_from_object(obj, k + 1, x_space, y_space)
     loss = _loss_from_records(_require(candidate, "loss"), x_space, y_space, yhat_space)
-    return Problem(n, x_space, y_space, yhat_space, init, transitions, quantities, loss)
+    return problem_from_tables(n, init, transitions, quantities, loss)
 
 
-def _transition_to_object(kernel: TransitionKernel) -> dict:
+def _transition_to_object(table: np.ndarray, x_space: Alphabet, yhat_space: Alphabet) -> dict:
+    rows = table.tolist()
     return {
-        f"{x}|{yhat}": {
-            x_next: float(kernel.table[xi, ai, ni])
-            for ni, x_next in enumerate(kernel.x_space)
-        }
-        for xi, x in enumerate(kernel.x_space)
-        for ai, yhat in enumerate(kernel.yhat_space)
+        f"{x}|{yhat}": dict(zip(x_space.labels, rows[xi][ai]))
+        for xi, x in enumerate(x_space)
+        for ai, yhat in enumerate(yhat_space)
     }
 
 
-def _quantity_to_object(kernel: QuantityKernel) -> dict:
-    return {
-        x: {y: float(kernel.table[xi, yi]) for yi, y in enumerate(kernel.y_space)}
-        for xi, x in enumerate(kernel.x_space)
-    }
+def _quantity_to_object(table: np.ndarray, x_space: Alphabet, y_space: Alphabet) -> dict:
+    return {x: dict(zip(y_space.labels, row)) for x, row in zip(x_space.labels, table.tolist())}
+
+
+def _is_stationary(stack: np.ndarray) -> bool:
+    return bool((stack == stack[:1]).all())
 
 
 def problem_to_dict(problem: Problem, stationary: bool | str = "auto") -> dict:
@@ -521,10 +519,9 @@ def problem_to_dict(problem: Problem, stationary: bool | str = "auto") -> dict:
     """
     if stationary == "auto":
         stationary = (
-            problem.n >= 2
-            and all(np.array_equal(k.table, problem.transitions[0].table) for k in problem.transitions)
-            and all(np.array_equal(k.table, problem.quantities[0].table) for k in problem.quantities)
+            problem.n >= 2 and _is_stationary(problem.transitions) and _is_stationary(problem.quantities)
         )
+    transitions, quantities = problem.transitions, problem.quantities
     doc = {
         "n": problem.n,
         "x_space": list(problem.x_space.labels),
@@ -534,11 +531,9 @@ def problem_to_dict(problem: Problem, stationary: bool | str = "auto") -> dict:
     }
     if stationary:
         doc["stationary"] = True
-        doc["transitions"] = [_transition_to_object(problem.transitions[0])]
-        doc["quantities"] = [_quantity_to_object(problem.quantities[0])]
-    else:
-        doc["transitions"] = [_transition_to_object(k) for k in problem.transitions]
-        doc["quantities"] = [_quantity_to_object(k) for k in problem.quantities]
+        transitions, quantities = transitions[:1], quantities[:1]
+    doc["transitions"] = [_transition_to_object(t, problem.x_space, problem.yhat_space) for t in transitions]
+    doc["quantities"] = [_quantity_to_object(q, problem.x_space, problem.y_space) for q in quantities]
     doc["loss"] = [
         {"x": x, "y": y, "yhat": yhat, "value": float(problem.loss.table[xi, yi, ai])}
         for xi, x in enumerate(problem.x_space)

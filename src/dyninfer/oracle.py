@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import HistoryIncomplete, SearchSpaceTooLarge, ShapeMismatch
 from .evaluate import MarkovStrategy
-from .model import Alphabet, ContextualLoss, Distribution, Problem, QuantityKernel, TransitionKernel
+from .model import Alphabet, ContextualLoss, Distribution, Problem, problem_from_tables
 from .reduction import bar_loss_table
 from .solver import TieBreakRule, minimum_inference_loss, solve
 
@@ -142,7 +142,7 @@ def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
         nonlocal total
         x = xs[-1]
         ai = strategy.decision(i, xs, ys)
-        quantity = problem.quantities[i - 1].table
+        quantity = problem.quantities[i - 1]
         for yi in range(ny):
             p_y = quantity[x, yi]
             if p_y == 0.0:
@@ -151,7 +151,7 @@ def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
             if i == n:
                 total += prob * p_y * step
             else:
-                transition = problem.transitions[i - 1].table
+                transition = problem.transitions[i - 1]
                 for xn in range(nx):
                     p_x = transition[x, ai, xn]
                     if p_x == 0.0:
@@ -269,9 +269,9 @@ def verify_lemma1(problem: Problem, strategy: HistoryStrategy) -> tuple[float, f
         rhs += prob * bar[i - 1, x, ai]
         if i == n:
             return
-        transition = problem.transitions[i - 1].table
+        transition = problem.transitions[i - 1]
         if revealed:
-            quantity = problem.quantities[i - 1].table
+            quantity = problem.quantities[i - 1]
             for yi in range(ny):
                 p_y = quantity[x, yi]
                 if p_y == 0.0:
@@ -333,8 +333,8 @@ def brute_force_optimum(
     values: dict[tuple[int, Key, Key], float] = {}
     decisions: list[dict[Key, int]] = [dict() for _ in range(n)]
     for i in range(n, 0, -1):
-        quantity = problem.quantities[i - 1].table
-        transition = problem.transitions[i - 1].table if i < n else None
+        quantity = problem.quantities[i - 1]
+        transition = problem.transitions[i - 1] if i < n else None
         for xs, ys in _round_histories(problem, mode, i):
             x = xs[-1]
             best_value = None
@@ -404,9 +404,7 @@ def random_problem(
         return rows / rows.sum(axis=-1, keepdims=True)
 
     init = Distribution(x_space, random_rows(nx))
-    transitions = tuple(
-        TransitionKernel(i, x_space, yhat_space, random_rows(nx, nyhat, nx)) for i in range(2, n + 1)
-    )
-    quantities = tuple(QuantityKernel(i, x_space, y_space, random_rows(nx, ny)) for i in range(1, n + 1))
+    transitions = random_rows(n - 1, nx, nyhat, nx)
+    quantities = random_rows(n, nx, ny)
     loss = ContextualLoss(x_space, y_space, yhat_space, rng.random((nx, ny, nyhat)))
-    return Problem(n, x_space, y_space, yhat_space, init, transitions, quantities, loss)
+    return problem_from_tables(n, init, transitions, quantities, loss)

@@ -1,4 +1,4 @@
-"""Observation-estimate loss, myopic single-round estimates, and the MDP view.
+"""Observation-estimate loss and myopic single-round estimates.
 
 With the quantity marginalized out, the expected loss of estimating ``yhat``
 under observation ``x`` in round ``i`` depends only on the loss table and the
@@ -13,27 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Alphabet, Distribution, Problem, TransitionKernel
+from .model import Problem
 
 MYOPIC_TIE_TOLERANCE = 1e-9
 
 
-def _bar_entry(problem: Problem, i: int, xi: int, ai: int) -> float:
-    """Expected loss over the round-i quantity kernel, summed in label order."""
-    quantity = problem.quantities[i - 1].table
-    loss = problem.loss.table
-    total = 0.0
-    for yi in range(len(problem.y_space)):
-        total += quantity[xi, yi] * loss[xi, yi, ai]
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class BarLossTable:
-    """Observation-estimate loss for every (round, x, yhat), materialized."""
+    """Observation-estimate loss for every (round, x, yhat), materialized.
+
+    ``myopic[i-1, xi]`` is the single-round optimal estimate index, the
+    smallest one on ties.
+    """
 
     problem: Problem
     values: np.ndarray  # shape (n, |X|, |Yhat|)
+    myopic: np.ndarray  # shape (n, |X|)
 
     def value(self, i: int, x: str, yhat: str) -> float:
         self.problem.check_round(i)
@@ -42,38 +37,21 @@ class BarLossTable:
         )
 
 
-def observation_estimate_loss(problem: Problem, i: int, x: str, yhat: str) -> float:
-    """Expected contextual loss of estimate ``yhat`` at observation ``x`` in round ``i``."""
-    problem.check_round(i)
-    return _bar_entry(problem, i, problem.x_space.index(x), problem.yhat_space.index(yhat))
-
-
 def bar_loss_table(problem: Problem) -> BarLossTable:
     """Materialize the observation-estimate loss for all rounds and labels.
 
     Entries depend only on the loss table and the per-round quantity kernels,
-    never on any strategy.
+    never on any strategy. Each entry is summed over quantities in label
+    order, so it is the same float for every round and layout.
     """
-    nx, na = len(problem.x_space), len(problem.yhat_space)
-    values = np.empty((problem.n, nx, na))
-    for i in range(1, problem.n + 1):
-        for xi in range(nx):
-            for ai in range(na):
-                values[i - 1, xi, ai] = _bar_entry(problem, i, xi, ai)
+    quantities, loss = problem.quantities, problem.loss.table
+    values = 0.0
+    for yi in range(len(problem.y_space)):
+        values = values + quantities[:, :, yi, None] * loss[None, :, yi, :]
+    myopic = values.argmin(axis=-1)
     values.setflags(write=False)
-    return BarLossTable(problem, values)
-
-
-def myopic_bayes_index(problem: Problem, i: int, xi: int) -> int:
-    """Index form of the single-round optimal estimate; smallest index on ties."""
-    na = len(problem.yhat_space)
-    best_ai = 0
-    best = _bar_entry(problem, i, xi, 0)
-    for ai in range(1, na):
-        value = _bar_entry(problem, i, xi, ai)
-        if value < best:
-            best, best_ai = value, ai
-    return best_ai
+    myopic.setflags(write=False)
+    return BarLossTable(problem, values, myopic)
 
 
 def myopic_bayes_estimate(problem: Problem, i: int, x: str) -> str:
@@ -83,43 +61,12 @@ def myopic_bayes_estimate(problem: Problem, i: int, x: str) -> str:
     to the smallest estimate index (see :func:`myopic_tie_set` to detect them).
     """
     problem.check_round(i)
-    return problem.yhat_space.labels[myopic_bayes_index(problem, i, problem.x_space.index(x))]
+    return problem.yhat_space.labels[bar_loss_table(problem).myopic[i - 1, problem.x_space.index(x)]]
 
 
 def myopic_tie_set(problem: Problem, i: int, x: str, tolerance: float = MYOPIC_TIE_TOLERANCE) -> tuple[str, ...]:
     """Estimate labels within ``tolerance`` of the single-round minimum."""
     problem.check_round(i)
-    xi = problem.x_space.index(x)
-    row = [_bar_entry(problem, i, xi, ai) for ai in range(len(problem.yhat_space))]
-    best = min(row)
-    return tuple(
-        label for ai, label in enumerate(problem.yhat_space) if row[ai] <= best + tolerance
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class MdpView:
-    """The problem seen as a finite-horizon MDP.
-
-    States are observations, actions are estimates, the per-step cost is the
-    observation-estimate loss and the dynamics are the problem's transition
-    kernels. All fields reference the source problem's data directly.
-    """
-
-    problem: Problem
-    states: Alphabet
-    actions: Alphabet
-    cost: BarLossTable
-    dynamics: tuple[TransitionKernel, ...]
-    init: Distribution
-
-
-def to_mdp(problem: Problem) -> MdpView:
-    return MdpView(
-        problem=problem,
-        states=problem.x_space,
-        actions=problem.yhat_space,
-        cost=bar_loss_table(problem),
-        dynamics=problem.transitions,
-        init=problem.init,
-    )
+    row = bar_loss_table(problem).values[i - 1, problem.x_space.index(x)]
+    tied = (row <= row.min() + tolerance).tolist()
+    return tuple(label for label, is_tied in zip(problem.yhat_space, tied) if is_tied)

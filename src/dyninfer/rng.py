@@ -16,10 +16,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParams
+
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = (1 << 64) - 1
+
+
+def check_seed(seed: int) -> None:
+    """Raise InvalidParams unless ``seed`` is an integer in [0, 2**64)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        raise InvalidParams(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def mix64(z: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MismatchedResult
 from .model import Problem
-from .reduction import bar_loss_table, myopic_bayes_estimate, myopic_bayes_index
+from .reduction import bar_loss_table
 
 TIE_TOLERANCE = 1e-9
 
@@ -47,7 +47,8 @@ class SolveResult:
     ``v_star[i-1, xi]`` is the minimum expected remaining loss from round
     ``i`` at observation index ``xi``; ``q_star`` the per-estimate values;
     ``policy`` the chosen estimate indices; ``tie_sets[i-1][xi]`` every
-    estimate index within ``TIE_TOLERANCE`` of the row minimum.
+    estimate index within ``TIE_TOLERANCE`` of the row minimum; ``myopic``
+    the single-round optimal estimate indices of the bar-loss table.
     """
 
     problem: Problem
@@ -56,6 +57,7 @@ class SolveResult:
     q_star: np.ndarray  # (n, |X|, |Yhat|)
     policy: np.ndarray  # (n, |X|) estimate indices
     tie_sets: tuple[tuple[tuple[int, ...], ...], ...]
+    myopic: np.ndarray  # (n, |X|) estimate indices
 
     @property
     def n(self) -> int:
@@ -82,42 +84,34 @@ class SolveResult:
 
 
 def solve(problem: Problem, rule: TieBreakRule = TieBreakRule.MYOPIC_PREFERRED) -> SolveResult:
-    """Compute optimal value tables and a deterministic optimal policy."""
-    bar = bar_loss_table(problem).values
-    n, nx, na = problem.n, len(problem.x_space), len(problem.yhat_space)
-    q_star = np.empty((n, nx, na))
-    v_star = np.empty((n, nx))
-    policy = np.empty((n, nx), dtype=np.int64)
-    tie_sets: list[tuple[tuple[int, ...], ...]] = [()] * n
+    """Compute optimal value tables and a deterministic optimal policy.
 
-    for i in range(n, 0, -1):
-        k = i - 1
-        transition = problem.transitions[k] if i < n else None  # kernel for round i+1
-        round_ties = []
-        for xi in range(nx):
-            for ai in range(na):
-                value = bar[k, xi, ai]
-                if transition is not None:
-                    expected = 0.0
-                    for xn in range(nx):
-                        expected += transition.table[xi, ai, xn] * v_star[k + 1, xn]
-                    value = value + expected
-                q_star[k, xi, ai] = value
-            row = q_star[k, xi]
-            v_star[k, xi] = row.min()
-            ties = tuple(ai for ai in range(na) if row[ai] <= v_star[k, xi] + TIE_TOLERANCE)
-            round_ties.append(ties)
-            if rule is TieBreakRule.MYOPIC_PREFERRED:
-                myopic = myopic_bayes_index(problem, i, xi)
-                policy[k, xi] = myopic if myopic in ties else ties[0]
-            else:
-                policy[k, xi] = ties[0]
-        tie_sets[k] = tuple(round_ties)
+    Each round is one array step over (x, yhat); the expectation over the
+    next observation is summed in label order, as a scalar loop would.
+    """
+    bar = bar_loss_table(problem)
+    q_star = bar.values.copy()
+    v_star = q_star.min(axis=-1)
+    for k in range(problem.n - 2, -1, -1):
+        expected = 0.0
+        for xn in range(len(problem.x_space)):
+            expected = expected + problem.transitions[k, :, :, xn] * v_star[k + 1, xn]
+        q_star[k] += expected
+        v_star[k] = q_star[k].min(axis=-1)
 
+    tied = q_star <= v_star[..., None] + TIE_TOLERANCE
+    policy = tied.argmax(axis=-1)  # the smallest tied index
+    if rule is TieBreakRule.MYOPIC_PREFERRED:
+        myopic_tied = np.take_along_axis(tied, bar.myopic[..., None], axis=-1)[..., 0]
+        policy = np.where(myopic_tied, bar.myopic, policy)
+    tie_sets = tuple(
+        tuple(tuple(ai for ai, is_tied in enumerate(row) if is_tied) for row in round_rows)
+        for round_rows in tied.tolist()
+    )
     q_star.setflags(write=False)
     v_star.setflags(write=False)
     policy.setflags(write=False)
-    return SolveResult(problem, rule, v_star, q_star, policy, tuple(tie_sets))
+    return SolveResult(problem, rule, v_star, q_star, policy, tie_sets, bar.myopic)
 
 
 def ensure_result_matches(problem: Problem, result: SolveResult) -> None:
@@ -132,8 +126,8 @@ def ensure_result_matches(problem: Problem, result: SolveResult) -> None:
         and source.x_space == problem.x_space
         and source.y_space == problem.y_space
         and source.yhat_space == problem.yhat_space
-        and source.transitions == problem.transitions
-        and source.quantities == problem.quantities
+        and np.array_equal(source.transitions, problem.transitions)
+        and np.array_equal(source.quantities, problem.quantities)
         and source.loss == problem.loss
     )
     if not same:
@@ -167,23 +161,26 @@ class ReportRow:
 def solution_report(result: SolveResult) -> tuple[ReportRow, ...]:
     """Flatten a solve result into per-(round, x) rows, fit for trellis export."""
     problem = result.problem
+    yhat_labels = problem.yhat_space.labels
+    v_star, q_star = result.v_star.tolist(), result.q_star.tolist()
+    policy, myopic = result.policy.tolist(), result.myopic.tolist()
     rows = []
-    for i in range(1, problem.n + 1):
-        for x in problem.x_space:
-            chosen = result.policy_label(i, x)
-            myopic = myopic_bayes_estimate(problem, i, x)
-            ties = result.tie_labels(i, x)
+    for k in range(problem.n):
+        for xi, x in enumerate(problem.x_space):
+            chosen = yhat_labels[policy[k][xi]]
+            myopic_label = yhat_labels[myopic[k][xi]]
+            ties = tuple(yhat_labels[ai] for ai in result.tie_sets[k][xi])
             rows.append(
                 ReportRow(
-                    round=i,
+                    round=k + 1,
                     x=x,
-                    v_star=result.v_value(i, x),
-                    q_row=tuple(result.q_value(i, x, yhat) for yhat in problem.yhat_space),
+                    v_star=v_star[k][xi],
+                    q_row=tuple(q_star[k][xi]),
                     chosen=chosen,
                     tie=len(ties) > 1,
                     tie_labels=ties,
-                    myopic=myopic,
-                    differs_from_myopic=chosen != myopic,
+                    myopic=myopic_label,
+                    differs_from_myopic=chosen != myopic_label,
                 )
             )
     return tuple(rows)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import Problem
-from .reduction import myopic_bayes_estimate
-from .solver import SolveResult, ensure_result_matches
+from .solver import SolveResult, ensure_result_matches, solution_report
 
 
 @dataclass(frozen=True)
@@ -47,45 +48,39 @@ class TrellisDocument:
 
 def build_trellis(problem: Problem, result: SolveResult) -> TrellisDocument:
     ensure_result_matches(problem, result)
-    nodes = []
+    nodes = tuple(
+        TrellisNode(
+            round=row.round,
+            x=row.x,
+            v_star=row.v_star,
+            chosen=row.chosen,
+            myopic=row.myopic,
+            tie=row.tie,
+            deviation=row.differs_from_myopic,
+        )
+        for row in solution_report(result)
+    )
+    # positive entries in (round, x, yhat, next x) order: the edge order of the document
+    positive = problem.transitions > 0.0
     edges = []
-    for i in range(1, problem.n + 1):
-        for xi, x in enumerate(problem.x_space):
-            chosen = result.policy_label(i, x)
-            myopic = myopic_bayes_estimate(problem, i, x)
-            deviation = chosen != myopic
-            nodes.append(
-                TrellisNode(
-                    round=i,
-                    x=x,
-                    v_star=result.v_value(i, x),
-                    chosen=chosen,
-                    myopic=myopic,
-                    tie=len(result.tie_labels(i, x)) > 1,
-                    deviation=deviation,
-                )
+    x_labels, yhat_labels = problem.x_space.labels, problem.yhat_space.labels
+    for (k, xi, ai, ni), probability in zip(
+        np.argwhere(positive).tolist(), problem.transitions[positive].tolist()
+    ):
+        node = nodes[k * len(x_labels) + xi]
+        is_chosen = yhat_labels[ai] == node.chosen
+        edges.append(
+            TrellisEdge(
+                round=k + 1,
+                x=node.x,
+                yhat=yhat_labels[ai],
+                next_x=x_labels[ni],
+                probability=probability,
+                chosen=is_chosen,
+                deviation=is_chosen and node.deviation,
             )
-            if i == problem.n:
-                continue
-            kernel = problem.transition_for_round(i + 1)
-            for ai, yhat in enumerate(problem.yhat_space):
-                for ni, next_x in enumerate(problem.x_space):
-                    probability = float(kernel.table[xi, ai, ni])
-                    if probability <= 0.0:
-                        continue
-                    is_chosen = yhat == chosen
-                    edges.append(
-                        TrellisEdge(
-                            round=i,
-                            x=x,
-                            yhat=yhat,
-                            next_x=next_x,
-                            probability=probability,
-                            chosen=is_chosen,
-                            deviation=is_chosen and deviation,
-                        )
-                    )
-    return TrellisDocument(problem.n, tuple(nodes), tuple(edges))
+        )
+    return TrellisDocument(problem.n, nodes, tuple(edges))
 
 
 def _escape(text: str) -> str:

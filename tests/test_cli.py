@@ -210,3 +210,31 @@ def test_evaluate_cross_checks_with_library(tmp_path, stock_model):
     assert json.loads(out.read_text())["j"] == pytest.approx(
         evaluate_markov(stock, myopic_strategy(stock)).j, abs=1e-9
     )
+
+
+def _single_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    return json.loads(captured.err)
+
+
+def test_verify_rejects_bad_instance_counts_and_seeds(capsys):
+    for argv in (
+        ["--instances", "0"],
+        ["--instances", "-3"],
+        ["--instances", "2", "--seed", "-1"],
+        ["--instances", "2", "--seed", str(2**64)],
+    ):
+        assert run(["verify", "--limit", str(2**50), *argv]) == 1
+        assert _single_error_line(capsys)["error"] == "InvalidParams"
+
+
+def test_simulate_rejects_seeds_outside_64_bits(tmp_path, capsys, stock_model, strategy_file):
+    out = tmp_path / "sim.json"
+    base = ["simulate", "-m", str(stock_model), "-s", str(strategy_file), "--rollouts", "10", "-o", str(out)]
+    for seed in ("-1", str(2**64)):
+        assert run(base + ["--seed", seed]) == 1
+        assert _single_error_line(capsys)["error"] == "InvalidParams"
+    assert not out.exists()
+    assert run(base + ["--seed", str(2**64 - 1)]) == 0
+    assert json.loads(out.read_text())["seed"] == 2**64 - 1

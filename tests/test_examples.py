@@ -44,30 +44,31 @@ def test_builders_produce_exact_rows(section33, stock):
         doc = problem_to_dict(problem)
         assert validate_problem(doc) == problem
         for kernel in problem.transitions:
-            assert set(np.unique(kernel.table)) <= {0.0, 1.0}  # deterministic point masses
+            assert set(np.unique(kernel)) <= {0.0, 1.0}  # deterministic point masses
         for kernel in problem.quantities:
             # rows are the stated exact decimals
-            assert np.all(kernel.table == problem.quantities[0].table)
-    assert stock.quantities[0].row("1").prob("1") == 0.7
-    assert section33.quantities[0].row("0").prob("1") == 0.1
+            assert np.all(kernel == problem.quantities[0])
+    assert stock.quantities[0, 1, 1] == 0.7
+    assert section33.quantities[0, 0, 1] == 0.1
 
 
 def test_yield_quantity_is_monotone_in_distance():
     problem = example_yield(3)
-    p_yield = problem.quantities[0].table[:, 0]
+    p_yield = problem.quantities[0, :, 0]
     assert np.all(np.diff(p_yield) > 0)
 
 
 def test_yield_probability_half_at_critical_distance():
     problem = example_yield(2)
-    assert problem.quantities[0].row("10").prob("yield") == pytest.approx(0.5, abs=1e-12)
+    xi, yi = problem.x_space.index("10"), problem.y_space.index("yield")
+    assert problem.quantities[0, xi, yi] == pytest.approx(0.5, abs=1e-12)
     assert problem.init.prob("10") == 1.0  # starts at the grid point nearest d_c
 
 
 def test_yield_steep_slope_saturates():
     params = YieldParams(beta=1000.0)
     problem = example_yield(2, params)
-    p_yield = problem.quantities[0].table[:, 0]
+    p_yield = problem.quantities[0, :, 0]
     grid = np.array([float(x) for x in problem.x_space.labels])
     assert np.all(p_yield[grid < 10.0] < 1e-6)
     assert np.all(p_yield[grid > 10.0] > 1 - 1e-6)
@@ -100,10 +101,10 @@ def test_yield_planner_styles_differ():
     kernel = fall_back.transitions[0]
     not_yield = fall_back.yhat_space.index("not_yield")
     # falling back resets the gap to the largest grid value
-    assert np.all(kernel.table[:, not_yield, -1] == 1.0)
-    assert not np.array_equal(kernel.table, persist.transitions[0].table)
+    assert np.all(kernel[:, not_yield, -1] == 1.0)
+    assert not np.array_equal(kernel, persist.transitions[0])
     # boundary saturation under persist: the smallest gap can only stay put
-    smallest = persist.transitions[0].table[0, persist.yhat_space.index("yield")]
+    smallest = persist.transitions[0, 0, persist.yhat_space.index("yield")]
     assert smallest[0] == pytest.approx(1.0, abs=1e-12)
 
 

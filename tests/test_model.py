@@ -12,11 +12,11 @@ from dyninfer import (
     InvalidModelError,
     NotStochastic,
     Problem,
-    QuantityKernel,
     RoundOutOfRange,
     UnknownLabel,
     example_section33,
     example_stock,
+    example_yield,
     make_stationary_problem,
     problem_to_dict,
     random_problem,
@@ -24,6 +24,7 @@ from dyninfer import (
 )
 
 BINARY = Alphabet(("0", "1"))
+NO_TRANSITIONS = np.empty((0, 2, 2, 2))
 
 
 def zero_one_loss():
@@ -31,6 +32,12 @@ def zero_one_loss():
     table[:, 0, 1] = 1.0
     table[:, 1, 0] = 1.0
     return ContextualLoss(BINARY, BINARY, BINARY, table)
+
+
+def binary_problem(n, transitions, quantities, loss=None):
+    """A Problem built directly from kernel arrays, starting at x = "0"."""
+    init = Distribution.point_mass(BINARY, "0")
+    return Problem(n, BINARY, BINARY, BINARY, init, transitions, quantities, loss or zero_one_loss())
 
 
 def section33_dict(n=6):
@@ -94,8 +101,11 @@ def test_distribution_rejects_wrong_shape():
 
 
 def test_row_summing_above_tolerance_is_rejected():
-    with pytest.raises(NotStochastic):
-        QuantityKernel(1, BINARY, BINARY, np.array([[0.5, 0.6], [0.5, 0.5]]))
+    quantity = np.array([[0.5, 0.6], [0.5, 0.5]])
+    with pytest.raises(NotStochastic, match=r"quantity row \(round 1, x='0'\) sums to 1.1"):
+        binary_problem(1, NO_TRANSITIONS, quantity[None])
+    with pytest.raises(NotStochastic, match=r"quantity row \(round 1, x='0'\) sums to 1.1"):
+        make_stationary_problem(1, Distribution.point_mass(BINARY, "0"), None, quantity, zero_one_loss())
 
 
 def test_negative_entry_is_rejected():
@@ -113,35 +123,36 @@ def test_validated_rows_sum_to_one():
     for _ in range(20):
         problem = random_problem(rng, n=3, nx=3, ny=2, nyhat=2)
         assert abs(float(problem.init.probs.sum()) - 1.0) <= 1e-12
-        for kernel in problem.transitions:
-            assert np.all(np.abs(kernel.table.sum(axis=-1) - 1.0) <= 1e-12)
-        for kernel in problem.quantities:
-            assert np.all(np.abs(kernel.table.sum(axis=-1) - 1.0) <= 1e-12)
+        assert np.all(np.abs(problem.transitions.sum(axis=-1) - 1.0) <= 1e-12)
+        assert np.all(np.abs(problem.quantities.sum(axis=-1) - 1.0) <= 1e-12)
 
 
 # ---- horizon and alphabet wiring ----
 
 
 def test_horizon_mismatch_on_kernel_counts():
-    quantity = QuantityKernel(1, BINARY, BINARY, np.full((2, 2), 0.5))
+    quantities = np.full((1, 2, 2), 0.5)
     with pytest.raises(HorizonMismatch):
-        Problem(2, BINARY, BINARY, BINARY, Distribution.point_mass(BINARY, "0"), (), (quantity,), zero_one_loss())
+        binary_problem(2, NO_TRANSITIONS, quantities)
 
 
 def test_foreign_alphabet_is_rejected():
     other = Alphabet(("a", "b"))
-    quantity = QuantityKernel(1, other, other, np.full((2, 2), 0.5))
+    quantities = np.full((1, 2, 2), 0.5)
     loss = ContextualLoss(other, other, other, np.zeros((2, 2, 2)))
     with pytest.raises(DimensionMismatch):
-        Problem(1, BINARY, BINARY, BINARY, Distribution.point_mass(BINARY, "0"), (), (quantity,), loss)
+        binary_problem(1, NO_TRANSITIONS, quantities, loss)
+    # kernels shaped for a three-label quantity alphabet
+    with pytest.raises(DimensionMismatch):
+        binary_problem(1, NO_TRANSITIONS, np.full((1, 2, 3), 1 / 3))
 
 
 def test_n1_problem_has_no_transitions():
     problem = example_section33(1)
-    assert problem.transitions == ()
+    assert problem.transitions.shape == (0, 2, 2, 2)
     assert len(problem.quantities) == 1
     with pytest.raises(RoundOutOfRange):
-        problem.transition_for_round(2)
+        problem.check_round(2)
 
 
 # ---- stationary construction ----
@@ -172,7 +183,7 @@ def test_make_stationary_n1_needs_no_transition():
     problem = make_stationary_problem(
         1, Distribution.point_mass(BINARY, "0"), None, np.array([[0.9, 0.1], [0.4, 0.6]]), zero_one_loss()
     )
-    assert problem.n == 1 and problem.transitions == ()
+    assert problem.n == 1 and problem.transitions.shape == (0, 2, 2, 2)
 
 
 # ---- document parsing ----
@@ -196,8 +207,9 @@ def test_stationary_flag_expands_single_entries():
     doc = section33_dict(4)
     problem = validate_problem(doc)
     assert len(problem.transitions) == 3
-    assert all(np.array_equal(k.table, problem.transitions[0].table) for k in problem.transitions)
-    assert problem.transitions[1].round == 3
+    assert all(np.array_equal(k, problem.transitions[0]) for k in problem.transitions)
+    # one parsed table serves every round
+    assert problem.transitions.strides[0] == 0 and problem.quantities.strides[0] == 0
 
 
 def test_stationary_flag_rejects_full_arrays():
@@ -293,3 +305,65 @@ def test_problem_is_immutable():
         problem.n = 4  # type: ignore[misc]
     with pytest.raises(ValueError):
         problem.loss.table[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        problem.transitions[0, 0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        problem.quantities[0, 0, 0] = 5.0
+
+
+# ---- input hardening and array layout ----
+
+
+def test_stationary_flag_must_be_a_boolean():
+    for value in ("false", "true", 0, 1, None):
+        doc = section33_dict()
+        doc["stationary"] = value
+        with pytest.raises(InvalidModelError, match="stationary"):
+            validate_problem(doc)
+    doc = section33_dict(2)
+    doc["stationary"] = False
+    doc["quantities"] = doc["quantities"] * 2
+    assert validate_problem(doc) == example_section33(2)
+
+
+def test_boolean_horizon_is_rejected_everywhere():
+    quantity = np.array([[0.9, 0.1], [0.4, 0.6]])
+    with pytest.raises(InvalidModelError):
+        binary_problem(True, NO_TRANSITIONS, quantity[None])
+    with pytest.raises(InvalidModelError):
+        make_stationary_problem(True, Distribution.point_mass(BINARY, "0"), None, quantity, zero_one_loss())
+    doc = section33_dict()
+    doc["n"] = True
+    with pytest.raises(InvalidModelError):
+        validate_problem(doc)
+
+
+def test_stationary_problems_hold_one_table():
+    for problem in (example_yield(100), validate_problem(section33_dict(50))):
+        assert problem.transitions.strides[0] == 0
+        assert problem.quantities.strides[0] == 0
+    # a full document holds one table per round
+    full = validate_problem(problem_to_dict(example_section33(4), stationary=False))
+    assert full.transitions.strides[0] != 0 and full == example_section33(4)
+
+
+def test_writable_kernels_are_copied():
+    transitions = np.zeros((1, 2, 2, 2))
+    transitions[:, :, :, 0] = 1.0
+    quantities = np.full((2, 2, 2), 0.5)
+    problem = binary_problem(2, transitions, quantities)
+    transitions[0, 0, 0] = (0.0, 1.0)
+    assert problem.transitions[0, 0, 0].tolist() == [1.0, 0.0]
+
+
+def test_bad_document_rows_are_named():
+    doc = section33_dict(3)
+    doc["transitions"][0]["1|0"] = {"0": 1.5, "1": -0.5}
+    with pytest.raises(NotStochastic, match=r"transition row \(round 2, x='1', yhat='0'\) has a negative entry"):
+        validate_problem(doc)
+    doc = section33_dict(3)
+    doc.pop("stationary")
+    doc["transitions"] = doc["transitions"] * 2
+    doc["quantities"] = doc["quantities"] * 2 + [{"0": {"0": 0.9, "1": 0.1}, "1": {"0": 0.4, "1": 0.7}}]
+    with pytest.raises(NotStochastic, match=r"quantity row \(round 3, x='1'\) sums to 1.1"):
+        validate_problem(doc)

@@ -46,7 +46,7 @@ def test_one_round_closed_form():
             for y in problem.y_space:
                 expected += (
                     problem.init.probs[xi]
-                    * problem.quantity_for_round(1).row(x).prob(y)
+                    * problem.quantities[0, xi, problem.y_space.index(y)]
                     * problem.loss.value(x, y, label)
                 )
         assert exact_loss_history(problem, strategy) == pytest.approx(expected, abs=1e-15)

@@ -1,7 +1,8 @@
-"""Observation-estimate loss table, myopic estimates, and the MDP view."""
+"""Observation-estimate loss table, myopic estimates, and the MDP dynamics."""
 
 import numpy as np
 import pytest
+import reference
 
 from dyninfer import (
     RoundOutOfRange,
@@ -11,10 +12,8 @@ from dyninfer import (
     example_stock,
     myopic_bayes_estimate,
     myopic_tie_set,
-    observation_estimate_loss,
     random_problem,
     solve,
-    to_mdp,
 )
 
 
@@ -22,15 +21,17 @@ def brute_expected_loss(problem, i, x, yhat):
     """Independent recomputation straight from the tables."""
     total = 0.0
     for y in problem.y_space:
-        total += problem.quantity_for_round(i).row(x).prob(y) * problem.loss.value(x, y, yhat)
+        quantity = problem.quantities[i - 1, problem.x_space.index(x), problem.y_space.index(y)]
+        total += quantity * problem.loss.value(x, y, yhat)
     return total
 
 
 def test_known_entries(section33, stock):
+    table = bar_loss_table(section33)
     for i in (1, 3, 6):
-        assert observation_estimate_loss(section33, i, "0", "1") == pytest.approx(0.9, abs=1e-12)
-        assert observation_estimate_loss(section33, i, "1", "1") == pytest.approx(0.4, abs=1e-12)
-    assert observation_estimate_loss(stock, 1, "1", "0") == pytest.approx(0.7, abs=1e-12)
+        assert table.value(i, "0", "1") == pytest.approx(0.9, abs=1e-12)
+        assert table.value(i, "1", "1") == pytest.approx(0.4, abs=1e-12)
+    assert bar_loss_table(stock).value(1, "1", "0") == pytest.approx(0.7, abs=1e-12)
 
 
 def test_stock_slice_matches_brute_force(stock):
@@ -61,7 +62,8 @@ def test_table_matches_pointwise_operation_and_brute_force():
             for x in problem.x_space:
                 for yhat in problem.yhat_space:
                     entry = table.value(i, x, yhat)
-                    assert entry == observation_estimate_loss(problem, i, x, yhat)
+                    xi, ai = problem.x_space.index(x), problem.yhat_space.index(yhat)
+                    assert entry == reference.bar_entry(problem, i, xi, ai)
                     assert entry == pytest.approx(brute_expected_loss(problem, i, x, yhat), abs=1e-12)
 
 
@@ -81,7 +83,8 @@ def test_zero_one_loss_identity():
         for i in range(1, n + 1):
             for x in problem.x_space:
                 for yhat in problem.yhat_space:
-                    complement = 1.0 - problem.quantity_for_round(i).row(x).prob(yhat)
+                    xi, yi = problem.x_space.index(x), problem.y_space.index(yhat)
+                    complement = 1.0 - problem.quantities[i - 1, xi, yi]
                     assert table.value(i, x, yhat) == pytest.approx(complement, abs=1e-12)
 
 
@@ -108,28 +111,21 @@ def test_myopic_tie_set_detects_flat_rows():
 
 
 def test_errors(section33):
+    table = bar_loss_table(section33)
     with pytest.raises(RoundOutOfRange):
-        observation_estimate_loss(section33, 7, "0", "0")
+        table.value(7, "0", "0")
     with pytest.raises(RoundOutOfRange):
         myopic_bayes_estimate(section33, 0, "0")
     with pytest.raises(UnknownLabel):
-        observation_estimate_loss(section33, 1, "2", "0")
+        table.value(1, "2", "0")
 
 
-def test_mdp_view_references_problem_data(section33, stock):
-    view = to_mdp(section33)
-    assert view.states is section33.x_space
-    assert view.actions is section33.yhat_space
-    assert view.dynamics is section33.transitions
-    assert view.init is section33.init
-    assert len(view.dynamics) == 5 and view.cost.values.shape == (6, 2, 2)
-
-    tiny = to_mdp(example_section33(1))
-    assert tiny.dynamics == ()
-
-    stock_view = to_mdp(stock)
-    for kernel in stock_view.dynamics:
-        for xi in range(2):
-            for ai in range(2):
-                # deterministic dynamics: the next observation equals the action label
-                assert kernel.table[xi, ai, ai] == 1.0
+def test_problem_arrays_are_the_mdp_dynamics(section33, stock):
+    # the MDP's per-step cost is the bar-loss table, its dynamics the transition array
+    assert section33.transitions.shape == (5, 2, 2, 2)
+    assert bar_loss_table(section33).values.shape == (6, 2, 2)
+    assert example_section33(1).transitions.shape == (0, 2, 2, 2)
+    for xi in range(2):
+        for ai in range(2):
+            # deterministic dynamics: the next observation equals the action label
+            assert np.all(stock.transitions[:, xi, ai, ai] == 1.0)

@@ -94,7 +94,7 @@ def test_bellman_consistency_on_random_instances():
                     value = bar[i - 1, xi, ai]
                     if i < problem.n:
                         value += float(
-                            np.dot(problem.transitions[i - 1].table[xi, ai], result.v_star[i])
+                            np.dot(problem.transitions[i - 1, xi, ai], result.v_star[i])
                         )
                     best = min(best, value)
                 assert result.v_star[i - 1, xi] == pytest.approx(best, abs=1e-12)

@@ -77,5 +77,5 @@ def test_edges_cover_positive_probability_pairs():
         xi = problem.x_space.index(edge.x)
         ai = problem.yhat_space.index(edge.yhat)
         ni = problem.x_space.index(edge.next_x)
-        assert kernel.table[xi, ai, ni] == pytest.approx(edge.probability)
+        assert kernel[xi, ai, ni] == pytest.approx(edge.probability)
         assert edge.probability > 0
