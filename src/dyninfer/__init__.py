@@ -15,7 +15,6 @@ from .errors import (
     InvalidParams,
     MismatchedResult,
     NotStochastic,
-    RoundOutOfRange,
     SearchSpaceTooLarge,
     ShapeMismatch,
     UnknownLabel,
@@ -26,7 +25,6 @@ from .evaluate import (
     SimulationResult,
     Trajectory,
     evaluate_markov,
-    loss_to_go,
     myopic_strategy,
     optimal_strategy,
     simulate,
@@ -56,12 +54,7 @@ from .oracle import (
     strategy_count,
     verify_lemma1,
 )
-from .reduction import (
-    BarLossTable,
-    bar_loss_table,
-    myopic_bayes_estimate,
-    myopic_tie_set,
-)
+from .reduction import BarLossTable, bar_loss_table
 from .solver import (
     ReportRow,
     SolveResult,
@@ -70,7 +63,7 @@ from .solver import (
     solution_report,
     solve,
 )
-from .trellis import TrellisDocument, TrellisEdge, TrellisNode, build_trellis, export_trellis
+from .trellis import TrellisDocument, TrellisEdge, build_trellis, export_trellis
 
 __version__ = "0.1.0"
 
@@ -95,7 +88,6 @@ __all__ = [
     "PlannerStyle",
     "Problem",
     "ReportRow",
-    "RoundOutOfRange",
     "SearchSpaceTooLarge",
     "ShapeMismatch",
     "SimulationResult",
@@ -104,7 +96,6 @@ __all__ = [
     "Trajectory",
     "TrellisDocument",
     "TrellisEdge",
-    "TrellisNode",
     "UnknownLabel",
     "YieldParams",
     "bar_loss_table",
@@ -120,12 +111,9 @@ __all__ = [
     "example_stock",
     "example_yield",
     "export_trellis",
-    "loss_to_go",
     "make_stationary_problem",
     "minimum_inference_loss",
-    "myopic_bayes_estimate",
     "myopic_strategy",
-    "myopic_tie_set",
     "optimal_strategy",
     "problem_to_dict",
     "random_history_strategy",

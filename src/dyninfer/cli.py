@@ -90,10 +90,6 @@ def _load_strategy(problem: Problem, path: str) -> MarkovStrategy:
     return MarkovStrategy.from_rows(problem, rows)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("DYNINFER_SEED", "0"))
-
-
 def _parse_init(problem: Problem, text: str) -> Distribution:
     """An --init override: either a JSON label->probability object or a bare label."""
     if text.lstrip().startswith("{"):
@@ -146,7 +142,7 @@ def _solve_payload(problem: Problem, result: SolveResult, min_loss: float) -> di
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model)
-    result = solve(problem, TieBreakRule.from_name(args.tie_break))
+    result = solve(problem, TieBreakRule(args.tie_break))
     if args.init is not None:
         problem = dataclasses.replace(problem, init=_parse_init(problem, args.init))
     min_loss = minimum_inference_loss(problem, result)
@@ -243,7 +239,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_export_trellis(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model)
-    result = solve(problem, TieBreakRule.from_name(args.tie_break))
+    result = solve(problem, TieBreakRule(args.tie_break))
     _write_text(args.output, export_trellis(problem, result, args.format))
     return 0
 
@@ -266,6 +262,8 @@ def _cmd_example(args: argparse.Namespace) -> int:
     elif args.which == "stock":
         problem = example_models.example_stock(args.n)
     else:
+        if not (args.grid_step > 0 and np.isfinite([args.grid_min, args.grid_max, args.grid_step]).all()):
+            raise InvalidParams("--grid-min, --grid-max and --grid-step must be finite, and --grid-step > 0")
         params = example_models.YieldParams(
             beta=args.beta,
             d_c=args.dc,
@@ -309,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p_sim)
     p_sim.add_argument("-s", "--strategy", required=True)
     p_sim.add_argument("--rollouts", type=int, default=10_000)
-    p_sim.add_argument("--seed", type=int, default=_default_seed())
+    p_sim.add_argument("--seed", type=int, default=os.environ.get("DYNINFER_SEED", "0"))
     add_output(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", choices=["revealed", "unrevealed"], default="unrevealed")
     p_verify.add_argument("--limit", type=int, default=10**6, help="largest admissible strategy-space size")
     p_verify.add_argument("--instances", type=int, default=None, help="sweep K random binary instances instead of -m")
-    p_verify.add_argument("--seed", type=int, default=_default_seed())
+    p_verify.add_argument("--seed", type=int, default=os.environ.get("DYNINFER_SEED", "0"))
     add_output(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

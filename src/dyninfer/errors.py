@@ -25,10 +25,6 @@ class UnknownLabel(DynamicInferenceError):
     """A label is not a member of the alphabet it was looked up in."""
 
 
-class RoundOutOfRange(DynamicInferenceError):
-    """A round index lies outside 1..n."""
-
-
 class ShapeMismatch(DynamicInferenceError):
     """A strategy is shaped for a different problem."""
 

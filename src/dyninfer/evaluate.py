@@ -52,13 +52,19 @@ class MarkovStrategy:
         """Build from the wire form: one {x label -> estimate label} object per round."""
         if len(rows) != problem.n:
             raise ShapeMismatch(f"strategy has {len(rows)} rounds, problem has {problem.n}")
+        x_labels = set(problem.x_space.labels)
         choices = np.empty((problem.n, len(problem.x_space)), dtype=np.int64)
         for k, row in enumerate(rows):
-            missing = set(problem.x_space.labels) - set(row)
+            if not isinstance(row, Mapping):
+                raise ShapeMismatch(f"strategy round {k + 1} is not an object of observation labels")
+            unknown = set(row) - x_labels
+            if unknown:
+                raise ShapeMismatch(f"strategy round {k + 1} has unknown observations {sorted(unknown)}")
+            missing = x_labels - set(row)
             if missing:
                 raise ShapeMismatch(f"strategy round {k + 1} is missing observations {sorted(missing)}")
-            for x in problem.x_space:
-                choices[k, problem.x_space.index(x)] = problem.yhat_space.index(row[x])
+            for xi, x in enumerate(problem.x_space):
+                choices[k, xi] = problem.yhat_space.index(row[x])
         return cls(problem.n, problem.x_space.labels, problem.yhat_space.labels, choices)
 
     def to_rows(self) -> list[dict[str, str]]:
@@ -66,9 +72,6 @@ class MarkovStrategy:
             {x: self.yhat_labels[self.choices[k, xi]] for xi, x in enumerate(self.x_labels)}
             for k in range(self.n)
         ]
-
-    def label(self, i: int, x: str) -> str:
-        return self.yhat_labels[self.choices[i - 1, self.x_labels.index(x)]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MarkovStrategy):
@@ -138,12 +141,6 @@ def evaluate_markov(problem: Problem, strategy: MarkovStrategy) -> EvalResult:
         j += problem.init.probs[xi] * v[0, xi]
     v.setflags(write=False)
     return EvalResult(problem, strategy, float(j), v)
-
-
-def loss_to_go(result: EvalResult, i: int, x: str) -> float:
-    """Expected remaining loss from round ``i`` at observation ``x``."""
-    result.problem.check_round(i)
-    return float(result.v[i - 1, result.problem.x_space.index(x)])
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .errors import (
     HorizonMismatch,
     InvalidModelError,
     NotStochastic,
-    RoundOutOfRange,
     UnknownLabel,
 )
 
@@ -86,10 +85,10 @@ class Alphabet:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", {label: k for k, label in enumerate(labels)})
 
-    def index(self, label: str) -> int:
+    def index(self, label: object) -> int:
         try:
             return self._index[label]  # type: ignore[attr-defined]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable label is never a member
             raise UnknownLabel(f"label {label!r} not in alphabet {self.labels}") from None
 
     def __len__(self) -> int:
@@ -97,9 +96,6 @@ class Alphabet:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.labels)
-
-    def __contains__(self, label: object) -> bool:
-        return label in self._index  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +118,6 @@ class Distribution:
         probs = np.zeros(len(alphabet))
         probs[alphabet.index(label)] = 1.0
         return cls(alphabet, probs)
-
-    def prob(self, label: str) -> float:
-        return float(self.probs[self.alphabet.index(label)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Distribution):
@@ -149,11 +142,6 @@ class ContextualLoss:
         if not np.all(np.isfinite(table)):
             raise InvalidModelError("loss table contains a non-finite entry")
         object.__setattr__(self, "table", _freeze(table.copy()))
-
-    def value(self, x: str, y: str, yhat: str) -> float:
-        return float(
-            self.table[self.x_space.index(x), self.y_space.index(y), self.yhat_space.index(yhat)]
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContextualLoss):
@@ -237,10 +225,6 @@ class Problem:
             or self.loss.yhat_space != self.yhat_space
         ):
             raise DimensionMismatch("loss table uses foreign alphabets")
-
-    def check_round(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise RoundOutOfRange(f"round {i} outside 1..{self.n}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Problem):

@@ -38,6 +38,11 @@ class HistoryMode(enum.Enum):
     UNREVEALED = "unrevealed"
 
 
+def _history_key(mode: HistoryMode, xs: tuple[int, ...], ys: tuple[int, ...]) -> Key:
+    """The decision-table key of a history: past quantities count only when revealed."""
+    return xs if mode is HistoryMode.UNREVEALED else xs + ys
+
+
 @dataclass(frozen=True, eq=False)
 class HistoryStrategy:
     """A per-round decision table over full histories.
@@ -55,25 +60,13 @@ class HistoryStrategy:
     yhat_labels: tuple[str, ...]
     tables: tuple[Mapping[Key, int], ...]
 
-    def key(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> Key:
-        return xs if self.mode is HistoryMode.UNREVEALED else xs + ys
-
     def decision(self, i: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
         try:
-            return self.tables[i - 1][self.key(xs, ys)]
+            return self.tables[i - 1][_history_key(self.mode, xs, ys)]
         except KeyError:
             raise HistoryIncomplete(
                 f"no decision for round {i} history x={xs!r}, y={ys!r} ({self.mode.value} mode)"
             ) from None
-
-    @classmethod
-    def from_markov(
-        cls, problem: Problem, strategy: MarkovStrategy, mode: HistoryMode = HistoryMode.UNREVEALED
-    ) -> "HistoryStrategy":
-        """Lift a per-observation strategy to a total history strategy."""
-        return build_history_strategy(
-            problem, mode, lambda i, xs, ys: int(strategy.choices[i - 1, xs[-1]])
-        )
 
 
 def _round_histories(problem: Problem, mode: HistoryMode, i: int) -> Iterator[tuple[Key, Key]]:
@@ -95,8 +88,7 @@ def build_history_strategy(
     for i in range(1, problem.n + 1):
         table = {}
         for xs, ys in _round_histories(problem, mode, i):
-            key = xs if mode is HistoryMode.UNREVEALED else xs + ys
-            table[key] = decide(i, xs, ys)
+            table[_history_key(mode, xs, ys)] = decide(i, xs, ys)
         tables.append(table)
     return HistoryStrategy(
         mode,
@@ -199,7 +191,7 @@ def enumerate_history_strategies(
     keyed: list[tuple[int, Key]] = []
     for i in range(1, problem.n + 1):
         for xs, ys in _round_histories(problem, mode, i):
-            keyed.append((i, xs if mode is HistoryMode.UNREVEALED else xs + ys))
+            keyed.append((i, _history_key(mode, xs, ys)))
 
     def generate() -> Iterator[HistoryStrategy]:
         for assignment in itertools.product(range(len(problem.yhat_space)), repeat=len(keyed)):
@@ -361,8 +353,7 @@ def brute_force_optimum(
                 if best_value is None or value < best_value:
                     best_value, best_action = value, ai
             values[(i, xs, ys)] = best_value
-            key = xs if mode is HistoryMode.UNREVEALED else xs + ys
-            decisions[i - 1][key] = best_action
+            decisions[i - 1][_history_key(mode, xs, ys)] = best_action
 
     brute_min = 0.0
     for x1 in range(nx):

@@ -15,26 +15,19 @@ import numpy as np
 
 from .model import Problem
 
-MYOPIC_TIE_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class BarLossTable:
     """Observation-estimate loss for every (round, x, yhat), materialized.
 
-    ``myopic[i-1, xi]`` is the single-round optimal estimate index, the
-    smallest one on ties.
+    Read by index: ``values[i-1, xi, ai]`` is the loss of estimate index
+    ``ai`` at observation index ``xi`` in round ``i``, and ``myopic[i-1, xi]``
+    the single-round optimal estimate index, the smallest one on ties.
     """
 
     problem: Problem
     values: np.ndarray  # shape (n, |X|, |Yhat|)
     myopic: np.ndarray  # shape (n, |X|)
-
-    def value(self, i: int, x: str, yhat: str) -> float:
-        self.problem.check_round(i)
-        return float(
-            self.values[i - 1, self.problem.x_space.index(x), self.problem.yhat_space.index(yhat)]
-        )
 
 
 def bar_loss_table(problem: Problem) -> BarLossTable:
@@ -53,20 +46,3 @@ def bar_loss_table(problem: Problem) -> BarLossTable:
     myopic.setflags(write=False)
     return BarLossTable(problem, values, myopic)
 
-
-def myopic_bayes_estimate(problem: Problem, i: int, x: str) -> str:
-    """Single-round optimal estimate at observation ``x`` in round ``i``.
-
-    Minimizes the expected posterior loss for that round alone; ties resolve
-    to the smallest estimate index (see :func:`myopic_tie_set` to detect them).
-    """
-    problem.check_round(i)
-    return problem.yhat_space.labels[bar_loss_table(problem).myopic[i - 1, problem.x_space.index(x)]]
-
-
-def myopic_tie_set(problem: Problem, i: int, x: str, tolerance: float = MYOPIC_TIE_TOLERANCE) -> tuple[str, ...]:
-    """Estimate labels within ``tolerance`` of the single-round minimum."""
-    problem.check_round(i)
-    row = bar_loss_table(problem).values[i - 1, problem.x_space.index(x)]
-    tied = (row <= row.min() + tolerance).tolist()
-    return tuple(label for label, is_tied in zip(problem.yhat_space, tied) if is_tied)

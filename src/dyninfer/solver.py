@@ -32,13 +32,6 @@ class TieBreakRule(enum.Enum):
     MYOPIC_PREFERRED = "myopic"
     FIRST_INDEX = "first"
 
-    @classmethod
-    def from_name(cls, name: str) -> "TieBreakRule":
-        for rule in cls:
-            if rule.value == name:
-                return rule
-        raise ValueError(f"unknown tie-break rule {name!r}; expected 'myopic' or 'first'")
-
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
@@ -58,29 +51,6 @@ class SolveResult:
     policy: np.ndarray  # (n, |X|) estimate indices
     tie_sets: tuple[tuple[tuple[int, ...], ...], ...]
     myopic: np.ndarray  # (n, |X|) estimate indices
-
-    @property
-    def n(self) -> int:
-        return self.problem.n
-
-    def v_value(self, i: int, x: str) -> float:
-        self.problem.check_round(i)
-        return float(self.v_star[i - 1, self.problem.x_space.index(x)])
-
-    def q_value(self, i: int, x: str, yhat: str) -> float:
-        self.problem.check_round(i)
-        return float(
-            self.q_star[i - 1, self.problem.x_space.index(x), self.problem.yhat_space.index(yhat)]
-        )
-
-    def policy_label(self, i: int, x: str) -> str:
-        self.problem.check_round(i)
-        return self.problem.yhat_space.labels[self.policy[i - 1, self.problem.x_space.index(x)]]
-
-    def tie_labels(self, i: int, x: str) -> tuple[str, ...]:
-        self.problem.check_round(i)
-        ties = self.tie_sets[i - 1][self.problem.x_space.index(x)]
-        return tuple(self.problem.yhat_space.labels[ai] for ai in ties)
 
 
 def solve(problem: Problem, rule: TieBreakRule = TieBreakRule.MYOPIC_PREFERRED) -> SolveResult:

@@ -14,18 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Problem
-from .solver import SolveResult, ensure_result_matches, solution_report
-
-
-@dataclass(frozen=True)
-class TrellisNode:
-    round: int
-    x: str
-    v_star: float
-    chosen: str
-    myopic: str
-    tie: bool
-    deviation: bool
+from .solver import ReportRow, SolveResult, ensure_result_matches, solution_report
 
 
 @dataclass(frozen=True)
@@ -41,25 +30,21 @@ class TrellisEdge:
 
 @dataclass(frozen=True)
 class TrellisDocument:
+    """A solved trellis over ``n`` rounds.
+
+    ``nodes`` are the :func:`solution_report` rows, one per (round,
+    observation) in round-major order; ``edges`` hold every transition with
+    positive probability, in (round, x, yhat, next x) order.
+    """
+
     n: int
-    nodes: tuple[TrellisNode, ...]
+    nodes: tuple[ReportRow, ...]
     edges: tuple[TrellisEdge, ...]
 
 
 def build_trellis(problem: Problem, result: SolveResult) -> TrellisDocument:
     ensure_result_matches(problem, result)
-    nodes = tuple(
-        TrellisNode(
-            round=row.round,
-            x=row.x,
-            v_star=row.v_star,
-            chosen=row.chosen,
-            myopic=row.myopic,
-            tie=row.tie,
-            deviation=row.differs_from_myopic,
-        )
-        for row in solution_report(result)
-    )
+    nodes = solution_report(result)
     # positive entries in (round, x, yhat, next x) order: the edge order of the document
     positive = problem.transitions > 0.0
     edges = []
@@ -77,7 +62,7 @@ def build_trellis(problem: Problem, result: SolveResult) -> TrellisDocument:
                 next_x=x_labels[ni],
                 probability=probability,
                 chosen=is_chosen,
-                deviation=is_chosen and node.deviation,
+                deviation=is_chosen and node.differs_from_myopic,
             )
         )
     return TrellisDocument(problem.n, nodes, tuple(edges))

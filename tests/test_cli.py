@@ -238,3 +238,46 @@ def test_simulate_rejects_seeds_outside_64_bits(tmp_path, capsys, stock_model, s
     assert not out.exists()
     assert run(base + ["--seed", str(2**64 - 1)]) == 0
     assert json.loads(out.read_text())["seed"] == 2**64 - 1
+
+
+def test_bad_seed_env_is_a_usage_error_where_a_seed_is_read(tmp_path, capsys, stock_model, strategy_file, monkeypatch):
+    monkeypatch.setenv("DYNINFER_SEED", "abc")
+    assert run(["example", "stock", "-o", str(tmp_path / "model.json")]) == 0  # has no --seed
+    out = tmp_path / "sim.json"
+    base = ["simulate", "-m", str(stock_model), "-s", str(strategy_file), "--rollouts", "10", "-o", str(out)]
+    assert run(base) == 2
+    assert run(base + ["--seed", "3"]) == 0
+    capsys.readouterr()
+
+
+def test_malformed_strategy_rows_are_domain_errors(tmp_path, capsys, stock_model):
+    strategy = tmp_path / "strategy.json"
+    for rows, error in (
+        ([["0", "1"]] * 6, "ShapeMismatch"),  # a row that is not an object
+        ([{"0": "0", "1": "1", "zz": "1"}] * 6, "ShapeMismatch"),  # an unknown observation label
+        ([{"0": ["0"], "1": "1"}] * 6, "UnknownLabel"),  # an unhashable estimate label
+    ):
+        strategy.write_text(json.dumps({"policy": rows}))
+        assert run(["evaluate", "-m", str(stock_model), "-s", str(strategy)]) == 1
+        assert _single_error_line(capsys)["error"] == error
+
+
+def test_unhashable_loss_label_is_a_domain_error(tmp_path, capsys, stock_model):
+    doc = json.loads(stock_model.read_text())
+    doc["loss"][0]["x"] = ["0"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert run(["solve", "-m", str(model)]) == 1
+    assert _single_error_line(capsys)["error"] == "UnknownLabel"
+
+
+def test_yield_grid_must_be_finite_with_a_positive_step(capsys):
+    for argv in (
+        ["--grid-step", "0"],
+        ["--grid-step", "-1"],
+        ["--grid-step", "inf"],
+        ["--grid-max", "inf"],
+        ["--grid-min", "nan"],
+    ):
+        assert run(["example", "yield", *argv]) == 1
+        assert _single_error_line(capsys)["error"] == "InvalidParams"

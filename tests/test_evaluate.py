@@ -7,13 +7,11 @@ import pytest
 
 from dyninfer import (
     MarkovStrategy,
-    RoundOutOfRange,
     ShapeMismatch,
     UnknownLabel,
     bar_loss_table,
     evaluate_markov,
     example_stock,
-    loss_to_go,
     minimum_inference_loss,
     myopic_strategy,
     optimal_strategy,
@@ -50,29 +48,18 @@ def test_stock_myopic_versus_dynamic(stock):
 def test_loss_to_go_base_case(stock):
     strategy = myopic_strategy(stock)
     result = evaluate_markov(stock, strategy)
-    bar = bar_loss_table(stock)
-    for x in stock.x_space:
-        assert loss_to_go(result, stock.n, x) == pytest.approx(
-            bar.value(stock.n, x, strategy.label(stock.n, x)), abs=1e-12
-        )
+    bar = bar_loss_table(stock).values
+    for xi in range(len(stock.x_space)):
+        assert result.v[-1, xi] == pytest.approx(bar[-1, xi, strategy.choices[-1, xi]], abs=1e-12)
 
 
 def test_loss_to_go_known_values(section33):
+    one = section33.x_space.index("1")
     optimal = evaluate_markov(section33, optimal_strategy(solve(section33)))
-    assert loss_to_go(optimal, 1, "1") == pytest.approx(2.1, abs=1e-9)
+    assert optimal.v[0, one] == pytest.approx(2.1, abs=1e-9)
     constant = evaluate_markov(section33, constant_strategy(section33, "1"))
     # estimating 1 holds the chain at x=1, so two rounds of 0.4 remain
-    assert loss_to_go(constant, 5, "1") == pytest.approx(0.8, abs=1e-12)
-
-
-def test_loss_to_go_bounds(section33):
-    result = evaluate_markov(section33, myopic_strategy(section33))
-    with pytest.raises(RoundOutOfRange):
-        loss_to_go(result, 0, "0")
-    with pytest.raises(RoundOutOfRange):
-        loss_to_go(result, 7, "0")
-    with pytest.raises(UnknownLabel):
-        loss_to_go(result, 1, "7")
+    assert constant.v[4, one] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_shape_mismatch(section33):

@@ -10,7 +10,7 @@ from dyninfer import (
     example_section33,
     example_stock,
     example_yield,
-    myopic_bayes_estimate,
+    bar_loss_table,
     solution_report,
     solve,
     validate_problem,
@@ -34,9 +34,9 @@ def test_horizon_one_matches_myopic():
     for problem in (example_section33(1), example_stock(1)):
         assert deviations(problem) == set()
     one = example_stock(1)
-    result = solve(one)
-    assert result.policy_label(1, "0") == myopic_bayes_estimate(one, 1, "0") == "0"
-    assert result.policy_label(1, "1") == myopic_bayes_estimate(one, 1, "1") == "1"
+    policy = solve(one).policy[0].tolist()
+    assert policy == bar_loss_table(one).myopic[0].tolist() == [0, 1]
+    assert [one.yhat_space.labels[ai] for ai in policy] == ["0", "1"]
 
 
 def test_builders_produce_exact_rows(section33, stock):
@@ -62,7 +62,7 @@ def test_yield_probability_half_at_critical_distance():
     problem = example_yield(2)
     xi, yi = problem.x_space.index("10"), problem.y_space.index("yield")
     assert problem.quantities[0, xi, yi] == pytest.approx(0.5, abs=1e-12)
-    assert problem.init.prob("10") == 1.0  # starts at the grid point nearest d_c
+    assert problem.init.probs[xi] == 1.0  # starts at the grid point nearest d_c
 
 
 def test_yield_steep_slope_saturates():
@@ -77,22 +77,28 @@ def test_yield_steep_slope_saturates():
 def test_yield_default_solves_and_flags_small_gaps():
     problem = example_yield(4)
     result = solve(problem)
-    assert result.policy_label(1, "0") == "not_yield"
+    chosen = result.policy[0, problem.x_space.index("0")]
+    assert problem.yhat_space.labels[chosen] == "not_yield"
 
 
 def test_yield_loss_shape():
     problem = example_yield(2)
-    loss = problem.loss
+
+    def loss(x, y, yhat):
+        return problem.loss.table[
+            problem.x_space.index(x), problem.y_space.index(y), problem.yhat_space.index(yhat)
+        ]
+
     # correct predictions are free
-    assert loss.value("4", "yield", "yield") == 0.0
-    assert loss.value("4", "not_yield", "not_yield") == 0.0
+    assert loss("4", "yield", "yield") == 0.0
+    assert loss("4", "not_yield", "not_yield") == 0.0
     # wasted chance grows linearly with the gap
-    assert loss.value("4", "yield", "not_yield") == pytest.approx(0.05 * 4, abs=1e-12)
-    assert loss.value("0", "yield", "not_yield") == 0.0
+    assert loss("4", "yield", "not_yield") == pytest.approx(0.05 * 4, abs=1e-12)
+    assert loss("0", "yield", "not_yield") == 0.0
     # dangerous prediction ramps up as the gap shrinks below d_c
-    assert loss.value("0", "not_yield", "yield") == pytest.approx(1.5, abs=1e-12)
-    assert loss.value("10", "not_yield", "yield") == pytest.approx(1.0, abs=1e-12)
-    assert loss.value("20", "not_yield", "yield") == pytest.approx(0.5, abs=1e-12)
+    assert loss("0", "not_yield", "yield") == pytest.approx(1.5, abs=1e-12)
+    assert loss("10", "not_yield", "yield") == pytest.approx(1.0, abs=1e-12)
+    assert loss("20", "not_yield", "yield") == pytest.approx(0.5, abs=1e-12)
 
 
 def test_yield_planner_styles_differ():

@@ -12,7 +12,6 @@ from dyninfer import (
     InvalidModelError,
     NotStochastic,
     Problem,
-    RoundOutOfRange,
     UnknownLabel,
     example_section33,
     example_stock,
@@ -81,15 +80,18 @@ def test_alphabet_rejects_duplicates_and_empty():
 def test_alphabet_index_is_stable_bijection():
     alphabet = Alphabet(("lo", "mid", "hi"))
     assert [alphabet.index(label) for label in alphabet] == [0, 1, 2]
+    assert "mid" in alphabet and "nope" not in alphabet
     with pytest.raises(UnknownLabel):
         alphabet.index("nope")
+    with pytest.raises(UnknownLabel):
+        alphabet.index(["lo"])  # unhashable, so never a member
 
 
 def test_distribution_point_mass_and_lookup():
     dist = Distribution.point_mass(BINARY, "1")
-    assert dist.prob("1") == 1.0 and dist.prob("0") == 0.0
+    assert dist.probs[BINARY.index("1")] == 1.0 and dist.probs[BINARY.index("0")] == 0.0
     with pytest.raises(UnknownLabel):
-        dist.prob("2")
+        Distribution.point_mass(BINARY, "2")
 
 
 def test_distribution_rejects_wrong_shape():
@@ -151,8 +153,6 @@ def test_n1_problem_has_no_transitions():
     problem = example_section33(1)
     assert problem.transitions.shape == (0, 2, 2, 2)
     assert len(problem.quantities) == 1
-    with pytest.raises(RoundOutOfRange):
-        problem.check_round(2)
 
 
 # ---- stationary construction ----

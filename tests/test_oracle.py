@@ -10,6 +10,7 @@ from dyninfer import (
     HistoryIncomplete,
     HistoryMode,
     HistoryStrategy,
+    MarkovStrategy,
     SearchSpaceTooLarge,
     brute_force_optimum,
     build_history_strategy,
@@ -38,18 +39,19 @@ BOTH_MODES = (HistoryMode.REVEALED, HistoryMode.UNREVEALED)
 def test_one_round_closed_form():
     problem = example_section33(1)
     for label in ("0", "1"):
-        strategy = build_history_strategy(
-            problem, HistoryMode.UNREVEALED, lambda i, xs, ys: problem.yhat_space.index(label)
-        )
+        ai = problem.yhat_space.index(label)
+        strategy = build_history_strategy(problem, HistoryMode.UNREVEALED, lambda i, xs, ys: ai)
         expected = 0.0
-        for xi, x in enumerate(problem.x_space):
-            for y in problem.y_space:
-                expected += (
-                    problem.init.probs[xi]
-                    * problem.quantities[0, xi, problem.y_space.index(y)]
-                    * problem.loss.value(x, y, label)
-                )
+        for xi in range(len(problem.x_space)):
+            for yi in range(len(problem.y_space)):
+                weight = problem.init.probs[xi] * problem.quantities[0, xi, yi]
+                expected += weight * problem.loss.table[xi, yi, ai]
         assert exact_loss_history(problem, strategy) == pytest.approx(expected, abs=1e-15)
+
+
+def lift(problem, strategy: MarkovStrategy, mode=HistoryMode.UNREVEALED):
+    """A per-observation strategy as a total history strategy."""
+    return build_history_strategy(problem, mode, lambda i, xs, ys: int(strategy.choices[i - 1, xs[-1]]))
 
 
 def test_markov_lift_agrees_with_evaluate():
@@ -58,14 +60,14 @@ def test_markov_lift_agrees_with_evaluate():
     from dyninfer import optimal_strategy
 
     markov = optimal_strategy(best)
-    lifted = HistoryStrategy.from_markov(problem, markov)
+    lifted = lift(problem, markov)
     assert exact_loss_history(problem, lifted) == pytest.approx(
         evaluate_markov(problem, markov).j, abs=1e-12
     )
 
 
 def test_stock_myopic_lift_is_2_4(stock):
-    lifted = HistoryStrategy.from_markov(stock, myopic_strategy(stock))
+    lifted = lift(stock, myopic_strategy(stock))
     assert exact_loss_history(stock, lifted) == pytest.approx(2.4, abs=1e-12)
 
 
@@ -75,7 +77,7 @@ def test_markov_lift_agrees_on_random_instances():
         problem = random_problem(rng, n=int(rng.integers(1, 4)))
         strategy = myopic_strategy(problem)
         for mode in BOTH_MODES:
-            lifted = HistoryStrategy.from_markov(problem, strategy, mode)
+            lifted = lift(problem, strategy, mode)
             assert exact_loss_history(problem, lifted) == pytest.approx(
                 evaluate_markov(problem, strategy).j, abs=1e-12
             )
@@ -208,7 +210,7 @@ def test_truncated_model_matches_v_star():
     result = solve(pinned)
     for mode in BOTH_MODES:
         report = brute_force_optimum(pinned, mode, limit=2 ** 50)
-        assert report.brute_min == pytest.approx(result.v_value(1, "1"), abs=1e-9)
+        assert report.brute_min == pytest.approx(result.v_star[0, pinned.x_space.index("1")], abs=1e-9)
         assert report.brute_min == pytest.approx(1.1, abs=1e-9)  # horizon-3 value at x=1
         assert report.dp_min == pytest.approx(minimum_inference_loss(pinned, result), abs=1e-12)
 

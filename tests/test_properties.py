@@ -3,7 +3,7 @@
 import dataclasses
 
 import numpy as np
-import reference
+import scalar_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -73,9 +73,9 @@ def problems(draw, exact=None):
 @given(problems())
 def test_bar_loss_matches_scalar_reference(problem):
     table = bar_loss_table(problem)
-    assert np.array_equal(table.values, reference.bar_loss(problem))
+    assert np.array_equal(table.values, scalar_reference.bar_loss(problem))
     expected_myopic = [
-        [reference.myopic_index(problem, i, xi) for xi in range(len(problem.x_space))]
+        [scalar_reference.myopic_index(problem, i, xi) for xi in range(len(problem.x_space))]
         for i in range(1, problem.n + 1)
     ]
     assert np.array_equal(table.myopic, expected_myopic)
@@ -86,7 +86,7 @@ def test_bar_loss_matches_scalar_reference(problem):
 def test_solve_matches_scalar_reference(problem):
     for rule in TieBreakRule:
         result = solve(problem, rule)
-        q_star, v_star, policy, tie_sets = reference.solve(problem, rule is TieBreakRule.MYOPIC_PREFERRED)
+        q_star, v_star, policy, tie_sets = scalar_reference.solve(problem, rule is TieBreakRule.MYOPIC_PREFERRED)
         assert np.array_equal(result.q_star, q_star)
         assert np.array_equal(result.v_star, v_star)
         assert np.array_equal(result.policy, policy)
@@ -105,7 +105,7 @@ def test_evaluate_matches_scalar_reference(problem, data):
     )
     for strategy in (myopic_strategy(problem), optimal_strategy(solve(problem)), drawn):
         result = evaluate_markov(problem, strategy)
-        v, j = reference.evaluate_markov(problem, strategy.choices)
+        v, j = scalar_reference.evaluate_markov(problem, strategy.choices)
         assert np.array_equal(result.v, v)
         assert result.j == j
 

@@ -78,13 +78,15 @@ def test_trajectories_are_consistent(stock):
     assert len(result.trajectories) == 100
     for trajectory in result.trajectories[:10]:
         assert len(trajectory.xs) == len(trajectory.ys) == len(trajectory.yhats) == stock.n
+        xis = [stock.x_space.index(x) for x in trajectory.xs]
+        ais = [stock.yhat_space.index(yhat) for yhat in trajectory.yhats]
         recomputed = sum(
-            stock.loss.value(x, y, yhat)
-            for x, y, yhat in zip(trajectory.xs, trajectory.ys, trajectory.yhats)
+            stock.loss.table[xi, stock.y_space.index(y), ai]
+            for xi, y, ai in zip(xis, trajectory.ys, ais)
         )
         assert trajectory.loss == recomputed
-        for i, x in enumerate(trajectory.xs, start=1):
-            assert trajectory.yhats[i - 1] == strategy.label(i, x)
+        for k, (xi, ai) in enumerate(zip(xis, ais)):
+            assert ai == strategy.choices[k, xi]
     assert result.trajectories[0].id == "3:0"
 
 

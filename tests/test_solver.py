@@ -31,6 +31,20 @@ SECTION33_V = {"0": [1.9, 1.5, 1.2, 0.8, 0.5, 0.1], "1": [2.1, 1.8, 1.4, 1.1, 0.
 STOCK_V = {"0": [2.1, 1.8, 1.5, 1.2, 0.8, 0.4], "1": [1.8, 1.5, 1.2, 0.9, 0.6, 0.3]}
 
 
+def v(result, i, x):
+    return result.v_star[i - 1, result.problem.x_space.index(x)]
+
+
+def chosen(result, i, x):
+    problem = result.problem
+    return problem.yhat_space.labels[result.policy[i - 1, problem.x_space.index(x)]]
+
+
+def ties(result, i, x):
+    problem = result.problem
+    return tuple(problem.yhat_space.labels[ai] for ai in result.tie_sets[i - 1][problem.x_space.index(x)])
+
+
 def deviations(result):
     return {(row.round, row.x) for row in solution_report(result) if row.differs_from_myopic}
 
@@ -39,33 +53,33 @@ def test_section33_policy_and_values(section33):
     result = solve(section33)
     for x, values in SECTION33_V.items():
         for i, value in enumerate(values, start=1):
-            assert result.v_value(i, x) == pytest.approx(value, abs=1e-9)
+            assert v(result, i, x) == pytest.approx(value, abs=1e-9)
     for i in (1, 3, 5):
-        assert result.policy_label(i, "1") == "0"
+        assert chosen(result, i, "1") == "0"
     assert deviations(result) == {(1, "1"), (3, "1"), (5, "1")}
-    assert result.v_value(6, "0") == pytest.approx(0.1, abs=1e-12)
-    assert result.v_value(6, "1") == pytest.approx(0.4, abs=1e-12)
+    assert v(result, 6, "0") == pytest.approx(0.1, abs=1e-12)
+    assert v(result, 6, "1") == pytest.approx(0.4, abs=1e-12)
 
 
 def test_section33_exact_ties_resolve_to_myopic(section33):
     result = solve(section33)
-    assert result.tie_labels(2, "1") == ("0", "1")
-    assert result.tie_labels(4, "1") == ("0", "1")
-    assert result.policy_label(2, "1") == "1"
-    assert result.policy_label(4, "1") == "1"
+    assert ties(result, 2, "1") == ("0", "1")
+    assert ties(result, 4, "1") == ("0", "1")
+    assert chosen(result, 2, "1") == "1"
+    assert chosen(result, 4, "1") == "1"
     first = solve(section33, TieBreakRule.FIRST_INDEX)
-    assert first.policy_label(2, "1") == "0"
-    assert first.tie_labels(2, "1") == ("0", "1")
+    assert chosen(first, 2, "1") == "0"
+    assert ties(first, 2, "1") == ("0", "1")
 
 
 def test_stock_policy_and_values(stock):
     result = solve(stock)
     for x, values in STOCK_V.items():
         for i, value in enumerate(values, start=1):
-            assert result.v_value(i, x) == pytest.approx(value, abs=1e-9)
+            assert v(result, i, x) == pytest.approx(value, abs=1e-9)
     assert deviations(result) == {(1, "0"), (2, "0"), (3, "0")}
-    assert result.tie_labels(4, "0") == ("0", "1")
-    assert result.policy_label(4, "0") == "0"  # the myopic choice
+    assert ties(result, 4, "0") == ("0", "1")
+    assert chosen(result, 4, "0") == "0"  # the myopic choice
 
 
 def test_q_star_final_round_equals_bar_loss(stock):
@@ -122,7 +136,7 @@ def test_policy_invariant_under_positive_affine_rescaling(section33):
     for i in range(1, 7):
         remaining = 7 - i
         for x in "01":
-            assert scaled.v_value(i, x) == pytest.approx(3.0 * base.v_value(i, x) + 0.25 * remaining, abs=1e-9)
+            assert v(scaled, i, x) == pytest.approx(3.0 * v(base, i, x) + 0.25 * remaining, abs=1e-9)
 
 
 def test_argmin_unchanged_by_affine_row_transform(stock):
