@@ -23,16 +23,18 @@ from typing import Any
 import numpy as np
 
 from . import examples as example_models
-from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
+from .errors import DynamicInferenceError, InvalidModelError, InvalidParams, SearchSpaceTooLarge
 from .evaluate import MarkovStrategy, evaluate_markov, simulate
 from .model import Distribution, Problem, problem_to_dict, validate_problem
-from .oracle import HistoryMode, OracleReport, brute_force_optimum, random_problem
+from .oracle import HistoryMode, OracleReport, brute_force_optimum, random_problem, shape_history_count
 from .reduction import bar_loss_table
 from .rng import check_seed
 from .solver import SolveResult, TieBreakRule, minimum_inference_loss, solve
 from .trellis import export_trellis
 
 GAP_TOLERANCE = 1e-9
+# `verify --instances` draws binary instances with horizons 1..SWEEP_MAX_N
+SWEEP_MAX_N = 3
 
 
 def _round12(value: float) -> float:
@@ -215,9 +217,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.instances < 1:
             raise InvalidParams(f"--instances must be >= 1, got {args.instances}")
         check_seed(args.seed)
+        largest = 2 ** shape_history_count(SWEEP_MAX_N, 2, 2, mode)
+        if largest > args.limit:
+            raise SearchSpaceTooLarge(
+                f"{largest} history strategies ({mode.value} mode) of the largest sweep instance "
+                f"(binary, n = {SWEEP_MAX_N}) exceed the limit of {args.limit}"
+            )
         rng = np.random.default_rng(args.seed)
         for index in range(args.instances):
-            n = int(rng.integers(1, 4))
+            n = int(rng.integers(1, SWEEP_MAX_N + 1))
             problem = random_problem(rng, n)
             report = brute_force_optimum(problem, mode, args.limit)
             gaps.append(abs(report.gap))

@@ -21,6 +21,8 @@ from .rng import check_seed, uniform_matrix
 from .solver import SolveResult
 
 DEFAULT_TRAJECTORY_CAP = 10_000
+# draws per block of rollouts in ``simulate`` (2 MB per float64 temporary)
+BLOCK_DRAWS = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +177,33 @@ def _sample(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[:, None] >= cdf_rows).sum(axis=1)
 
 
+def _in_blocks(values: np.ndarray, rows: int):
+    """The entries of ``values`` as Python floats in index order, one block of ``rows`` at a time."""
+    for start in range(0, len(values), rows):
+        yield from values[start : start + rows].tolist()
+
+
+def _trajectories(
+    problem: Problem, seed: int, start: int, history: list, losses: np.ndarray
+) -> list[Trajectory]:
+    """Rollouts ``start, start + 1, ...`` from their per-round (xs, ys, yhats) index arrays."""
+    x_labels = problem.x_space.labels
+    y_labels = problem.y_space.labels
+    yhat_labels = problem.yhat_space.labels
+    # per label kind, one row of round-by-round indices per rollout
+    xs, ys, yhats = (np.stack(column, axis=1).tolist() for column in zip(*history))
+    return [
+        Trajectory(
+            id=f"{seed}:{start + r}",
+            xs=tuple(x_labels[v] for v in xs[r]),
+            ys=tuple(y_labels[v] for v in ys[r]),
+            yhats=tuple(yhat_labels[v] for v in yhats[r]),
+            loss=loss,
+        )
+        for r, loss in enumerate(losses.tolist())
+    ]
+
+
 def simulate(
     problem: Problem,
     strategy: MarkovStrategy,
@@ -193,59 +222,55 @@ def simulate(
     row CDF in label-index order. The mean is accumulated over rollouts in
     index order once all rollouts are complete, so the result does not depend
     on how the rollouts were scheduled.
+
+    Rollouts run in consecutive blocks of about ``BLOCK_DRAWS`` draws, so
+    memory is 8 bytes per rollout (its loss) plus one block of draws, and the
+    result is bit-identical to drawing every rollout at once.
     """
     _check_strategy(problem, strategy)
-    if not isinstance(rollouts, int) or rollouts < 1:
+    if isinstance(rollouts, bool) or not isinstance(rollouts, int) or rollouts < 1:
         raise InvalidParams(f"rollouts must be an integer >= 1, got {rollouts!r}")
     check_seed(seed)
     n = problem.n
-    uniforms = uniform_matrix(seed, rollouts, 2 * n)
+    block_rows = max(1, BLOCK_DRAWS // (2 * n))
 
     init_cdf = _row_cdfs(problem.init.probs[None, :])[0]
     quantity_cdfs = _row_cdfs(problem.quantities)
     transition_cdfs = _row_cdfs(problem.transitions)
 
-    xs = (uniforms[:, 0][:, None] >= init_cdf[None, :]).sum(axis=1)
     losses = np.zeros(rollouts)
-    keep = min(rollouts, trajectory_cap) if return_trajectories else 0
-    xs_hist, ys_hist, yhats_hist = [], [], []
-    for i in range(1, n + 1):
-        k = i - 1
-        ys = _sample(quantity_cdfs[k][xs], uniforms[:, 2 * k + 1])
-        yhats = strategy.choices[k, xs]
-        losses += problem.loss.table[xs, ys, yhats]
-        if keep:
-            xs_hist.append(xs[:keep].copy())
-            ys_hist.append(ys[:keep].copy())
-            yhats_hist.append(yhats[:keep].copy())
-        if i < n:
-            xs = _sample(transition_cdfs[k][xs, yhats], uniforms[:, 2 * k + 2])
+    keep = min(rollouts, max(trajectory_cap, 0)) if return_trajectories else 0
+    trajectories: list[Trajectory] = []
+    for start in range(0, rollouts, block_rows):
+        stop = min(start + block_rows, rollouts)
+        uniforms = uniform_matrix(seed, stop - start, 2 * n, start)
+        block_losses = losses[start:stop]
+        kept = max(0, min(stop, keep) - start)
+        history = []  # per round: (xs, ys, yhats) of the block's kept rollouts
+        xs = (uniforms[:, 0][:, None] >= init_cdf[None, :]).sum(axis=1)
+        for i in range(1, n + 1):
+            k = i - 1
+            ys = _sample(quantity_cdfs[k][xs], uniforms[:, 2 * k + 1])
+            yhats = strategy.choices[k, xs]
+            block_losses += problem.loss.table[xs, ys, yhats]
+            if kept:
+                history.append((xs[:kept], ys[:kept], yhats[:kept]))
+            if i < n:
+                xs = _sample(transition_cdfs[k][xs, yhats], uniforms[:, 2 * k + 2])
+        if kept:
+            trajectories += _trajectories(problem, seed, start, history, block_losses[:kept])
 
     total = 0.0
-    for value in losses.tolist():
+    for value in _in_blocks(losses, block_rows):
         total += value
     mean = total / rollouts
     if rollouts > 1:
         square_sum = 0.0
-        for value in losses.tolist():
+        for value in _in_blocks(losses, block_rows):
             square_sum += (value - mean) ** 2
         variance = square_sum / (rollouts - 1)
     else:
         variance = 0.0
 
-    trajectories: tuple[Trajectory, ...] | None = None
-    if return_trajectories:
-        x_labels = problem.x_space.labels
-        y_labels = problem.y_space.labels
-        yhat_labels = problem.yhat_space.labels
-        trajectories = tuple(
-            Trajectory(
-                id=f"{seed}:{r}",
-                xs=tuple(x_labels[xs_hist[k][r]] for k in range(n)),
-                ys=tuple(y_labels[ys_hist[k][r]] for k in range(n)),
-                yhats=tuple(yhat_labels[yhats_hist[k][r]] for k in range(n)),
-                loss=float(losses[r]),
-            )
-            for r in range(keep)
-        )
-    return SimulationResult(mean, variance, rollouts, seed, trajectories)
+    kept_trajectories = tuple(trajectories) if return_trajectories else None
+    return SimulationResult(mean, variance, rollouts, seed, kept_trajectories)

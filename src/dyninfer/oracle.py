@@ -158,9 +158,13 @@ def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
 
 def history_count(problem: Problem, mode: HistoryMode) -> int:
     """Number of syntactic histories across all rounds (exact integer)."""
-    nx, ny = len(problem.x_space), len(problem.y_space)
+    return shape_history_count(problem.n, len(problem.x_space), len(problem.y_space), mode)
+
+
+def shape_history_count(n: int, nx: int, ny: int, mode: HistoryMode) -> int:
+    """Number of syntactic histories of any problem with ``n`` rounds, |X| = nx and |Y| = ny."""
     total = 0
-    for i in range(1, problem.n + 1):
+    for i in range(1, n + 1):
         histories = nx**i
         if mode is HistoryMode.REVEALED:
             histories *= ny ** (i - 1)

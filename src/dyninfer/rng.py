@@ -47,12 +47,16 @@ def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     return (mix64(state) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def uniform_matrix(seed: int, streams: int, draws_per_stream: int) -> np.ndarray:
-    """Matrix of uniforms whose row ``k`` is substream ``k`` of ``seed``.
+def uniform_matrix(
+    seed: int, streams: int, draws_per_stream: int, first_stream: int = 0
+) -> np.ndarray:
+    """Matrix of uniforms whose row ``k`` is substream ``first_stream + k`` of ``seed``.
 
-    Substream ``k`` occupies counters ``[k * draws_per_stream,
-    (k + 1) * draws_per_stream)``; entry ``[k, t]`` is draw ``t`` of that
-    substream.
+    Substream ``s`` occupies counters ``[s * draws_per_stream,
+    (s + 1) * draws_per_stream)``; entry ``[k, t]`` is draw ``t`` of
+    substream ``first_stream + k``. Consecutive calls over adjacent stream
+    ranges therefore tile the matrix of a single call over their union.
     """
-    counters = np.arange(streams * draws_per_stream, dtype=np.uint64)
+    start = first_stream * draws_per_stream
+    counters = np.arange(start, start + streams * draws_per_stream, dtype=np.uint64)
     return counter_uniforms(seed, counters).reshape(streams, draws_per_stream)

@@ -4,11 +4,13 @@ The library computes the bar-loss table, backward induction and strategy
 evaluation as array operations over (x, yhat), with a Python loop left only
 over the label being summed. These are the entry-by-entry loops they
 replaced. Both add the same products in the same order, so the tests require
-equal floats, not close ones.
+equal floats, not close ones. ``simulate`` is the whole-matrix rollout loop
+that the block-streamed simulator replaced; it draws every rollout at once.
 """
 
 import numpy as np
 
+from dyninfer.rng import uniform_matrix
 from dyninfer.solver import TIE_TOLERANCE
 
 
@@ -98,3 +100,62 @@ def evaluate_markov(problem, choices):
     for xi in range(nx):
         j += problem.init.probs[xi] * v[0, xi]
     return v, float(j)
+
+
+def simulate(problem, choices, rollouts, seed, keep):
+    """All rollouts from one uniform matrix: (mean, variance, trajectories).
+
+    Each of the first ``keep`` trajectories is (id, xs, ys, yhats, loss) with
+    label tuples, as in ``dyninfer.Trajectory``.
+    """
+    n = problem.n
+    uniforms = uniform_matrix(seed, rollouts, 2 * n)
+
+    def cdfs(table):
+        cdf = np.cumsum(table, axis=-1)
+        cdf[..., -1] = 1.0
+        return cdf
+
+    def sample(cdf_rows, u):
+        return (u[:, None] >= cdf_rows).sum(axis=1)
+
+    init_cdf = cdfs(problem.init.probs[None, :])[0]
+    quantity_cdfs = cdfs(problem.quantities)
+    transition_cdfs = cdfs(problem.transitions)
+
+    xs = (uniforms[:, 0][:, None] >= init_cdf[None, :]).sum(axis=1)
+    losses = np.zeros(rollouts)
+    xs_hist, ys_hist, yhats_hist = [], [], []
+    for i in range(1, n + 1):
+        k = i - 1
+        ys = sample(quantity_cdfs[k][xs], uniforms[:, 2 * k + 1])
+        yhats = choices[k, xs]
+        losses += problem.loss.table[xs, ys, yhats]
+        xs_hist.append(xs[:keep].copy())
+        ys_hist.append(ys[:keep].copy())
+        yhats_hist.append(yhats[:keep].copy())
+        if i < n:
+            xs = sample(transition_cdfs[k][xs, yhats], uniforms[:, 2 * k + 2])
+
+    total = 0.0
+    for value in losses.tolist():
+        total += value
+    mean = total / rollouts
+    variance = 0.0
+    if rollouts > 1:
+        square_sum = 0.0
+        for value in losses.tolist():
+            square_sum += (value - mean) ** 2
+        variance = square_sum / (rollouts - 1)
+
+    labels = problem.x_space.labels, problem.y_space.labels, problem.yhat_space.labels
+    histories = [np.array(hist).T.tolist() for hist in (xs_hist, ys_hist, yhats_hist)]
+    trajectories = [
+        (
+            f"{seed}:{r}",
+            *(tuple(space[v] for v in hist[r]) for space, hist in zip(labels, histories)),
+            float(losses[r]),
+        )
+        for r in range(keep)
+    ]
+    return mean, variance, trajectories

@@ -229,6 +229,19 @@ def test_verify_rejects_bad_instance_counts_and_seeds(capsys):
         assert _single_error_line(capsys)["error"] == "InvalidParams"
 
 
+def test_verify_sweep_checks_the_limit_before_drawing(capsys):
+    # the largest sweep instance is binary with n = 3: 2^42 revealed, 2^14 unrevealed
+    # strategies; seed 1 draws n = 2 first, so only the up-front check can fail here
+    for mode, needed in (("revealed", 2**42), ("unrevealed", 2**14)):
+        argv = ["verify", "--instances", "1", "--seed", "1", "--mode", mode]
+        assert run([*argv, "--limit", str(needed - 1)]) == 1
+        payload = _single_error_line(capsys)
+        assert payload["error"] == "SearchSpaceTooLarge"
+        assert str(needed) in payload["message"]
+        assert run([*argv, "--limit", str(needed)]) == 0
+        capsys.readouterr()
+
+
 def test_simulate_rejects_seeds_outside_64_bits(tmp_path, capsys, stock_model, strategy_file):
     out = tmp_path / "sim.json"
     base = ["simulate", "-m", str(stock_model), "-s", str(strategy_file), "--rollouts", "10", "-o", str(out)]

@@ -1,24 +1,31 @@
 """Seeded Monte Carlo rollouts: determinism, substreams, statistical sanity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scalar_reference
 
 from dyninfer import (
     Alphabet,
     ContextualLoss,
     Distribution,
     InvalidParams,
+    MarkovStrategy,
     ShapeMismatch,
     evaluate_markov,
+    example_section33,
     example_stock,
+    example_yield,
     make_stationary_problem,
     myopic_strategy,
     optimal_strategy,
+    random_problem,
     simulate,
     solve,
 )
+from dyninfer import evaluate as evaluate_module
 from dyninfer.rng import counter_uniforms, uniform_matrix
 
 
@@ -106,8 +113,9 @@ def test_statistical_consistency(stock):
 
 
 def test_bad_rollout_count(stock):
-    with pytest.raises(InvalidParams):
-        simulate(stock, myopic_strategy(stock), 0, seed=1)
+    for rollouts in (0, True, False):
+        with pytest.raises(InvalidParams):
+            simulate(stock, myopic_strategy(stock), rollouts, seed=1)
 
 
 def test_strategy_shape_is_checked(stock):
@@ -124,3 +132,73 @@ def test_uniform_source_is_platform_independent():
     assert matrix.shape == (2, 2)
     assert matrix.flatten().tolist() == values.tolist()
     assert np.all((values >= 0.0) & (values < 1.0))
+    # a call from a later first stream returns the matching rows of one larger call
+    for streams, draws, first in ((1, 2, 1), (3, 5, 4), (2, 7, 0), (4, 1, 9)):
+        whole = uniform_matrix(42, first + streams, draws)
+        assert np.array_equal(uniform_matrix(42, streams, draws, first), whole[first:])
+
+
+def _random_case(seed, n, nx, ny, nyhat):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, n, nx, ny, nyhat)
+    choices = rng.integers(0, nyhat, (n, nx))
+    return problem, MarkovStrategy(n, problem.x_space.labels, problem.yhat_space.labels, choices)
+
+
+def _optimal_case(problem):
+    return problem, optimal_strategy(solve(problem))
+
+
+SIMULATE_CASES = {
+    "random-40-3-2-2": lambda: _random_case(1, 40, 3, 2, 2),
+    "random-25-5-4-3": lambda: _random_case(2, 25, 5, 4, 3),
+    "random-33-1-3-5": lambda: _random_case(3, 33, 1, 3, 5),
+    "stock-30": lambda: _optimal_case(example_stock(30)),
+    "section33-40": lambda: _optimal_case(example_section33(40)),
+    "yield-50": lambda: _optimal_case(example_yield(50)),
+}
+
+
+def _assert_matches_reference(problem, strategy, rollouts, seed, cap):
+    result = simulate(problem, strategy, rollouts, seed, return_trajectories=True, trajectory_cap=cap)
+    mean, variance, trajectories = scalar_reference.simulate(
+        problem, strategy.choices, rollouts, seed, min(rollouts, cap)
+    )
+    assert result.mean == mean
+    assert result.variance == variance
+    assert [(t.id, t.xs, t.ys, t.yhats, t.loss) for t in result.trajectories] == trajectories
+
+
+@pytest.mark.parametrize("case", SIMULATE_CASES)
+def test_streamed_simulate_matches_whole_matrix_reference(case):
+    problem, strategy = SIMULATE_CASES[case]()
+    block = evaluate_module.BLOCK_DRAWS // (2 * problem.n)
+    cap = block + block // 2  # the kept trajectories end inside the second block
+    for rollouts in (1, block - 1, block, block + 1, 2 * block + 13):
+        _assert_matches_reference(problem, strategy, rollouts, 7 + rollouts, cap)
+
+
+def test_small_blocks_match_whole_matrix_reference(monkeypatch):
+    # one rollout per block when 2n draws exceed the block size, and many short blocks
+    rng = np.random.default_rng(5)
+    for block_draws, n in ((8, 5), (64, 3), (100, 1)):
+        monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", block_draws)
+        problem = random_problem(rng, n, 3, 2, 3)
+        choices = rng.integers(0, 3, (n, 3))
+        strategy = MarkovStrategy(n, problem.x_space.labels, problem.yhat_space.labels, choices)
+        for rollouts in (1, 2, 37, 250):
+            _assert_matches_reference(problem, strategy, rollouts, 2**64 - rollouts, 29)
+
+
+def test_memory_is_one_loss_per_rollout_plus_a_block():
+    problem = example_yield(50)
+    strategy = optimal_strategy(solve(problem))
+    rollouts = 100_000
+    tracemalloc.start()
+    try:
+        simulate(problem, strategy, rollouts, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # whole-matrix simulation reached about 300 MB here
+    assert peak < 8 * rollouts + 24 * 2**20
