@@ -200,11 +200,11 @@ def _oracle_payload(report: OracleReport, instance: str | int, n: int, mode: His
         "instance": instance,
         "n": n,
         "mode": mode.value,
-        "brute_min": report.brute_min,
-        "dp_min": report.dp_min,
-        "gap": report.gap,
+        "brute_min": _round12(report.brute_min),
+        "dp_min": _round12(report.dp_min),
+        "gap": _round12(report.gap),
         "strategies_searched": report.strategies_searched,
-        "lemma1_pairs": [[lhs, rhs] for lhs, rhs in report.lemma1_pairs],
+        "lemma1_pairs": [[_round12(lhs), _round12(rhs)] for lhs, rhs in report.lemma1_pairs],
         "witness": witness,
     }
 
@@ -239,7 +239,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lines.append(_oracle_payload(report, "model", problem.n, mode))
     gap_max = max(gaps)
     verdict = "PASS" if gap_max <= GAP_TOLERANCE else "FAIL"
-    out = "".join(json.dumps(_canonical(line), sort_keys=True) + "\n" for line in lines)
+    # _oracle_payload rounds its floats already; the witness rows hold only ints and strings
+    out = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
     out += f"{verdict} gap_max={format(gap_max, '.3e')}\n"
     _write_text(args.output, out)
     return 0 if verdict == "PASS" else 1
@@ -322,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="brute-force check against the solver")
     add_model(p_verify, required=False)
     p_verify.add_argument("--mode", choices=["revealed", "unrevealed"], default="unrevealed")
-    p_verify.add_argument("--limit", type=int, default=10**6, help="largest admissible strategy-space size")
+    p_verify.add_argument(
+        "--limit", type=int, default=10**6, help="largest admissible strategy-space size and history count"
+    )
     p_verify.add_argument("--instances", type=int, default=None, help="sweep K random binary instances instead of -m")
     p_verify.add_argument("--seed", type=int, default=os.environ.get("DYNINFER_SEED", "0"))
     add_output(p_verify)

@@ -7,7 +7,9 @@ at every syntactically possible history. None of it reuses the solver's
 value recursion, which is exactly what makes it a useful cross-check.
 
 Strategy spaces grow as a double exponential, so every search is gated by a
-limit on the number of strategy functions in the space.
+limit on the number of strategy functions in the space; the brute-force
+optimum also bounds the number of histories, its actual work, by the same
+limit.
 """
 
 from __future__ import annotations
@@ -117,43 +119,55 @@ def _check_history_strategy(problem: Problem, strategy: HistoryStrategy) -> None
         raise ShapeMismatch("history strategy is shaped for a different problem")
 
 
+def _roots(problem: Problem) -> list[tuple[int, float]]:
+    """The round-1 observations of positive probability, last first.
+
+    The walks below visit histories in pre-order with an explicit stack:
+    pushing the roots, and each node's children, in reverse order makes them
+    pop in lexicographic order, so every sum is taken in the order of a
+    recursive walk.
+    """
+    return [(x1, p) for x1, p in reversed(list(enumerate(problem.init.probs.tolist()))) if p > 0.0]
+
+
 def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
     """Expected accumulated loss by plain summation over complete trajectories.
 
     Enumerates every (x-sequence, y-sequence) with positive probability in
     lexicographic order, weighting the accumulated loss of each by its exact
-    probability under the strategy. No sampling, no value recursion.
+    probability under the strategy. No sampling, no value recursion. The walk
+    keeps its own stack, so the horizon is not bounded by Python's recursion
+    limit.
     """
     _check_history_strategy(problem, strategy)
     n, nx, ny = problem.n, len(problem.x_space), len(problem.y_space)
-    loss = problem.loss.table
-    init = problem.init.probs
+    quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
+    loss = problem.loss.table.tolist()
     total = 0.0
 
-    def visit(i: int, xs: tuple[int, ...], ys: tuple[int, ...], prob: float, acc: float) -> None:
-        nonlocal total
+    stack = [(1, (x1,), (), prob, 0.0) for x1, prob in _roots(problem)]
+    while stack:
+        i, xs, ys, prob, acc = stack.pop()
         x = xs[-1]
         ai = strategy.decision(i, xs, ys)
-        quantity = problem.quantities[i - 1]
-        for yi in range(ny):
-            p_y = quantity[x, yi]
+        quantity = quantities[i - 1][x]
+        if i == n:
+            for yi in range(ny):
+                p_y = quantity[yi]
+                if p_y != 0.0:
+                    total += prob * p_y * (acc + loss[x][yi][ai])
+            continue
+        transition = transitions[i - 1][x][ai]
+        for yi in reversed(range(ny)):
+            p_y = quantity[yi]
             if p_y == 0.0:
                 continue
-            step = acc + loss[x, yi, ai]
-            if i == n:
-                total += prob * p_y * step
-            else:
-                transition = problem.transitions[i - 1]
-                for xn in range(nx):
-                    p_x = transition[x, ai, xn]
-                    if p_x == 0.0:
-                        continue
-                    visit(i + 1, xs + (xn,), ys + (yi,), prob * p_y * p_x, step)
-
-    for x1 in range(nx):
-        if init[x1] > 0.0:
-            visit(1, (x1,), (), float(init[x1]), 0.0)
-    return float(total)
+            step = acc + loss[x][yi][ai]
+            for xn in reversed(range(nx)):
+                p_x = transition[xn]
+                if p_x != 0.0:
+                    stack.append((i + 1, xs + (xn,), ys + (yi,), prob * p_y * p_x, step))
+    return total
 
 
 def history_count(problem: Problem, mode: HistoryMode) -> int:
@@ -253,39 +267,37 @@ def verify_lemma1(problem: Problem, strategy: HistoryStrategy) -> tuple[float, f
     _check_history_strategy(problem, strategy)
     lhs = exact_loss_history(problem, strategy)
 
-    bar = bar_loss_table(problem).values
+    bar = bar_loss_table(problem).values.tolist()
     n, nx, ny = problem.n, len(problem.x_space), len(problem.y_space)
+    quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
     revealed = strategy.mode is HistoryMode.REVEALED
     rhs = 0.0
 
-    def visit(i: int, xs: tuple[int, ...], ys: tuple[int, ...], prob: float) -> None:
-        nonlocal rhs
+    stack = [(1, (x1,), (), prob) for x1, prob in _roots(problem)]
+    while stack:
+        i, xs, ys, prob = stack.pop()
         x = xs[-1]
         ai = strategy.decision(i, xs, ys)
-        rhs += prob * bar[i - 1, x, ai]
+        rhs += prob * bar[i - 1][x][ai]
         if i == n:
-            return
-        transition = problem.transitions[i - 1]
+            continue
+        transition = transitions[i - 1][x][ai]
         if revealed:
-            quantity = problem.quantities[i - 1]
-            for yi in range(ny):
-                p_y = quantity[x, yi]
+            quantity = quantities[i - 1][x]
+            for yi in reversed(range(ny)):
+                p_y = quantity[yi]
                 if p_y == 0.0:
                     continue
-                for xn in range(nx):
-                    p_x = transition[x, ai, xn]
+                for xn in reversed(range(nx)):
+                    p_x = transition[xn]
                     if p_x > 0.0:
-                        visit(i + 1, xs + (xn,), ys + (yi,), prob * p_y * p_x)
+                        stack.append((i + 1, xs + (xn,), ys + (yi,), prob * p_y * p_x))
         else:
-            for xn in range(nx):
-                p_x = transition[x, ai, xn]
+            for xn in reversed(range(nx)):
+                p_x = transition[xn]
                 if p_x > 0.0:
-                    visit(i + 1, xs + (xn,), ys, prob * p_x)
-
-    for x1 in range(nx):
-        if problem.init.probs[x1] > 0.0:
-            visit(1, (x1,), (), float(problem.init.probs[x1]))
-    return lhs, float(rhs)
+                    stack.append((i + 1, xs + (xn,), ys, prob * p_x))
+    return lhs, rhs
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,55 +326,70 @@ def brute_force_optimum(
     first minimizer. ``lemma1_pairs`` holds the loss-marginalization pair for
     the witness.
 
-    Raises SearchSpaceTooLarge when the strategy space exceeds ``limit``.
+    Raises SearchSpaceTooLarge when the strategy space, or the number of
+    histories (which bounds the work, and exceeds the strategy count only
+    when there is a single estimate), exceeds ``limit``.
     """
     count = strategy_count(problem, mode)
     if count > limit:
         raise SearchSpaceTooLarge(
             f"{count} history strategies ({mode.value} mode) exceed the limit of {limit}"
         )
+    histories = history_count(problem, mode)
+    if histories > limit:
+        raise SearchSpaceTooLarge(f"{histories} histories ({mode.value} mode) exceed the limit of {limit}")
     n = problem.n
     nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
-    loss = problem.loss.table
+    quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
+    loss = problem.loss.table.tolist()
     revealed = mode is HistoryMode.REVEALED
 
     values: dict[tuple[int, Key, Key], float] = {}
     decisions: list[dict[Key, int]] = [dict() for _ in range(n)]
     for i in range(n, 0, -1):
-        quantity = problem.quantities[i - 1]
-        transition = problem.transitions[i - 1] if i < n else None
+        quantity = quantities[i - 1]
+        # the immediate cost depends on the history only through its last observation
+        stage = []
+        for x in range(nx):
+            costs = []
+            for ai in range(na):
+                cost = 0.0
+                for yi in range(ny):
+                    cost += quantity[x][yi] * loss[x][yi][ai]
+                costs.append(cost)
+            stage.append(costs)
+        transition = transitions[i - 1] if i < n else None
         for xs, ys in _round_histories(problem, mode, i):
             x = xs[-1]
+            # the successors' values, grouped by the quantity that leads to them
+            # with its probability; unrevealed histories form one group of
+            # weight 1.0, which changes no product: 1.0 * p_x == p_x
+            if i == n:
+                groups = []
+            elif revealed:
+                groups = [
+                    (p_y, [values[(i + 1, xs + (xn,), ys + (yi,))] for xn in range(nx)])
+                    for yi, p_y in enumerate(quantity[x])
+                    if p_y != 0.0
+                ]
+            else:
+                groups = [(1.0, [values[(i + 1, xs + (xn,), ys)] for xn in range(nx)])]
             best_value = None
             best_action = 0
             for ai in range(na):
-                value = 0.0
-                for yi in range(ny):
-                    value += quantity[x, yi] * loss[x, yi, ai]
-                if transition is not None:
-                    if revealed:
-                        for yi in range(ny):
-                            p_y = quantity[x, yi]
-                            if p_y == 0.0:
-                                continue
-                            for xn in range(nx):
-                                p_x = transition[x, ai, xn]
-                                if p_x != 0.0:
-                                    value += p_y * p_x * values[(i + 1, xs + (xn,), ys + (yi,))]
-                    else:
-                        for xn in range(nx):
-                            p_x = transition[x, ai, xn]
-                            if p_x != 0.0:
-                                value += p_x * values[(i + 1, xs + (xn,), ys)]
+                value = stage[x][ai]
+                for p_y, successors in groups:
+                    for p_x, successor in zip(transition[x][ai], successors):
+                        if p_x != 0.0:
+                            value += p_y * p_x * successor
                 if best_value is None or value < best_value:
                     best_value, best_action = value, ai
             values[(i, xs, ys)] = best_value
             decisions[i - 1][_history_key(mode, xs, ys)] = best_action
 
     brute_min = 0.0
-    for x1 in range(nx):
-        brute_min += problem.init.probs[x1] * values[(1, (x1,), ())]
-    brute_min = float(brute_min)
+    for x1, p in enumerate(problem.init.probs.tolist()):
+        brute_min += p * values[(1, (x1,), ())]
 
     witness = HistoryStrategy(
         mode, n, problem.x_space.labels, problem.y_space.labels, problem.yhat_space.labels, tuple(decisions)

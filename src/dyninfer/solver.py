@@ -89,8 +89,11 @@ def ensure_result_matches(problem: Problem, result: SolveResult) -> None:
 
     The initial distribution is deliberately ignored: value tables and the
     policy do not depend on it, which is what makes ``--init`` overrides safe.
+    A result checked against the very problem it was solved for passes at once.
     """
     source = result.problem
+    if source is problem:
+        return
     same = (
         source.n == problem.n
         and source.x_space == problem.x_space

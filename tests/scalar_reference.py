@@ -6,10 +6,17 @@ over the label being summed. These are the entry-by-entry loops they
 replaced. Both add the same products in the same order, so the tests require
 equal floats, not close ones. ``simulate`` is the whole-matrix rollout loop
 that the block-streamed simulator replaced; it draws every rollout at once.
+``brute_force``, ``exact_loss_history`` and ``lemma1`` are the oracle's
+history-tree walks as recursions over numpy scalars, with the immediate cost
+summed again at every history.
 """
+
+import itertools
 
 import numpy as np
 
+from dyninfer.oracle import HistoryMode
+from dyninfer.reduction import bar_loss_table
 from dyninfer.rng import uniform_matrix
 from dyninfer.solver import TIE_TOLERANCE
 
@@ -159,3 +166,126 @@ def simulate(problem, choices, rollouts, seed, keep):
         for r in range(keep)
     ]
     return mean, variance, trajectories
+
+
+def _round_histories(problem, mode, i):
+    nx, ny = len(problem.x_space), len(problem.y_space)
+    y_len = i - 1 if mode is HistoryMode.REVEALED else 0
+    for xs in itertools.product(range(nx), repeat=i):
+        for ys in itertools.product(range(ny), repeat=y_len):
+            yield xs, ys
+
+
+def brute_force(problem, mode):
+    """Bottom-up optimum over every history strategy: (brute_min, per-round decision tables)."""
+    n = problem.n
+    nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
+    loss = problem.loss.table
+    revealed = mode is HistoryMode.REVEALED
+    values = {}
+    decisions = [dict() for _ in range(n)]
+    for i in range(n, 0, -1):
+        quantity = problem.quantities[i - 1]
+        transition = problem.transitions[i - 1] if i < n else None
+        for xs, ys in _round_histories(problem, mode, i):
+            x = xs[-1]
+            best_value = None
+            best_action = 0
+            for ai in range(na):
+                value = 0.0
+                for yi in range(ny):
+                    value += quantity[x, yi] * loss[x, yi, ai]
+                if transition is not None:
+                    if revealed:
+                        for yi in range(ny):
+                            p_y = quantity[x, yi]
+                            if p_y == 0.0:
+                                continue
+                            for xn in range(nx):
+                                p_x = transition[x, ai, xn]
+                                if p_x != 0.0:
+                                    value += p_y * p_x * values[(i + 1, xs + (xn,), ys + (yi,))]
+                    else:
+                        for xn in range(nx):
+                            p_x = transition[x, ai, xn]
+                            if p_x != 0.0:
+                                value += p_x * values[(i + 1, xs + (xn,), ys)]
+                if best_value is None or value < best_value:
+                    best_value, best_action = value, ai
+            values[(i, xs, ys)] = best_value
+            decisions[i - 1][xs if not revealed else xs + ys] = best_action
+    brute_min = 0.0
+    for x1 in range(nx):
+        brute_min += problem.init.probs[x1] * values[(1, (x1,), ())]
+    return float(brute_min), decisions
+
+
+def exact_loss_history(problem, strategy):
+    """Expected accumulated loss of a history strategy, by recursion over trajectories."""
+    n, nx, ny = problem.n, len(problem.x_space), len(problem.y_space)
+    loss = problem.loss.table
+    init = problem.init.probs
+    total = 0.0
+
+    def visit(i, xs, ys, prob, acc):
+        nonlocal total
+        x = xs[-1]
+        ai = strategy.decision(i, xs, ys)
+        quantity = problem.quantities[i - 1]
+        for yi in range(ny):
+            p_y = quantity[x, yi]
+            if p_y == 0.0:
+                continue
+            step = acc + loss[x, yi, ai]
+            if i == n:
+                total += prob * p_y * step
+            else:
+                transition = problem.transitions[i - 1]
+                for xn in range(nx):
+                    p_x = transition[x, ai, xn]
+                    if p_x == 0.0:
+                        continue
+                    visit(i + 1, xs + (xn,), ys + (yi,), prob * p_y * p_x, step)
+
+    for x1 in range(nx):
+        if init[x1] > 0.0:
+            visit(1, (x1,), (), float(init[x1]), 0.0)
+    return float(total)
+
+
+def lemma1(problem, strategy):
+    """Both sides of the loss-marginalization identity, by recursion over histories."""
+    lhs = exact_loss_history(problem, strategy)
+    bar = bar_loss_table(problem).values
+    n, nx, ny = problem.n, len(problem.x_space), len(problem.y_space)
+    revealed = strategy.mode is HistoryMode.REVEALED
+    rhs = 0.0
+
+    def visit(i, xs, ys, prob):
+        nonlocal rhs
+        x = xs[-1]
+        ai = strategy.decision(i, xs, ys)
+        rhs += prob * bar[i - 1, x, ai]
+        if i == n:
+            return
+        transition = problem.transitions[i - 1]
+        if revealed:
+            quantity = problem.quantities[i - 1]
+            for yi in range(ny):
+                p_y = quantity[x, yi]
+                if p_y == 0.0:
+                    continue
+                for xn in range(nx):
+                    p_x = transition[x, ai, xn]
+                    if p_x > 0.0:
+                        visit(i + 1, xs + (xn,), ys + (yi,), prob * p_y * p_x)
+        else:
+            for xn in range(nx):
+                p_x = transition[x, ai, xn]
+                if p_x > 0.0:
+                    visit(i + 1, xs + (xn,), ys, prob * p_x)
+
+    for x1 in range(nx):
+        if problem.init.probs[x1] > 0.0:
+            visit(1, (x1,), (), float(problem.init.probs[x1]))
+    return lhs, float(rhs)

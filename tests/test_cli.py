@@ -1,12 +1,21 @@
 """Command-line behavior: schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from dyninfer import evaluate_markov, example_stock, myopic_strategy, validate_problem
+from dyninfer import (
+    evaluate_markov,
+    example_stock,
+    myopic_strategy,
+    problem_to_dict,
+    random_problem,
+    validate_problem,
+)
 from dyninfer.cli import run
 
 
@@ -140,6 +149,44 @@ def test_verify_instance_sweep(capsys):
     for line in lines[:-1]:
         report = json.loads(line)
         assert abs(report["brute_min"] - report["dp_min"]) <= 1e-9
+
+
+# sha256 of `verify --instances 40 --seed 5 --limit 2**50` per mode, recorded before
+# the oracle walks moved from numpy scalars to Python floats
+VERIFY_SWEEP_SHA256 = {
+    "revealed": "512e6780c04d50d248ac82c791e099fa007cbb806880afe12a8aa8d23a5cf1e1",
+    "unrevealed": "ef6a8c9e739f3c640faab32756f533e5848cd1fa972695dad9070788aa3fb215",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(VERIFY_SWEEP_SHA256))
+def test_verify_sweep_bytes_are_pinned(tmp_path, mode):
+    out = tmp_path / "verify.txt"
+    argv = ["verify", "--instances", "40", "--seed", "5", "--limit", str(2**50), "--mode", mode]
+    assert run([*argv, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SWEEP_SHA256[mode]
+
+
+def test_verify_limit_bounds_histories_too(tmp_path, capsys):
+    # one estimate: a single strategy, but 2^9 - 2 = 510 unrevealed histories at n = 8
+    model = tmp_path / "one-estimate.json"
+    problem = random_problem(np.random.default_rng(0), 8, 2, 2, 1)
+    model.write_text(json.dumps(problem_to_dict(problem)))
+    assert run(["verify", "-m", str(model), "--limit", "509"]) == 1
+    payload = _single_error_line(capsys)
+    assert payload["error"] == "SearchSpaceTooLarge"
+    assert "510 histories" in payload["message"]
+    assert run(["verify", "-m", str(model), "--limit", "510"]) == 0
+
+
+def test_verify_deep_horizon(tmp_path, capsys):
+    model = tmp_path / "deep.json"
+    model.write_text(json.dumps(problem_to_dict(random_problem(np.random.default_rng(0), 1500, 1, 1, 1))))
+    for mode in ("revealed", "unrevealed"):
+        assert run(["verify", "-m", str(model), "--mode", mode]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[-1].startswith("PASS gap_max=")
 
 
 def test_malformed_model_is_a_domain_error(tmp_path, capsys):

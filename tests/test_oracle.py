@@ -29,6 +29,7 @@ from dyninfer import (
     strategy_count,
     verify_lemma1,
 )
+from dyninfer.oracle import history_count
 
 BOTH_MODES = (HistoryMode.REVEALED, HistoryMode.UNREVEALED)
 
@@ -130,6 +131,12 @@ def test_search_space_limit():
     assert str(strategy_count(problem, HistoryMode.UNREVEALED)) in str(excinfo.value)
     with pytest.raises(SearchSpaceTooLarge):
         brute_force_optimum(problem, HistoryMode.UNREVEALED, limit=10 ** 6)
+    # one estimate means one strategy at any horizon, so only the history count bounds the work
+    problem = random_problem(np.random.default_rng(3), 8, 2, 2, 1)
+    assert strategy_count(problem, HistoryMode.REVEALED) == 1
+    assert history_count(problem, HistoryMode.REVEALED) == 43690
+    with pytest.raises(SearchSpaceTooLarge, match="43690 histories"):
+        brute_force_optimum(problem, HistoryMode.REVEALED, limit=1000)
 
 
 # ---- brute force optimum ----

@@ -1,4 +1,4 @@
-"""Property tests: the array kernels against the scalar reference, and model round trips."""
+"""Property tests: the array kernels and oracle walks against the scalar reference, and model round trips."""
 
 import dataclasses
 
@@ -12,16 +12,21 @@ from dyninfer import (
     Alphabet,
     ContextualLoss,
     Distribution,
+    HistoryMode,
     MarkovStrategy,
     TieBreakRule,
     bar_loss_table,
+    brute_force_optimum,
     evaluate_markov,
+    exact_loss_history,
     myopic_strategy,
     optimal_strategy,
     problem_to_dict,
+    random_history_strategy,
     random_problem,
     solve,
     validate_problem,
+    verify_lemma1,
 )
 from dyninfer.model import problem_from_tables
 
@@ -52,10 +57,10 @@ def _rows(draw, shape, exact):
 
 
 @st.composite
-def problems(draw, exact=None):
-    """Problems with 1 to 6 labels per alphabet and 1 to 5 rounds, stationary or not."""
-    n = draw(st.integers(1, 5))
-    nx, ny, na = (draw(st.integers(1, 6)) for _ in range(3))
+def problems(draw, exact=None, max_labels=6, max_n=5):
+    """Problems with 1 to ``max_labels`` labels per alphabet and 1 to ``max_n`` rounds, stationary or not."""
+    n = draw(st.integers(1, max_n))
+    nx, ny, na = (draw(st.integers(1, max_labels)) for _ in range(3))
     exact = draw(st.booleans()) if exact is None else exact
     rounds = 1 if draw(st.booleans()) else None  # one table for every round
     x_space, y_space, yhat_space = (
@@ -108,6 +113,33 @@ def test_evaluate_matches_scalar_reference(problem, data):
         v, j = scalar_reference.evaluate_markov(problem, strategy.choices)
         assert np.array_equal(result.v, v)
         assert result.j == j
+
+
+# small shapes of either kind: drawn tables with exact zeros and tied losses, or
+# ``random_problem`` floats, on which the order of every sum shows in the bits
+SMALL_SHAPES = st.tuples(*(st.integers(1, k) for k in (4, 3, 3, 3)))
+SMALL_PROBLEMS = st.one_of(
+    problems(max_labels=3, max_n=4),
+    st.builds(
+        lambda seed, shape: random_problem(np.random.default_rng(seed), *shape),
+        st.integers(0, 2**32 - 1),
+        SMALL_SHAPES,
+    ),
+)
+
+
+@SETTINGS
+@given(SMALL_PROBLEMS, st.integers(0, 2**32 - 1))
+def test_oracle_matches_scalar_reference(problem, seed):
+    for mode in HistoryMode:
+        report = brute_force_optimum(problem, mode, limit=10**10_000)  # no limit
+        brute_min, decisions = scalar_reference.brute_force(problem, mode)
+        assert report.brute_min == brute_min
+        assert list(report.witness.tables) == decisions
+        assert report.lemma1_pairs == (scalar_reference.lemma1(problem, report.witness),)
+        drawn = random_history_strategy(problem, mode, np.random.default_rng(seed))
+        assert exact_loss_history(problem, drawn) == scalar_reference.exact_loss_history(problem, drawn)
+        assert verify_lemma1(problem, drawn) == scalar_reference.lemma1(problem, drawn)
 
 
 @SETTINGS

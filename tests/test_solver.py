@@ -182,6 +182,21 @@ def test_minimum_inference_loss_values(section33):
 def test_minimum_inference_loss_rejects_foreign_result(section33, stock):
     with pytest.raises(MismatchedResult):
         minimum_inference_loss(stock, solve(section33))
+    # same shapes and kernels, another loss: caught only by the full comparison
+    loss = section33.loss
+    other = dataclasses.replace(
+        section33, loss=ContextualLoss(loss.x_space, loss.y_space, loss.yhat_space, loss.table + 1.0)
+    )
+    with pytest.raises(MismatchedResult):
+        minimum_inference_loss(other, solve(section33))
+
+
+def test_minimum_inference_loss_accepts_an_equal_copy(section33):
+    # only the very problem a result was solved for skips the comparison
+    result = solve(section33)
+    copy = dataclasses.replace(section33)
+    assert copy is not section33
+    assert minimum_inference_loss(copy, result) == minimum_inference_loss(section33, result)
 
 
 def test_solution_report_counts(section33, stock):
