@@ -9,7 +9,6 @@ against brute-force search over history-dependent strategies.
 from .errors import (
     DimensionMismatch,
     DynamicInferenceError,
-    HistoryIncomplete,
     HorizonMismatch,
     InvalidModelError,
     InvalidParams,
@@ -75,7 +74,6 @@ __all__ = [
     "Distribution",
     "DynamicInferenceError",
     "EvalResult",
-    "HistoryIncomplete",
     "HistoryMode",
     "HistoryStrategy",
     "HorizonMismatch",

@@ -185,17 +185,15 @@ def _oracle_payload(report: OracleReport, instance: str | int, n: int, mode: His
     x_labels = report.witness.x_labels
     y_labels = report.witness.y_labels
     yhat_labels = report.witness.yhat_labels
-    witness = []
-    for i, table in enumerate(report.witness.tables, start=1):
-        for key in sorted(table):
-            witness.append(
-                {
-                    "round": i,
-                    "x_history": [x_labels[v] for v in key[:i]],
-                    "y_history": [y_labels[v] for v in key[i:]],
-                    "yhat": yhat_labels[table[key]],
-                }
-            )
+    witness = [
+        {
+            "round": i,
+            "x_history": [x_labels[v] for v in xs],
+            "y_history": [y_labels[v] for v in ys],
+            "yhat": yhat_labels[ai],
+        }
+        for i, xs, ys, ai in report.witness.rows()
+    ]
     return {
         "instance": instance,
         "n": n,

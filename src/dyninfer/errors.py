@@ -33,10 +33,6 @@ class MismatchedResult(DynamicInferenceError):
     """A solve result was produced from a different problem."""
 
 
-class HistoryIncomplete(DynamicInferenceError):
-    """A history strategy has no entry for a reachable history."""
-
-
 class SearchSpaceTooLarge(DynamicInferenceError):
     """An exhaustive search would exceed the configured limit."""
 

@@ -6,6 +6,13 @@ optimum over history-dependent strategies is found by exhausting the decision
 at every syntactically possible history. None of it reuses the solver's
 value recursion, which is exactly what makes it a useful cross-check.
 
+A history is named by its rank alone: its position among the histories of
+its round in lexicographic order. The x-history (x_1..x_i) is read as
+base-|X| digits and, in REVEALED mode only, followed by the y-history
+(y_1..y_{i-1}) as base-|Y| digits, so the rank is ``rx * |Y|^(i-1) + ry``.
+The walks carry ``(rx, ry)`` and find a successor at ``rx * |X| + x_next``
+and ``ry * |Y| + y``.
+
 Strategy spaces grow as a double exponential, so every search is gated by a
 limit on the number of strategy functions in the space; the brute-force
 optimum also bounds the number of histories, its actual work, by the same
@@ -16,12 +23,13 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import HistoryIncomplete, SearchSpaceTooLarge, ShapeMismatch
+from .errors import SearchSpaceTooLarge, ShapeMismatch
 from .evaluate import MarkovStrategy
 from .model import Alphabet, ContextualLoss, Distribution, Problem, problem_from_tables
 from .reduction import bar_loss_table
@@ -29,8 +37,8 @@ from .solver import TieBreakRule, minimum_inference_loss, solve
 
 DEFAULT_STRATEGY_LIMIT = 10**6
 DEFAULT_PAIR_LIMIT = 10**7
-
-Key = tuple[int, ...]
+# a count that may need more bits than this is not written out in decimal in an error message
+_COUNT_BITS = 1024
 
 
 class HistoryMode(enum.Enum):
@@ -40,19 +48,28 @@ class HistoryMode(enum.Enum):
     UNREVEALED = "unrevealed"
 
 
-def _history_key(mode: HistoryMode, xs: tuple[int, ...], ys: tuple[int, ...]) -> Key:
-    """The decision-table key of a history: past quantities count only when revealed."""
-    return xs if mode is HistoryMode.UNREVEALED else xs + ys
+def _spans(nx: int, ny: int, mode: HistoryMode, i: int) -> tuple[int, int]:
+    """The numbers of round-``i`` x-histories and y-histories; the round has their product of histories."""
+    return nx**i, (ny ** (i - 1) if mode is HistoryMode.REVEALED else 1)
+
+
+def _round_histories(
+    nx: int, ny: int, mode: HistoryMode, i: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All syntactic (x-history, y-history) index pairs of round ``i``, in rank order."""
+    y_len = i - 1 if mode is HistoryMode.REVEALED else 0
+    for xs in itertools.product(range(nx), repeat=i):
+        for ys in itertools.product(range(ny), repeat=y_len):
+            yield xs, ys
 
 
 @dataclass(frozen=True, eq=False)
 class HistoryStrategy:
     """A per-round decision table over full histories.
 
-    In REVEALED mode the round-``i`` key is the index tuple
-    ``(x_1..x_i, y_1..y_{i-1})`` flattened; in UNREVEALED mode it is
-    ``(x_1..x_i)``. ``tables[i-1]`` must cover every history the caller will
-    ask about; missing entries raise :class:`HistoryIncomplete`.
+    ``tables[i-1][r]`` is the estimate index used in round ``i`` at the
+    history of rank ``r`` (see the module docstring); every table covers all
+    histories of its round, so a strategy is total by construction.
     """
 
     mode: HistoryMode
@@ -60,24 +77,39 @@ class HistoryStrategy:
     x_labels: tuple[str, ...]
     y_labels: tuple[str, ...]
     yhat_labels: tuple[str, ...]
-    tables: tuple[Mapping[Key, int], ...]
+    tables: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        nx, ny, na = len(self.x_labels), len(self.y_labels), len(self.yhat_labels)
+        tables = tuple(tuple(table) for table in self.tables)
+        if len(tables) != self.n:
+            raise ShapeMismatch(f"history strategy has {len(tables)} decision tables, expected {self.n}")
+        for i, table in enumerate(tables, start=1):
+            size = math.prod(_spans(nx, ny, self.mode, i))
+            if len(table) != size:
+                raise ShapeMismatch(
+                    f"round {i} decision table has {len(table)} entries, expected {size} ({self.mode.value} mode)"
+                )
+            if min(table) < 0 or max(table) >= na:
+                raise ShapeMismatch(f"round {i} decision table contains an out-of-range estimate index")
+        object.__setattr__(self, "tables", tables)
 
     def decision(self, i: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
-        try:
-            return self.tables[i - 1][_history_key(self.mode, xs, ys)]
-        except KeyError:
-            raise HistoryIncomplete(
-                f"no decision for round {i} history x={xs!r}, y={ys!r} ({self.mode.value} mode)"
-            ) from None
+        """The estimate index in round ``i`` after observations ``xs`` and, when revealed, quantities ``ys``."""
+        rank = 0
+        for x in xs:
+            rank = rank * len(self.x_labels) + x
+        if self.mode is HistoryMode.REVEALED:
+            for y in ys:
+                rank = rank * len(self.y_labels) + y
+        return self.tables[i - 1][rank]
 
-
-def _round_histories(problem: Problem, mode: HistoryMode, i: int) -> Iterator[tuple[Key, Key]]:
-    """All syntactic (x-history, y-history) index pairs of round ``i``, in lexicographic order."""
-    nx, ny = len(problem.x_space), len(problem.y_space)
-    y_len = i - 1 if mode is HistoryMode.REVEALED else 0
-    for xs in itertools.product(range(nx), repeat=i):
-        for ys in itertools.product(range(ny), repeat=y_len):
-            yield xs, ys
+    def rows(self) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
+        """``(round, x-history, y-history, estimate index)`` for every history, by round, then by rank."""
+        nx, ny = len(self.x_labels), len(self.y_labels)
+        for i, table in enumerate(self.tables, start=1):
+            for (xs, ys), ai in zip(_round_histories(nx, ny, self.mode, i), table):
+                yield i, xs, ys, ai
 
 
 def build_history_strategy(
@@ -86,19 +118,17 @@ def build_history_strategy(
     decide: Callable[[int, tuple[int, ...], tuple[int, ...]], int],
 ) -> HistoryStrategy:
     """Materialize a total history strategy from a decision function."""
-    tables = []
-    for i in range(1, problem.n + 1):
-        table = {}
-        for xs, ys in _round_histories(problem, mode, i):
-            table[_history_key(mode, xs, ys)] = decide(i, xs, ys)
-        tables.append(table)
+    nx, ny = len(problem.x_space), len(problem.y_space)
+    tables = tuple(
+        tuple(decide(i, xs, ys) for xs, ys in _round_histories(nx, ny, mode, i)) for i in range(1, problem.n + 1)
+    )
     return HistoryStrategy(
         mode,
         problem.n,
         problem.x_space.labels,
         problem.y_space.labels,
         problem.yhat_space.labels,
-        tuple(tables),
+        tables,
     )
 
 
@@ -125,7 +155,7 @@ def _roots(problem: Problem) -> list[tuple[int, float]]:
     The walks below visit histories in pre-order with an explicit stack:
     pushing the roots, and each node's children, in reverse order makes them
     pop in lexicographic order, so every sum is taken in the order of a
-    recursive walk.
+    recursive walk. A round-1 history's x-rank is its observation.
     """
     return [(x1, p) for x1, p in reversed(list(enumerate(problem.init.probs.tolist()))) if p > 0.0]
 
@@ -143,13 +173,16 @@ def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
     n, nx, ny = problem.n, len(problem.x_space), len(problem.y_space)
     quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
     loss = problem.loss.table.tolist()
+    tables = strategy.tables
+    y_spans = [_spans(nx, ny, strategy.mode, i)[1] for i in range(1, n + 1)]  # the x-rank's multipliers
+    revealed = strategy.mode is HistoryMode.REVEALED
     total = 0.0
 
-    stack = [(1, (x1,), (), prob, 0.0) for x1, prob in _roots(problem)]
+    stack = [(1, x1, 0, prob, 0.0) for x1, prob in _roots(problem)]
     while stack:
-        i, xs, ys, prob, acc = stack.pop()
-        x = xs[-1]
-        ai = strategy.decision(i, xs, ys)
+        i, rx, ry, prob, acc = stack.pop()
+        x = rx % nx
+        ai = tables[i - 1][rx * y_spans[i - 1] + ry]
         quantity = quantities[i - 1][x]
         if i == n:
             for yi in range(ny):
@@ -163,10 +196,11 @@ def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
             if p_y == 0.0:
                 continue
             step = acc + loss[x][yi][ai]
+            ry_next = ry * ny + yi if revealed else 0
             for xn in reversed(range(nx)):
                 p_x = transition[xn]
                 if p_x != 0.0:
-                    stack.append((i + 1, xs + (xn,), ys + (yi,), prob * p_y * p_x, step))
+                    stack.append((i + 1, rx * nx + xn, ry_next, prob * p_y * p_x, step))
     return total
 
 
@@ -177,18 +211,40 @@ def history_count(problem: Problem, mode: HistoryMode) -> int:
 
 def shape_history_count(n: int, nx: int, ny: int, mode: HistoryMode) -> int:
     """Number of syntactic histories of any problem with ``n`` rounds, |X| = nx and |Y| = ny."""
-    total = 0
-    for i in range(1, n + 1):
-        histories = nx**i
-        if mode is HistoryMode.REVEALED:
-            histories *= ny ** (i - 1)
-        total += histories
-    return total
+    return sum(math.prod(_spans(nx, ny, mode, i)) for i in range(1, n + 1))
 
 
 def strategy_count(problem: Problem, mode: HistoryMode) -> int:
     """Size of the deterministic history-strategy space (exact integer)."""
     return len(problem.yhat_space) ** history_count(problem, mode)
+
+
+def _count_text(count: int) -> str:
+    """``count`` in decimal, or a power of two below it when the decimal form would be too long."""
+    if count.bit_length() <= _COUNT_BITS:
+        return str(count)
+    return f"at least 2^{count.bit_length() - 1}"
+
+
+def _checked_count(what: str, limit: int, base: int, exponent: int, factor: int = 1) -> int:
+    """``factor * base**exponent``, or SearchSpaceTooLarge when that exceeds ``limit``.
+
+    ``factor`` is at least 1. With ``base >= 2`` the count is at least
+    ``2**exponent``, so an exponent of ``limit.bit_length()`` or more settles
+    the question without forming the power. An error names the count in
+    decimal when it has at most ``_COUNT_BITS`` bits, and as
+    ``base^exponent`` otherwise.
+    """
+    short = factor.bit_length() + exponent * base.bit_length() <= _COUNT_BITS  # bounds the count's bits
+    if short or base < 2 or exponent < limit.bit_length():
+        count = factor * base**exponent
+        if count <= limit:
+            return count
+    if short:
+        text = str(count)
+    else:
+        text = f"{base}^{_count_text(exponent)}" if factor == 1 else f"{factor}*{base}^{_count_text(exponent)}"
+    raise SearchSpaceTooLarge(f"{text} {what} exceed the limit of {limit}")
 
 
 def enumerate_history_strategies(
@@ -197,32 +253,24 @@ def enumerate_history_strategies(
     """Yield every deterministic history strategy exactly once.
 
     Order is lexicographic over the vector of decisions, with histories
-    ordered round-by-round and lexicographically within each round, and the
-    last history's decision varying fastest. The limit check happens at call
+    ordered round-by-round and by rank within each round, and the last
+    history's decision varying fastest. The limit check happens at call
     time, before the first strategy is produced.
     """
-    count = strategy_count(problem, mode)
-    if count > limit:
-        raise SearchSpaceTooLarge(
-            f"{count} history strategies ({mode.value} mode) exceed the limit of {limit}"
-        )
-    keyed: list[tuple[int, Key]] = []
-    for i in range(1, problem.n + 1):
-        for xs, ys in _round_histories(problem, mode, i):
-            keyed.append((i, _history_key(mode, xs, ys)))
+    histories = history_count(problem, mode)
+    _checked_count(f"history strategies ({mode.value} mode)", limit, len(problem.yhat_space), histories)
+    nx, ny = len(problem.x_space), len(problem.y_space)
+    ends = list(itertools.accumulate(math.prod(_spans(nx, ny, mode, i)) for i in range(1, problem.n + 1)))
 
     def generate() -> Iterator[HistoryStrategy]:
-        for assignment in itertools.product(range(len(problem.yhat_space)), repeat=len(keyed)):
-            tables: list[dict[Key, int]] = [dict() for _ in range(problem.n)]
-            for (i, key), ai in zip(keyed, assignment):
-                tables[i - 1][key] = ai
+        for assignment in itertools.product(range(len(problem.yhat_space)), repeat=histories):
             yield HistoryStrategy(
                 mode,
                 problem.n,
                 problem.x_space.labels,
                 problem.y_space.labels,
                 problem.yhat_space.labels,
-                tuple(tables),
+                tuple(assignment[start:end] for start, end in zip([0, *ends], ends)),
             )
 
     return generate()
@@ -241,12 +289,10 @@ def enumeration_minimum(
     is priced by full trajectory enumeration. Ties keep the strategy yielded
     first, i.e. the lexicographically first minimizer.
     """
-    count = strategy_count(problem, mode)
-    trajectories = (len(problem.x_space) * len(problem.y_space)) ** problem.n
-    if count * trajectories > pair_limit:
-        raise SearchSpaceTooLarge(
-            f"{count * trajectories} strategy-trajectory pairs exceed the limit of {pair_limit}"
-        )
+    histories = history_count(problem, mode)
+    count = _checked_count(f"history strategies ({mode.value} mode)", limit, len(problem.yhat_space), histories)
+    trajectory_base = len(problem.x_space) * len(problem.y_space)
+    _checked_count("strategy-trajectory pairs", pair_limit, trajectory_base, problem.n, factor=count)
     best: tuple[float, HistoryStrategy] | None = None
     for strategy in enumerate_history_strategies(problem, mode, limit):
         loss = exact_loss_history(problem, strategy)
@@ -270,14 +316,16 @@ def verify_lemma1(problem: Problem, strategy: HistoryStrategy) -> tuple[float, f
     bar = bar_loss_table(problem).values.tolist()
     n, nx, ny = problem.n, len(problem.x_space), len(problem.y_space)
     quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
+    tables = strategy.tables
+    y_spans = [_spans(nx, ny, strategy.mode, i)[1] for i in range(1, n + 1)]  # the x-rank's multipliers
     revealed = strategy.mode is HistoryMode.REVEALED
     rhs = 0.0
 
-    stack = [(1, (x1,), (), prob) for x1, prob in _roots(problem)]
+    stack = [(1, x1, 0, prob) for x1, prob in _roots(problem)]
     while stack:
-        i, xs, ys, prob = stack.pop()
-        x = xs[-1]
-        ai = strategy.decision(i, xs, ys)
+        i, rx, ry, prob = stack.pop()
+        x = rx % nx
+        ai = tables[i - 1][rx * y_spans[i - 1] + ry]
         rhs += prob * bar[i - 1][x][ai]
         if i == n:
             continue
@@ -291,12 +339,12 @@ def verify_lemma1(problem: Problem, strategy: HistoryStrategy) -> tuple[float, f
                 for xn in reversed(range(nx)):
                     p_x = transition[xn]
                     if p_x > 0.0:
-                        stack.append((i + 1, xs + (xn,), ys + (yi,), prob * p_y * p_x))
+                        stack.append((i + 1, rx * nx + xn, ry * ny + yi, prob * p_y * p_x))
         else:
             for xn in reversed(range(nx)):
                 p_x = transition[xn]
                 if p_x > 0.0:
-                    stack.append((i + 1, xs + (xn,), ys, prob * p_x))
+                    stack.append((i + 1, rx * nx + xn, 0, prob * p_x))
     return lhs, rhs
 
 
@@ -324,28 +372,26 @@ def brute_force_optimum(
     instances small enough to enumerate literally). Decisions at ties go to
     the smallest estimate index, so the witness is the lexicographically
     first minimizer. ``lemma1_pairs`` holds the loss-marginalization pair for
-    the witness.
+    the witness. Values are kept, by rank, for two adjacent rounds only.
 
     Raises SearchSpaceTooLarge when the strategy space, or the number of
     histories (which bounds the work, and exceeds the strategy count only
     when there is a single estimate), exceeds ``limit``.
     """
-    count = strategy_count(problem, mode)
-    if count > limit:
-        raise SearchSpaceTooLarge(
-            f"{count} history strategies ({mode.value} mode) exceed the limit of {limit}"
-        )
     histories = history_count(problem, mode)
+    count = _checked_count(f"history strategies ({mode.value} mode)", limit, len(problem.yhat_space), histories)
     if histories > limit:
-        raise SearchSpaceTooLarge(f"{histories} histories ({mode.value} mode) exceed the limit of {limit}")
+        raise SearchSpaceTooLarge(
+            f"{_count_text(histories)} histories ({mode.value} mode) exceed the limit of {limit}"
+        )
     n = problem.n
     nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
     quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
     loss = problem.loss.table.tolist()
     revealed = mode is HistoryMode.REVEALED
 
-    values: dict[tuple[int, Key, Key], float] = {}
-    decisions: list[dict[Key, int]] = [dict() for _ in range(n)]
+    later: list[float] = []  # the optimal values of round i + 1, by rank
+    decisions: list[tuple[int, ...]] = []
     for i in range(n, 0, -1):
         quantity = quantities[i - 1]
         # the immediate cost depends on the history only through its last observation
@@ -359,37 +405,49 @@ def brute_force_optimum(
                 costs.append(cost)
             stage.append(costs)
         transition = transitions[i - 1] if i < n else None
-        for xs, ys in _round_histories(problem, mode, i):
-            x = xs[-1]
-            # the successors' values, grouped by the quantity that leads to them
-            # with its probability; unrevealed histories form one group of
-            # weight 1.0, which changes no product: 1.0 * p_x == p_x
-            if i == n:
-                groups = []
-            elif revealed:
-                groups = [
-                    (p_y, [values[(i + 1, xs + (xn,), ys + (yi,))] for xn in range(nx)])
-                    for yi, p_y in enumerate(quantity[x])
-                    if p_y != 0.0
-                ]
-            else:
-                groups = [(1.0, [values[(i + 1, xs + (xn,), ys)] for xn in range(nx)])]
-            best_value = None
-            best_action = 0
-            for ai in range(na):
-                value = stage[x][ai]
-                for p_y, successors in groups:
-                    for p_x, successor in zip(transition[x][ai], successors):
-                        if p_x != 0.0:
-                            value += p_y * p_x * successor
-                if best_value is None or value < best_value:
-                    best_value, best_action = value, ai
-            values[(i, xs, ys)] = best_value
-            decisions[i - 1][_history_key(mode, xs, ys)] = best_action
+        x_span, y_span = _spans(nx, ny, mode, i)
+        # revealed, the successor (rx·nx + xn, ry·ny + yi) has rank
+        # (rx·nx + xn)·stride + ry·ny + yi: successors that differ only in xn
+        # lie ``stride`` apart in ``later``
+        stride = y_span * ny
+        values: list[float] = []
+        table: list[int] = []
+        for rx in range(x_span):
+            x = rx % nx
+            for ry in range(y_span):
+                # the successors' values, grouped by the quantity that leads to them
+                # with its probability; unrevealed histories form one group of
+                # weight 1.0, which changes no product: 1.0 * p_x == p_x
+                if i == n:
+                    groups = []
+                elif revealed:
+                    first = rx * nx * stride + ry * ny
+                    groups = [
+                        (p_y, later[first + yi : first + nx * stride : stride])
+                        for yi, p_y in enumerate(quantity[x])
+                        if p_y != 0.0
+                    ]
+                else:
+                    groups = [(1.0, later[rx * nx : rx * nx + nx])]
+                best_value = None
+                best_action = 0
+                for ai in range(na):
+                    value = stage[x][ai]
+                    for p_y, successors in groups:
+                        for p_x, successor in zip(transition[x][ai], successors):
+                            if p_x != 0.0:
+                                value += p_y * p_x * successor
+                    if best_value is None or value < best_value:
+                        best_value, best_action = value, ai
+                values.append(best_value)
+                table.append(best_action)
+        later = values
+        decisions.append(tuple(table))
+    decisions.reverse()
 
     brute_min = 0.0
     for x1, p in enumerate(problem.init.probs.tolist()):
-        brute_min += p * values[(1, (x1,), ())]
+        brute_min += p * later[x1]
 
     witness = HistoryStrategy(
         mode, n, problem.x_space.labels, problem.y_space.labels, problem.yhat_space.labels, tuple(decisions)

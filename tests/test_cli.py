@@ -167,6 +167,34 @@ def test_verify_sweep_bytes_are_pinned(tmp_path, mode):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SWEEP_SHA256[mode]
 
 
+# sha256 of `verify -m` on random_problem(default_rng(0), 3, 3, 2, 2) with `--limit 2**129` per mode,
+# recorded before histories were named by rank: |X| = 3 and |Y| = 2, so the two radices differ
+VERIFY_MIXED_RADIX_SHA256 = {
+    "revealed": "19907c93bf0a443c0f8276452439a4208c80c937d04563743e2bd930745754aa",
+    "unrevealed": "affcb1f9c669753b70464ee50e06081d1b3e9c979be8560a3e0fab6c7b8a4f09",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(VERIFY_MIXED_RADIX_SHA256))
+def test_verify_mixed_radix_bytes_are_pinned(tmp_path, mode):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(problem_to_dict(random_problem(np.random.default_rng(0), 3, 3, 2, 2))))
+    out = tmp_path / "verify.txt"
+    assert run(["verify", "-m", str(model), "--mode", mode, "--limit", str(2**129), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_MIXED_RADIX_SHA256[mode]
+
+
+def test_verify_huge_strategy_space_is_a_domain_error(tmp_path, capsys):
+    model = tmp_path / "stock13.json"
+    assert run(["example", "stock", "--n", "13", "-o", str(model)]) == 0
+    assert run(["verify", "-m", str(model), "--mode", "revealed"]) == 1
+    payload = _single_error_line(capsys)
+    assert payload == {
+        "error": "SearchSpaceTooLarge",
+        "message": "2^44739242 history strategies (revealed mode) exceed the limit of 1000000",
+    }
+
+
 def test_verify_limit_bounds_histories_too(tmp_path, capsys):
     # one estimate: a single strategy, but 2^9 - 2 = 510 unrevealed histories at n = 8
     model = tmp_path / "one-estimate.json"

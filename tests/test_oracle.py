@@ -1,17 +1,18 @@
 """Brute-force ground truth: enumeration, exact losses, and solver cross-checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dyninfer import (
     Distribution,
-    HistoryIncomplete,
     HistoryMode,
     HistoryStrategy,
     MarkovStrategy,
     SearchSpaceTooLarge,
+    ShapeMismatch,
     brute_force_optimum,
     build_history_strategy,
     enumerate_history_strategies,
@@ -84,18 +85,26 @@ def test_markov_lift_agrees_on_random_instances():
             )
 
 
-def test_missing_history_entry_raises():
+def _section33_strategy(tables):
     problem = example_section33(2)
-    empty = HistoryStrategy(
-        HistoryMode.UNREVEALED,
-        2,
-        problem.x_space.labels,
-        problem.y_space.labels,
-        problem.yhat_space.labels,
-        ({}, {}),
-    )
-    with pytest.raises(HistoryIncomplete):
-        exact_loss_history(problem, empty)
+    labels = problem.x_space.labels, problem.y_space.labels, problem.yhat_space.labels
+    return HistoryStrategy(HistoryMode.UNREVEALED, 2, *labels, tables)
+
+
+def test_missing_history_entry_raises():
+    # unrevealed, round i has 2^i histories: a missing round or entry is rejected when the strategy is built
+    for tables in (((), ()), ((0, 1),), ((0, 1), (0, 1, 0)), ((0, 1), (0, 1, 0, 1, 0))):
+        with pytest.raises(ShapeMismatch):
+            _section33_strategy(tables)
+    strategy = _section33_strategy([[0, 1], [1, 0, 0, 1]])
+    assert strategy.tables == ((0, 1), (1, 0, 0, 1))
+    assert strategy.decision(2, (1, 0), (1,)) == 0  # rank 0b10 = 2; y is not revealed
+
+
+def test_out_of_range_estimate_is_rejected():
+    for ai in (-1, 2):
+        with pytest.raises(ShapeMismatch, match="out-of-range"):
+            _section33_strategy(((0, ai), (0, 0, 0, 0)))
 
 
 # ---- enumeration ----
@@ -114,8 +123,7 @@ def test_enumeration_is_exhaustive_and_distinct():
     problem = example_section33(1)
     strategies = list(enumerate_history_strategies(problem, HistoryMode.UNREVEALED, limit=10))
     assert len(strategies) == 4
-    tables = {tuple(sorted(s.tables[0].items())) for s in strategies}
-    assert len(tables) == 4
+    assert {s.tables for s in strategies} == {((a, b),) for a in range(2) for b in range(2)}
 
 
 def test_enumeration_count_matches_closed_form():
@@ -137,6 +145,24 @@ def test_search_space_limit():
     assert history_count(problem, HistoryMode.REVEALED) == 43690
     with pytest.raises(SearchSpaceTooLarge, match="43690 histories"):
         brute_force_optimum(problem, HistoryMode.REVEALED, limit=1000)
+
+
+def test_search_space_limit_without_huge_integers():
+    # 16382 unrevealed histories: the strategy count 2^16382 has 4932 digits and is never formed
+    stock = example_stock(13)
+    expected = r"^2\^16382 history strategies \(unrevealed mode\) exceed the limit of 1000000$"
+    with pytest.raises(SearchSpaceTooLarge, match=expected):
+        brute_force_optimum(stock, HistoryMode.UNREVEALED)
+    with pytest.raises(SearchSpaceTooLarge, match=expected):
+        enumerate_history_strategies(stock, HistoryMode.UNREVEALED)
+    with pytest.raises(SearchSpaceTooLarge, match=expected):
+        enumeration_minimum(stock, HistoryMode.UNREVEALED)
+    with pytest.raises(SearchSpaceTooLarge, match=r"^2\^44739242 history strategies \(revealed mode\)"):
+        brute_force_optimum(stock, HistoryMode.REVEALED)
+    # one estimate, 2^15001 - 2 histories: too many digits to write out
+    problem = random_problem(np.random.default_rng(0), 15000, 2, 1, 1)
+    with pytest.raises(SearchSpaceTooLarge, match=r"^at least 2\^15000 histories \(unrevealed mode\)"):
+        brute_force_optimum(problem, HistoryMode.UNREVEALED)
 
 
 # ---- brute force optimum ----
@@ -220,6 +246,32 @@ def test_truncated_model_matches_v_star():
         assert report.brute_min == pytest.approx(result.v_star[0, pinned.x_space.index("1")], abs=1e-9)
         assert report.brute_min == pytest.approx(1.1, abs=1e-9)  # horizon-3 value at x=1
         assert report.dp_min == pytest.approx(minimum_inference_loss(pinned, result), abs=1e-12)
+
+
+def test_witness_rows_come_in_rank_order():
+    # |X| = 3 and |Y| = 2, so a mix-up of the two radices would show
+    problem = random_problem(np.random.default_rng(0), 3, 3, 2, 2)
+    for mode in BOTH_MODES:
+        witness = brute_force_optimum(problem, mode, limit=2**129).witness
+        rows = list(witness.rows())
+        assert len(rows) == history_count(problem, mode)
+        assert rows == sorted(rows)  # by round, then lexicographically by history
+        for i, xs, ys, ai in rows:
+            assert len(xs) == i and len(ys) == (i - 1 if mode is HistoryMode.REVEALED else 0)
+            assert witness.decision(i, xs, ys) == ai
+
+
+def test_deep_horizon_memory_is_bounded():
+    # one label per alphabet: 3000 histories, one per round; tuple keys of length i cost 141.6 MB here
+    problem = random_problem(np.random.default_rng(0), 3000, 1, 1, 1)
+    tracemalloc.start()
+    try:
+        report = brute_force_optimum(problem, HistoryMode.REVEALED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(report.gap) <= 1e-9
+    assert peak < 16 * 2**20
 
 
 # ---- loss-marginalization identity ----
