@@ -31,10 +31,8 @@ from .evaluate import (
 from .examples import PlannerStyle, YieldParams, example_section33, example_stock, example_yield
 from .model import (
     Alphabet,
-    ContextualLoss,
-    Distribution,
     Problem,
-    make_stationary_problem,
+    problem_from_tables,
     problem_to_dict,
     validate_problem,
 )
@@ -69,9 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "BarLossTable",
-    "ContextualLoss",
     "DimensionMismatch",
-    "Distribution",
     "DynamicInferenceError",
     "EvalResult",
     "HistoryMode",
@@ -109,10 +105,10 @@ __all__ = [
     "example_stock",
     "example_yield",
     "export_trellis",
-    "make_stationary_problem",
     "minimum_inference_loss",
     "myopic_strategy",
     "optimal_strategy",
+    "problem_from_tables",
     "problem_to_dict",
     "random_history_strategy",
     "random_problem",

@@ -25,7 +25,7 @@ import numpy as np
 from . import examples as example_models
 from .errors import DynamicInferenceError, InvalidModelError, InvalidParams, SearchSpaceTooLarge
 from .evaluate import MarkovStrategy, evaluate_markov, simulate
-from .model import Distribution, Problem, problem_to_dict, validate_problem
+from .model import Problem, problem_to_dict, validate_problem
 from .oracle import HistoryMode, OracleReport, brute_force_optimum, random_problem, shape_history_count
 from .reduction import bar_loss_table
 from .rng import check_seed
@@ -92,8 +92,12 @@ def _load_strategy(problem: Problem, path: str) -> MarkovStrategy:
     return MarkovStrategy.from_rows(problem, rows)
 
 
-def _parse_init(problem: Problem, text: str) -> Distribution:
-    """An --init override: either a JSON label->probability object or a bare label."""
+def _with_init(problem: Problem, text: str) -> Problem:
+    """``problem`` with an --init override: a JSON label->probability object, or a bare label.
+
+    A bare label is read as ``{label: 1.0}`` and labels left out get
+    probability 0; the row is checked, then divided by its sum once.
+    """
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
@@ -101,13 +105,16 @@ def _parse_init(problem: Problem, text: str) -> Distribution:
             raise InvalidModelError(f"--init: not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise InvalidModelError("--init: expected an object mapping labels to probabilities")
-        probs = np.zeros(len(problem.x_space))
-        for label, value in doc.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidModelError(f"--init: probability for {label!r} must be a number")
-            probs[problem.x_space.index(label)] = float(value)
-        return Distribution(problem.x_space, probs)
-    return Distribution.point_mass(problem.x_space, text)
+    else:
+        doc = {text: 1.0}
+    probs = np.zeros(len(problem.x_space))
+    for label, value in doc.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InvalidModelError(f"--init: probability for {label!r} must be a number")
+        probs[problem.x_space.index(label)] = float(value)
+    # a Problem stores its rows as given: build one to check the raw row, then store the divided one
+    checked = dataclasses.replace(problem, init=probs)
+    return dataclasses.replace(checked, init=probs / probs.sum())
 
 
 def _solve_payload(problem: Problem, result: SolveResult, min_loss: float) -> dict:
@@ -146,7 +153,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model)
     result = solve(problem, TieBreakRule(args.tie_break))
     if args.init is not None:
-        problem = dataclasses.replace(problem, init=_parse_init(problem, args.init))
+        problem = _with_init(problem, args.init)
     min_loss = minimum_inference_loss(problem, result)
     _write_text(args.output, _dump_json(_solve_payload(problem, result, min_loss)))
     return 0

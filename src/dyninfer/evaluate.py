@@ -140,7 +140,7 @@ def evaluate_markov(problem: Problem, strategy: MarkovStrategy) -> EvalResult:
         v[k] += expected
     j = 0.0
     for xi in range(len(problem.x_space)):
-        j += problem.init.probs[xi] * v[0, xi]
+        j += problem.init[xi] * v[0, xi]
     v.setflags(write=False)
     return EvalResult(problem, strategy, float(j), v)
 
@@ -234,7 +234,7 @@ def simulate(
     n = problem.n
     block_rows = max(1, BLOCK_DRAWS // (2 * n))
 
-    init_cdf = _row_cdfs(problem.init.probs[None, :])[0]
+    init_cdf = _row_cdfs(problem.init[None, :])[0]
     quantity_cdfs = _row_cdfs(problem.quantities)
     transition_cdfs = _row_cdfs(problem.transitions)
 
@@ -252,7 +252,7 @@ def simulate(
             k = i - 1
             ys = _sample(quantity_cdfs[k][xs], uniforms[:, 2 * k + 1])
             yhats = strategy.choices[k, xs]
-            block_losses += problem.loss.table[xs, ys, yhats]
+            block_losses += problem.loss[xs, ys, yhats]
             if kept:
                 history.append((xs[:kept], ys[:kept], yhats[:kept]))
             if i < n:

@@ -14,18 +14,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParams
-from .model import Alphabet, ContextualLoss, Distribution, Problem, make_stationary_problem
+from .model import Alphabet, Problem, problem_from_tables
 
 _BINARY = Alphabet(("0", "1"))
 
 
-def _zero_one_loss(x_space: Alphabet, y_space: Alphabet, yhat_space: Alphabet) -> ContextualLoss:
-    table = np.zeros((len(x_space), len(y_space), len(yhat_space)))
-    for yi, y in enumerate(y_space):
-        for ai, yhat in enumerate(yhat_space):
-            if y != yhat:
-                table[:, yi, ai] = 1.0
-    return ContextualLoss(x_space, y_space, yhat_space, table)
+def _binary_problem(n: int, transition: np.ndarray, quantity: np.ndarray) -> Problem:
+    """A stationary binary model with 0-1 loss that starts at observation "0"."""
+    zero_one = 1.0 - np.eye(2)  # [y, yhat]
+    return problem_from_tables(
+        n,
+        _BINARY,
+        _BINARY,
+        _BINARY,
+        np.array([1.0, 0.0]),
+        transition[None],
+        quantity[None],
+        np.broadcast_to(zero_one, (2, 2, 2)),
+    )
 
 
 def example_section33(n: int) -> Problem:
@@ -39,14 +45,7 @@ def example_section33(n: int) -> Problem:
     for x in (0, 1):
         transition[x, 0, 1 - x] = 1.0  # estimate 0: observation flips
         transition[x, 1, x] = 1.0  # estimate 1: observation persists
-    quantity = np.array([[0.9, 0.1], [0.4, 0.6]])
-    return make_stationary_problem(
-        n,
-        Distribution.point_mass(_BINARY, "0"),
-        transition if n > 1 else None,
-        quantity,
-        _zero_one_loss(_BINARY, _BINARY, _BINARY),
-    )
+    return _binary_problem(n, transition, np.array([[0.9, 0.1], [0.4, 0.6]]))
 
 
 def example_stock(n: int) -> Problem:
@@ -59,14 +58,7 @@ def example_stock(n: int) -> Problem:
     for x in (0, 1):
         for a in (0, 1):
             transition[x, a, a] = 1.0
-    quantity = np.array([[0.6, 0.4], [0.3, 0.7]])
-    return make_stationary_problem(
-        n,
-        Distribution.point_mass(_BINARY, "0"),
-        transition if n > 1 else None,
-        quantity,
-        _zero_one_loss(_BINARY, _BINARY, _BINARY),
-    )
+    return _binary_problem(n, transition, np.array([[0.6, 0.4], [0.3, 0.7]]))
 
 
 class PlannerStyle(enum.Enum):
@@ -156,11 +148,6 @@ def example_yield(n: int, params: YieldParams | None = None) -> Problem:
             transition[xi, 1, up] += 0.7
             transition[xi, 1, xi] += 0.3
 
-    init_label = _grid_label(grid[int(np.argmin(np.abs(grid - params.d_c)))])
-    return make_stationary_problem(
-        n,
-        Distribution.point_mass(x_space, init_label),
-        transition if n > 1 else None,
-        quantity,
-        ContextualLoss(x_space, outcome, outcome, loss),
-    )
+    init = np.zeros(m)
+    init[np.argmin(np.abs(grid - params.d_c))] = 1.0
+    return problem_from_tables(n, x_space, outcome, outcome, init, transition[None], quantity[None], loss)

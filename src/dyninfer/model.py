@@ -2,19 +2,18 @@
 
 A :class:`Problem` describes one finite sequential-estimation instance: an
 observation space, a quantity space and an estimate space (each a finite
-:class:`Alphabet`), the distribution of the first observation, the
-controlled observation-transition kernels of rounds 2..n stacked in one
-array, the quantity kernels of rounds 1..n stacked in another, and a
-contextual loss table over (observation, quantity, estimate) triples. Rounds
-are 1-indexed; ``transitions[i - 2]`` is the law of the round-``i``
+:class:`Alphabet`), and four arrays over them: the distribution of the first
+observation, the controlled observation-transition kernels of rounds 2..n
+stacked in one array, the quantity kernels of rounds 1..n stacked in another,
+and a contextual loss table over (observation, quantity, estimate) triples.
+Rounds are 1-indexed; ``transitions[i - 2]`` is the law of the round-``i``
 observation given the previous observation and the previous estimate.
 
-All containers are validated at construction and immutable afterwards, so a
-Problem can be shared freely across threads. Raw kernel tables enter through
-:func:`validate_problem`, :func:`make_stationary_problem` and
-:func:`problem_from_tables`; there, probability rows whose sum drifts from 1
-by at most ``ROW_SUM_TOLERANCE`` are renormalized exactly once, and larger
-drift is rejected.
+A Problem is validated at construction and immutable afterwards, so it can be
+shared freely across threads. Raw tables enter through
+:func:`validate_problem` and :func:`problem_from_tables`; there, probability
+rows whose sum drifts from 1 by at most ``ROW_SUM_TOLERANCE`` are
+renormalized exactly once, and larger drift is rejected.
 """
 
 from __future__ import annotations
@@ -98,66 +97,15 @@ class Alphabet:
         return iter(self.labels)
 
 
-@dataclass(frozen=True, eq=False)
-class Distribution:
-    """Probability vector over an alphabet; validated and renormalized."""
-
-    alphabet: Alphabet
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.shape != (len(self.alphabet),):
-            raise DimensionMismatch(
-                f"distribution has shape {probs.shape}, alphabet has {len(self.alphabet)} labels"
-            )
-        object.__setattr__(self, "probs", _freeze(_normalized(probs, lambda: "distribution")))
-
-    @classmethod
-    def point_mass(cls, alphabet: Alphabet, label: str) -> "Distribution":
-        probs = np.zeros(len(alphabet))
-        probs[alphabet.index(label)] = 1.0
-        return cls(alphabet, probs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Distribution):
-            return NotImplemented
-        return self.alphabet == other.alphabet and np.array_equal(self.probs, other.probs)
-
-
-@dataclass(frozen=True, eq=False)
-class ContextualLoss:
-    """Loss of estimating ``yhat`` when the quantity is ``y`` under observation ``x``."""
-
-    x_space: Alphabet
-    y_space: Alphabet
-    yhat_space: Alphabet
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=np.float64)
-        shape = (len(self.x_space), len(self.y_space), len(self.yhat_space))
-        if table.shape != shape:
-            raise DimensionMismatch(f"loss table has shape {table.shape}, expected {shape}")
-        if not np.all(np.isfinite(table)):
-            raise InvalidModelError("loss table contains a non-finite entry")
-        object.__setattr__(self, "table", _freeze(table.copy()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ContextualLoss):
-            return NotImplemented
-        return (
-            self.x_space == other.x_space
-            and self.y_space == other.y_space
-            and self.yhat_space == other.yhat_space
-            and np.array_equal(self.table, other.table)
-        )
-
-
 def _read_only(values) -> np.ndarray:
     """``values`` as a read-only float64 array; a writable array is copied first."""
     array = np.asarray(values, dtype=np.float64)
     return _freeze(array.copy()) if array.flags.writeable else array
+
+
+def _check_shape(array: np.ndarray, shape: tuple[int, ...], what: str) -> None:
+    if array.shape != shape:
+        raise DimensionMismatch(f"{what} has shape {array.shape}, expected {shape}")
 
 
 def _check_kernels(table: np.ndarray, rounds: int, row_shape: tuple[int, ...], what: str) -> None:
@@ -166,6 +114,10 @@ def _check_kernels(table: np.ndarray, rounds: int, row_shape: tuple[int, ...], w
         raise DimensionMismatch(f"{what} kernels have shape {table.shape}, expected {(rounds,) + row_shape}")
     if table.shape[0] != rounds:
         raise HorizonMismatch(f"expected {rounds} {what} kernels, got {table.shape[0]}")
+
+
+def _init_row() -> str:
+    return "distribution"
 
 
 def _transition_rows(x_space: Alphabet, yhat_space: Alphabet) -> Callable[..., str]:
@@ -182,49 +134,51 @@ def _quantity_rows(x_space: Alphabet) -> Callable[..., str]:
 class Problem:
     """A complete, validated instance over ``n`` rounds.
 
+    ``init[x]`` is the probability of observation ``x`` in round 1;
     ``transitions[i - 2, x_prev, yhat_prev, x]`` is the probability of
     observation ``x`` in round ``i`` (2..n) after observation ``x_prev`` and
     estimate ``yhat_prev`` in round ``i - 1``; ``quantities[i - 1, x, y]`` is
-    the probability of quantity ``y`` given observation ``x`` in round ``i``.
-    Both are read-only float64 arrays, of shapes (n-1, |X|, |Yhat|, |X|) and
-    (n, |X|, |Y|). A stationary problem holds broadcast views of one table,
-    whose round axis has stride 0.
+    the probability of quantity ``y`` given observation ``x`` in round ``i``;
+    ``loss[x, y, yhat]`` is the loss of estimating ``yhat`` when the quantity
+    is ``y`` under observation ``x``. All four are read-only float64 arrays,
+    of shapes (|X|,), (n-1, |X|, |Yhat|, |X|), (n, |X|, |Y|) and
+    (|X|, |Y|, |Yhat|). A stationary problem holds broadcast views of one
+    table, whose round axis has stride 0.
 
-    Construction checks shapes, signs and row sums, and stores the kernel
-    values as given, without renormalizing them, so ``dataclasses.replace``
-    keeps them bit for bit; a writable array is copied first. Raw tables go
-    through :func:`problem_from_tables` instead. Immutable after
-    construction; safe for concurrent read access.
+    Construction checks shapes, signs, row sums and finiteness, and stores
+    the values as given, without renormalizing them, so
+    ``dataclasses.replace`` keeps them bit for bit; a writable array is copied
+    first. Raw tables go through :func:`problem_from_tables` instead.
+    Immutable after construction; safe for concurrent read access.
     """
 
     n: int
     x_space: Alphabet
     y_space: Alphabet
     yhat_space: Alphabet
-    init: Distribution
+    init: np.ndarray  # (|X|,)
     transitions: np.ndarray  # (n-1, |X|, |Yhat|, |X|)
     quantities: np.ndarray  # (n, |X|, |Y|)
-    loss: ContextualLoss
+    loss: np.ndarray  # (|X|, |Y|, |Yhat|)
 
     def __post_init__(self) -> None:
         _check_horizon(self.n)
         nx, ny, na = len(self.x_space), len(self.y_space), len(self.yhat_space)
-        transitions = _read_only(self.transitions)
-        quantities = _read_only(self.quantities)
+        init, loss = _read_only(self.init), _read_only(self.loss)
+        transitions, quantities = _read_only(self.transitions), _read_only(self.quantities)
+        _check_shape(init, (nx,), "initial distribution")
         _check_kernels(transitions, self.n - 1, (nx, na, nx), "transition")
         _check_kernels(quantities, self.n, (nx, ny), "quantity")
+        _check_shape(loss, (nx, ny, na), "loss table")
+        _row_sums(init, _init_row)
         _row_sums(transitions, _transition_rows(self.x_space, self.yhat_space))
         _row_sums(quantities, _quantity_rows(self.x_space))
+        if not np.isfinite(loss).all():
+            raise InvalidModelError("loss table contains a non-finite entry")
+        object.__setattr__(self, "init", init)
         object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "quantities", quantities)
-        if self.init.alphabet != self.x_space:
-            raise DimensionMismatch("initial distribution is not indexed by the x alphabet")
-        if (
-            self.loss.x_space != self.x_space
-            or self.loss.y_space != self.y_space
-            or self.loss.yhat_space != self.yhat_space
-        ):
-            raise DimensionMismatch("loss table uses foreign alphabets")
+        object.__setattr__(self, "loss", loss)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Problem):
@@ -234,10 +188,10 @@ class Problem:
             and self.x_space == other.x_space
             and self.y_space == other.y_space
             and self.yhat_space == other.yhat_space
-            and self.init == other.init
+            and np.array_equal(self.init, other.init)
             and np.array_equal(self.transitions, other.transitions)
             and np.array_equal(self.quantities, other.quantities)
-            and self.loss == other.loss
+            and np.array_equal(self.loss, other.loss)
         )
 
 
@@ -252,63 +206,39 @@ def _normalized_stack(
 
 def problem_from_tables(
     n: int,
-    init: Distribution,
+    x_space: Alphabet,
+    y_space: Alphabet,
+    yhat_space: Alphabet,
+    init: np.ndarray | Sequence,
     transitions: np.ndarray | Sequence,
     quantities: np.ndarray | Sequence,
-    loss: ContextualLoss,
+    loss: np.ndarray | Sequence,
 ) -> Problem:
-    """Build a Problem from raw kernel tables, dividing every row by its sum once.
+    """Build a Problem from raw tables, dividing every probability row by its sum once.
 
+    ``init`` has shape (|X|,), ``loss`` shape (|X|, |Y|, |Yhat|);
     ``transitions`` stacks the kernels of rounds 2..n, shape
     (n-1, |X|, |Yhat|, |X|), and ``quantities`` those of rounds 1..n, shape
     (n, |X|, |Y|). A stack of a single kernel serves every round: it is
-    normalized once and stored as a read-only broadcast view. Alphabets are
-    taken from ``init`` (observations) and ``loss`` (quantities and
-    estimates). A negative entry, or a row sum outside
-    1 +/- ``ROW_SUM_TOLERANCE``, raises NotStochastic naming the row.
+    normalized once and stored as a read-only broadcast view, which has no
+    rounds at all when it is a transition stack and ``n == 1``. A negative
+    entry, or a row sum outside 1 +/- ``ROW_SUM_TOLERANCE``, raises
+    NotStochastic naming the row.
     """
     _check_horizon(n)
-    x_space, y_space, yhat_space = init.alphabet, loss.y_space, loss.yhat_space
-    if loss.x_space != x_space:
-        raise DimensionMismatch("loss and initial distribution disagree on the x alphabet")
     nx, ny, na = len(x_space), len(y_space), len(yhat_space)
+    init = np.asarray(init, dtype=np.float64)
+    _check_shape(init, (nx,), "initial distribution")
     return Problem(
         n,
         x_space,
         y_space,
         yhat_space,
-        init,
+        _freeze(_normalized(init, _init_row)),
         _normalized_stack(transitions, n - 1, (nx, na, nx), "transition", _transition_rows(x_space, yhat_space)),
         _normalized_stack(quantities, n, (nx, ny), "quantity", _quantity_rows(x_space)),
         loss,
     )
-
-
-def make_stationary_problem(
-    n: int,
-    init: Distribution,
-    transition_table: np.ndarray | Sequence | None,
-    quantity_table: np.ndarray | Sequence,
-    loss: ContextualLoss,
-) -> Problem:
-    """Build a Problem whose rounds all share one transition and one quantity table.
-
-    ``transition_table`` has shape (|X|, |Yhat|, |X|) and may be None when
-    ``n == 1`` (no transitions exist; it is ignored then); ``quantity_table``
-    has shape (|X|, |Y|). Each table is normalized once and the problem holds
-    read-only broadcast views of it, one table for all rounds. Alphabets are
-    taken from ``init`` (observations) and ``loss`` (quantities and
-    estimates).
-    """
-    _check_horizon(n)
-    if n == 1:
-        nx = len(init.alphabet)
-        transitions = np.empty((0, nx, len(loss.yhat_space), nx))
-    elif transition_table is None:
-        raise HorizonMismatch(f"a transition table is required for n={n}")
-    else:
-        transitions = np.asarray(transition_table, dtype=np.float64)[None]
-    return problem_from_tables(n, init, transitions, np.asarray(quantity_table, dtype=np.float64)[None], loss)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +327,7 @@ def _quantity_from_object(obj, i: int, x_space: Alphabet, y_space: Alphabet) -> 
     )
 
 
-def _loss_from_records(records, x_space: Alphabet, y_space: Alphabet, yhat_space: Alphabet) -> ContextualLoss:
+def _loss_from_records(records, x_space: Alphabet, y_space: Alphabet, yhat_space: Alphabet) -> np.ndarray:
     if not isinstance(records, list):
         raise InvalidModelError("loss must be an array of {x, y, yhat, value} records")
     table = np.full((len(x_space), len(y_space), len(yhat_space)), np.nan)
@@ -421,7 +351,7 @@ def _loss_from_records(records, x_space: Alphabet, y_space: Alphabet, yhat_space
             "loss is missing a record for "
             f"({x_space.labels[first[0]]!r}, {y_space.labels[first[1]]!r}, {yhat_space.labels[first[2]]!r})"
         )
-    return ContextualLoss(x_space, y_space, yhat_space, table)
+    return table
 
 
 def validate_problem(candidate: Mapping) -> Problem:
@@ -440,7 +370,7 @@ def validate_problem(candidate: Mapping) -> Problem:
     x_space = _space_from(candidate, "x_space")
     y_space = _space_from(candidate, "y_space")
     yhat_space = _space_from(candidate, "yhat_space")
-    init = Distribution(x_space, _row_from_object(_require(candidate, "init"), x_space, "init"))
+    init = _row_from_object(_require(candidate, "init"), x_space, "init")
     stationary = candidate.get("stationary", False)
     if not isinstance(stationary, bool):
         raise InvalidModelError(f"stationary must be true or false, got {stationary!r}")
@@ -450,6 +380,7 @@ def validate_problem(candidate: Mapping) -> Problem:
     if not isinstance(raw_transitions, list) or not isinstance(raw_quantities, list):
         raise InvalidModelError("transitions and quantities must be arrays")
     if stationary:
+        # with n = 1 the transition entry serves no round, but it is still checked
         if len(raw_transitions) > 1 or (n > 1 and len(raw_transitions) != 1):
             raise HorizonMismatch(
                 f"stationary model expects a single transition entry, got {len(raw_transitions)}"
@@ -458,8 +389,6 @@ def validate_problem(candidate: Mapping) -> Problem:
             raise HorizonMismatch(
                 f"stationary model expects a single quantity entry, got {len(raw_quantities)}"
             )
-        if n == 1:
-            raw_transitions = []
     else:
         if len(raw_transitions) != n - 1:
             raise HorizonMismatch(f"expected {n - 1} transition entries for n={n}, got {len(raw_transitions)}")
@@ -475,7 +404,7 @@ def validate_problem(candidate: Mapping) -> Problem:
     for k, obj in enumerate(raw_quantities):
         quantities[k] = _quantity_from_object(obj, k + 1, x_space, y_space)
     loss = _loss_from_records(_require(candidate, "loss"), x_space, y_space, yhat_space)
-    return problem_from_tables(n, init, transitions, quantities, loss)
+    return problem_from_tables(n, x_space, y_space, yhat_space, init, transitions, quantities, loss)
 
 
 def _transition_to_object(table: np.ndarray, x_space: Alphabet, yhat_space: Alphabet) -> dict:
@@ -511,7 +440,7 @@ def problem_to_dict(problem: Problem, stationary: bool | str = "auto") -> dict:
         "x_space": list(problem.x_space.labels),
         "y_space": list(problem.y_space.labels),
         "yhat_space": list(problem.yhat_space.labels),
-        "init": {x: float(problem.init.probs[xi]) for xi, x in enumerate(problem.x_space)},
+        "init": dict(zip(problem.x_space.labels, problem.init.tolist())),
     }
     if stationary:
         doc["stationary"] = True
@@ -519,7 +448,7 @@ def problem_to_dict(problem: Problem, stationary: bool | str = "auto") -> dict:
     doc["transitions"] = [_transition_to_object(t, problem.x_space, problem.yhat_space) for t in transitions]
     doc["quantities"] = [_quantity_to_object(q, problem.x_space, problem.y_space) for q in quantities]
     doc["loss"] = [
-        {"x": x, "y": y, "yhat": yhat, "value": float(problem.loss.table[xi, yi, ai])}
+        {"x": x, "y": y, "yhat": yhat, "value": float(problem.loss[xi, yi, ai])}
         for xi, x in enumerate(problem.x_space)
         for yi, y in enumerate(problem.y_space)
         for ai, yhat in enumerate(problem.yhat_space)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import SearchSpaceTooLarge, ShapeMismatch
 from .evaluate import MarkovStrategy
-from .model import Alphabet, ContextualLoss, Distribution, Problem, problem_from_tables
+from .model import Alphabet, Problem, problem_from_tables
 from .reduction import bar_loss_table
 from .solver import TieBreakRule, minimum_inference_loss, solve
 
@@ -157,7 +157,7 @@ def _roots(problem: Problem) -> list[tuple[int, float]]:
     pop in lexicographic order, so every sum is taken in the order of a
     recursive walk. A round-1 history's x-rank is its observation.
     """
-    return [(x1, p) for x1, p in reversed(list(enumerate(problem.init.probs.tolist()))) if p > 0.0]
+    return [(x1, p) for x1, p in reversed(list(enumerate(problem.init.tolist()))) if p > 0.0]
 
 
 def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
@@ -172,7 +172,7 @@ def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
     _check_history_strategy(problem, strategy)
     n, nx, ny = problem.n, len(problem.x_space), len(problem.y_space)
     quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
-    loss = problem.loss.table.tolist()
+    loss = problem.loss.tolist()
     tables = strategy.tables
     y_spans = [_spans(nx, ny, strategy.mode, i)[1] for i in range(1, n + 1)]  # the x-rank's multipliers
     revealed = strategy.mode is HistoryMode.REVEALED
@@ -210,8 +210,14 @@ def history_count(problem: Problem, mode: HistoryMode) -> int:
 
 
 def shape_history_count(n: int, nx: int, ny: int, mode: HistoryMode) -> int:
-    """Number of syntactic histories of any problem with ``n`` rounds, |X| = nx and |Y| = ny."""
-    return sum(math.prod(_spans(nx, ny, mode, i)) for i in range(1, n + 1))
+    """Number of syntactic histories of any problem with ``n`` rounds, |X| = nx and |Y| = ny.
+
+    Round ``i`` has ``nx * r**(i - 1)`` histories, with ``r = nx * ny``
+    revealed and ``r = nx`` unrevealed, so the geometric sum over the rounds
+    is formed with a single power.
+    """
+    r = nx * ny if mode is HistoryMode.REVEALED else nx
+    return n * nx if r == 1 else nx * (r**n - 1) // (r - 1)
 
 
 def strategy_count(problem: Problem, mode: HistoryMode) -> int:
@@ -232,18 +238,21 @@ def _checked_count(what: str, limit: int, base: int, exponent: int, factor: int 
     ``factor`` is at least 1. With ``base >= 2`` the count is at least
     ``2**exponent``, so an exponent of ``limit.bit_length()`` or more settles
     the question without forming the power. An error names the count in
-    decimal when it has at most ``_COUNT_BITS`` bits, and as
-    ``base^exponent`` otherwise.
+    decimal when it has at most ``_COUNT_BITS`` bits, else as
+    ``base^exponent`` when the exponent has at most that many, and as
+    ``at least 2^(2^k)`` otherwise.
     """
     short = factor.bit_length() + exponent * base.bit_length() <= _COUNT_BITS  # bounds the count's bits
     if short or base < 2 or exponent < limit.bit_length():
         count = factor * base**exponent
         if count <= limit:
             return count
-    if short:
-        text = str(count)
+        if short or base < 2:
+            raise SearchSpaceTooLarge(f"{count} {what} exceed the limit of {limit}")
+    if exponent.bit_length() > _COUNT_BITS:
+        text = f"at least 2^(2^{exponent.bit_length() - 1})"
     else:
-        text = f"{base}^{_count_text(exponent)}" if factor == 1 else f"{factor}*{base}^{_count_text(exponent)}"
+        text = f"{base}^{exponent}" if factor == 1 else f"{factor}*{base}^{exponent}"
     raise SearchSpaceTooLarge(f"{text} {what} exceed the limit of {limit}")
 
 
@@ -387,7 +396,7 @@ def brute_force_optimum(
     n = problem.n
     nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
     quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
-    loss = problem.loss.table.tolist()
+    loss = problem.loss.tolist()
     revealed = mode is HistoryMode.REVEALED
 
     later: list[float] = []  # the optimal values of round i + 1, by rank
@@ -446,7 +455,7 @@ def brute_force_optimum(
     decisions.reverse()
 
     brute_min = 0.0
-    for x1, p in enumerate(problem.init.probs.tolist()):
+    for x1, p in enumerate(problem.init.tolist()):
         brute_min += p * later[x1]
 
     witness = HistoryStrategy(
@@ -483,8 +492,8 @@ def random_problem(
         rows = rng.random(shape) + 1e-3
         return rows / rows.sum(axis=-1, keepdims=True)
 
-    init = Distribution(x_space, random_rows(nx))
+    init = random_rows(nx)
     transitions = random_rows(n - 1, nx, nyhat, nx)
     quantities = random_rows(n, nx, ny)
-    loss = ContextualLoss(x_space, y_space, yhat_space, rng.random((nx, ny, nyhat)))
-    return problem_from_tables(n, init, transitions, quantities, loss)
+    loss = rng.random((nx, ny, nyhat))
+    return problem_from_tables(n, x_space, y_space, yhat_space, init, transitions, quantities, loss)

@@ -37,7 +37,7 @@ def bar_loss_table(problem: Problem) -> BarLossTable:
     never on any strategy. Each entry is summed over quantities in label
     order, so it is the same float for every round and layout.
     """
-    quantities, loss = problem.quantities, problem.loss.table
+    quantities, loss = problem.quantities, problem.loss
     values = 0.0
     for yi in range(len(problem.y_space)):
         values = values + quantities[:, :, yi, None] * loss[None, :, yi, :]

@@ -101,7 +101,7 @@ def ensure_result_matches(problem: Problem, result: SolveResult) -> None:
         and source.yhat_space == problem.yhat_space
         and np.array_equal(source.transitions, problem.transitions)
         and np.array_equal(source.quantities, problem.quantities)
-        and source.loss == problem.loss
+        and np.array_equal(source.loss, problem.loss)
     )
     if not same:
         raise MismatchedResult("solve result was produced from a different problem")
@@ -112,7 +112,7 @@ def minimum_inference_loss(problem: Problem, result: SolveResult) -> float:
     ensure_result_matches(problem, result)
     total = 0.0
     for xi in range(len(problem.x_space)):
-        total += problem.init.probs[xi] * result.v_star[0, xi]
+        total += problem.init[xi] * result.v_star[0, xi]
     return float(total)
 
 

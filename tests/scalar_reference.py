@@ -24,7 +24,7 @@ from dyninfer.solver import TIE_TOLERANCE
 def bar_entry(problem, i, xi, ai):
     """Expected loss over the round-i quantity kernel, summed in label order."""
     quantity = problem.quantities[i - 1]
-    loss = problem.loss.table
+    loss = problem.loss
     total = 0.0
     for yi in range(len(problem.y_space)):
         total += quantity[xi, yi] * loss[xi, yi, ai]
@@ -105,7 +105,7 @@ def evaluate_markov(problem, choices):
             v[k, xi] = value
     j = 0.0
     for xi in range(nx):
-        j += problem.init.probs[xi] * v[0, xi]
+        j += problem.init[xi] * v[0, xi]
     return v, float(j)
 
 
@@ -126,7 +126,7 @@ def simulate(problem, choices, rollouts, seed, keep):
     def sample(cdf_rows, u):
         return (u[:, None] >= cdf_rows).sum(axis=1)
 
-    init_cdf = cdfs(problem.init.probs[None, :])[0]
+    init_cdf = cdfs(problem.init[None, :])[0]
     quantity_cdfs = cdfs(problem.quantities)
     transition_cdfs = cdfs(problem.transitions)
 
@@ -137,7 +137,7 @@ def simulate(problem, choices, rollouts, seed, keep):
         k = i - 1
         ys = sample(quantity_cdfs[k][xs], uniforms[:, 2 * k + 1])
         yhats = choices[k, xs]
-        losses += problem.loss.table[xs, ys, yhats]
+        losses += problem.loss[xs, ys, yhats]
         xs_hist.append(xs[:keep].copy())
         ys_hist.append(ys[:keep].copy())
         yhats_hist.append(yhats[:keep].copy())
@@ -180,7 +180,7 @@ def brute_force(problem, mode):
     """Bottom-up optimum over every history strategy: (brute_min, per-round decision tables)."""
     n = problem.n
     nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
-    loss = problem.loss.table
+    loss = problem.loss
     revealed = mode is HistoryMode.REVEALED
     values = {}
     decisions = [dict() for _ in range(n)]
@@ -216,15 +216,15 @@ def brute_force(problem, mode):
             decisions[i - 1][xs if not revealed else xs + ys] = best_action
     brute_min = 0.0
     for x1 in range(nx):
-        brute_min += problem.init.probs[x1] * values[(1, (x1,), ())]
+        brute_min += problem.init[x1] * values[(1, (x1,), ())]
     return float(brute_min), decisions
 
 
 def exact_loss_history(problem, strategy):
     """Expected accumulated loss of a history strategy, by recursion over trajectories."""
     n, nx, ny = problem.n, len(problem.x_space), len(problem.y_space)
-    loss = problem.loss.table
-    init = problem.init.probs
+    loss = problem.loss
+    init = problem.init
     total = 0.0
 
     def visit(i, xs, ys, prob, acc):
@@ -286,6 +286,6 @@ def lemma1(problem, strategy):
                     visit(i + 1, xs + (xn,), ys, prob * p_x)
 
     for x1 in range(nx):
-        if problem.init.probs[x1] > 0.0:
-            visit(1, (x1,), (), float(problem.init.probs[x1]))
+        if problem.init[x1] > 0.0:
+            visit(1, (x1,), (), float(problem.init[x1]))
     return lhs, float(rhs)

@@ -87,7 +87,7 @@ def test_eval_j_is_initial_expectation_of_v():
         problem = random_problem(rng, n=int(rng.integers(1, 5)), nx=3, ny=2, nyhat=2)
         strategy = myopic_strategy(problem)
         result = evaluate_markov(problem, strategy)
-        expected = float(np.dot(problem.init.probs, result.v[0]))
+        expected = float(np.dot(problem.init, result.v[0]))
         assert result.j == pytest.approx(expected, abs=1e-12)
 
 
@@ -128,9 +128,7 @@ def test_equality_when_suffix_matches_optimal(stock):
 def test_evaluate_is_init_independent_except_j(stock):
     strategy = myopic_strategy(stock)
     base = evaluate_markov(stock, strategy)
-    shifted = dataclasses.replace(
-        stock, init=dataclasses.replace(stock.init, probs=np.array([0.25, 0.75]))
-    )
+    shifted = dataclasses.replace(stock, init=np.array([0.25, 0.75]))
     moved = evaluate_markov(shifted, strategy)
     assert np.array_equal(base.v, moved.v)
     assert moved.j == pytest.approx(0.25 * base.v[0, 0] + 0.75 * base.v[0, 1], abs=1e-12)

@@ -62,7 +62,7 @@ def test_yield_probability_half_at_critical_distance():
     problem = example_yield(2)
     xi, yi = problem.x_space.index("10"), problem.y_space.index("yield")
     assert problem.quantities[0, xi, yi] == pytest.approx(0.5, abs=1e-12)
-    assert problem.init.probs[xi] == 1.0  # starts at the grid point nearest d_c
+    assert problem.init[xi] == 1.0  # starts at the grid point nearest d_c
 
 
 def test_yield_steep_slope_saturates():
@@ -85,7 +85,7 @@ def test_yield_loss_shape():
     problem = example_yield(2)
 
     def loss(x, y, yhat):
-        return problem.loss.table[
+        return problem.loss[
             problem.x_space.index(x), problem.y_space.index(y), problem.yhat_space.index(yhat)
         ]
 

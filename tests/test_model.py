@@ -5,9 +5,7 @@ import pytest
 
 from dyninfer import (
     Alphabet,
-    ContextualLoss,
     DimensionMismatch,
-    Distribution,
     HorizonMismatch,
     InvalidModelError,
     NotStochastic,
@@ -16,7 +14,7 @@ from dyninfer import (
     example_section33,
     example_stock,
     example_yield,
-    make_stationary_problem,
+    problem_from_tables,
     problem_to_dict,
     random_problem,
     validate_problem,
@@ -24,19 +22,25 @@ from dyninfer import (
 
 BINARY = Alphabet(("0", "1"))
 NO_TRANSITIONS = np.empty((0, 2, 2, 2))
+START_AT_0 = np.array([1.0, 0.0])
 
 
 def zero_one_loss():
     table = np.zeros((2, 2, 2))
     table[:, 0, 1] = 1.0
     table[:, 1, 0] = 1.0
-    return ContextualLoss(BINARY, BINARY, BINARY, table)
+    return table
 
 
-def binary_problem(n, transitions, quantities, loss=None):
-    """A Problem built directly from kernel arrays, starting at x = "0"."""
-    init = Distribution.point_mass(BINARY, "0")
-    return Problem(n, BINARY, BINARY, BINARY, init, transitions, quantities, loss or zero_one_loss())
+def binary_problem(n, transitions, quantities, loss=None, init=START_AT_0):
+    """A Problem built directly from arrays, by default starting at x = "0"."""
+    return Problem(n, BINARY, BINARY, BINARY, init, transitions, quantities, zero_one_loss() if loss is None else loss)
+
+
+def binary_tables(n, transitions, quantities, loss=None, init=START_AT_0):
+    """A Problem built from raw tables, by default starting at x = "0"."""
+    loss = zero_one_loss() if loss is None else loss
+    return problem_from_tables(n, BINARY, BINARY, BINARY, init, transitions, quantities, loss)
 
 
 def section33_dict(n=6):
@@ -65,7 +69,7 @@ def section33_dict(n=6):
     }
 
 
-# ---- alphabets and distributions ----
+# ---- alphabets and array shapes ----
 
 
 def test_alphabet_rejects_duplicates_and_empty():
@@ -87,16 +91,19 @@ def test_alphabet_index_is_stable_bijection():
         alphabet.index(["lo"])  # unhashable, so never a member
 
 
-def test_distribution_point_mass_and_lookup():
-    dist = Distribution.point_mass(BINARY, "1")
-    assert dist.probs[BINARY.index("1")] == 1.0 and dist.probs[BINARY.index("0")] == 0.0
-    with pytest.raises(UnknownLabel):
-        Distribution.point_mass(BINARY, "2")
-
-
 def test_distribution_rejects_wrong_shape():
-    with pytest.raises(DimensionMismatch):
-        Distribution(BINARY, np.array([1.0, 0.0, 0.0]))
+    quantities = np.full((1, 2, 2), 0.5)
+    for init in (np.array([1.0, 0.0, 0.0]), np.array([[1.0, 0.0]]), np.array(1.0)):
+        with pytest.raises(DimensionMismatch, match="initial distribution has shape"):
+            binary_problem(1, NO_TRANSITIONS, quantities, init=init)
+        with pytest.raises(DimensionMismatch, match="initial distribution has shape"):
+            binary_tables(1, NO_TRANSITIONS, quantities, init=init)
+    # a loss table or kernels shaped for a three-label quantity alphabet
+    for build in (binary_problem, binary_tables):
+        with pytest.raises(DimensionMismatch, match="loss table has shape"):
+            build(1, NO_TRANSITIONS, quantities, loss=np.zeros((2, 3, 2)))
+        with pytest.raises(DimensionMismatch):
+            build(1, NO_TRANSITIONS, np.full((1, 2, 3), 1 / 3))
 
 
 # ---- stochasticity ----
@@ -107,24 +114,31 @@ def test_row_summing_above_tolerance_is_rejected():
     with pytest.raises(NotStochastic, match=r"quantity row \(round 1, x='0'\) sums to 1.1"):
         binary_problem(1, NO_TRANSITIONS, quantity[None])
     with pytest.raises(NotStochastic, match=r"quantity row \(round 1, x='0'\) sums to 1.1"):
-        make_stationary_problem(1, Distribution.point_mass(BINARY, "0"), None, quantity, zero_one_loss())
+        binary_tables(1, NO_TRANSITIONS, quantity[None])
+    with pytest.raises(NotStochastic, match=r"distribution sums to 0.9"):
+        binary_problem(1, NO_TRANSITIONS, np.full((1, 2, 2), 0.5), init=np.array([0.5, 0.4]))
 
 
 def test_negative_entry_is_rejected():
-    with pytest.raises(NotStochastic):
-        Distribution(BINARY, np.array([1.1, -0.1]))
+    quantities = np.full((1, 2, 2), 0.5)
+    for build in (binary_problem, binary_tables):
+        with pytest.raises(NotStochastic, match="distribution has a negative entry"):
+            build(1, NO_TRANSITIONS, quantities, init=np.array([1.1, -0.1]))
 
 
 def test_tiny_drift_is_renormalized_exactly():
-    dist = Distribution(BINARY, np.array([0.5, 0.5 + 4e-10]))
-    assert abs(float(dist.probs.sum()) - 1.0) <= 1e-12
+    init = np.array([0.5, 0.5 + 4e-10])
+    problem = binary_tables(1, NO_TRANSITIONS, np.full((1, 2, 2), 0.5), init=init)
+    assert abs(float(problem.init.sum()) - 1.0) <= 1e-12
+    # a Problem stores its arrays as given
+    assert binary_problem(1, NO_TRANSITIONS, np.full((1, 2, 2), 0.5), init=init).init.tolist() == init.tolist()
 
 
 def test_validated_rows_sum_to_one():
     rng = np.random.default_rng(11)
     for _ in range(20):
         problem = random_problem(rng, n=3, nx=3, ny=2, nyhat=2)
-        assert abs(float(problem.init.probs.sum()) - 1.0) <= 1e-12
+        assert abs(float(problem.init.sum()) - 1.0) <= 1e-12
         assert np.all(np.abs(problem.transitions.sum(axis=-1) - 1.0) <= 1e-12)
         assert np.all(np.abs(problem.quantities.sum(axis=-1) - 1.0) <= 1e-12)
 
@@ -138,17 +152,6 @@ def test_horizon_mismatch_on_kernel_counts():
         binary_problem(2, NO_TRANSITIONS, quantities)
 
 
-def test_foreign_alphabet_is_rejected():
-    other = Alphabet(("a", "b"))
-    quantities = np.full((1, 2, 2), 0.5)
-    loss = ContextualLoss(other, other, other, np.zeros((2, 2, 2)))
-    with pytest.raises(DimensionMismatch):
-        binary_problem(1, NO_TRANSITIONS, quantities, loss)
-    # kernels shaped for a three-label quantity alphabet
-    with pytest.raises(DimensionMismatch):
-        binary_problem(1, NO_TRANSITIONS, np.full((1, 2, 3), 1 / 3))
-
-
 def test_n1_problem_has_no_transitions():
     problem = example_section33(1)
     assert problem.transitions.shape == (0, 2, 2, 2)
@@ -158,32 +161,30 @@ def test_n1_problem_has_no_transitions():
 # ---- stationary construction ----
 
 
-def test_make_stationary_matches_example_builders():
-    transition = np.zeros((2, 2, 2))
+def test_one_kernel_stacks_match_example_builders():
+    transition = np.zeros((1, 2, 2, 2))
     for x in (0, 1):
-        transition[x, 0, 1 - x] = 1.0
-        transition[x, 1, x] = 1.0
-    quantity = np.array([[0.9, 0.1], [0.4, 0.6]])
-    built = make_stationary_problem(
-        6, Distribution.point_mass(BINARY, "0"), transition, quantity, zero_one_loss()
-    )
-    assert built == example_section33(6)
+        transition[0, x, 0, 1 - x] = 1.0
+        transition[0, x, 1, x] = 1.0
+    quantity = np.array([[[0.9, 0.1], [0.4, 0.6]]])
+    assert binary_tables(6, transition, quantity) == example_section33(6)
 
-    stock_transition = np.zeros((2, 2, 2))
-    stock_transition[:, 0, 0] = 1.0
-    stock_transition[:, 1, 1] = 1.0
-    stock_quantity = np.array([[0.6, 0.4], [0.3, 0.7]])
-    built_stock = make_stationary_problem(
-        3, Distribution.point_mass(BINARY, "0"), stock_transition, stock_quantity, zero_one_loss()
-    )
-    assert built_stock == example_stock(3)
+    stock_transition = np.zeros((1, 2, 2, 2))
+    stock_transition[0, :, 0, 0] = 1.0
+    stock_transition[0, :, 1, 1] = 1.0
+    stock_quantity = np.array([[[0.6, 0.4], [0.3, 0.7]]])
+    assert binary_tables(3, stock_transition, stock_quantity) == example_stock(3)
 
 
-def test_make_stationary_n1_needs_no_transition():
-    problem = make_stationary_problem(
-        1, Distribution.point_mass(BINARY, "0"), None, np.array([[0.9, 0.1], [0.4, 0.6]]), zero_one_loss()
-    )
-    assert problem.n == 1 and problem.transitions.shape == (0, 2, 2, 2)
+def test_one_kernel_transition_stack_serves_n1():
+    quantity = np.array([[[0.9, 0.1], [0.4, 0.6]]])
+    transition = np.full((1, 2, 2, 2), 0.5)
+    for transitions in (NO_TRANSITIONS, transition):
+        problem = binary_tables(1, transitions, quantity)
+        assert problem.n == 1 and problem.transitions.shape == (0, 2, 2, 2)
+    # the single kernel is still checked
+    with pytest.raises(NotStochastic, match=r"transition row \(round 2, x='0', yhat='0'\) sums to 1.5"):
+        binary_tables(1, np.array([[[[0.5, 1.0], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]]), quantity)
 
 
 # ---- document parsing ----
@@ -216,6 +217,21 @@ def test_stationary_flag_rejects_full_arrays():
     doc = section33_dict()
     doc["quantities"] = doc["quantities"] * 6
     with pytest.raises(HorizonMismatch):
+        validate_problem(doc)
+
+
+def test_stationary_n1_document_checks_its_transition_entry():
+    # the entry serves no round, but it is parsed and checked as a one-kernel stack
+    doc = section33_dict(1)
+    assert validate_problem(doc) == example_section33(1)
+    doc["transitions"] = []
+    assert validate_problem(doc) == example_section33(1)
+    doc["transitions"] = [{"bogus": 42}]
+    with pytest.raises(InvalidModelError, match="'bogus' does not identify"):
+        validate_problem(doc)
+    doc = section33_dict(1)
+    doc["transitions"][0]["1|0"] = {"0": 1.5, "1": 0.0}
+    with pytest.raises(NotStochastic, match=r"transition row \(round 2, x='1', yhat='0'\) sums to 1.5"):
         validate_problem(doc)
 
 
@@ -291,8 +307,9 @@ def test_ambiguous_composite_key_is_rejected():
 
 
 def test_non_finite_loss_is_rejected():
-    with pytest.raises(InvalidModelError):
-        ContextualLoss(BINARY, BINARY, BINARY, np.full((2, 2, 2), np.nan))
+    for value in (np.nan, np.inf):
+        with pytest.raises(InvalidModelError, match="non-finite"):
+            binary_problem(1, NO_TRANSITIONS, np.full((1, 2, 2), 0.5), loss=np.full((2, 2, 2), value))
     doc = section33_dict()
     doc["loss"][0]["value"] = float("nan")
     with pytest.raises(InvalidModelError, match="not finite"):
@@ -304,7 +321,9 @@ def test_problem_is_immutable():
     with pytest.raises(Exception):
         problem.n = 4  # type: ignore[misc]
     with pytest.raises(ValueError):
-        problem.loss.table[0, 0, 0] = 5.0
+        problem.loss[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        problem.init[0] = 0.5
     with pytest.raises(ValueError):
         problem.transitions[0, 0, 0, 0] = 5.0
     with pytest.raises(ValueError):
@@ -331,7 +350,7 @@ def test_boolean_horizon_is_rejected_everywhere():
     with pytest.raises(InvalidModelError):
         binary_problem(True, NO_TRANSITIONS, quantity[None])
     with pytest.raises(InvalidModelError):
-        make_stationary_problem(True, Distribution.point_mass(BINARY, "0"), None, quantity, zero_one_loss())
+        binary_tables(True, NO_TRANSITIONS, quantity[None])
     doc = section33_dict()
     doc["n"] = True
     with pytest.raises(InvalidModelError):
@@ -354,6 +373,10 @@ def test_writable_kernels_are_copied():
     problem = binary_problem(2, transitions, quantities)
     transitions[0, 0, 0] = (0.0, 1.0)
     assert problem.transitions[0, 0, 0].tolist() == [1.0, 0.0]
+    init, loss = START_AT_0.copy(), zero_one_loss()
+    problem = binary_problem(2, transitions, quantities, loss=loss, init=init)
+    init[0], loss[0, 0, 0] = 0.0, 7.0
+    assert problem.init.tolist() == [1.0, 0.0] and problem.loss[0, 0, 0] == 0.0
 
 
 def test_bad_document_rows_are_named():

@@ -1,13 +1,14 @@
 """Brute-force ground truth: enumeration, exact losses, and solver cross-checks."""
 
 import dataclasses
+import itertools
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dyninfer import (
-    Distribution,
     HistoryMode,
     HistoryStrategy,
     MarkovStrategy,
@@ -30,7 +31,7 @@ from dyninfer import (
     strategy_count,
     verify_lemma1,
 )
-from dyninfer.oracle import history_count
+from dyninfer.oracle import history_count, shape_history_count
 
 BOTH_MODES = (HistoryMode.REVEALED, HistoryMode.UNREVEALED)
 
@@ -46,8 +47,8 @@ def test_one_round_closed_form():
         expected = 0.0
         for xi in range(len(problem.x_space)):
             for yi in range(len(problem.y_space)):
-                weight = problem.init.probs[xi] * problem.quantities[0, xi, yi]
-                expected += weight * problem.loss.table[xi, yi, ai]
+                weight = problem.init[xi] * problem.quantities[0, xi, yi]
+                expected += weight * problem.loss[xi, yi, ai]
         assert exact_loss_history(problem, strategy) == pytest.approx(expected, abs=1e-15)
 
 
@@ -165,6 +166,25 @@ def test_search_space_limit_without_huge_integers():
         brute_force_optimum(problem, HistoryMode.UNREVEALED)
 
 
+def test_history_count_closed_form_equals_the_summed_definition():
+    for mode in BOTH_MODES:
+        for n, nx, ny in itertools.product(range(1, 7), range(1, 5), range(1, 4)):
+            span = ny if mode is HistoryMode.REVEALED else 1
+            summed = sum(nx**i * span ** (i - 1) for i in range(1, n + 1))
+            assert shape_history_count(n, nx, ny, mode) == summed
+
+
+def test_long_horizon_is_rejected_quickly():
+    # 2·(4^100000 − 1)/3 revealed histories, a 200000-bit count formed with a single power
+    stock = example_stock(10**5)
+    start = time.perf_counter()
+    with pytest.raises(
+        SearchSpaceTooLarge, match=r"^at least 2\^\(2\^199999\) history strategies \(revealed mode\) exceed"
+    ):
+        brute_force_optimum(stock, HistoryMode.REVEALED)
+    assert time.perf_counter() - start < 5.0
+
+
 # ---- brute force optimum ----
 
 
@@ -239,7 +259,7 @@ def test_one_round_brute_equals_myopic_bayes_risk():
 
 def test_truncated_model_matches_v_star():
     truncated = example_section33(3)
-    pinned = dataclasses.replace(truncated, init=Distribution.point_mass(truncated.x_space, "1"))
+    pinned = dataclasses.replace(truncated, init=np.array([0.0, 1.0]))
     result = solve(pinned)
     for mode in BOTH_MODES:
         report = brute_force_optimum(pinned, mode, limit=2 ** 50)

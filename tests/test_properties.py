@@ -10,8 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from dyninfer import (
     Alphabet,
-    ContextualLoss,
-    Distribution,
     HistoryMode,
     MarkovStrategy,
     TieBreakRule,
@@ -21,6 +19,7 @@ from dyninfer import (
     exact_loss_history,
     myopic_strategy,
     optimal_strategy,
+    problem_from_tables,
     problem_to_dict,
     random_history_strategy,
     random_problem,
@@ -29,7 +28,6 @@ from dyninfer import (
     verify_lemma1,
 )
 from dyninfer import cli
-from dyninfer.model import problem_from_tables
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -67,12 +65,12 @@ def problems(draw, exact=None, max_labels=6, max_n=5):
     x_space, y_space, yhat_space = (
         Alphabet(tuple(f"{prefix}{k}" for k in range(size))) for prefix, size in zip("xya", (nx, ny, na))
     )
-    init = Distribution(x_space, _rows(draw, (nx,), exact))
+    init = _rows(draw, (nx,), exact)
     transitions = _rows(draw, (rounds or n - 1, nx, na, nx), exact) if n > 1 else np.empty((0, nx, na, nx))
     quantities = _rows(draw, (rounds or n, nx, ny), exact)
     values = NEAR_TIE_VALUES if draw(st.booleans()) else LOSS_VALUES
     loss = draw(hnp.arrays(np.float64, (nx, ny, na), elements=st.sampled_from(values)))
-    return problem_from_tables(n, init, transitions, quantities, ContextualLoss(x_space, y_space, yhat_space, loss))
+    return problem_from_tables(n, x_space, y_space, yhat_space, init, transitions, quantities, loss)
 
 
 @SETTINGS
@@ -160,6 +158,6 @@ def test_document_round_trip(problem):
 
 def test_replace_keeps_kernels_bit_identical():
     problem = random_problem(np.random.default_rng(4), n=4, nx=5, ny=3, nyhat=4)
-    replaced = dataclasses.replace(problem, init=Distribution.point_mass(problem.x_space, "2"))
+    replaced = dataclasses.replace(problem, init=np.eye(5)[2])
     assert replaced.transitions.tobytes() == problem.transitions.tobytes()
     assert replaced.quantities.tobytes() == problem.quantities.tobytes()

@@ -7,7 +7,6 @@ import pytest
 import scalar_reference
 
 from dyninfer import (
-    ContextualLoss,
     bar_loss_table,
     example_section33,
     example_stock,
@@ -21,7 +20,7 @@ def brute_expected_loss(problem, i, x, yhat):
     xi, ai = problem.x_space.index(x), problem.yhat_space.index(yhat)
     total = 0.0
     for yi in range(len(problem.y_space)):
-        total += problem.quantities[i - 1, xi, yi] * problem.loss.table[xi, yi, ai]
+        total += problem.quantities[i - 1, xi, yi] * problem.loss[xi, yi, ai]
     return total
 
 
@@ -104,9 +103,7 @@ def test_myopic_tie_set_detects_flat_rows():
     assert solve(example_stock(1)).tie_sets[0][0] == (0,)
     flat = random_problem(np.random.default_rng(1), n=1)
     # force an exact tie by zeroing the loss table
-    tied = dataclasses.replace(
-        flat, loss=ContextualLoss(flat.x_space, flat.y_space, flat.yhat_space, np.zeros((2, 2, 2)))
-    )
+    tied = dataclasses.replace(flat, loss=np.zeros((2, 2, 2)))
     assert solve(tied).tie_sets[0][0] == (0, 1)
     assert myopic_label(tied, 1, "0") == "0"  # smallest index on ties
 

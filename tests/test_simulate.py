@@ -9,8 +9,6 @@ import scalar_reference
 
 from dyninfer import (
     Alphabet,
-    ContextualLoss,
-    Distribution,
     InvalidParams,
     MarkovStrategy,
     ShapeMismatch,
@@ -18,9 +16,9 @@ from dyninfer import (
     example_section33,
     example_stock,
     example_yield,
-    make_stationary_problem,
     myopic_strategy,
     optimal_strategy,
+    problem_from_tables,
     random_problem,
     simulate,
     solve,
@@ -52,13 +50,7 @@ def fully_deterministic_problem():
     loss = np.zeros((2, 2, 2))
     loss[:, 0, 1] = 1.0
     loss[:, 1, 0] = 1.0
-    return make_stationary_problem(
-        4,
-        Distribution.point_mass(binary, "0"),
-        transition,
-        quantity,
-        ContextualLoss(binary, binary, binary, loss),
-    )
+    return problem_from_tables(4, binary, binary, binary, np.array([1.0, 0.0]), transition[None], quantity[None], loss)
 
 
 def test_deterministic_model_matches_exact_loss_exactly():
@@ -88,7 +80,7 @@ def test_trajectories_are_consistent(stock):
         xis = [stock.x_space.index(x) for x in trajectory.xs]
         ais = [stock.yhat_space.index(yhat) for yhat in trajectory.yhats]
         recomputed = sum(
-            stock.loss.table[xi, stock.y_space.index(y), ai]
+            stock.loss[xi, stock.y_space.index(y), ai]
             for xi, y, ai in zip(xis, trajectory.ys, ais)
         )
         assert trajectory.loss == recomputed

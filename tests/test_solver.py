@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from dyninfer import (
-    ContextualLoss,
     MismatchedResult,
     TieBreakRule,
     bar_loss_table,
@@ -24,7 +23,6 @@ from dyninfer import (
     solution_report,
     solve,
 )
-from dyninfer.model import Distribution
 
 # horizon-6 optimal remaining losses, rounds 1..6 (rational-arithmetic oracle)
 SECTION33_V = {"0": [1.9, 1.5, 1.2, 0.8, 0.5, 0.1], "1": [2.1, 1.8, 1.4, 1.1, 0.7, 0.4]}
@@ -123,13 +121,7 @@ def test_monotone_horizon_on_worked_examples(section33, stock):
 
 def test_policy_invariant_under_positive_affine_rescaling(section33):
     base = solve(section33)
-    scaled_loss = ContextualLoss(
-        section33.x_space,
-        section33.y_space,
-        section33.yhat_space,
-        3.0 * section33.loss.table + 0.25,
-    )
-    scaled = solve(dataclasses.replace(section33, loss=scaled_loss))
+    scaled = solve(dataclasses.replace(section33, loss=3.0 * section33.loss + 0.25))
     assert scaled.tie_sets == base.tie_sets
     assert np.array_equal(scaled.policy, base.policy)
     # a constant per-round shift accumulates (n - i + 1) times on top of the scale
@@ -170,9 +162,7 @@ def test_minimum_inference_loss_values(section33):
     result = solve(section33)
     assert minimum_inference_loss(section33, result) == pytest.approx(1.9, abs=1e-12)
 
-    uniform = dataclasses.replace(
-        section33, init=Distribution(section33.x_space, np.array([0.5, 0.5]))
-    )
+    uniform = dataclasses.replace(section33, init=np.array([0.5, 0.5]))
     assert minimum_inference_loss(uniform, result) == pytest.approx((1.9 + 2.1) / 2, abs=1e-12)
 
     one_round = example_section33(1)
@@ -183,10 +173,7 @@ def test_minimum_inference_loss_rejects_foreign_result(section33, stock):
     with pytest.raises(MismatchedResult):
         minimum_inference_loss(stock, solve(section33))
     # same shapes and kernels, another loss: caught only by the full comparison
-    loss = section33.loss
-    other = dataclasses.replace(
-        section33, loss=ContextualLoss(loss.x_space, loss.y_space, loss.yhat_space, loss.table + 1.0)
-    )
+    other = dataclasses.replace(section33, loss=section33.loss + 1.0)
     with pytest.raises(MismatchedResult):
         minimum_inference_loss(other, solve(section33))
 
