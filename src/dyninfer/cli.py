@@ -72,9 +72,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _read_json(path: str) -> Any:
+    # json.loads raises JSONDecodeError, a plain ValueError for an integer past the
+    # int-string limit, and RecursionError for nesting deeper than its stack
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise InvalidModelError(f"{path}: not valid JSON: {exc}") from None
 
 
@@ -101,7 +104,7 @@ def _with_init(problem: Problem, text: str) -> Problem:
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # as in _read_json
             raise InvalidModelError(f"--init: not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise InvalidModelError("--init: expected an object mapping labels to probabilities")
@@ -111,7 +114,11 @@ def _with_init(problem: Problem, text: str) -> Problem:
     for label, value in doc.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidModelError(f"--init: probability for {label!r} must be a number")
-        probs[problem.x_space.index(label)] = float(value)
+        index = problem.x_space.index(label)
+        try:
+            probs[index] = float(value)
+        except OverflowError:
+            raise InvalidModelError(f"--init: probability for {label!r} is an integer too large for a float64") from None
     # a Problem stores its rows as given: build one to check the raw row, then store the divided one
     checked = dataclasses.replace(problem, init=probs)
     return dataclasses.replace(checked, init=probs / probs.sum())

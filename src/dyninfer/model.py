@@ -116,6 +116,14 @@ def _check_kernels(table: np.ndarray, rounds: int, row_shape: tuple[int, ...], w
         raise HorizonMismatch(f"expected {rounds} {what} kernels, got {table.shape[0]}")
 
 
+def _distinct_rounds(stack: np.ndarray) -> np.ndarray:
+    """``stack`` without its repeats: a stride-0 round axis holds one table for every round.
+
+    Its first bad row is then the same row of the same (first) round.
+    """
+    return stack[:1] if stack.strides[0] == 0 else stack
+
+
 def _init_row() -> str:
     return "distribution"
 
@@ -171,8 +179,8 @@ class Problem:
         _check_kernels(quantities, self.n, (nx, ny), "quantity")
         _check_shape(loss, (nx, ny, na), "loss table")
         _row_sums(init, _init_row)
-        _row_sums(transitions, _transition_rows(self.x_space, self.yhat_space))
-        _row_sums(quantities, _quantity_rows(self.x_space))
+        _row_sums(_distinct_rounds(transitions), _transition_rows(self.x_space, self.yhat_space))
+        _row_sums(_distinct_rounds(quantities), _quantity_rows(self.x_space))
         if not np.isfinite(loss).all():
             raise InvalidModelError("loss table contains a non-finite entry")
         object.__setattr__(self, "init", init)
@@ -255,7 +263,27 @@ def _require(doc: Mapping, key: str):
 def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidModelError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidModelError(f"{what} is an integer too large for a float64") from None
+
+
+# The exact types of a JSON number; a bool is neither, so ``true`` is left to the checked readers.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _float_array(values: list) -> np.ndarray | None:
+    """``values`` as a float64 array, or None unless each is an int or a float that fits one.
+
+    ``np.array`` rounds an int exactly as ``float`` does.
+    """
+    if _NUMBER_TYPES.issuperset(map(type, values)):
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:  # an int past the float64 range
+            pass
+    return None
 
 
 def _space_from(doc: Mapping, key: str) -> Alphabet:
@@ -266,6 +294,23 @@ def _space_from(doc: Mapping, key: str) -> Alphabet:
 
 
 def _row_from_object(obj, alphabet: Alphabet, what: str) -> np.ndarray:
+    """The row of a label -> number object, in alphabet order.
+
+    A plain dict holding a number for exactly the alphabet's labels is read
+    in one pass; anything else goes to :func:`_checked_row`, which names the fault.
+    """
+    if type(obj) is dict and len(obj) == len(alphabet.labels):
+        try:
+            row = _float_array([obj[label] for label in alphabet.labels])
+            if row is not None:
+                return row
+        except KeyError:  # a label is missing, so another key stands in its place
+            pass
+    return _checked_row(obj, alphabet, what)
+
+
+def _checked_row(obj, alphabet: Alphabet, what: str) -> np.ndarray:
+    """:func:`_row_from_object` one entry at a time, raising on the first fault."""
     if not isinstance(obj, Mapping):
         raise InvalidModelError(f"{what} must be an object mapping labels to numbers")
     unknown = set(obj) - set(alphabet.labels)
@@ -328,6 +373,34 @@ def _quantity_from_object(obj, i: int, x_space: Alphabet, y_space: Alphabet) -> 
 
 
 def _loss_from_records(records, x_space: Alphabet, y_space: Alphabet, yhat_space: Alphabet) -> np.ndarray:
+    """The loss table of one ``{x, y, yhat, value}`` record per triple.
+
+    Plain-dict records that fill every slot once with a finite number are
+    read in one pass; anything else goes to :func:`_checked_loss`, which
+    names the fault.
+    """
+    shape = (len(x_space), len(y_space), len(yhat_space))
+    values: list = [None] * (shape[0] * shape[1] * shape[2])
+    if type(records) is list and len(records) == len(values):
+        x_index, y_index, yhat_index = x_space._index, y_space._index, yhat_space._index  # type: ignore[attr-defined]
+        try:
+            for record in records:
+                if type(record) is not dict:
+                    break
+                slot = (x_index[record["x"]] * shape[1] + y_index[record["y"]]) * shape[2] + yhat_index[record["yhat"]]
+                values[slot] = record["value"]
+            else:
+                # as many records as slots: a None left behind means a duplicate
+                table = _float_array(values)
+                if table is not None and np.isfinite(table).all():
+                    return table.reshape(shape)
+        except (KeyError, TypeError):  # a missing key, or an unknown or unhashable label
+            pass
+    return _checked_loss(records, x_space, y_space, yhat_space)
+
+
+def _checked_loss(records, x_space: Alphabet, y_space: Alphabet, yhat_space: Alphabet) -> np.ndarray:
+    """:func:`_loss_from_records` one record at a time, raising on the first fault."""
     if not isinstance(records, list):
         raise InvalidModelError("loss must be an array of {x, y, yhat, value} records")
     table = np.full((len(x_space), len(y_space), len(yhat_space)), np.nan)

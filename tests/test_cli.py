@@ -369,3 +369,36 @@ def test_yield_grid_must_be_finite_with_a_positive_step(capsys):
     ):
         assert run(["example", "yield", *argv]) == 1
         assert _single_error_line(capsys)["error"] == "InvalidParams"
+
+
+def test_huge_integers_are_domain_errors(tmp_path, capsys, stock_model):
+    huge = 10**400  # valid JSON, past the float64 range
+    model = tmp_path / "model.json"
+    doc = json.loads(stock_model.read_text())
+    for row, key in ((doc["quantities"][0]["0"], "0"), (doc["loss"][0], "value")):
+        saved, row[key] = row[key], huge
+        model.write_text(json.dumps(doc))
+        row[key] = saved
+        assert run(["solve", "-m", str(model)]) == 1
+        assert _single_error_line(capsys)["error"] == "InvalidModelError"
+    assert run(["solve", "-m", str(stock_model), "--init", json.dumps({"0": huge})]) == 1
+    assert _single_error_line(capsys) == {
+        "error": "InvalidModelError",
+        "message": "--init: probability for '0' is an integer too large for a float64",
+    }
+
+
+# json.loads refuses these with a plain ValueError and a RecursionError, not a JSONDecodeError
+@pytest.mark.parametrize("bad", ["1" + "0" * 5000, "[" * 100_000], ids=["int-over-4300-digits", "nested-100000-deep"])
+def test_json_the_parser_refuses_is_a_domain_error(tmp_path, capsys, stock_model, bad):
+    model, strategy = tmp_path / "model.json", tmp_path / "strategy.json"
+    model.write_text('{"n": ' + bad + "}")
+    strategy.write_text('{"policy": ' + bad + "}")
+    for argv in (
+        ["solve", "-m", str(model)],
+        ["evaluate", "-m", str(stock_model), "-s", str(strategy)],
+        ["solve", "-m", str(stock_model), "--init", '{"0": ' + bad + "}"],
+    ):
+        assert run(argv) == 1
+        line = _single_error_line(capsys)
+        assert line["error"] == "InvalidModelError" and "not valid JSON: " in line["message"]

@@ -1,0 +1,243 @@
+"""Model documents: the exact error each fault raises, and the inputs that must read as the same Problem.
+
+Every (class, message) pin below was recorded from the per-entry reader
+before the row-level fast path existed, so the fast path must leave each
+fault's class, its text and which of two faults is reported first as they were.
+"""
+
+import copy
+import json
+import types
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_properties import problems
+
+from dyninfer import (
+    Alphabet,
+    InvalidModelError,
+    example_section33,
+    example_stock,
+    example_yield,
+    problem_from_tables,
+    problem_to_dict,
+    random_problem,
+    validate_problem,
+)
+from dyninfer import model
+
+X, Y, YHAT = Alphabet(("a", "b")), Alphabet(("u", "v", "w")), Alphabet(("p", "q"))
+DELETE = object()
+
+
+def base_document():
+    """A valid three-round document over three distinct alphabets, every entry a float."""
+    transitions = np.full((2, 2, 2, 2), 0.5)
+    quantities = np.tile([0.25, 0.25, 0.5], (3, 2, 1))
+    loss = np.arange(12.0).reshape(2, 3, 2)
+    problem = problem_from_tables(3, X, Y, YHAT, [1.0, 0.0], transitions, quantities, loss)
+    return problem_to_dict(problem, stationary=False)
+
+
+def edited(*edits):
+    """``base_document()`` with each ``(path, value)`` edit applied; DELETE removes the entry."""
+    doc = base_document()
+    for path, value in edits:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+RECORD_3 = {"x": "a", "y": "v", "yhat": "q", "value": 3.0}  # the base document's loss[3]
+
+# (case id, edits, error class name, message)
+FAULTS = [
+    ("init-is-a-list", [(("init",), [1.0, 0.0])], "InvalidModelError",
+     "init must be an object mapping labels to numbers"),
+    ("transition-row-is-a-list", [(("transitions", 0, "a|p"), [0.5, 0.5])], "InvalidModelError",
+     "transition row (round 2, key 'a|p') must be an object mapping labels to numbers"),
+    ("quantity-row-is-a-list", [(("quantities", 1, "b"), [0.25, 0.25, 0.5])], "InvalidModelError",
+     "quantity row (round 2, x='b') must be an object mapping labels to numbers"),
+    ("transition-entry-is-a-list", [(("transitions", 0), [])], "InvalidModelError",
+     "transitions[0] must be an object"),
+    ("quantity-entry-is-a-list", [(("quantities", 2), [])], "InvalidModelError",
+     "quantities[2] must be an object"),
+    ("entry-true", [(("quantities", 0, "a", "u"), True)], "InvalidModelError",
+     "quantity row (round 1, x='a')['u'] must be a number, got True"),
+    ("entry-string", [(("transitions", 1, "b|q", "a"), "0.5")], "InvalidModelError",
+     "transition row (round 3, key 'b|q')['a'] must be a number, got '0.5'"),
+    ("entry-null", [(("init", "b"), None)], "InvalidModelError",
+     "init['b'] must be a number, got None"),
+    ("init-missing-label", [(("init", "b"), DELETE)], "DimensionMismatch",
+     "init is missing entries for labels ['b']"),
+    ("init-extra-label", [(("init", "c"), 0.0)], "DimensionMismatch",
+     "init has entries for unknown labels ['c']"),
+    ("transition-missing-label", [(("transitions", 0, "a|q", "b"), DELETE)], "DimensionMismatch",
+     "transition row (round 2, key 'a|q') is missing entries for labels ['b']"),
+    ("transition-extra-label", [(("transitions", 0, "a|q", "z"), 0.0)], "DimensionMismatch",
+     "transition row (round 2, key 'a|q') has entries for unknown labels ['z']"),
+    ("quantity-missing-label", [(("quantities", 2, "a", "w"), DELETE)], "DimensionMismatch",
+     "quantity row (round 3, x='a') is missing entries for labels ['w']"),
+    ("quantity-extra-label", [(("quantities", 2, "a", "x"), 0.0)], "DimensionMismatch",
+     "quantity row (round 3, x='a') has entries for unknown labels ['x']"),
+    ("transition-missing-row", [(("transitions", 1, "b|p"), DELETE)], "DimensionMismatch",
+     "transitions for round 3 are missing rows ['b|p']"),
+    ("transition-unknown-key", [(("transitions", 1, "c|p"), {"a": 1.0, "b": 0.0})], "InvalidModelError",
+     "transition key 'c|p' does not identify exactly one 'x_prev|yhat_prev' pair"),
+    ("quantity-missing-row", [(("quantities", 0, "b"), DELETE)], "DimensionMismatch",
+     "quantities for round 1 are missing rows for ['b']"),
+    ("quantity-extra-row", [(("quantities", 0, "c"), {"u": 1.0, "v": 0.0, "w": 0.0})], "DimensionMismatch",
+     "quantities for round 1 have rows for unknown labels ['c']"),
+    ("nan-entry", [(("quantities", 1, "a", "v"), float("nan"))], "NotStochastic",
+     "quantity row (round 2, x='a') sums to nan, outside 1 +/- 1e-09"),
+    ("negative-entry", [(("transitions", 1, "b|p"), {"a": 1.5, "b": -0.5})], "NotStochastic",
+     "transition row (round 3, x='b', yhat='p') has a negative entry: [1.5, -0.5]"),
+    ("drift", [(("quantities", 0, "b", "w"), 0.5 + 2e-9)], "NotStochastic",
+     "quantity row (round 1, x='b') sums to 1.0000000020000002, outside 1 +/- 1e-09"),
+    ("loss-not-a-list", [(("loss",), {})], "InvalidModelError",
+     "loss must be an array of {x, y, yhat, value} records"),
+    ("loss-record-not-an-object", [(("loss", 3), "oops")], "InvalidModelError",
+     "loss record 'oops' is not an object"),
+    ("loss-missing-x", [(("loss", 3, "x"), DELETE)], "InvalidModelError",
+     "loss record {'y': 'v', 'yhat': 'q', 'value': 3.0} is missing key 'x'"),
+    ("loss-missing-value", [(("loss", 3, "value"), DELETE)], "InvalidModelError",
+     "loss value for ('a', 'v', 'q') must be a number, got None"),
+    ("loss-duplicate", [(("loss", 4), dict(RECORD_3))], "InvalidModelError",
+     "loss record for ('a', 'v', 'q') appears twice"),
+    ("loss-gap", [(("loss", 11), DELETE)], "InvalidModelError",
+     "loss is missing a record for ('b', 'w', 'q')"),
+    ("loss-unknown-label", [(("loss", 2, "y"), "zz")], "UnknownLabel",
+     "label 'zz' not in alphabet ('u', 'v', 'w')"),
+    ("loss-unhashable-label", [(("loss", 2, "yhat"), ["p"])], "UnknownLabel",
+     "label ['p'] not in alphabet ('p', 'q')"),
+    ("loss-value-true", [(("loss", 6, "value"), True)], "InvalidModelError",
+     "loss value for ('b', 'u', 'p') must be a number, got True"),
+    ("loss-value-string", [(("loss", 6, "value"), "x")], "InvalidModelError",
+     "loss value for ('b', 'u', 'p') must be a number, got 'x'"),
+    ("loss-value-infinity", [(("loss", 6, "value"), float("inf"))], "InvalidModelError",
+     "loss value for ('b', 'u', 'p') is not finite"),
+    # two faults: the first one found in document order is reported ...
+    ("entry-in-round-3-before-loss-record",
+     [(("quantities", 2, "b", "v"), "bad"), (("loss", 0), 7)], "InvalidModelError",
+     "quantity row (round 3, x='b')['v'] must be a number, got 'bad'"),
+    # ... but row sums are checked only once every entry has been read
+    ("row-sum-after-loss-record",
+     [(("transitions", 0, "a|p"), {"a": 1.5, "b": -0.5}), (("loss", 1, "value"), "x")], "InvalidModelError",
+     "loss value for ('a', 'u', 'q') must be a number, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("edits, error, message", [case[1:] for case in FAULTS], ids=[case[0] for case in FAULTS])
+def test_fault_is_named_exactly(edits, error, message):
+    with pytest.raises(Exception) as caught:
+        validate_problem(edited(*edits))
+    assert (type(caught.value).__name__, str(caught.value)) == (error, message)
+
+
+def _retyped(doc, convert):
+    """A copy of ``doc`` with every probability row passed through ``convert``."""
+    doc = copy.deepcopy(doc)
+    doc["init"] = convert(doc["init"])
+    doc["transitions"] = [{key: convert(row) for key, row in entry.items()} for entry in doc["transitions"]]
+    doc["quantities"] = [{x: convert(row) for x, row in entry.items()} for entry in doc["quantities"]]
+    return doc
+
+
+def per_entry(doc):
+    """``doc`` with every row and loss record a read-only mapping, which only the per-entry readers take."""
+    doc = _retyped(doc, types.MappingProxyType)
+    doc["loss"] = [types.MappingProxyType(record) for record in doc["loss"]]
+    return doc
+
+
+def test_int_entries_and_read_only_mappings_give_the_same_problem():
+    expected = validate_problem(base_document())
+    as_ints = _retyped(base_document(), lambda row: {k: int(v) if v.is_integer() else v for k, v in row.items()})
+    for record in as_ints["loss"]:
+        record["value"] = int(record["value"])
+    assert as_ints["init"] == {"a": 1, "b": 0} and as_ints["loss"][5]["value"] == 5
+    assert validate_problem(as_ints) == expected
+    assert validate_problem(per_entry(base_document())) == expected
+
+
+# ---- integers a float64 cannot hold ----
+
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("init", "a"), "init['a'] is an integer too large for a float64"),
+        (("transitions", 1, "b|q", "b"), "transition row (round 3, key 'b|q')['b'] is an integer too large for a float64"),
+        (("loss", 6, "value"), "loss value for ('b', 'u', 'p') is an integer too large for a float64"),
+    ],
+    ids=["init", "transition", "loss"],
+)
+def test_huge_integer_is_a_named_model_error(path, message):
+    with pytest.raises(InvalidModelError) as caught:
+        validate_problem(edited((path, HUGE)))
+    assert str(caught.value) == message
+
+
+# ---- the row-level fast path ----
+
+
+def test_float_documents_never_reach_the_per_entry_checker(monkeypatch):
+    doc = json.loads(json.dumps(problem_to_dict(random_problem(np.random.default_rng(1), 10, 20, 5, 12), False)))
+    expected = validate_problem(per_entry(doc))
+    calls = []
+
+    def counted(checker):
+        def wrapper(*args):
+            calls.append(checker.__name__)
+            return checker(*args)
+
+        return wrapper
+
+    for name in ("_checked_row", "_checked_loss"):
+        monkeypatch.setattr(model, name, counted(getattr(model, name)))
+    assert validate_problem(doc) == expected
+    assert calls == []
+    validate_problem(per_entry(doc))  # the counters do see the per-entry path
+    assert set(calls) == {"_checked_row", "_checked_loss"}
+
+
+def test_both_readers_give_equal_problems():
+    cases = [example_section33(6), example_stock(6), example_yield(20)]
+    cases += [random_problem(np.random.default_rng(variant), 10, 20, 5, 12) for variant in range(2)]
+    for problem in cases:
+        for stationary in (True, False):
+            doc = json.loads(json.dumps(problem_to_dict(problem, stationary)))
+            assert validate_problem(doc) == validate_problem(per_entry(doc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems(max_labels=3, max_n=3), st.data())
+def test_integral_floats_retyped_as_ints_give_an_equal_problem(problem, data):
+    # large integral loss values too, where an int rounded any other way than float(int) would show
+    value = st.one_of(st.floats(-1e3, 1e3), st.integers(-(10**300), 10**300).map(float))
+    loss = data.draw(st.lists(value, min_size=problem.loss.size, max_size=problem.loss.size))
+    problem = problem_from_tables(
+        problem.n, problem.x_space, problem.y_space, problem.yhat_space, problem.init,
+        problem.transitions, problem.quantities, np.reshape(loss, problem.loss.shape),
+    )
+    doc = problem_to_dict(problem, False)
+    expected = validate_problem(per_entry(doc))
+    retype = st.booleans()
+
+    def some_ints(row):
+        return {k: int(v) if v.is_integer() and data.draw(retype) else v for k, v in row.items()}
+
+    doc = _retyped(doc, some_ints)
+    for record in doc["loss"]:
+        if record["value"].is_integer() and data.draw(retype):
+            record["value"] = int(record["value"])
+    assert validate_problem(doc) == expected

@@ -1,5 +1,7 @@
 """Validation, construction and document round-trips for problem instances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -390,3 +392,30 @@ def test_bad_document_rows_are_named():
     doc["quantities"] = doc["quantities"] * 2 + [{"0": {"0": 0.9, "1": 0.1}, "1": {"0": 0.4, "1": 0.7}}]
     with pytest.raises(NotStochastic, match=r"quantity row \(round 3, x='1'\) sums to 1.1"):
         validate_problem(doc)
+
+
+def test_stationary_checks_do_not_grow_with_the_horizon():
+    tracemalloc.start()
+    try:
+        example_stock(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # checking every round of the broadcast stack takes ~44 MB
+
+
+def test_row_checks_skip_only_repeated_rounds():
+    bad = np.array([[[1.5, -0.5], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]])
+    quantities = np.broadcast_to(np.full((1, 2, 2), 0.5), (5, 2, 2))
+    # one kernel for every round (stride 0) is checked once, and named by its first round
+    with pytest.raises(NotStochastic, match=r"transition row \(round 2, x='0', yhat='0'\) has a negative entry"):
+        binary_problem(5, np.broadcast_to(bad, (4, 2, 2, 2)), quantities)
+    # a full stack is checked round by round
+    transitions = np.stack([np.eye(2)[:, None, :].repeat(2, axis=1)] * 4)
+    transitions[2] = bad
+    with pytest.raises(NotStochastic, match=r"transition row \(round 4, x='0', yhat='0'\) has a negative entry"):
+        binary_problem(5, transitions, quantities)
+    transitions[2] = transitions[0]
+    quantities = np.broadcast_to([[[0.5, 0.5], [0.4, 0.7]]], (5, 2, 2))
+    with pytest.raises(NotStochastic, match=r"quantity row \(round 1, x='1'\) sums to 1.1"):
+        binary_problem(5, transitions, quantities)
