@@ -24,9 +24,11 @@ import numpy as np
 
 from . import examples as example_models
 from .errors import DynamicInferenceError, InvalidModelError, InvalidParams, SearchSpaceTooLarge
-from .evaluate import MarkovStrategy, evaluate_markov, simulate
+from .evaluate import MarkovStrategy, evaluate_markov, optimal_strategy, simulate
 from .model import Problem, problem_to_dict, validate_problem
-from .oracle import HistoryMode, OracleReport, brute_force_optimum, random_problem, shape_history_count
+from .oracle import (
+    DEFAULT_STRATEGY_LIMIT, HistoryMode, OracleReport, brute_force_optimum, random_problem, shape_history_count
+)
 from .reduction import bar_loss_table
 from .rng import check_seed
 from .solver import SolveResult, TieBreakRule, minimum_inference_loss, solve
@@ -71,14 +73,17 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _read_json(path: str) -> Any:
+def _parse_json(text: str, source: str) -> Any:
     # json.loads raises JSONDecodeError, a plain ValueError for an integer past the
     # int-string limit, and RecursionError for nesting deeper than its stack
-    text = _read_text(path)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise InvalidModelError(f"{path}: not valid JSON: {exc}") from None
+        raise InvalidModelError(f"{source}: not valid JSON: {exc}") from None
+
+
+def _read_json(path: str) -> Any:
+    return _parse_json(_read_text(path), path)
 
 
 def _load_problem(path: str) -> Problem:
@@ -102,10 +107,7 @@ def _with_init(problem: Problem, text: str) -> Problem:
     probability 0; the row is checked, then divided by its sum once.
     """
     if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # as in _read_json
-            raise InvalidModelError(f"--init: not valid JSON: {exc}") from None
+        doc = _parse_json(text, "--init")
         if not isinstance(doc, dict):
             raise InvalidModelError("--init: expected an object mapping labels to probabilities")
     else:
@@ -142,10 +144,7 @@ def _solve_payload(problem: Problem, result: SolveResult, min_loss: float) -> di
             }
             for k in range(problem.n)
         ],
-        "policy": [
-            {x: yhat_labels[result.policy[k, xi]] for xi, x in enumerate(x_labels)}
-            for k in range(problem.n)
-        ],
+        "policy": optimal_strategy(result).to_rows(),
         "ties": [
             {
                 x: [yhat_labels[ai] for ai in result.tie_sets[k][xi]]
@@ -285,13 +284,14 @@ def _cmd_example(args: argparse.Namespace) -> int:
     else:
         if not (args.grid_step > 0 and np.isfinite([args.grid_min, args.grid_max, args.grid_step]).all()):
             raise InvalidParams("--grid-min, --grid-max and --grid-step must be finite, and --grid-step > 0")
+        try:
+            grid = np.arange(args.grid_min, args.grid_max + args.grid_step / 2, args.grid_step)
+        except ValueError as exc:  # more points than an array can index
+            raise InvalidParams(f"--grid-min, --grid-max and --grid-step give too many grid points: {exc}") from None
         params = example_models.YieldParams(
             beta=args.beta,
             d_c=args.dc,
-            grid=tuple(
-                float(v)
-                for v in np.arange(args.grid_min, args.grid_max + args.grid_step / 2, args.grid_step)
-            ),
+            grid=tuple(float(v) for v in grid),
             c_missed=args.c_missed,
             c_danger=args.c_danger,
             planner=example_models.PlannerStyle(args.planner),
@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a model by backward induction")
     add_model(p_solve)
-    p_solve.add_argument("--tie-break", choices=["myopic", "first"], default="myopic")
+    tie_breaks = [rule.value for rule in TieBreakRule]
+    p_solve.add_argument("--tie-break", choices=tie_breaks, default="myopic")
     p_solve.add_argument("--init", default=None, help="override the initial distribution: a label or a JSON object")
     add_output(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
@@ -334,9 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="brute-force check against the solver")
     add_model(p_verify, required=False)
-    p_verify.add_argument("--mode", choices=["revealed", "unrevealed"], default="unrevealed")
+    p_verify.add_argument("--mode", choices=[mode.value for mode in HistoryMode], default="unrevealed")
     p_verify.add_argument(
-        "--limit", type=int, default=10**6, help="largest admissible strategy-space size and history count"
+        "--limit",
+        type=int,
+        default=DEFAULT_STRATEGY_LIMIT,
+        help="largest admissible strategy-space size and history count",
     )
     p_verify.add_argument("--instances", type=int, default=None, help="sweep K random binary instances instead of -m")
     p_verify.add_argument("--seed", type=int, default=os.environ.get("DYNINFER_SEED", "0"))
@@ -346,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trellis = sub.add_parser("export-trellis", help="render the solved trellis")
     add_model(p_trellis)
     p_trellis.add_argument("-f", "--format", choices=["dot", "text"], default="dot")
-    p_trellis.add_argument("--tie-break", choices=["myopic", "first"], default="myopic")
+    p_trellis.add_argument("--tie-break", choices=tie_breaks, default="myopic")
     add_output(p_trellis)
     p_trellis.set_defaults(func=_cmd_export_trellis)
 
@@ -373,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_yield.add_argument("--grid-step", type=float, default=2.0)
     p_yield.add_argument("--c-missed", type=float, default=0.05)
     p_yield.add_argument("--c-danger", type=float, default=1.0)
-    p_yield.add_argument("--planner", choices=["persist", "fall_back"], default="persist")
+    p_yield.add_argument(
+        "--planner", choices=[style.value for style in example_models.PlannerStyle], default="persist"
+    )
     add_output(p_yield)
     p_yield.set_defaults(func=_cmd_example, which="yield")
 
@@ -389,10 +395,8 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DynamicInferenceError as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
-    except (OSError, UnicodeDecodeError) as exc:
+    # MemoryError: numpy refuses an allocation that the input's sizes call for
+    except (DynamicInferenceError, OSError, UnicodeDecodeError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1
 

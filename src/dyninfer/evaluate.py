@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidParams, ShapeMismatch
-from .model import Problem
+from .model import Problem, _fields_equal
 from .reduction import bar_loss_table
 from .rng import check_seed, uniform_matrix
 from .solver import SolveResult
@@ -78,12 +78,7 @@ class MarkovStrategy:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MarkovStrategy):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.x_labels == other.x_labels
-            and self.yhat_labels == other.yhat_labels
-            and np.array_equal(self.choices, other.choices)
-        )
+        return _fields_equal(self, other, ("n", "x_labels", "yhat_labels", "choices"))
 
 
 def optimal_strategy(result: SolveResult) -> MarkovStrategy:
@@ -114,8 +109,6 @@ def _check_strategy(problem: Problem, strategy: MarkovStrategy) -> None:
 class EvalResult:
     """Exact inference loss ``j`` and per-(round, x) loss-to-go table ``v``."""
 
-    problem: Problem
-    strategy: MarkovStrategy
     j: float
     v: np.ndarray  # (n, |X|)
 
@@ -142,7 +135,7 @@ def evaluate_markov(problem: Problem, strategy: MarkovStrategy) -> EvalResult:
     for xi in range(len(problem.x_space)):
         j += problem.init[xi] * v[0, xi]
     v.setflags(write=False)
-    return EvalResult(problem, strategy, float(j), v)
+    return EvalResult(float(j), v)
 
 
 @dataclass(frozen=True)
@@ -234,7 +227,7 @@ def simulate(
     n = problem.n
     block_rows = max(1, BLOCK_DRAWS // (2 * n))
 
-    init_cdf = _row_cdfs(problem.init[None, :])[0]
+    init_cdf = _row_cdfs(problem.init[None, :])
     quantity_cdfs = _row_cdfs(problem.quantities)
     transition_cdfs = _row_cdfs(problem.transitions)
 
@@ -247,7 +240,7 @@ def simulate(
         block_losses = losses[start:stop]
         kept = max(0, min(stop, keep) - start)
         history = []  # per round: (xs, ys, yhats) of the block's kept rollouts
-        xs = (uniforms[:, 0][:, None] >= init_cdf[None, :]).sum(axis=1)
+        xs = _sample(init_cdf, uniforms[:, 0])
         for i in range(1, n + 1):
             k = i - 1
             ys = _sample(quantity_cdfs[k][xs], uniforms[:, 2 * k + 1])

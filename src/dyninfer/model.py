@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     HorizonMismatch,
     InvalidModelError,
+    InvalidParams,
     NotStochastic,
     UnknownLabel,
 )
@@ -60,6 +61,15 @@ def _normalized(table: np.ndarray, describe: Callable[..., str]) -> np.ndarray:
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _fields_equal(a: object, b: object, names: Sequence[str]) -> bool:
+    """Whether ``a`` and ``b`` agree on every named field, arrays compared by shape and value."""
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+            return False
+    return True
 
 
 def _check_horizon(n: object) -> None:
@@ -191,15 +201,8 @@ class Problem:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Problem):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.x_space == other.x_space
-            and self.y_space == other.y_space
-            and self.yhat_space == other.yhat_space
-            and np.array_equal(self.init, other.init)
-            and np.array_equal(self.transitions, other.transitions)
-            and np.array_equal(self.quantities, other.quantities)
-            and np.array_equal(self.loss, other.loss)
+        return _fields_equal(
+            self, other, ("n", "x_space", "y_space", "yhat_space", "init", "transitions", "quantities", "loss")
         )
 
 
@@ -493,8 +496,15 @@ def _quantity_to_object(table: np.ndarray, x_space: Alphabet, y_space: Alphabet)
     return {x: dict(zip(y_space.labels, row)) for x, row in zip(x_space.labels, table.tolist())}
 
 
-def _is_stationary(stack: np.ndarray) -> bool:
-    return bool((stack == stack[:1]).all())
+def _rounds_agree(problem: Problem) -> bool:
+    """Whether every round has the same transition and quantity tables.
+
+    A stride-0 round axis holds one table for every round, so only a full stack is compared.
+    """
+    return all(
+        stack.strides[0] == 0 or bool((stack == stack[:1]).all())
+        for stack in (problem.transitions, problem.quantities)
+    )
 
 
 def problem_to_dict(problem: Problem, stationary: bool | str = "auto") -> dict:
@@ -502,11 +512,13 @@ def problem_to_dict(problem: Problem, stationary: bool | str = "auto") -> dict:
 
     ``stationary`` may be True, False or "auto"; "auto" emits the compact
     length-1 form whenever every round shares identical tables (and n >= 2).
+    True on a problem whose rounds differ raises InvalidParams, as the
+    compact form would keep only the first round's tables.
     """
     if stationary == "auto":
-        stationary = (
-            problem.n >= 2 and _is_stationary(problem.transitions) and _is_stationary(problem.quantities)
-        )
+        stationary = problem.n >= 2 and _rounds_agree(problem)
+    elif stationary and not _rounds_agree(problem):
+        raise InvalidParams("the rounds' tables differ, so the problem has no stationary form")
     transitions, quantities = problem.transitions, problem.quantities
     doc = {
         "n": problem.n,

@@ -11,7 +11,11 @@ its round in lexicographic order. The x-history (x_1..x_i) is read as
 base-|X| digits and, in REVEALED mode only, followed by the y-history
 (y_1..y_{i-1}) as base-|Y| digits, so the rank is ``rx * |Y|^(i-1) + ry``.
 The walks carry ``(rx, ry)`` and find a successor at ``rx * |X| + x_next``
-and ``ry * |Y| + y``.
+and ``ry * |Y| + y``. In UNREVEALED mode a history's successors do not
+depend on the quantity, so its quantity branches merge into one: the walks
+over histories read it as a single quantity digit of base 1 and weight
+exactly 1.0, which leaves every product unchanged (``1.0 * p == p``). This is
+the marginalization behind the loss identity checked by :func:`verify_lemma1`.
 
 Strategy spaces grow as a double exponential, so every search is gated by a
 limit on the number of strategy functions in the space; the brute-force
@@ -256,6 +260,31 @@ def _checked_count(what: str, limit: int, base: int, exponent: int, factor: int 
     raise SearchSpaceTooLarge(f"{text} {what} exceed the limit of {limit}")
 
 
+def _checked_space(problem: Problem, mode: HistoryMode, limit: int) -> tuple[int, int]:
+    """The numbers of histories and of history strategies, or SearchSpaceTooLarge when either exceeds ``limit``.
+
+    The last round alone has ``nx * r**(n - 1) >= 2**k`` histories (``r`` as in
+    :func:`shape_history_count`; ``k`` below is exact when nx and r are powers
+    of two). Once ``2**k`` exceeds the limit and is too long to write out, the
+    closed form, whose size grows with ``n``, is not formed.
+    """
+    n, nx, ny, na = problem.n, len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
+    r = nx * ny if mode is HistoryMode.REVEALED else nx
+    k = nx.bit_length() - 1 + (n - 1) * (r.bit_length() - 1)
+    what = f"history strategies ({mode.value} mode)"
+    if k >= max(_COUNT_BITS, limit.bit_length()):
+        if na > 1:
+            raise SearchSpaceTooLarge(f"at least 2^(2^{k}) {what} exceed the limit of {limit}")
+        raise SearchSpaceTooLarge(f"at least 2^{k} histories ({mode.value} mode) exceed the limit of {limit}")
+    histories = shape_history_count(n, nx, ny, mode)
+    count = _checked_count(what, limit, na, histories)
+    if histories > limit:
+        raise SearchSpaceTooLarge(
+            f"{_count_text(histories)} histories ({mode.value} mode) exceed the limit of {limit}"
+        )
+    return histories, count
+
+
 def enumerate_history_strategies(
     problem: Problem, mode: HistoryMode, limit: int = DEFAULT_STRATEGY_LIMIT
 ) -> Iterator[HistoryStrategy]:
@@ -263,11 +292,10 @@ def enumerate_history_strategies(
 
     Order is lexicographic over the vector of decisions, with histories
     ordered round-by-round and by rank within each round, and the last
-    history's decision varying fastest. The limit check happens at call
-    time, before the first strategy is produced.
+    history's decision varying fastest. The limit, on strategies and on
+    histories, is checked at call time, before the first strategy is produced.
     """
-    histories = history_count(problem, mode)
-    _checked_count(f"history strategies ({mode.value} mode)", limit, len(problem.yhat_space), histories)
+    histories, _ = _checked_space(problem, mode, limit)
     nx, ny = len(problem.x_space), len(problem.y_space)
     ends = list(itertools.accumulate(math.prod(_spans(nx, ny, mode, i)) for i in range(1, problem.n + 1)))
 
@@ -298,8 +326,7 @@ def enumeration_minimum(
     is priced by full trajectory enumeration. Ties keep the strategy yielded
     first, i.e. the lexicographically first minimizer.
     """
-    histories = history_count(problem, mode)
-    count = _checked_count(f"history strategies ({mode.value} mode)", limit, len(problem.yhat_space), histories)
+    _, count = _checked_space(problem, mode, limit)
     trajectory_base = len(problem.x_space) * len(problem.y_space)
     _checked_count("strategy-trajectory pairs", pair_limit, trajectory_base, problem.n, factor=count)
     best: tuple[float, HistoryStrategy] | None = None
@@ -327,7 +354,10 @@ def verify_lemma1(problem: Problem, strategy: HistoryStrategy) -> tuple[float, f
     quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
     tables = strategy.tables
     y_spans = [_spans(nx, ny, strategy.mode, i)[1] for i in range(1, n + 1)]  # the x-rank's multipliers
-    revealed = strategy.mode is HistoryMode.REVEALED
+    if strategy.mode is HistoryMode.REVEALED:
+        y_base, weights = ny, quantities
+    else:  # one quantity digit of weight 1.0 (see the module docstring)
+        y_base, weights = 1, [[[1.0]] * nx] * n
     rhs = 0.0
 
     stack = [(1, x1, 0, prob) for x1, prob in _roots(problem)]
@@ -339,21 +369,15 @@ def verify_lemma1(problem: Problem, strategy: HistoryStrategy) -> tuple[float, f
         if i == n:
             continue
         transition = transitions[i - 1][x][ai]
-        if revealed:
-            quantity = quantities[i - 1][x]
-            for yi in reversed(range(ny)):
-                p_y = quantity[yi]
-                if p_y == 0.0:
-                    continue
-                for xn in reversed(range(nx)):
-                    p_x = transition[xn]
-                    if p_x > 0.0:
-                        stack.append((i + 1, rx * nx + xn, ry * ny + yi, prob * p_y * p_x))
-        else:
+        weight = weights[i - 1][x]
+        for yi in reversed(range(y_base)):
+            p_y = weight[yi]
+            if p_y == 0.0:
+                continue
             for xn in reversed(range(nx)):
                 p_x = transition[xn]
                 if p_x > 0.0:
-                    stack.append((i + 1, rx * nx + xn, 0, prob * p_x))
+                    stack.append((i + 1, rx * nx + xn, ry * y_base + yi, prob * p_y * p_x))
     return lhs, rhs
 
 
@@ -387,17 +411,13 @@ def brute_force_optimum(
     histories (which bounds the work, and exceeds the strategy count only
     when there is a single estimate), exceeds ``limit``.
     """
-    histories = history_count(problem, mode)
-    count = _checked_count(f"history strategies ({mode.value} mode)", limit, len(problem.yhat_space), histories)
-    if histories > limit:
-        raise SearchSpaceTooLarge(
-            f"{_count_text(histories)} histories ({mode.value} mode) exceed the limit of {limit}"
-        )
+    _, count = _checked_space(problem, mode, limit)
     n = problem.n
     nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
     quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
     loss = problem.loss.tolist()
     revealed = mode is HistoryMode.REVEALED
+    y_base = ny if revealed else 1
 
     later: list[float] = []  # the optimal values of round i + 1, by rank
     decisions: list[tuple[int, ...]] = []
@@ -414,30 +434,28 @@ def brute_force_optimum(
                 costs.append(cost)
             stage.append(costs)
         transition = transitions[i - 1] if i < n else None
+        # one quantity digit of weight 1.0 when unrevealed (see the module docstring)
+        weights = quantity if revealed else [[1.0]] * nx
         x_span, y_span = _spans(nx, ny, mode, i)
-        # revealed, the successor (rx·nx + xn, ry·ny + yi) has rank
-        # (rx·nx + xn)·stride + ry·ny + yi: successors that differ only in xn
-        # lie ``stride`` apart in ``later``
-        stride = y_span * ny
+        # the successor (rx·nx + xn, ry·y_base + yi) has rank
+        # (rx·nx + xn)·stride + ry·y_base + yi: successors that differ only in
+        # xn lie ``stride`` apart in ``later``
+        stride = y_span * y_base
         values: list[float] = []
         table: list[int] = []
         for rx in range(x_span):
             x = rx % nx
             for ry in range(y_span):
-                # the successors' values, grouped by the quantity that leads to them
-                # with its probability; unrevealed histories form one group of
-                # weight 1.0, which changes no product: 1.0 * p_x == p_x
+                # the successors' values, grouped by the quantity digit that leads to them with its weight
                 if i == n:
                     groups = []
-                elif revealed:
-                    first = rx * nx * stride + ry * ny
+                else:
+                    first = rx * nx * stride + ry * y_base
                     groups = [
                         (p_y, later[first + yi : first + nx * stride : stride])
-                        for yi, p_y in enumerate(quantity[x])
+                        for yi, p_y in enumerate(weights[x])
                         if p_y != 0.0
                     ]
-                else:
-                    groups = [(1.0, later[rx * nx : rx * nx + nx])]
                 best_value = None
                 best_action = 0
                 for ai in range(na):

@@ -25,7 +25,6 @@ class BarLossTable:
     the single-round optimal estimate index, the smallest one on ties.
     """
 
-    problem: Problem
     values: np.ndarray  # shape (n, |X|, |Yhat|)
     myopic: np.ndarray  # shape (n, |X|)
 
@@ -44,5 +43,5 @@ def bar_loss_table(problem: Problem) -> BarLossTable:
     myopic = values.argmin(axis=-1)
     values.setflags(write=False)
     myopic.setflags(write=False)
-    return BarLossTable(problem, values, myopic)
+    return BarLossTable(values, myopic)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedResult
-from .model import Problem
+from .model import Problem, _fields_equal
 from .reduction import bar_loss_table
 
 TIE_TOLERANCE = 1e-9
@@ -94,16 +94,8 @@ def ensure_result_matches(problem: Problem, result: SolveResult) -> None:
     source = result.problem
     if source is problem:
         return
-    same = (
-        source.n == problem.n
-        and source.x_space == problem.x_space
-        and source.y_space == problem.y_space
-        and source.yhat_space == problem.yhat_space
-        and np.array_equal(source.transitions, problem.transitions)
-        and np.array_equal(source.quantities, problem.quantities)
-        and np.array_equal(source.loss, problem.loss)
-    )
-    if not same:
+    fields = ("n", "x_space", "y_space", "yhat_space", "transitions", "quantities", "loss")
+    if not _fields_equal(source, problem, fields):
         raise MismatchedResult("solve result was produced from a different problem")
 
 

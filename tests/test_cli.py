@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,16 @@ from dyninfer.cli import run
 def stock_model(tmp_path):
     path = tmp_path / "stock.json"
     assert run(["example", "stock", "--n", "6", "-o", str(path)]) == 0
+    return path
+
+
+@pytest.fixture
+def huge_stock_model(tmp_path, stock_model):
+    """The stationary stock model over 10^15 rounds: any table over every round would take petabytes."""
+    doc = json.loads(stock_model.read_text())
+    doc["n"] = 10**15
+    path = tmp_path / "huge-stock.json"
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -366,9 +377,40 @@ def test_yield_grid_must_be_finite_with_a_positive_step(capsys):
         ["--grid-step", "inf"],
         ["--grid-max", "inf"],
         ["--grid-min", "nan"],
+        ["--grid-max", "1e300", "--grid-step", "1"],  # more points than an array can index
     ):
         assert run(["example", "yield", *argv]) == 1
         assert _single_error_line(capsys)["error"] == "InvalidParams"
+
+
+def test_allocations_numpy_refuses_are_domain_errors(capsys, huge_stock_model, stock_model, strategy_file):
+    # a 28.4 PiB bar-loss table and 7.11 PiB of rollout losses: numpy refuses both before allocating
+    for argv in (
+        ["solve", "-m", str(huge_stock_model)],
+        ["export", "bar-loss", "-m", str(huge_stock_model)],
+        ["simulate", "-m", str(stock_model), "-s", str(strategy_file), "--rollouts", str(10**15)],
+    ):
+        assert run(argv) == 1
+        assert _single_error_line(capsys)["error"] == "MemoryError"
+
+
+def test_example_with_a_huge_horizon_writes_the_compact_form(tmp_path):
+    out = tmp_path / "model.json"
+    for which in ("section33", "stock"):
+        assert run(["example", which, "--n", str(10**12), "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["n"] == 10**12 and doc["stationary"] is True
+        assert len(doc["transitions"]) == len(doc["quantities"]) == 1
+
+
+def test_verify_rejects_a_huge_horizon_promptly(capsys, huge_stock_model):
+    start = time.perf_counter()
+    assert run(["verify", "-m", str(huge_stock_model)]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert _single_error_line(capsys) == {
+        "error": "SearchSpaceTooLarge",
+        "message": f"at least 2^(2^{10**15}) history strategies (unrevealed mode) exceed the limit of 1000000",
+    }
 
 
 def test_huge_integers_are_domain_errors(tmp_path, capsys, stock_model):

@@ -10,6 +10,7 @@ from dyninfer import (
     DimensionMismatch,
     HorizonMismatch,
     InvalidModelError,
+    InvalidParams,
     NotStochastic,
     Problem,
     UnknownLabel,
@@ -204,6 +205,14 @@ def test_round_trip_is_field_by_field_equal():
                 continue
             doc = problem_to_dict(problem, stationary=stationary)
             assert validate_problem(doc) == problem
+
+
+def test_stationary_form_of_a_problem_whose_rounds_differ_is_refused():
+    # the compact form keeps one round's tables, so it would read back as another problem
+    problem = random_problem(np.random.default_rng(0), 3, 2, 2, 2)
+    with pytest.raises(InvalidParams, match="rounds' tables differ"):
+        problem_to_dict(problem, True)
+    assert "stationary" not in problem_to_dict(problem)
 
 
 def test_stationary_flag_expands_single_entries():
@@ -402,6 +411,18 @@ def test_stationary_checks_do_not_grow_with_the_horizon():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # checking every round of the broadcast stack takes ~44 MB
+
+
+def test_stationary_writer_does_not_compare_every_round():
+    problem = example_stock(10**7)
+    tracemalloc.start()
+    try:
+        doc = problem_to_dict(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc["stationary"] is True and len(doc["transitions"]) == len(doc["quantities"]) == 1
+    assert peak < 1_000_000  # comparing every round of the broadcast stack takes ~76 MB
 
 
 def test_row_checks_skip_only_repeated_rounds():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dyninfer import HistoryMode, random_problem
+from dyninfer import HistoryMode, example_stock, random_problem, solve
 from dyninfer.oracle import history_count
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -55,3 +55,25 @@ def test_history_counts_hook_reads_a_real_brute_force_call(monkeypatch):
     summary = tracing.summarize(tracer.spans)
     assert summary["oracle.brute_force_optimum"]["calls"] == 1
     assert summary["oracle.brute_force_optimum"]["histories"] == history_count(problem, HistoryMode.REVEALED) == 129
+
+
+def test_solve_and_trellis_counts_hooks_read_real_cli_calls(monkeypatch, tmp_path):
+    tracing = _load_tracing(monkeypatch)
+    from dyninfer import cli
+
+    model = tmp_path / "stock.json"
+    assert cli.run(["example", "stock", "--n", "6", "-o", str(model)]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.run(["solve", "-m", str(model), "-o", str(tmp_path / "solved.json")]) == 0
+        assert cli.run(["export-trellis", "-m", str(model), "-o", str(tmp_path / "trellis.dot")]) == 0
+    finally:
+        tracer.uninstall()
+    summary = tracing.summarize(tracer.spans)
+    # (round, observation) pairs with more than one tied estimate, once per solve
+    ties = sum(len(tie) > 1 for round_ties in solve(example_stock(6)).tie_sets for tie in round_ties)
+    assert ties > 0
+    assert summary["solver.solve"]["calls"] == 2 and summary["solver.solve"]["ties"] == 2 * ties
+    trellis = summary["trellis.build_trellis"]
+    assert (trellis["calls"], trellis["nodes"], trellis["edges"]) == (1, 12, 20)

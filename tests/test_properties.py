@@ -3,6 +3,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 import scalar_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from dyninfer import (
     Alphabet,
     HistoryMode,
+    InvalidParams,
     MarkovStrategy,
     TieBreakRule,
     bar_loss_table,
@@ -152,7 +154,10 @@ def test_document_round_trip(problem):
     )
     for mode in (True, False, "auto"):
         if mode is True and not stationary:
-            continue  # the compact form keeps only the first round's tables
+            # the compact form keeps only the first round's tables
+            with pytest.raises(InvalidParams):
+                problem_to_dict(problem, mode)
+            continue
         assert validate_problem(problem_to_dict(problem, mode)) == problem
 
 
