@@ -14,7 +14,9 @@ default for every ``--seed`` flag.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -23,11 +25,11 @@ from typing import Any
 import numpy as np
 
 from . import examples as example_models
-from .errors import DynamicInferenceError, InvalidModelError, InvalidParams, SearchSpaceTooLarge
+from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
 from .evaluate import MarkovStrategy, evaluate_markov, optimal_strategy, simulate
 from .model import Problem, problem_to_dict, validate_problem
 from .oracle import (
-    DEFAULT_STRATEGY_LIMIT, HistoryMode, OracleReport, brute_force_optimum, random_problem, shape_history_count
+    DEFAULT_STRATEGY_LIMIT, HistoryMode, OracleReport, brute_force_optimum, checked_shape_space, random_problem
 )
 from .reduction import bar_loss_table
 from .rng import check_seed
@@ -35,8 +37,9 @@ from .solver import SolveResult, TieBreakRule, minimum_inference_loss, solve
 from .trellis import export_trellis
 
 GAP_TOLERANCE = 1e-9
-# `verify --instances` draws binary instances with horizons 1..SWEEP_MAX_N
+# `verify --instances` draws instances with horizons 1..SWEEP_MAX_N and binary alphabets: (|X|, |Y|, |Yhat|)
 SWEEP_MAX_N = 3
+SWEEP_SHAPE = (2, 2, 2)
 
 
 def _round12(value: float) -> float:
@@ -126,6 +129,17 @@ def _with_init(problem: Problem, text: str) -> Problem:
     return dataclasses.replace(checked, init=probs / probs.sum())
 
 
+def _per_round(table: np.ndarray, *labels: tuple[str, ...]) -> list:
+    """One object per round of ``table``, keyed by ``labels[0]``, with any further axes nested below it."""
+
+    def keyed(rows: list, depth: int) -> dict:
+        if depth == len(labels) - 1:
+            return dict(zip(labels[depth], rows))
+        return {label: keyed(row, depth + 1) for label, row in zip(labels[depth], rows)}
+
+    return [keyed(rows, 0) for rows in table.tolist()]
+
+
 def _solve_payload(problem: Problem, result: SolveResult, min_loss: float) -> dict:
     x_labels = problem.x_space.labels
     yhat_labels = problem.yhat_space.labels
@@ -133,17 +147,8 @@ def _solve_payload(problem: Problem, result: SolveResult, min_loss: float) -> di
         "n": problem.n,
         "tie_break": result.rule.value,
         "min_loss": min_loss,
-        "v_star": [
-            {x: float(result.v_star[k, xi]) for xi, x in enumerate(x_labels)}
-            for k in range(problem.n)
-        ],
-        "q_star": [
-            {
-                x: {yhat: float(result.q_star[k, xi, ai]) for ai, yhat in enumerate(yhat_labels)}
-                for xi, x in enumerate(x_labels)
-            }
-            for k in range(problem.n)
-        ],
+        "v_star": _per_round(result.v_star, x_labels),
+        "q_star": _per_round(result.q_star, x_labels, yhat_labels),
         "policy": optimal_strategy(result).to_rows(),
         "ties": [
             {
@@ -169,13 +174,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model)
     strategy = _load_strategy(problem, args.strategy)
     result = evaluate_markov(problem, strategy)
-    payload = {
-        "j": result.j,
-        "v": [
-            {x: float(result.v[k, xi]) for xi, x in enumerate(problem.x_space.labels)}
-            for k in range(problem.n)
-        ],
-    }
+    payload = {"j": result.j, "v": _per_round(result.v, problem.x_space.labels)}
     _write_text(args.output, _dump_json(payload))
     return 0
 
@@ -228,16 +227,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.instances < 1:
             raise InvalidParams(f"--instances must be >= 1, got {args.instances}")
         check_seed(args.seed)
-        largest = 2 ** shape_history_count(SWEEP_MAX_N, 2, 2, mode)
-        if largest > args.limit:
-            raise SearchSpaceTooLarge(
-                f"{largest} history strategies ({mode.value} mode) of the largest sweep instance "
-                f"(binary, n = {SWEEP_MAX_N}) exceed the limit of {args.limit}"
-            )
+        checked_shape_space(SWEEP_MAX_N, *SWEEP_SHAPE, mode, args.limit)  # the largest sweep instance
         rng = np.random.default_rng(args.seed)
         for index in range(args.instances):
             n = int(rng.integers(1, SWEEP_MAX_N + 1))
-            problem = random_problem(rng, n)
+            problem = random_problem(rng, n, *SWEEP_SHAPE)
             report = brute_force_optimum(problem, mode, args.limit)
             gaps.append(abs(report.gap))
             lines.append(_oracle_payload(report, index, n, mode))
@@ -267,12 +261,17 @@ def _cmd_export_trellis(args: argparse.Namespace) -> int:
 def _cmd_export_bar_loss(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model)
     table = bar_loss_table(problem)
-    rows = ["round,x,yhat,value"]
-    for i in range(1, problem.n + 1):
-        for xi, x in enumerate(problem.x_space):
-            for ai, yhat in enumerate(problem.yhat_space):
-                rows.append(f"{i},{x},{yhat},{format(table.values[i - 1, xi, ai], '.12g')}")
-    _write_text(args.output, "\n".join(rows) + "\n")
+    labels = problem.x_space.labels + problem.yhat_space.labels
+    # the writer quotes a field holding ',', '"' or LF, but not one holding CR, which a reader takes for a line end
+    quoting = csv.QUOTE_ALL if any("\r" in label for label in labels) else csv.QUOTE_MINIMAL
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n", quoting=quoting)
+    writer.writerow(("round", "x", "yhat", "value"))
+    for i, round_rows in enumerate(table.values.tolist(), start=1):
+        for x, row in zip(problem.x_space.labels, round_rows):
+            for yhat, value in zip(problem.yhat_space.labels, row):
+                writer.writerow((i, x, yhat, format(value, ".12g")))
+    _write_text(args.output, text.getvalue())
     return 0
 
 

@@ -9,13 +9,14 @@ function of (problem, strategy, rollouts, seed) regardless of scheduling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidParams, ShapeMismatch
-from .model import Problem, _fields_equal
+from .model import _MAX_ARRAY_BYTES, Problem, _fields_equal
 from .reduction import bar_loss_table
 from .rng import check_seed, uniform_matrix
 from .solver import SolveResult
@@ -23,6 +24,11 @@ from .solver import SolveResult
 DEFAULT_TRAJECTORY_CAP = 10_000
 # draws per block of rollouts in ``simulate`` (2 MB per float64 temporary)
 BLOCK_DRAWS = 2**18
+
+
+def _markov_binding(problem: Problem) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
+    """The fields a MarkovStrategy takes from its problem, in constructor order."""
+    return problem.n, problem.x_space.labels, problem.yhat_space.labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +73,7 @@ class MarkovStrategy:
                 raise ShapeMismatch(f"strategy round {k + 1} is missing observations {sorted(missing)}")
             for xi, x in enumerate(problem.x_space):
                 choices[k, xi] = problem.yhat_space.index(row[x])
-        return cls(problem.n, problem.x_space.labels, problem.yhat_space.labels, choices)
+        return cls(*_markov_binding(problem), choices)
 
     def to_rows(self) -> list[dict[str, str]]:
         return [
@@ -83,25 +89,16 @@ class MarkovStrategy:
 
 def optimal_strategy(result: SolveResult) -> MarkovStrategy:
     """The solved policy as a strategy object."""
-    problem = result.problem
-    return MarkovStrategy(
-        problem.n, problem.x_space.labels, problem.yhat_space.labels, result.policy.copy()
-    )
+    return MarkovStrategy(*_markov_binding(result.problem), result.policy.copy())
 
 
 def myopic_strategy(problem: Problem) -> MarkovStrategy:
     """The round-by-round single-round optimal strategy (ignores the future)."""
-    return MarkovStrategy(
-        problem.n, problem.x_space.labels, problem.yhat_space.labels, bar_loss_table(problem).myopic
-    )
+    return MarkovStrategy(*_markov_binding(problem), bar_loss_table(problem).myopic)
 
 
 def _check_strategy(problem: Problem, strategy: MarkovStrategy) -> None:
-    if (
-        strategy.n != problem.n
-        or strategy.x_labels != problem.x_space.labels
-        or strategy.yhat_labels != problem.yhat_space.labels
-    ):
+    if (strategy.n, strategy.x_labels, strategy.yhat_labels) != _markov_binding(problem):
         raise ShapeMismatch("strategy is shaped for a different problem")
 
 
@@ -223,6 +220,8 @@ def simulate(
     _check_strategy(problem, strategy)
     if isinstance(rollouts, bool) or not isinstance(rollouts, int) or rollouts < 1:
         raise InvalidParams(f"rollouts must be an integer >= 1, got {rollouts!r}")
+    if rollouts * 8 > _MAX_ARRAY_BYTES:  # one float64 loss per rollout
+        raise InvalidParams(f"{rollouts} rollouts are more than an array of their losses can index")
     check_seed(seed)
     n = problem.n
     block_rows = max(1, BLOCK_DRAWS // (2 * n))
@@ -257,13 +256,17 @@ def simulate(
     for value in _in_blocks(losses, block_rows):
         total += value
     mean = total / rollouts
+    variance = 0.0
     if rollouts > 1:
         square_sum = 0.0
-        for value in _in_blocks(losses, block_rows):
-            square_sum += (value - mean) ** 2
+        try:
+            for value in _in_blocks(losses, block_rows):
+                square_sum += (value - mean) ** 2
+        except OverflowError:  # a float power past the float64 range raises rather than giving inf
+            square_sum = math.inf
         variance = square_sum / (rollouts - 1)
-    else:
-        variance = 0.0
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise InvalidParams(f"the mean or variance of {rollouts} rollouts' losses is past the float64 range")
 
     kept_trajectories = tuple(trajectories) if return_trajectories else None
     return SimulationResult(mean, variance, rollouts, seed, kept_trajectories)

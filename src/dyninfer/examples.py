@@ -126,7 +126,8 @@ def example_yield(n: int, params: YieldParams | None = None) -> Problem:
     x_space = Alphabet(tuple(_grid_label(v) for v in grid))
     outcome = Alphabet(("yield", "not_yield"))
 
-    z = params.beta * (grid - params.d_c)
+    with np.errstate(over="ignore"):  # a slope past the float range gives z = +-inf, whose logistic is 1 or 0
+        z = params.beta * (grid - params.d_c)
     t = np.exp(-np.abs(z))  # stable logistic: the exponent never overflows
     p_yield = np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
     quantity = np.column_stack([p_yield, 1.0 - p_yield])

@@ -18,6 +18,7 @@ renormalized exactly once, and larger drift is rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -33,6 +34,8 @@ from .errors import (
 )
 
 ROW_SUM_TOLERANCE = 1e-9
+# numpy refuses an array of more bytes than this: it cannot index it
+_MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
 
 
 def _row_sums(table: np.ndarray, describe: Callable[..., str]) -> np.ndarray:
@@ -74,7 +77,7 @@ def _fields_equal(a: object, b: object, names: Sequence[str]) -> bool:
 
 def _check_horizon(n: object) -> None:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidModelError(f"horizon must be an integer >= 1, got {n!r}")
+        raise InvalidModelError(f"n must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,8 @@ class Problem:
     (|X|, |Y|, |Yhat|). A stationary problem holds broadcast views of one
     table, whose round axis has stride 0.
 
-    Construction checks shapes, signs, row sums and finiteness, and stores
-    the values as given, without renormalizing them, so
+    Construction checks shapes, signs, row sums and that 2 * n * max|loss|
+    is finite, and stores the values as given, without renormalizing them, so
     ``dataclasses.replace`` keeps them bit for bit; a writable array is copied
     first. Raw tables go through :func:`problem_from_tables` instead.
     Immutable after construction; safe for concurrent read access.
@@ -191,8 +194,20 @@ class Problem:
         _row_sums(init, _init_row)
         _row_sums(_distinct_rounds(transitions), _transition_rows(self.x_space, self.yhat_space))
         _row_sums(_distinct_rounds(quantities), _quantity_rows(self.x_space))
-        if not np.isfinite(loss).all():
+        # Every sum formed over the horizon (a bar-loss entry, a value of solve,
+        # evaluate_markov or the oracle walks, one rollout's loss) adds at most n
+        # losses weighted by probabilities, so it is at most n * max|loss| in size,
+        # up to rounding and rows within ROW_SUM_TOLERANCE of 1; the factor 2
+        # covers those and a difference of two such sums (verify's gap, simulate's
+        # deviations from the mean). n - 1 is an array dimension here, so 2 * n
+        # converts to a float.
+        largest = float(np.abs(loss).max())
+        if not math.isfinite(largest):
             raise InvalidModelError("loss table contains a non-finite entry")
+        if not math.isfinite(2 * self.n * largest):
+            raise InvalidModelError(
+                f"loss table entries up to {largest!r} in size can overflow a sum over n = {self.n} rounds"
+            )
         object.__setattr__(self, "init", init)
         object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "quantities", quantities)
@@ -207,11 +222,13 @@ class Problem:
 
 
 def _normalized_stack(
-    table, rounds: int, row_shape: tuple[int, ...], what: str, describe: Callable[..., str]
+    table, n: int, rounds: int, row_shape: tuple[int, ...], what: str, describe: Callable[..., str]
 ) -> np.ndarray:
     table = np.asarray(table, dtype=np.float64)
     single = table.shape[:1] == (1,)  # one kernel for every round
     _check_kernels(table, 1 if single else rounds, row_shape, what)
+    if rounds * math.prod(row_shape) * table.itemsize > _MAX_ARRAY_BYTES:
+        raise InvalidModelError(f"n = {n} gives {rounds} {what} kernels, more than an array can index")
     return np.broadcast_to(_freeze(_normalized(table, describe)), (rounds,) + row_shape)
 
 
@@ -234,7 +251,8 @@ def problem_from_tables(
     normalized once and stored as a read-only broadcast view, which has no
     rounds at all when it is a transition stack and ``n == 1``. A negative
     entry, or a row sum outside 1 +/- ``ROW_SUM_TOLERANCE``, raises
-    NotStochastic naming the row.
+    NotStochastic naming the row; a horizon whose stacked kernels no array
+    can index raises InvalidModelError.
     """
     _check_horizon(n)
     nx, ny, na = len(x_space), len(y_space), len(yhat_space)
@@ -246,8 +264,8 @@ def problem_from_tables(
         y_space,
         yhat_space,
         _freeze(_normalized(init, _init_row)),
-        _normalized_stack(transitions, n - 1, (nx, na, nx), "transition", _transition_rows(x_space, yhat_space)),
-        _normalized_stack(quantities, n, (nx, ny), "quantity", _quantity_rows(x_space)),
+        _normalized_stack(transitions, n, n - 1, (nx, na, nx), "transition", _transition_rows(x_space, yhat_space)),
+        _normalized_stack(quantities, n, n, (nx, ny), "quantity", _quantity_rows(x_space)),
         loss,
     )
 
@@ -297,19 +315,19 @@ def _space_from(doc: Mapping, key: str) -> Alphabet:
 
 
 def _row_from_object(obj, alphabet: Alphabet, what: str) -> np.ndarray:
-    """The row of a label -> number object, in alphabet order.
+    """The row of a label -> number object, in alphabet order, or :func:`_checked_row`'s error."""
+    row = _plain_row(obj, alphabet)
+    return _checked_row(obj, alphabet, what) if row is None else row
 
-    A plain dict holding a number for exactly the alphabet's labels is read
-    in one pass; anything else goes to :func:`_checked_row`, which names the fault.
-    """
+
+def _plain_row(obj, alphabet: Alphabet) -> np.ndarray | None:
+    """The row of a plain dict holding a number for exactly the alphabet's labels, in one pass; else None."""
     if type(obj) is dict and len(obj) == len(alphabet.labels):
         try:
-            row = _float_array([obj[label] for label in alphabet.labels])
-            if row is not None:
-                return row
+            return _float_array([obj[label] for label in alphabet.labels])
         except KeyError:  # a label is missing, so another key stands in its place
             pass
-    return _checked_row(obj, alphabet, what)
+    return None
 
 
 def _checked_row(obj, alphabet: Alphabet, what: str) -> np.ndarray:
@@ -325,40 +343,40 @@ def _checked_row(obj, alphabet: Alphabet, what: str) -> np.ndarray:
     return np.array([_number(obj[label], f"{what}[{label!r}]") for label in alphabet])
 
 
-def _pair_index(x_space: Alphabet, yhat_space: Alphabet) -> dict[str, tuple[int, int] | None]:
-    """Composite ``"x|yhat"`` keys to index pairs; None marks a key that names two pairs."""
-    pairs: dict[str, tuple[int, int] | None] = {}
+def _pair_index(x_space: Alphabet, yhat_space: Alphabet) -> dict[str, int | None]:
+    """Composite ``"x|yhat"`` keys to their pair's slot ``xi * |Yhat| + ai``; None marks a key that names two pairs."""
+    pairs: dict[str, int | None] = {}
     for xi, x in enumerate(x_space):
         for ai, yhat in enumerate(yhat_space):
             key = f"{x}|{yhat}"
-            pairs[key] = None if key in pairs else (xi, ai)
+            pairs[key] = None if key in pairs else xi * len(yhat_space) + ai
     return pairs
 
 
 def _transition_from_object(
-    obj, i: int, x_space: Alphabet, yhat_space: Alphabet, pairs: Mapping[str, tuple[int, int] | None]
+    obj, i: int, x_space: Alphabet, yhat_space: Alphabet, pairs: Mapping[str, int | None]
 ) -> np.ndarray:
     if not isinstance(obj, Mapping):
         raise InvalidModelError(f"transitions[{i - 2}] must be an object")
-    table = np.empty((len(x_space), len(yhat_space), len(x_space)))
-    filled = np.zeros((len(x_space), len(yhat_space)), dtype=bool)
+    rows: list = [None] * (len(x_space) * len(yhat_space))  # by pair slot
     for key, row in obj.items():
-        pair = pairs.get(key)
-        if pair is None:
+        slot = pairs.get(key)
+        if slot is None:
             raise InvalidModelError(
                 f"transition key {key!r} does not identify exactly one 'x_prev|yhat_prev' pair"
             )
-        table[pair] = _row_from_object(row, x_space, f"transition row (round {i}, key {key!r})")
-        filled[pair] = True
-    if not filled.all():
+        rows[slot] = _plain_row(row, x_space)
+        if rows[slot] is None:
+            rows[slot] = _checked_row(row, x_space, f"transition row (round {i}, key {key!r})")
+    if len(obj) < len(rows):  # each key fills its own slot, so some slot is empty
         missing = [
             f"{x}|{yhat}"
             for xi, x in enumerate(x_space)
             for ai, yhat in enumerate(yhat_space)
-            if not filled[xi, ai]
+            if rows[xi * len(yhat_space) + ai] is None
         ]
         raise DimensionMismatch(f"transitions for round {i} are missing rows {missing}")
-    return table
+    return np.array(rows).reshape(len(x_space), len(yhat_space), len(x_space))
 
 
 def _quantity_from_object(obj, i: int, x_space: Alphabet, y_space: Alphabet) -> np.ndarray:
@@ -441,8 +459,7 @@ def validate_problem(candidate: Mapping) -> Problem:
     if not isinstance(candidate, Mapping):
         raise InvalidModelError(f"model document must be an object, got {type(candidate).__name__}")
     n = _require(candidate, "n")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidModelError(f"n must be an integer >= 1, got {n!r}")
+    _check_horizon(n)
     x_space = _space_from(candidate, "x_space")
     y_space = _space_from(candidate, "y_space")
     yhat_space = _space_from(candidate, "yhat_space")

@@ -34,7 +34,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import SearchSpaceTooLarge, ShapeMismatch
-from .evaluate import MarkovStrategy
+from .evaluate import MarkovStrategy, _markov_binding
 from .model import Alphabet, Problem, problem_from_tables
 from .reduction import bar_loss_table
 from .solver import TieBreakRule, minimum_inference_loss, solve
@@ -116,6 +116,11 @@ class HistoryStrategy:
                 yield i, xs, ys, ai
 
 
+def _history_binding(problem: Problem) -> tuple[int, tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """The fields a HistoryStrategy takes from its problem, in constructor order after ``mode``."""
+    return problem.n, problem.x_space.labels, problem.y_space.labels, problem.yhat_space.labels
+
+
 def build_history_strategy(
     problem: Problem,
     mode: HistoryMode,
@@ -126,14 +131,7 @@ def build_history_strategy(
     tables = tuple(
         tuple(decide(i, xs, ys) for xs, ys in _round_histories(nx, ny, mode, i)) for i in range(1, problem.n + 1)
     )
-    return HistoryStrategy(
-        mode,
-        problem.n,
-        problem.x_space.labels,
-        problem.y_space.labels,
-        problem.yhat_space.labels,
-        tables,
-    )
+    return HistoryStrategy(mode, *_history_binding(problem), tables)
 
 
 def random_history_strategy(
@@ -144,12 +142,7 @@ def random_history_strategy(
 
 
 def _check_history_strategy(problem: Problem, strategy: HistoryStrategy) -> None:
-    if (
-        strategy.n != problem.n
-        or strategy.x_labels != problem.x_space.labels
-        or strategy.y_labels != problem.y_space.labels
-        or strategy.yhat_labels != problem.yhat_space.labels
-    ):
+    if (strategy.n, strategy.x_labels, strategy.y_labels, strategy.yhat_labels) != _history_binding(problem):
         raise ShapeMismatch("history strategy is shaped for a different problem")
 
 
@@ -261,14 +254,22 @@ def _checked_count(what: str, limit: int, base: int, exponent: int, factor: int 
 
 
 def _checked_space(problem: Problem, mode: HistoryMode, limit: int) -> tuple[int, int]:
+    return checked_shape_space(
+        problem.n, len(problem.x_space), len(problem.y_space), len(problem.yhat_space), mode, limit
+    )
+
+
+def checked_shape_space(n: int, nx: int, ny: int, na: int, mode: HistoryMode, limit: int) -> tuple[int, int]:
     """The numbers of histories and of history strategies, or SearchSpaceTooLarge when either exceeds ``limit``.
+
+    They are those of any problem with ``n`` rounds and ``nx``, ``ny`` and
+    ``na`` labels in its observation, quantity and estimate alphabets.
 
     The last round alone has ``nx * r**(n - 1) >= 2**k`` histories (``r`` as in
     :func:`shape_history_count`; ``k`` below is exact when nx and r are powers
     of two). Once ``2**k`` exceeds the limit and is too long to write out, the
     closed form, whose size grows with ``n``, is not formed.
     """
-    n, nx, ny, na = problem.n, len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
     r = nx * ny if mode is HistoryMode.REVEALED else nx
     k = nx.bit_length() - 1 + (n - 1) * (r.bit_length() - 1)
     what = f"history strategies ({mode.value} mode)"
@@ -298,16 +299,12 @@ def enumerate_history_strategies(
     histories, _ = _checked_space(problem, mode, limit)
     nx, ny = len(problem.x_space), len(problem.y_space)
     ends = list(itertools.accumulate(math.prod(_spans(nx, ny, mode, i)) for i in range(1, problem.n + 1)))
+    binding = _history_binding(problem)
 
     def generate() -> Iterator[HistoryStrategy]:
         for assignment in itertools.product(range(len(problem.yhat_space)), repeat=histories):
             yield HistoryStrategy(
-                mode,
-                problem.n,
-                problem.x_space.labels,
-                problem.y_space.labels,
-                problem.yhat_space.labels,
-                tuple(assignment[start:end] for start, end in zip([0, *ends], ends)),
+                mode, *binding, tuple(assignment[start:end] for start, end in zip([0, *ends], ends))
             )
 
     return generate()
@@ -415,24 +412,15 @@ def brute_force_optimum(
     n = problem.n
     nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
     quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
-    loss = problem.loss.tolist()
+    # the immediate cost depends on the history only through its last observation
+    bar = bar_loss_table(problem).values.tolist()
     revealed = mode is HistoryMode.REVEALED
     y_base = ny if revealed else 1
 
     later: list[float] = []  # the optimal values of round i + 1, by rank
     decisions: list[tuple[int, ...]] = []
     for i in range(n, 0, -1):
-        quantity = quantities[i - 1]
-        # the immediate cost depends on the history only through its last observation
-        stage = []
-        for x in range(nx):
-            costs = []
-            for ai in range(na):
-                cost = 0.0
-                for yi in range(ny):
-                    cost += quantity[x][yi] * loss[x][yi][ai]
-                costs.append(cost)
-            stage.append(costs)
+        quantity, stage = quantities[i - 1], bar[i - 1]
         transition = transitions[i - 1] if i < n else None
         # one quantity digit of weight 1.0 when unrevealed (see the module docstring)
         weights = quantity if revealed else [[1.0]] * nx
@@ -476,9 +464,7 @@ def brute_force_optimum(
     for x1, p in enumerate(problem.init.tolist()):
         brute_min += p * later[x1]
 
-    witness = HistoryStrategy(
-        mode, n, problem.x_space.labels, problem.y_space.labels, problem.yhat_space.labels, tuple(decisions)
-    )
+    witness = HistoryStrategy(mode, *_history_binding(problem), tuple(decisions))
     dp_min = minimum_inference_loss(problem, solve(problem, TieBreakRule.MYOPIC_PREFERRED))
     return OracleReport(
         brute_min=brute_min,
@@ -495,7 +481,7 @@ def enumerate_markov_strategies(problem: Problem) -> Iterator[MarkovStrategy]:
     n, nx, na = problem.n, len(problem.x_space), len(problem.yhat_space)
     for assignment in itertools.product(range(na), repeat=n * nx):
         choices = np.asarray(assignment, dtype=np.int64).reshape(n, nx)
-        yield MarkovStrategy(n, problem.x_space.labels, problem.yhat_space.labels, choices)
+        yield MarkovStrategy(*_markov_binding(problem), choices)
 
 
 def random_problem(

@@ -1,20 +1,27 @@
 """Command-line behavior: schemas, exit codes, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dyninfer import (
+    Alphabet,
+    HistoryMode,
     evaluate_markov,
     example_stock,
     myopic_strategy,
+    problem_from_tables,
     problem_to_dict,
     random_problem,
+    strategy_count,
     validate_problem,
 )
 from dyninfer.cli import run
@@ -444,3 +451,122 @@ def test_json_the_parser_refuses_is_a_domain_error(tmp_path, capsys, stock_model
         assert run(argv) == 1
         line = _single_error_line(capsys)
         assert line["error"] == "InvalidModelError" and "not valid JSON: " in line["message"]
+
+
+def _stock_with_losses(tmp_path, value):
+    """The stock model over 3 rounds with every nonzero loss set to ``value``, and its solved policy."""
+    model, strategy = tmp_path / f"stock-{value}.json", tmp_path / f"stock-{value}-policy.json"
+    assert run(["example", "stock", "--n", "3", "-o", str(model)]) == 0
+    solved = tmp_path / "solved-stock.json"
+    assert run(["solve", "-m", str(model), "-o", str(solved)]) == 0
+    strategy.write_text(json.dumps({"policy": json.loads(solved.read_text())["policy"]}))
+    doc = json.loads(model.read_text())
+    for record in doc["loss"]:
+        if record["value"]:
+            record["value"] = value
+    model.write_text(json.dumps(doc))
+    return model, strategy
+
+
+def test_losses_that_overflow_a_sum_are_domain_errors(tmp_path, capsys):
+    model, strategy = _stock_with_losses(tmp_path, 1.5e308)  # 2 * n * max|loss| is past the float64 range
+    for argv in (
+        ["solve", "-m", str(model)],
+        ["evaluate", "-m", str(model), "-s", str(strategy)],
+        ["simulate", "-m", str(model), "-s", str(strategy)],
+        ["verify", "-m", str(model)],
+    ):
+        assert run(argv) == 1
+        assert _single_error_line(capsys)["error"] == "InvalidModelError"
+    # each rollout's loss is finite, but the squared deviations from the mean are not
+    model, strategy = _stock_with_losses(tmp_path, 1e200)
+    assert run(["simulate", "-m", str(model), "-s", str(strategy), "--rollouts", "10"]) == 1
+    assert _single_error_line(capsys)["error"] == "InvalidParams"
+    assert run(["example", "yield", "--beta", "1e308", "-o", str(tmp_path / "yield.json")]) == 0
+
+
+def test_sizes_past_the_array_index_range_are_domain_errors(tmp_path, capsys, stock_model, strategy_file):
+    doc = json.loads(stock_model.read_text())
+    doc["n"] = 2**70
+    huge = tmp_path / "stock-2^70.json"
+    huge.write_text(json.dumps(doc))
+    cases = [
+        (["example", "stock", "--n", str(10**19)], "InvalidModelError"),
+        (["example", "stock", "--n", str(2**60)], "InvalidModelError"),
+        (["simulate", "-m", str(stock_model), "-s", str(strategy_file), "--rollouts", str(2**63)], "InvalidParams"),
+    ]
+    strategy = ["-s", str(strategy_file)]
+    for command in (["solve"], ["evaluate", *strategy], ["simulate", *strategy], ["verify"], ["export-trellis"]):
+        cases.append(([*command, "-m", str(huge)], "InvalidModelError"))
+    cases.append((["export", "bar-loss", "-m", str(huge)], "InvalidModelError"))
+    for argv, error in cases:
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            assert run(argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 2.0 and peak < 2**22
+        assert _single_error_line(capsys)["error"] == error
+
+
+def test_export_bar_loss_quotes_labels(tmp_path):
+    x_space, y_space = Alphabet(("a,b", 'q"r')), Alphabet(("0",))
+    for yhat_space in (Alphabet(("u,v", "w")), Alphabet(("line\rbreak", "w"))):
+        problem = problem_from_tables(
+            2, x_space, y_space, yhat_space, [0.5, 0.5], [[[[0.5, 0.5]] * 2] * 2], [[[1.0]] * 2], np.ones((2, 1, 2))
+        )
+        model, out = tmp_path / "model.json", tmp_path / "bar.csv"
+        model.write_text(json.dumps(problem_to_dict(problem)))
+        assert run(["export", "bar-loss", "-m", str(model), "-o", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["round", "x", "yhat", "value"]
+        assert rows[1:] == [
+            [str(i), x, yhat, "1"] for i in (1, 2) for x in x_space.labels for yhat in yhat_space.labels
+        ]
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+CONTRACT_LIMIT = 2**50
+
+
+def test_every_command_writes_strict_output_and_nothing_on_stderr(tmp_path, capsys):
+    """Strict JSON (no Infinity or NaN), a CSV of 4 fields per row and an empty stderr on success."""
+    models = {}
+    for which in ("section33", "stock", "yield"):
+        models[which] = tmp_path / f"{which}.json"
+        assert run(["example", which, "--n", "3", "-o", str(models[which])]) == 0
+    models["random"] = tmp_path / "random.json"
+    random_model = problem_to_dict(random_problem(np.random.default_rng(3), 3, 3, 2, 3), False)
+    models["random"].write_text(json.dumps(random_model))
+    for name, model in models.items():
+        def output(*argv):
+            path = tmp_path / f"{name}.out"
+            assert run([*argv, "-m", str(model), "-o", str(path)]) == 0
+            assert capsys.readouterr() == ("", "")
+            return path.read_text()
+
+        solved = _strict_json(output("solve"))
+        strategy = tmp_path / f"{name}-policy.json"
+        strategy.write_text(json.dumps({"policy": solved["policy"]}))
+        _strict_json(output("evaluate", "-s", str(strategy)))
+        _strict_json(output("simulate", "-s", str(strategy), "--rollouts", "200"))
+        output("export-trellis", "-f", "dot")
+        output("export-trellis", "-f", "text")
+        rows = list(csv.reader(io.StringIO(output("export", "bar-loss"), newline="")))
+        assert {len(row) for row in rows} == {4}
+        problem = validate_problem(json.loads(model.read_text()))
+        for mode in HistoryMode:
+            if strategy_count(problem, mode) <= CONTRACT_LIMIT:
+                lines = output("verify", "--mode", mode.value, "--limit", str(CONTRACT_LIMIT)).splitlines()
+                assert lines[-1].startswith("PASS gap_max=")
+                for line in lines[:-1]:
+                    _strict_json(line)

@@ -63,9 +63,15 @@ def test_loss_to_go_known_values(section33):
 
 
 def test_shape_mismatch(section33):
-    foreign = myopic_strategy(example_stock(5))
-    with pytest.raises(ShapeMismatch):
-        evaluate_markov(section33, foreign)
+    own = myopic_strategy(section33)
+    # a strategy differing from its problem in n, x labels or estimate labels
+    for foreign in (
+        myopic_strategy(example_stock(5)),
+        dataclasses.replace(own, x_labels=("a", "b")),
+        dataclasses.replace(own, yhat_labels=("a", "b")),
+    ):
+        with pytest.raises(ShapeMismatch):
+            evaluate_markov(section33, foreign)
 
 
 def test_strategy_wire_round_trip(stock):

@@ -102,6 +102,19 @@ def test_missing_history_entry_raises():
     assert strategy.decision(2, (1, 0), (1,)) == 0  # rank 0b10 = 2; y is not revealed
 
 
+def test_strategy_for_another_problem_is_refused():
+    strategy = _section33_strategy([[0, 1], [1, 0, 0, 1]])
+    problem = example_section33(2)
+    exact_loss_history(problem, strategy)
+    # every field the strategy takes from its problem is compared
+    others = [dataclasses.replace(strategy, **{field: ("a", "b")}) for field in ("x_labels", "y_labels", "yhat_labels")]
+    with pytest.raises(ShapeMismatch, match="different problem"):
+        exact_loss_history(example_section33(3), strategy)
+    for other in others:
+        with pytest.raises(ShapeMismatch, match="different problem"):
+            exact_loss_history(problem, other)
+
+
 def test_out_of_range_estimate_is_rejected():
     for ai in (-1, 2):
         with pytest.raises(ShapeMismatch, match="out-of-range"):
