@@ -17,10 +17,11 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -29,8 +30,10 @@ from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
 from .evaluate import MarkovStrategy, evaluate_markov, optimal_strategy, simulate
 from .model import Problem, problem_to_dict, validate_problem
 from .oracle import (
-    DEFAULT_STRATEGY_LIMIT, HistoryMode, OracleReport, brute_force_optimum, checked_shape_space, random_problem
+    DEFAULT_STRATEGY_LIMIT, HistoryMode, HistoryStrategy, OracleReport, brute_force_optimum, random_sweep
 )
+# unused here: perfbench/tracing.py hooks this name, and every name it hooks must resolve
+from .oracle import random_problem  # noqa: F401
 from .reduction import bar_loss_table
 from .rng import check_seed
 from .solver import SolveResult, TieBreakRule, minimum_inference_loss, solve
@@ -193,60 +196,72 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_payload(report: OracleReport, instance: str | int, n: int, mode: HistoryMode) -> dict:
-    x_labels = report.witness.x_labels
-    y_labels = report.witness.y_labels
-    yhat_labels = report.witness.yhat_labels
-    witness = [
-        {
-            "round": i,
-            "x_history": [x_labels[v] for v in xs],
-            "y_history": [y_labels[v] for v in ys],
-            "yhat": yhat_labels[ai],
-        }
-        for i, xs, ys, ai in report.witness.rows()
+def _witness_template(witness: HistoryStrategy) -> tuple[str, list[str], list[str]]:
+    """JSON text of the mode, of each witness row up to its estimate (by round and rank), and of each estimate.
+
+    A row is ``{"round": i, "x_history": [...], "y_history": [...], "yhat": label}``,
+    as ``json.dumps`` writes it with sorted keys, so only the estimate varies
+    between witnesses of one shape.
+    """
+    x_labels, y_labels = witness.x_labels, witness.y_labels
+    heads = [
+        f'{{"round": {i}, "x_history": {json.dumps([x_labels[v] for v in xs])}, '
+        f'"y_history": {json.dumps([y_labels[v] for v in ys])}, "yhat": '
+        for i, xs, ys, _ in witness.rows()
     ]
-    return {
-        "instance": instance,
-        "n": n,
-        "mode": mode.value,
-        "brute_min": _round12(report.brute_min),
-        "dp_min": _round12(report.dp_min),
-        "gap": _round12(report.gap),
-        "strategies_searched": report.strategies_searched,
-        "lemma1_pairs": [[_round12(lhs), _round12(rhs)] for lhs, rhs in report.lemma1_pairs],
-        "witness": witness,
-    }
+    return json.dumps(witness.mode.value), heads, [json.dumps(label) + "}" for label in witness.yhat_labels]
+
+
+def _oracle_lines(reports: list[OracleReport], instances: Iterable[str]) -> str:
+    """One JSON line per report, with sorted keys and 12-digit floats, as ``json.dumps`` writes it.
+
+    ``instances`` holds each line's instance as JSON text. The text of the
+    witness rows is built once per witness shape; each float is written
+    once, as ``repr`` of its 12-digit rounding, which is what ``json``
+    writes for a finite float.
+    """
+
+    def number(value: float) -> str:
+        return repr(_round12(value))
+
+    templates: dict[tuple, tuple[str, list[str], list[str]]] = {}
+    lines = []
+    for report, instance in zip(reports, instances):
+        witness = report.witness
+        shape = (witness.mode, witness.n, witness.x_labels, witness.y_labels, witness.yhat_labels)
+        if shape not in templates:
+            templates[shape] = _witness_template(witness)
+        mode, heads, estimates = templates[shape]
+        rows = ", ".join(
+            [head + estimates[ai] for head, ai in zip(heads, itertools.chain.from_iterable(witness.tables))]
+        )
+        pairs = ", ".join(f"[{number(lhs)}, {number(rhs)}]" for lhs, rhs in report.lemma1_pairs)
+        lines.append(
+            f'{{"brute_min": {number(report.brute_min)}, "dp_min": {number(report.dp_min)}, '
+            f'"gap": {number(report.gap)}, "instance": {instance}, "lemma1_pairs": [{pairs}], '
+            f'"mode": {mode}, "n": {witness.n}, '
+            f'"strategies_searched": {report.strategies_searched}, "witness": [{rows}]}}\n'
+        )
+    return "".join(lines)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     mode = HistoryMode(args.mode)
-    gaps = []
-    lines = []
     if args.instances is not None:
         if args.instances < 1:
             raise InvalidParams(f"--instances must be >= 1, got {args.instances}")
         check_seed(args.seed)
-        checked_shape_space(SWEEP_MAX_N, *SWEEP_SHAPE, mode, args.limit)  # the largest sweep instance
         rng = np.random.default_rng(args.seed)
-        for index in range(args.instances):
-            n = int(rng.integers(1, SWEEP_MAX_N + 1))
-            problem = random_problem(rng, n, *SWEEP_SHAPE)
-            report = brute_force_optimum(problem, mode, args.limit)
-            gaps.append(abs(report.gap))
-            lines.append(_oracle_payload(report, index, n, mode))
+        reports = random_sweep(rng, args.instances, mode, args.limit, SWEEP_MAX_N, *SWEEP_SHAPE)
+        instances: Iterable[str] = map(str, range(args.instances))
     else:
         if args.model is None:
             raise InvalidModelError("verify needs --model or --instances")
-        problem = _load_problem(args.model)
-        report = brute_force_optimum(problem, mode, args.limit)
-        gaps.append(abs(report.gap))
-        lines.append(_oracle_payload(report, "model", problem.n, mode))
-    gap_max = max(gaps)
+        reports = [brute_force_optimum(_load_problem(args.model), mode, args.limit)]
+        instances = [json.dumps("model")]
+    gap_max = max(abs(report.gap) for report in reports)
     verdict = "PASS" if gap_max <= GAP_TOLERANCE else "FAIL"
-    # _oracle_payload rounds its floats already; the witness rows hold only ints and strings
-    out = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
-    out += f"{verdict} gap_max={format(gap_max, '.3e')}\n"
+    out = _oracle_lines(reports, instances) + f"{verdict} gap_max={format(gap_max, '.3e')}\n"
     _write_text(args.output, out)
     return 0 if verdict == "PASS" else 1
 

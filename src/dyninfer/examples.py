@@ -9,6 +9,7 @@ vehicle-yield model on a distance grid with asymmetric contextual losses.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,12 +97,26 @@ class YieldParams:
         object.__setattr__(self, "grid", grid)
         if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidParams(f"grid must be strictly increasing with >= 2 values, got {grid}")
+        # a finite span bounds every difference of grid values and of d_c and a grid value
+        if not (all(map(math.isfinite, grid)) and math.isfinite(grid[-1] - grid[0])):
+            raise InvalidParams(f"grid values and their span must be finite, got {grid}")
+        for name in ("beta", "d_c", "c_missed", "c_danger"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.beta > 0:
             raise InvalidParams(f"beta must be > 0, got {self.beta!r}")
         if not grid[0] <= self.d_c <= grid[-1]:
             raise InvalidParams(f"critical distance {self.d_c!r} lies outside the grid range")
         if self.c_missed < 0 or self.c_danger < 0:
             raise InvalidParams("loss scales must be >= 0")
+        # the largest loss of each kind in example_yield's table, checked before the table is built
+        missed = self.c_missed * max(abs(grid[0]), abs(grid[-1]))
+        danger = self.c_danger * (1.0 + (self.d_c - grid[0]) / (grid[-1] - grid[0]))
+        if not (math.isfinite(missed) and math.isfinite(danger)):
+            raise InvalidParams(
+                f"the largest losses, c_missed * max|grid| = {missed!r} and "
+                f"c_danger * (1 + (d_c - grid[0]) / span) = {danger!r}, must be finite"
+            )
         if not isinstance(self.planner, PlannerStyle):
             raise InvalidParams(f"planner must be a PlannerStyle, got {self.planner!r}")
 

@@ -38,15 +38,25 @@ ROW_SUM_TOLERANCE = 1e-9
 _MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
 
 
+def _row_check(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sums over the last axis of ``table``, which rows are not distributions, and which hold a negative entry.
+
+    A row is a distribution when it has no negative entry and sums to 1
+    within ``ROW_SUM_TOLERANCE``.
+    """
+    negative = (table < 0.0).any(axis=-1)
+    totals = table.sum(axis=-1)
+    bad = negative | ~((totals >= 1.0 - ROW_SUM_TOLERANCE) & (totals <= 1.0 + ROW_SUM_TOLERANCE))
+    return totals, bad, negative
+
+
 def _row_sums(table: np.ndarray, describe: Callable[..., str]) -> np.ndarray:
     """Sums over the last axis of ``table``, every row checked to be a distribution.
 
     The first bad row in index order is reported, with ``describe`` called on
     its index to name it.
     """
-    negative = (table < 0.0).any(axis=-1)
-    totals = table.sum(axis=-1)
-    bad = negative | ~((totals >= 1.0 - ROW_SUM_TOLERANCE) & (totals <= 1.0 + ROW_SUM_TOLERANCE))
+    totals, bad, negative = _row_check(table)
     if bad.any():
         index = tuple(np.argwhere(bad)[0].tolist())
         if negative[index]:
@@ -64,6 +74,11 @@ def _normalized(table: np.ndarray, describe: Callable[..., str]) -> np.ndarray:
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _sums_stay_finite(n: int, largest: float) -> bool:
+    """Whether sums over ``n`` rounds of losses up to ``largest`` in size stay finite (see Problem)."""
+    return math.isfinite(2 * n * largest)
 
 
 def _fields_equal(a: object, b: object, names: Sequence[str]) -> bool:
@@ -204,7 +219,7 @@ class Problem:
         largest = float(np.abs(loss).max())
         if not math.isfinite(largest):
             raise InvalidModelError("loss table contains a non-finite entry")
-        if not math.isfinite(2 * self.n * largest):
+        if not _sums_stay_finite(self.n, largest):
             raise InvalidModelError(
                 f"loss table entries up to {largest!r} in size can overflow a sum over n = {self.n} rounds"
             )
@@ -268,6 +283,58 @@ def problem_from_tables(
         _normalized_stack(quantities, n, n, (nx, ny), "quantity", _quantity_rows(x_space)),
         loss,
     )
+
+
+def stack_from_tables(
+    n: int,
+    x_space: Alphabet,
+    y_space: Alphabet,
+    yhat_space: Alphabet,
+    init: np.ndarray,
+    transitions: np.ndarray,
+    quantities: np.ndarray,
+    loss: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of B problems of one shape, stacked along a leading axis, as problem_from_tables stores them.
+
+    ``init``, ``transitions``, ``quantities`` and ``loss`` have shapes
+    (B, |X|), (B, n-1, |X|, |Yhat|, |X|), (B, n, |X|, |Y|) and
+    (B, |X|, |Y|, |Yhat|): every problem has a full round axis. Each
+    probability row is divided by its sum once, elementwise, so problem
+    ``b``'s tables equal those of ``problem_from_tables`` on its raw tables
+    bit for bit. The shapes, the rows and the loss bound of Problem are
+    checked once over the stack; on a fault the first faulty problem is
+    built with problem_from_tables, which raises the error it names.
+    Returns the four stacks, in that order.
+    """
+    _check_horizon(n)
+    nx, ny, na = len(x_space), len(y_space), len(yhat_space)
+    init, transitions, quantities, loss = (
+        np.asarray(table, dtype=np.float64) for table in (init, transitions, quantities, loss)
+    )
+    batch = len(init)
+    for table, shape, what in (
+        (init, (nx,), "initial distributions"),
+        (transitions, (n - 1, nx, na, nx), "transition stacks"),
+        (quantities, (n, nx, ny), "quantity stacks"),
+        (loss, (nx, ny, na), "loss tables"),
+    ):
+        _check_shape(table, (batch,) + shape, what)
+    faulty = np.zeros(batch, dtype=bool)
+    totals = []
+    for table in (init, transitions, quantities):
+        sums, bad, _ = _row_check(table)
+        faulty |= bad.reshape(batch, -1).any(axis=1)
+        totals.append(sums)
+    largest = np.abs(loss).reshape(batch, -1).max(axis=1).tolist()
+    faulty |= [not _sums_stay_finite(n, value) for value in largest]
+    if faulty.any():  # the single build applies the same checks, so it raises
+        b = int(faulty.argmax())
+        problem_from_tables(n, x_space, y_space, yhat_space, init[b], transitions[b], quantities[b], loss[b])
+    init, transitions, quantities = (
+        table / sums[..., None] for table, sums in zip((init, transitions, quantities), totals)
+    )
+    return init, transitions, quantities, loss
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Everything here works from first principles on the joint distribution of the
 process: exact losses are plain sums over complete trajectories, and the
 optimum over history-dependent strategies is found by exhausting the decision
 at every syntactically possible history. None of it reuses the solver's
-value recursion, which is exactly what makes it a useful cross-check.
+value recursion, which is called only for the minimum the brute force is
+compared with; that is exactly what makes it a useful cross-check.
 
 A history is named by its rank alone: its position among the histories of
 its round in lexicographic order. The x-history (x_1..x_i) is read as
@@ -16,6 +17,21 @@ depend on the quantity, so its quantity branches merge into one: the walks
 over histories read it as a single quantity digit of base 1 and weight
 exactly 1.0, which leaves every product unchanged (``1.0 * p == p``). This is
 the marginalization behind the loss identity checked by :func:`verify_lemma1`.
+
+The brute-force optimum is one dynamic program over a stack of problems of
+one shape, with a leading instance axis B; :func:`brute_force_optimum` runs
+a stack of one, and :func:`random_sweep` one stack per horizon. The values
+of a round are an array by rank. As a rank is ``(prefix * |X| + x) *
+y_span + ry``, the next round's values reshape to (B, |X|^(i-1), |X|, |X|,
+y_span, y_base), so every history's successors are broadcast slices and no
+index arrays are gathered: memory stays of the order of the histories times
+|Yhat|. A Python loop runs only over the successor's digits (yi, xn), in the
+order a loop over one history's successors sums them; a term of zero
+probability is masked out with ``np.where``, never multiplied by 0.0, so
+signed zeros come out as in that loop; and ``argmin`` takes the first
+minimizer. The walks behind :func:`exact_loss_history` and
+:func:`verify_lemma1` stay scalar pre-order walks over a problem's tables in
+list form; they are the independent check of the identity.
 
 Strategy spaces grow as a double exponential, so every search is gated by a
 limit on the number of strategy functions in the space; the brute-force
@@ -35,9 +51,11 @@ import numpy as np
 
 from .errors import SearchSpaceTooLarge, ShapeMismatch
 from .evaluate import MarkovStrategy, _markov_binding
-from .model import Alphabet, Problem, problem_from_tables
-from .reduction import bar_loss_table
-from .solver import TieBreakRule, minimum_inference_loss, solve
+from .model import Alphabet, Problem, problem_from_tables, stack_from_tables
+from .reduction import bar_loss_table, bar_loss_values
+from .solver import initial_value, value_tables
+# unused here: perfbench/tracing.py hooks this name, and every name it hooks must resolve
+from .solver import solve  # noqa: F401
 
 DEFAULT_STRATEGY_LIMIT = 10**6
 DEFAULT_PAIR_LIMIT = 10**7
@@ -146,7 +164,7 @@ def _check_history_strategy(problem: Problem, strategy: HistoryStrategy) -> None
         raise ShapeMismatch("history strategy is shaped for a different problem")
 
 
-def _roots(problem: Problem) -> list[tuple[int, float]]:
+def _roots(init: list[float]) -> list[tuple[int, float]]:
     """The round-1 observations of positive probability, last first.
 
     The walks below visit histories in pre-order with an explicit stack:
@@ -154,28 +172,22 @@ def _roots(problem: Problem) -> list[tuple[int, float]]:
     pop in lexicographic order, so every sum is taken in the order of a
     recursive walk. A round-1 history's x-rank is its observation.
     """
-    return [(x1, p) for x1, p in reversed(list(enumerate(problem.init.tolist()))) if p > 0.0]
+    return [(x1, p) for x1, p in reversed(list(enumerate(init))) if p > 0.0]
 
 
-def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
-    """Expected accumulated loss by plain summation over complete trajectories.
+def _tables_as_lists(problem: Problem) -> tuple[list, list, list, list]:
+    """The problem's init, transitions, quantities and loss in the list form the walks read."""
+    return problem.init.tolist(), problem.transitions.tolist(), problem.quantities.tolist(), problem.loss.tolist()
 
-    Enumerates every (x-sequence, y-sequence) with positive probability in
-    lexicographic order, weighting the accumulated loss of each by its exact
-    probability under the strategy. No sampling, no value recursion. The walk
-    keeps its own stack, so the horizon is not bounded by Python's recursion
-    limit.
-    """
-    _check_history_strategy(problem, strategy)
-    n, nx, ny = problem.n, len(problem.x_space), len(problem.y_space)
-    quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
-    loss = problem.loss.tolist()
-    tables = strategy.tables
-    y_spans = [_spans(nx, ny, strategy.mode, i)[1] for i in range(1, n + 1)]  # the x-rank's multipliers
-    revealed = strategy.mode is HistoryMode.REVEALED
+
+def _loss_walk(mode: HistoryMode, tables: tuple, init: list, transitions: list, quantities: list, loss: list) -> float:
+    """:func:`exact_loss_history` of the strategy with decision ``tables`` on a problem's tables in list form."""
+    n, nx, ny = len(tables), len(init), len(loss[0])
+    y_spans = [_spans(nx, ny, mode, i)[1] for i in range(1, n + 1)]  # the x-rank's multipliers
+    revealed = mode is HistoryMode.REVEALED
     total = 0.0
 
-    stack = [(1, x1, 0, prob, 0.0) for x1, prob in _roots(problem)]
+    stack = [(1, x1, 0, prob, 0.0) for x1, prob in _roots(init)]
     while stack:
         i, rx, ry, prob, acc = stack.pop()
         x = rx % nx
@@ -199,6 +211,50 @@ def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
                 if p_x != 0.0:
                     stack.append((i + 1, rx * nx + xn, ry_next, prob * p_y * p_x, step))
     return total
+
+
+def _bar_walk(mode: HistoryMode, tables: tuple, init: list, transitions: list, quantities: list, bar: list) -> float:
+    """The right side of :func:`verify_lemma1` for decision ``tables``, on a problem's tables and bar-loss as lists."""
+    n, nx, ny = len(tables), len(init), len(quantities[0][0])
+    y_spans = [_spans(nx, ny, mode, i)[1] for i in range(1, n + 1)]  # the x-rank's multipliers
+    if mode is HistoryMode.REVEALED:
+        y_base, weights = ny, quantities
+    else:  # one quantity digit of weight 1.0 (see the module docstring)
+        y_base, weights = 1, [[[1.0]] * nx] * n
+    total = 0.0
+
+    stack = [(1, x1, 0, prob) for x1, prob in _roots(init)]
+    while stack:
+        i, rx, ry, prob = stack.pop()
+        x = rx % nx
+        ai = tables[i - 1][rx * y_spans[i - 1] + ry]
+        total += prob * bar[i - 1][x][ai]
+        if i == n:
+            continue
+        transition = transitions[i - 1][x][ai]
+        weight = weights[i - 1][x]
+        for yi in reversed(range(y_base)):
+            p_y = weight[yi]
+            if p_y == 0.0:
+                continue
+            for xn in reversed(range(nx)):
+                p_x = transition[xn]
+                if p_x > 0.0:
+                    stack.append((i + 1, rx * nx + xn, ry * y_base + yi, prob * p_y * p_x))
+    return total
+
+
+def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
+    """Expected accumulated loss by plain summation over complete trajectories.
+
+    Enumerates every (x-sequence, y-sequence) with positive probability in
+    lexicographic order, weighting the accumulated loss of each by its exact
+    probability under the strategy. No sampling, no value recursion. The walk
+    keeps its own stack, so the horizon is not bounded by Python's recursion
+    limit.
+    """
+    _check_history_strategy(problem, strategy)
+    return _loss_walk(strategy.mode, strategy.tables, *_tables_as_lists(problem))
 
 
 def history_count(problem: Problem, mode: HistoryMode) -> int:
@@ -344,38 +400,13 @@ def verify_lemma1(problem: Problem, strategy: HistoryStrategy) -> tuple[float, f
     They must agree for every strategy, history-dependent or not.
     """
     _check_history_strategy(problem, strategy)
-    lhs = exact_loss_history(problem, strategy)
-
+    init, transitions, quantities, loss = _tables_as_lists(problem)
     bar = bar_loss_table(problem).values.tolist()
-    n, nx, ny = problem.n, len(problem.x_space), len(problem.y_space)
-    quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
-    tables = strategy.tables
-    y_spans = [_spans(nx, ny, strategy.mode, i)[1] for i in range(1, n + 1)]  # the x-rank's multipliers
-    if strategy.mode is HistoryMode.REVEALED:
-        y_base, weights = ny, quantities
-    else:  # one quantity digit of weight 1.0 (see the module docstring)
-        y_base, weights = 1, [[[1.0]] * nx] * n
-    rhs = 0.0
-
-    stack = [(1, x1, 0, prob) for x1, prob in _roots(problem)]
-    while stack:
-        i, rx, ry, prob = stack.pop()
-        x = rx % nx
-        ai = tables[i - 1][rx * y_spans[i - 1] + ry]
-        rhs += prob * bar[i - 1][x][ai]
-        if i == n:
-            continue
-        transition = transitions[i - 1][x][ai]
-        weight = weights[i - 1][x]
-        for yi in reversed(range(y_base)):
-            p_y = weight[yi]
-            if p_y == 0.0:
-                continue
-            for xn in reversed(range(nx)):
-                p_x = transition[xn]
-                if p_x > 0.0:
-                    stack.append((i + 1, rx * nx + xn, ry * y_base + yi, prob * p_y * p_x))
-    return lhs, rhs
+    mode, tables = strategy.mode, strategy.tables
+    return (
+        _loss_walk(mode, tables, init, transitions, quantities, loss),
+        _bar_walk(mode, tables, init, transitions, quantities, bar),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,78 +433,62 @@ def brute_force_optimum(
     instances small enough to enumerate literally). Decisions at ties go to
     the smallest estimate index, so the witness is the lexicographically
     first minimizer. ``lemma1_pairs`` holds the loss-marginalization pair for
-    the witness. Values are kept, by rank, for two adjacent rounds only.
+    the witness. The problem is solved as a stack of one (see the module
+    docstring); values are kept, by rank, for two adjacent rounds only.
 
     Raises SearchSpaceTooLarge when the strategy space, or the number of
     histories (which bounds the work, and exceeds the strategy count only
     when there is a single estimate), exceeds ``limit``.
     """
-    _, count = _checked_space(problem, mode, limit)
-    n = problem.n
-    nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
-    quantities, transitions = problem.quantities.tolist(), problem.transitions.tolist()
-    # the immediate cost depends on the history only through its last observation
-    bar = bar_loss_table(problem).values.tolist()
-    revealed = mode is HistoryMode.REVEALED
-    y_base = ny if revealed else 1
+    spaces = (problem.x_space, problem.y_space, problem.yhat_space)
+    stack = (problem.init, problem.transitions, problem.quantities, problem.loss)
+    return _stack_reports(problem.n, spaces, mode, limit, *(table[None] for table in stack))[0]
 
-    later: list[float] = []  # the optimal values of round i + 1, by rank
-    decisions: list[tuple[int, ...]] = []
+
+def _history_optimum(
+    mode: HistoryMode, init: np.ndarray, transitions: np.ndarray, quantities: np.ndarray, bar: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The minimum over history strategies, and the first minimizer's decisions, of each problem of a stack.
+
+    ``init`` (B, |X|), ``transitions`` (B, n-1, |X|, |Yhat|, |X|) and
+    ``quantities`` (B, n, |X|, |Y|) stack the tables of B problems of one
+    shape, and ``bar`` (B, n, |X|, |Yhat|) their bar-loss tables. Returns the
+    B minima and, for each round, the (B, histories) array of decisions by
+    rank. Each round is a few array steps, with a Python loop only over the
+    successor's digits (yi, xn), so every value is summed in the order of a
+    loop over one history's successors.
+    """
+    batch, n, nx, na = bar.shape
+    ny = quantities.shape[-1]
+    # one quantity digit of weight 1.0 when unrevealed (see the module docstring)
+    weights = quantities if mode is HistoryMode.REVEALED else np.ones((batch, n, nx, 1))
+    y_base = weights.shape[-1]
+    later = None  # the optimal values of round i + 1, by rank
+    tables = []
     for i in range(n, 0, -1):
-        quantity, stage = quantities[i - 1], bar[i - 1]
-        transition = transitions[i - 1] if i < n else None
-        # one quantity digit of weight 1.0 when unrevealed (see the module docstring)
-        weights = quantity if revealed else [[1.0]] * nx
         x_span, y_span = _spans(nx, ny, mode, i)
-        # the successor (rx·nx + xn, ry·y_base + yi) has rank
-        # (rx·nx + xn)·stride + ry·y_base + yi: successors that differ only in
-        # xn lie ``stride`` apart in ``later``
-        stride = y_span * y_base
-        values: list[float] = []
-        table: list[int] = []
-        for rx in range(x_span):
-            x = rx % nx
-            for ry in range(y_span):
-                # the successors' values, grouped by the quantity digit that leads to them with its weight
-                if i == n:
-                    groups = []
-                else:
-                    first = rx * nx * stride + ry * y_base
-                    groups = [
-                        (p_y, later[first + yi : first + nx * stride : stride])
-                        for yi, p_y in enumerate(weights[x])
-                        if p_y != 0.0
-                    ]
-                best_value = None
-                best_action = 0
-                for ai in range(na):
-                    value = stage[x][ai]
-                    for p_y, successors in groups:
-                        for p_x, successor in zip(transition[x][ai], successors):
-                            if p_x != 0.0:
-                                value += p_y * p_x * successor
-                    if best_value is None or value < best_value:
-                        best_value, best_action = value, ai
-                values.append(best_value)
-                table.append(best_action)
-        later = values
-        decisions.append(tuple(table))
-    decisions.reverse()
-
+        # a history's x-rank is prefix·|X| + x, its last observation: values have
+        # axes (batch, prefix, x, y-rank, estimate), the immediate cost broadcast over the rest
+        values = bar[:, i - 1, None, :, None, :]
+        if later is not None:
+            # the successor (rx·|X| + xn, ry·y_base + yi) of (rx, ry) has axes (batch, prefix, x, xn, y-rank, yi)
+            successors = later.reshape(batch, x_span // nx, nx, nx, y_span, y_base)
+            for yi in range(y_base):
+                p_y = weights[:, i - 1, :, yi, None]
+                for xn in range(nx):
+                    p_x = transitions[:, i - 1, :, :, xn]
+                    # a zero weight skips its term, so that no 0.0 is added to a -0.0
+                    skip = ((p_y == 0.0) | (p_x == 0.0))[:, None, :, None, :]
+                    term = (p_y * p_x)[:, None, :, None, :] * successors[:, :, :, xn, :, yi, None]
+                    values = np.where(skip, values, values + term)
+        values = np.broadcast_to(values, (batch, x_span // nx, nx, y_span, na))
+        tables.append(values.argmin(axis=-1).reshape(batch, -1))  # the first minimizer
+        later = values.min(axis=-1).reshape(batch, -1)
+    tables.reverse()
     brute_min = 0.0
-    for x1, p in enumerate(problem.init.tolist()):
-        brute_min += p * later[x1]
-
-    witness = HistoryStrategy(mode, *_history_binding(problem), tuple(decisions))
-    dp_min = minimum_inference_loss(problem, solve(problem, TieBreakRule.MYOPIC_PREFERRED))
-    return OracleReport(
-        brute_min=brute_min,
-        dp_min=dp_min,
-        gap=brute_min - dp_min,
-        witness=witness,
-        strategies_searched=count,
-        lemma1_pairs=(verify_lemma1(problem, witness),),
-    )
+    for x1 in range(nx):
+        brute_min = brute_min + init[:, x1] * later[:, x1]
+    return brute_min, tables
 
 
 def enumerate_markov_strategies(problem: Problem) -> Iterator[MarkovStrategy]:
@@ -484,20 +499,99 @@ def enumerate_markov_strategies(problem: Problem) -> Iterator[MarkovStrategy]:
         yield MarkovStrategy(*_markov_binding(problem), choices)
 
 
+def _random_tables(
+    rng: np.random.Generator, n: int, nx: int, ny: int, nyhat: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One random instance's draws, in the order taken: init, transitions, quantities, loss."""
+    return rng.random(nx), rng.random((n - 1, nx, nyhat, nx)), rng.random((n, nx, ny)), rng.random((nx, ny, nyhat))
+
+
+def _positive_rows(draws: np.ndarray) -> np.ndarray:
+    """Drawn rows moved away from 0 and divided by their sums."""
+    rows = draws + 1e-3
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def _digit_spaces(nx: int, ny: int, nyhat: int) -> tuple[Alphabet, Alphabet, Alphabet]:
+    return tuple(Alphabet(tuple(str(k) for k in range(size))) for size in (nx, ny, nyhat))
+
+
 def random_problem(
     rng: np.random.Generator, n: int, nx: int = 2, ny: int = 2, nyhat: int = 2
 ) -> Problem:
     """A random instance with strictly positive kernels and losses in [0, 1]."""
-    x_space = Alphabet(tuple(str(k) for k in range(nx)))
-    y_space = Alphabet(tuple(str(k) for k in range(ny)))
-    yhat_space = Alphabet(tuple(str(k) for k in range(nyhat)))
+    init, transitions, quantities, loss = _random_tables(rng, n, nx, ny, nyhat)
+    rows = (_positive_rows(table) for table in (init, transitions, quantities))
+    return problem_from_tables(n, *_digit_spaces(nx, ny, nyhat), *rows, loss)
 
-    def random_rows(*shape: int) -> np.ndarray:
-        rows = rng.random(shape) + 1e-3
-        return rows / rows.sum(axis=-1, keepdims=True)
 
-    init = random_rows(nx)
-    transitions = random_rows(n - 1, nx, nyhat, nx)
-    quantities = random_rows(n, nx, ny)
-    loss = rng.random((nx, ny, nyhat))
-    return problem_from_tables(n, x_space, y_space, yhat_space, init, transitions, quantities, loss)
+def random_sweep(
+    rng: np.random.Generator,
+    instances: int,
+    mode: HistoryMode,
+    limit: int,
+    max_n: int,
+    nx: int,
+    ny: int,
+    nyhat: int,
+) -> list[OracleReport]:
+    """:func:`brute_force_optimum` on ``instances`` random problems, in draw order.
+
+    Each instance draws its horizon from 1..``max_n``, then its tables as
+    :func:`random_problem` does; every instance is drawn before any is
+    solved, so the rng stream is that of one such draw after another. The
+    problems of each horizon are then solved as one stack: one history DP,
+    one bar-loss table and one backward induction over a leading instance
+    axis, and the identity walks per instance. The limit is checked on the
+    largest horizon before the first draw.
+    """
+    checked_shape_space(max_n, nx, ny, nyhat, mode, limit)
+    drawn = []
+    for _ in range(instances):
+        n = int(rng.integers(1, max_n + 1))
+        drawn.append((n, _random_tables(rng, n, nx, ny, nyhat)))
+    spaces = _digit_spaces(nx, ny, nyhat)
+    reports: list[OracleReport] = [None] * instances  # type: ignore[list-item]
+    for n in sorted({n for n, _ in drawn}):
+        members = [k for k, (m, _) in enumerate(drawn) if m == n]
+        init, transitions, quantities, loss = (np.stack(tables) for tables in zip(*(drawn[k][1] for k in members)))
+        rows = (_positive_rows(table) for table in (init, transitions, quantities))
+        stack = stack_from_tables(n, *spaces, *rows, loss)
+        for k, report in zip(members, _stack_reports(n, spaces, mode, limit, *stack)):
+            reports[k] = report
+    return reports
+
+
+def _stack_reports(
+    n: int,
+    spaces: tuple[Alphabet, Alphabet, Alphabet],
+    mode: HistoryMode,
+    limit: int,
+    init: np.ndarray,
+    transitions: np.ndarray,
+    quantities: np.ndarray,
+    loss: np.ndarray,
+) -> list[OracleReport]:
+    """:func:`brute_force_optimum` on each problem of a stack (see :func:`stack_from_tables`).
+
+    The limit is checked first. The solver's minimum comes from its array core
+    (``solve`` on one problem runs the same core), and the identity pair from
+    the walks of :func:`verify_lemma1`.
+    """
+    _, count = checked_shape_space(n, *(len(space) for space in spaces), mode, limit)
+    bar = bar_loss_values(quantities, loss)
+    brute_min, tables = _history_optimum(mode, init, transitions, quantities, bar)
+    dp_min = initial_value(init, value_tables(bar, transitions)[1])
+    binding = (n, *(space.labels for space in spaces))
+    lists = [table.tolist() for table in (init, transitions, quantities, loss, bar)]
+    tables = [table.tolist() for table in tables]
+    reports = []
+    for b, (brute, dp) in enumerate(zip(brute_min.tolist(), dp_min.tolist())):
+        init_b, transitions_b, quantities_b, loss_b, bar_b = (table[b] for table in lists)
+        witness = HistoryStrategy(mode, *binding, tuple(table[b] for table in tables))
+        pair = (
+            _loss_walk(mode, witness.tables, init_b, transitions_b, quantities_b, loss_b),
+            _bar_walk(mode, witness.tables, init_b, transitions_b, quantities_b, bar_b),
+        )
+        reports.append(OracleReport(brute, dp, brute - dp, witness, count, (pair,)))
+    return reports

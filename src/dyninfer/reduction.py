@@ -36,12 +36,22 @@ def bar_loss_table(problem: Problem) -> BarLossTable:
     never on any strategy. Each entry is summed over quantities in label
     order, so it is the same float for every round and layout.
     """
-    quantities, loss = problem.quantities, problem.loss
-    values = 0.0
-    for yi in range(len(problem.y_space)):
-        values = values + quantities[:, :, yi, None] * loss[None, :, yi, :]
+    values = bar_loss_values(problem.quantities, problem.loss)
     myopic = values.argmin(axis=-1)
     values.setflags(write=False)
     myopic.setflags(write=False)
     return BarLossTable(values, myopic)
 
+
+def bar_loss_values(quantities: np.ndarray, loss: np.ndarray) -> np.ndarray:
+    """:func:`bar_loss_table`'s values from quantity stacks and loss tables.
+
+    ``quantities`` has shape (..., n, |X|, |Y|) and ``loss`` shape
+    (..., |X|, |Y|, |Yhat|); the result has shape (..., n, |X|, |Yhat|).
+    Leading axes index problems of one shape; each problem's entries are
+    the floats its own table holds.
+    """
+    values = 0.0
+    for yi in range(quantities.shape[-1]):
+        values = values + quantities[..., yi, None] * loss[..., None, :, yi, :]
+    return values

@@ -60,15 +60,7 @@ def solve(problem: Problem, rule: TieBreakRule = TieBreakRule.MYOPIC_PREFERRED) 
     next observation is summed in label order, as a scalar loop would.
     """
     bar = bar_loss_table(problem)
-    q_star = bar.values.copy()
-    v_star = q_star.min(axis=-1)
-    for k in range(problem.n - 2, -1, -1):
-        expected = 0.0
-        for xn in range(len(problem.x_space)):
-            expected = expected + problem.transitions[k, :, :, xn] * v_star[k + 1, xn]
-        q_star[k] += expected
-        v_star[k] = q_star[k].min(axis=-1)
-
+    q_star, v_star = value_tables(bar.values, problem.transitions)
     tied = q_star <= v_star[..., None] + TIE_TOLERANCE
     policy = tied.argmax(axis=-1)  # the smallest tied index
     if rule is TieBreakRule.MYOPIC_PREFERRED:
@@ -82,6 +74,33 @@ def solve(problem: Problem, rule: TieBreakRule = TieBreakRule.MYOPIC_PREFERRED) 
     v_star.setflags(write=False)
     policy.setflags(write=False)
     return SolveResult(problem, rule, v_star, q_star, policy, tie_sets, bar.myopic)
+
+
+def value_tables(bar: np.ndarray, transitions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backward induction on bar-loss tables and transition stacks.
+
+    ``bar`` has shape (..., n, |X|, |Yhat|) and ``transitions`` shape
+    (..., n-1, |X|, |Yhat|, |X|). Returns the action values and their row minima, shapes (..., n, |X|,
+    |Yhat|) and (..., n, |X|). Leading axes index problems of one shape; each
+    problem's values are the floats a solve of it alone gives.
+    """
+    q_star = bar.copy()
+    v_star = q_star.min(axis=-1)
+    for k in range(q_star.shape[-3] - 2, -1, -1):
+        expected = 0.0
+        for xn in range(q_star.shape[-2]):
+            expected = expected + transitions[..., k, :, :, xn] * v_star[..., k + 1, xn, None, None]
+        q_star[..., k, :, :] += expected
+        v_star[..., k, :] = q_star[..., k, :, :].min(axis=-1)
+    return q_star, v_star
+
+
+def initial_value(init: np.ndarray, v_star: np.ndarray) -> np.ndarray:
+    """The expectation of round-1 values ``v_star[..., 0, :]`` under ``init`` (..., |X|), summed in label order."""
+    total = 0.0
+    for xi in range(init.shape[-1]):
+        total = total + init[..., xi] * v_star[..., 0, xi]
+    return total
 
 
 def ensure_result_matches(problem: Problem, result: SolveResult) -> None:
@@ -102,10 +121,7 @@ def ensure_result_matches(problem: Problem, result: SolveResult) -> None:
 def minimum_inference_loss(problem: Problem, result: SolveResult) -> float:
     """Minimum expected accumulated loss: the initial expectation of round-1 values."""
     ensure_result_matches(problem, result)
-    total = 0.0
-    for xi in range(len(problem.x_space)):
-        total += problem.init[xi] * result.v_star[0, xi]
-    return float(total)
+    return float(initial_value(problem.init, result.v_star))
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,26 @@ def test_verify_sweep_bytes_are_pinned(tmp_path, mode):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SWEEP_SHA256[mode]
 
 
+# sha256 of `verify --instances 1000 --limit 2**50` per (mode, seed), recorded before the
+# sweep solved its instances in horizon groups
+VERIFY_FULL_SWEEP_SHA256 = {
+    ("revealed", 1): "8aeb45b986413c881608e9306563cc065bd88db95233ada0bfc71ffdb1b7387f",
+    ("revealed", 5): "c9ba3b29fa05afa07cd65ac1ff41a99cace03ad030806874e3eaf074f77038cf",
+    ("revealed", 42): "799c428333ff609b83c630dc69fbde2f6c945a9bf03fb083be5e5fe3aa9f72d0",
+    ("unrevealed", 1): "de9961a80e87abf58573d5fb73b7d42fb1285567c29c5b7593686b91bc011517",
+    ("unrevealed", 5): "b50b9347de6b86058a34889045aaec041b80c9746c03a7eec9cf5908c1835c90",
+    ("unrevealed", 42): "813a71b704b021f997769840108d2a38e7e9ba05b09855b99060e6bd3159264d",
+}
+
+
+@pytest.mark.parametrize(("mode", "seed"), sorted(VERIFY_FULL_SWEEP_SHA256))
+def test_verify_full_sweep_bytes_are_pinned(tmp_path, mode, seed):
+    out = tmp_path / "verify.txt"
+    argv = ["verify", "--instances", "1000", "--seed", str(seed), "--limit", str(2**50), "--mode", mode]
+    assert run([*argv, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_FULL_SWEEP_SHA256[mode, seed]
+
+
 # sha256 of `verify -m` on random_problem(default_rng(0), 3, 3, 2, 2) with `--limit 2**129` per mode,
 # recorded before histories were named by rank: |X| = 3 and |Y| = 2, so the two radices differ
 VERIFY_MIXED_RADIX_SHA256 = {
@@ -386,6 +406,13 @@ def test_yield_grid_must_be_finite_with_a_positive_step(capsys):
         ["--grid-min", "nan"],
         ["--grid-max", "1e300", "--grid-step", "1"],  # more points than an array can index
     ):
+        assert run(["example", "yield", *argv]) == 1
+        assert _single_error_line(capsys)["error"] == "InvalidParams"
+
+
+def test_yield_parameters_that_overflow_are_domain_errors(capsys):
+    # each printed a RuntimeWarning from the table's arithmetic; --beta inf then failed a row sum
+    for argv in (["--c-missed", "1e308"], ["--beta", "inf"], ["--c-danger", "1.7e308"], ["--dc", "nan"]):
         assert run(["example", "yield", *argv]) == 1
         assert _single_error_line(capsys)["error"] == "InvalidParams"
 

@@ -1,5 +1,7 @@
 """Built-in models: golden policies and yield-model properties."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,13 @@ def test_yield_invalid_params():
         YieldParams(c_missed=-0.1)
     with pytest.raises(InvalidParams):
         YieldParams(planner="persist")  # type: ignore[arg-type]
+    for bad in ({"beta": math.inf}, {"d_c": math.nan}, {"c_missed": math.inf}, {"c_danger": math.nan}):
+        with pytest.raises(InvalidParams, match="must be finite"):
+            YieldParams(**bad)
+    for grid in ((0.0, math.nan, 2.0), (0.0, math.inf), (-1e308, 1e308)):
+        with pytest.raises(InvalidParams, match="span must be finite"):
+            YieldParams(grid=grid, d_c=0.0)
+    # each loss entry would overflow, though every parameter is finite
+    for bad in ({"c_missed": 1e307}, {"c_danger": 1.7e308}):
+        with pytest.raises(InvalidParams, match="largest losses"):
+            YieldParams(**bad)

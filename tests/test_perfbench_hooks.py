@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dyninfer import HistoryMode, example_stock, random_problem, solve
 from dyninfer.oracle import history_count
@@ -77,3 +78,21 @@ def test_solve_and_trellis_counts_hooks_read_real_cli_calls(monkeypatch, tmp_pat
     assert summary["solver.solve"]["calls"] == 2 and summary["solver.solve"]["ties"] == 2 * ties
     trellis = summary["trellis.build_trellis"]
     assert (trellis["calls"], trellis["nodes"], trellis["edges"]) == (1, 12, 20)
+
+
+@pytest.mark.parametrize("mode", ["revealed", "unrevealed"])
+def test_traced_sweep_writes_the_untraced_bytes(monkeypatch, tmp_path, mode):
+    # a stack reaching a hooked name (dyninfer.cli.brute_force_optimum, dyninfer.oracle.solve)
+    # would fail the hook's counts, and with them every traced round of the benchmark
+    tracing = _load_tracing(monkeypatch)
+    from dyninfer import cli
+
+    argv = ["verify", "--instances", "20", "--seed", "5", "--limit", str(2**50), "--mode", mode]
+    assert cli.run([*argv, "-o", str(tmp_path / "plain.txt")]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.run([*argv, "-o", str(tmp_path / "traced.txt")]) == 0
+    finally:
+        tracer.uninstall()
+    assert (tmp_path / "traced.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()

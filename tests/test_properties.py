@@ -1,4 +1,7 @@
-"""Property tests: the array kernels and oracle walks against the scalar reference, and model round trips."""
+"""Property tests: the array kernels and oracle walks against the scalar reference, and model round trips.
+
+The kernels are checked on single problems and on stacks of problems of one shape.
+"""
 
 import dataclasses
 
@@ -14,11 +17,13 @@ from dyninfer import (
     HistoryMode,
     InvalidParams,
     MarkovStrategy,
+    NotStochastic,
     TieBreakRule,
     bar_loss_table,
     brute_force_optimum,
     evaluate_markov,
     exact_loss_history,
+    minimum_inference_loss,
     myopic_strategy,
     optimal_strategy,
     problem_from_tables,
@@ -26,10 +31,15 @@ from dyninfer import (
     random_history_strategy,
     random_problem,
     solve,
+    strategy_count,
     validate_problem,
     verify_lemma1,
 )
 from dyninfer import cli
+from dyninfer.model import stack_from_tables
+from dyninfer.oracle import _stack_reports
+from dyninfer.reduction import bar_loss_values
+from dyninfer.solver import value_tables
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -58,10 +68,16 @@ def _rows(draw, shape, exact):
 
 
 @st.composite
-def problems(draw, exact=None, max_labels=6, max_n=5):
-    """Problems with 1 to ``max_labels`` labels per alphabet and 1 to ``max_n`` rounds, stationary or not."""
-    n = draw(st.integers(1, max_n))
-    nx, ny, na = (draw(st.integers(1, max_labels)) for _ in range(3))
+def problems(draw, exact=None, max_labels=6, max_n=5, shape=None):
+    """Problems with 1 to ``max_labels`` labels per alphabet and 1 to ``max_n`` rounds, stationary or not.
+
+    ``shape`` = (n, |X|, |Y|, |Yhat|) fixes the sizes instead.
+    """
+    if shape is None:
+        n = draw(st.integers(1, max_n))
+        nx, ny, na = (draw(st.integers(1, max_labels)) for _ in range(3))
+    else:
+        n, nx, ny, na = shape
     exact = draw(st.booleans()) if exact is None else exact
     rounds = 1 if draw(st.booleans()) else None  # one table for every round
     x_space, y_space, yhat_space = (
@@ -143,6 +159,67 @@ def test_oracle_matches_scalar_reference(problem, seed):
         drawn = random_history_strategy(problem, mode, np.random.default_rng(seed))
         assert exact_loss_history(problem, drawn) == scalar_reference.exact_loss_history(problem, drawn)
         assert verify_lemma1(problem, drawn) == scalar_reference.lemma1(problem, drawn)
+
+
+@st.composite
+def problem_stacks(draw):
+    """1 to 5 problems of one shape, each drawn by ``problems``."""
+    first = draw(problems(max_labels=3, max_n=3))
+    shape = (first.n, len(first.x_space), len(first.y_space), len(first.yhat_space))
+    return [first, *draw(st.lists(problems(shape=shape), max_size=4))]
+
+
+def _same_bits(a, b) -> bool:
+    """Equal floats, told apart by sign of zero too."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@SETTINGS
+@given(problem_stacks())
+def test_stacked_oracle_and_solver_match_each_problem(problems):
+    # the sweep's draws never hold a zero: only these stacks reach the zero-probability masks
+    first = problems[0]
+    spaces = (first.x_space, first.y_space, first.yhat_space)
+    init, transitions, quantities, loss = (
+        np.stack([getattr(problem, name) for problem in problems])
+        for name in ("init", "transitions", "quantities", "loss")
+    )
+    bar = bar_loss_values(quantities, loss)
+    q_star, v_star = value_tables(bar, transitions)
+    for mode in HistoryMode:
+        reports = _stack_reports(first.n, spaces, mode, 10**10_000, init, transitions, quantities, loss)
+        assert len(reports) == len(problems)
+        for b, (problem, report) in enumerate(zip(problems, reports)):
+            alone = solve(problem)  # a stack of one
+            assert _same_bits(bar[b], bar_loss_table(problem).values)
+            assert _same_bits(q_star[b], alone.q_star) and _same_bits(v_star[b], alone.v_star)
+            assert _same_bits(report.dp_min, minimum_inference_loss(problem, alone))
+            brute_min, decisions = scalar_reference.brute_force(problem, mode)
+            assert _same_bits(report.brute_min, brute_min)
+            assert list(report.witness.tables) == [tuple(table[key] for key in sorted(table)) for table in decisions]
+            ((lhs, rhs),) = report.lemma1_pairs
+            expected_lhs, expected_rhs = scalar_reference.lemma1(problem, report.witness)
+            assert _same_bits(lhs, expected_lhs) and _same_bits(rhs, expected_rhs)
+            assert report.strategies_searched == strategy_count(problem, mode)
+
+
+def test_a_stack_names_its_first_faulty_problem_as_a_single_build_does():
+    rng = np.random.default_rng(3)
+    n, spaces = 3, (Alphabet(("a", "b")), Alphabet(("u", "v", "w")), Alphabet(("p", "q")))
+    init, transitions, quantities = (
+        rows / rows.sum(axis=-1, keepdims=True)
+        for rows in (rng.random((5, 2)), rng.random((5, n - 1, 2, 2, 2)), rng.random((5, n, 2, 3)))
+    )
+    loss = rng.random((5, 2, 3, 2))
+    transitions[2, 1, 0, 1, 0] = -0.25  # the third problem: a negative entry
+    quantities[4, 0, 1] *= 2.0  # a later problem: a row that sums past 1
+    with pytest.raises(NotStochastic) as single:
+        problem_from_tables(n, *spaces, init[2], transitions[2], quantities[2], loss[2])
+    with pytest.raises(NotStochastic) as stacked:
+        stack_from_tables(n, *spaces, init, transitions, quantities, loss)
+    assert "has a negative entry" in str(single.value)
+    assert str(stacked.value) == str(single.value)
 
 
 @SETTINGS
