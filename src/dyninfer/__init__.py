@@ -22,7 +22,6 @@ from .evaluate import (
     EvalResult,
     MarkovStrategy,
     SimulationResult,
-    Trajectory,
     evaluate_markov,
     myopic_strategy,
     optimal_strategy,
@@ -41,14 +40,10 @@ from .oracle import (
     HistoryStrategy,
     OracleReport,
     brute_force_optimum,
-    build_history_strategy,
-    enumerate_history_strategies,
     enumerate_markov_strategies,
-    enumeration_minimum,
     exact_loss_history,
     random_history_strategy,
     random_problem,
-    strategy_count,
     verify_lemma1,
 )
 from .reduction import BarLossTable, bar_loss_table
@@ -87,18 +82,14 @@ __all__ = [
     "SimulationResult",
     "SolveResult",
     "TieBreakRule",
-    "Trajectory",
     "TrellisDocument",
     "TrellisEdge",
     "UnknownLabel",
     "YieldParams",
     "bar_loss_table",
     "brute_force_optimum",
-    "build_history_strategy",
     "build_trellis",
-    "enumerate_history_strategies",
     "enumerate_markov_strategies",
-    "enumeration_minimum",
     "evaluate_markov",
     "exact_loss_history",
     "example_section33",
@@ -115,7 +106,6 @@ __all__ = [
     "simulate",
     "solution_report",
     "solve",
-    "strategy_count",
     "validate_problem",
     "verify_lemma1",
 ]

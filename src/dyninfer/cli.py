@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dyninfer", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model(p: argparse.ArgumentParser, required: bool = True) -> None:
+    def add_model(p: argparse._ActionsContainer, required: bool = True) -> None:
         p.add_argument("-m", "--model", required=required, default=None, help="model JSON file ('-' for stdin)")
 
     def add_output(p: argparse.ArgumentParser) -> None:
@@ -348,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="brute-force check against the solver")
-    add_model(p_verify, required=False)
+    source = p_verify.add_mutually_exclusive_group()
+    add_model(source, required=False)
+    source.add_argument("--instances", type=int, default=None, help="sweep K random binary instances instead of -m")
     p_verify.add_argument("--mode", choices=[mode.value for mode in HistoryMode], default="unrevealed")
     p_verify.add_argument(
         "--limit",
@@ -356,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_STRATEGY_LIMIT,
         help="largest admissible strategy-space size and history count",
     )
-    p_verify.add_argument("--instances", type=int, default=None, help="sweep K random binary instances instead of -m")
     p_verify.add_argument("--seed", type=int, default=os.environ.get("DYNINFER_SEED", "0"))
     add_output(p_verify)
     p_verify.set_defaults(func=_cmd_verify)

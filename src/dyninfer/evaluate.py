@@ -21,7 +21,6 @@ from .reduction import bar_loss_table
 from .rng import check_seed, uniform_matrix
 from .solver import SolveResult
 
-DEFAULT_TRAJECTORY_CAP = 10_000
 # draws per block of rollouts in ``simulate`` (2 MB per float64 temporary)
 BLOCK_DRAWS = 2**18
 
@@ -135,24 +134,12 @@ def evaluate_markov(problem: Problem, strategy: MarkovStrategy) -> EvalResult:
     return EvalResult(float(j), v)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One realized rollout: labels per round plus its accumulated loss."""
-
-    id: str
-    xs: tuple[str, ...]
-    ys: tuple[str, ...]
-    yhats: tuple[str, ...]
-    loss: float
-
-
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
     mean: float
     variance: float
     rollouts: int
     seed: int
-    trajectories: tuple[Trajectory, ...] | None
 
 
 def _row_cdfs(table: np.ndarray) -> np.ndarray:
@@ -173,36 +160,35 @@ def _in_blocks(values: np.ndarray, rows: int):
         yield from values[start : start + rows].tolist()
 
 
-def _trajectories(
-    problem: Problem, seed: int, start: int, history: list, losses: np.ndarray
-) -> list[Trajectory]:
-    """Rollouts ``start, start + 1, ...`` from their per-round (xs, ys, yhats) index arrays."""
-    x_labels = problem.x_space.labels
-    y_labels = problem.y_space.labels
-    yhat_labels = problem.yhat_space.labels
-    # per label kind, one row of round-by-round indices per rollout
-    xs, ys, yhats = (np.stack(column, axis=1).tolist() for column in zip(*history))
-    return [
-        Trajectory(
-            id=f"{seed}:{start + r}",
-            xs=tuple(x_labels[v] for v in xs[r]),
-            ys=tuple(y_labels[v] for v in ys[r]),
-            yhats=tuple(yhat_labels[v] for v in yhats[r]),
-            loss=loss,
-        )
-        for r, loss in enumerate(losses.tolist())
-    ]
+def _block_rows(n: int) -> int:
+    """Rollouts per block: about ``BLOCK_DRAWS`` draws of ``2 n`` each, and at least one rollout."""
+    return max(1, BLOCK_DRAWS // (2 * n))
 
 
-def simulate(
-    problem: Problem,
-    strategy: MarkovStrategy,
-    rollouts: int,
-    seed: int,
-    *,
-    return_trajectories: bool = False,
-    trajectory_cap: int = DEFAULT_TRAJECTORY_CAP,
-) -> SimulationResult:
+def _rollout_losses(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: int) -> np.ndarray:
+    """The accumulated loss of each rollout, in rollout order, drawn block by block as :func:`simulate` describes."""
+    n = problem.n
+    block_rows = _block_rows(n)
+    init_cdf = _row_cdfs(problem.init[None, :])
+    quantity_cdfs = _row_cdfs(problem.quantities)
+    transition_cdfs = _row_cdfs(problem.transitions)
+
+    losses = np.zeros(rollouts)
+    for start in range(0, rollouts, block_rows):
+        stop = min(start + block_rows, rollouts)
+        uniforms = uniform_matrix(seed, stop - start, 2 * n, start)
+        block_losses = losses[start:stop]
+        xs = _sample(init_cdf, uniforms[:, 0])
+        for k in range(n):
+            ys = _sample(quantity_cdfs[k][xs], uniforms[:, 2 * k + 1])
+            yhats = strategy.choices[k, xs]
+            block_losses += problem.loss[xs, ys, yhats]
+            if k < n - 1:
+                xs = _sample(transition_cdfs[k][xs, yhats], uniforms[:, 2 * k + 2])
+    return losses
+
+
+def simulate(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: int) -> SimulationResult:
     """Seeded Monte Carlo rollouts of the estimation process.
 
     Rollout ``k`` consumes substream ``k`` of the SplitMix64 counter stream
@@ -223,34 +209,8 @@ def simulate(
     if rollouts * 8 > _MAX_ARRAY_BYTES:  # one float64 loss per rollout
         raise InvalidParams(f"{rollouts} rollouts are more than an array of their losses can index")
     check_seed(seed)
-    n = problem.n
-    block_rows = max(1, BLOCK_DRAWS // (2 * n))
-
-    init_cdf = _row_cdfs(problem.init[None, :])
-    quantity_cdfs = _row_cdfs(problem.quantities)
-    transition_cdfs = _row_cdfs(problem.transitions)
-
-    losses = np.zeros(rollouts)
-    keep = min(rollouts, max(trajectory_cap, 0)) if return_trajectories else 0
-    trajectories: list[Trajectory] = []
-    for start in range(0, rollouts, block_rows):
-        stop = min(start + block_rows, rollouts)
-        uniforms = uniform_matrix(seed, stop - start, 2 * n, start)
-        block_losses = losses[start:stop]
-        kept = max(0, min(stop, keep) - start)
-        history = []  # per round: (xs, ys, yhats) of the block's kept rollouts
-        xs = _sample(init_cdf, uniforms[:, 0])
-        for i in range(1, n + 1):
-            k = i - 1
-            ys = _sample(quantity_cdfs[k][xs], uniforms[:, 2 * k + 1])
-            yhats = strategy.choices[k, xs]
-            block_losses += problem.loss[xs, ys, yhats]
-            if kept:
-                history.append((xs[:kept], ys[:kept], yhats[:kept]))
-            if i < n:
-                xs = _sample(transition_cdfs[k][xs, yhats], uniforms[:, 2 * k + 2])
-        if kept:
-            trajectories += _trajectories(problem, seed, start, history, block_losses[:kept])
+    losses = _rollout_losses(problem, strategy, rollouts, seed)
+    block_rows = _block_rows(problem.n)
 
     total = 0.0
     for value in _in_blocks(losses, block_rows):
@@ -267,6 +227,4 @@ def simulate(
         variance = square_sum / (rollouts - 1)
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise InvalidParams(f"the mean or variance of {rollouts} rollouts' losses is past the float64 range")
-
-    kept_trajectories = tuple(trajectories) if return_trajectories else None
-    return SimulationResult(mean, variance, rollouts, seed, kept_trajectories)
+    return SimulationResult(mean, variance, rollouts, seed)

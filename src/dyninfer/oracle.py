@@ -36,7 +36,9 @@ list form; they are the independent check of the identity.
 Strategy spaces grow as a double exponential, so every search is gated by a
 limit on the number of strategy functions in the space; the brute-force
 optimum also bounds the number of histories, its actual work, by the same
-limit.
+limit. A third bound, ``TRAJECTORY_LIMIT``, caps the complete (x, y)
+trajectories of the identity walk, which grow as (|X|·|Y|)^n even in
+unrevealed mode, where the histories grow only as |X|^n.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -58,7 +60,8 @@ from .solver import initial_value, value_tables
 from .solver import solve  # noqa: F401
 
 DEFAULT_STRATEGY_LIMIT = 10**6
-DEFAULT_PAIR_LIMIT = 10**7
+# the identity walk's trajectories, which grow as (|X|·|Y|)^n even where the histories do not
+TRAJECTORY_LIMIT = 10**7
 # a count that may need more bits than this is not written out in decimal in an error message
 _COUNT_BITS = 1024
 
@@ -139,24 +142,16 @@ def _history_binding(problem: Problem) -> tuple[int, tuple[str, ...], tuple[str,
     return problem.n, problem.x_space.labels, problem.y_space.labels, problem.yhat_space.labels
 
 
-def build_history_strategy(
-    problem: Problem,
-    mode: HistoryMode,
-    decide: Callable[[int, tuple[int, ...], tuple[int, ...]], int],
-) -> HistoryStrategy:
-    """Materialize a total history strategy from a decision function."""
-    nx, ny = len(problem.x_space), len(problem.y_space)
-    tables = tuple(
-        tuple(decide(i, xs, ys) for xs, ys in _round_histories(nx, ny, mode, i)) for i in range(1, problem.n + 1)
-    )
-    return HistoryStrategy(mode, *_history_binding(problem), tables)
-
-
 def random_history_strategy(
     problem: Problem, mode: HistoryMode, rng: np.random.Generator
 ) -> HistoryStrategy:
-    na = len(problem.yhat_space)
-    return build_history_strategy(problem, mode, lambda i, xs, ys: int(rng.integers(na)))
+    """A history strategy whose decisions are drawn by one ``rng.integers(|Yhat|)`` per history, by round, then by rank."""
+    nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
+    tables = tuple(
+        tuple(int(rng.integers(na)) for _ in range(math.prod(_spans(nx, ny, mode, i))))
+        for i in range(1, problem.n + 1)
+    )
+    return HistoryStrategy(mode, *_history_binding(problem), tables)
 
 
 def _check_history_strategy(problem: Problem, strategy: HistoryStrategy) -> None:
@@ -273,11 +268,6 @@ def shape_history_count(n: int, nx: int, ny: int, mode: HistoryMode) -> int:
     return n * nx if r == 1 else nx * (r**n - 1) // (r - 1)
 
 
-def strategy_count(problem: Problem, mode: HistoryMode) -> int:
-    """Size of the deterministic history-strategy space (exact integer)."""
-    return len(problem.yhat_space) ** history_count(problem, mode)
-
-
 def _count_text(count: int) -> str:
     """``count`` in decimal, or a power of two below it when the decimal form would be too long."""
     if count.bit_length() <= _COUNT_BITS:
@@ -285,19 +275,18 @@ def _count_text(count: int) -> str:
     return f"at least 2^{count.bit_length() - 1}"
 
 
-def _checked_count(what: str, limit: int, base: int, exponent: int, factor: int = 1) -> int:
-    """``factor * base**exponent``, or SearchSpaceTooLarge when that exceeds ``limit``.
+def _checked_count(what: str, limit: int, base: int, exponent: int) -> int:
+    """``base**exponent``, or SearchSpaceTooLarge when that exceeds ``limit``.
 
-    ``factor`` is at least 1. With ``base >= 2`` the count is at least
-    ``2**exponent``, so an exponent of ``limit.bit_length()`` or more settles
-    the question without forming the power. An error names the count in
-    decimal when it has at most ``_COUNT_BITS`` bits, else as
-    ``base^exponent`` when the exponent has at most that many, and as
-    ``at least 2^(2^k)`` otherwise.
+    With ``base >= 2`` the count is at least ``2**exponent``, so an exponent
+    of ``limit.bit_length()`` or more settles the question without forming
+    the power. An error names the count in decimal when it has fewer than
+    ``_COUNT_BITS`` bits, else as ``base^exponent`` when the exponent has at
+    most that many, and as ``at least 2^(2^k)`` otherwise.
     """
-    short = factor.bit_length() + exponent * base.bit_length() <= _COUNT_BITS  # bounds the count's bits
+    short = exponent * base.bit_length() < _COUNT_BITS  # bounds the count's bits
     if short or base < 2 or exponent < limit.bit_length():
-        count = factor * base**exponent
+        count = base**exponent
         if count <= limit:
             return count
         if short or base < 2:
@@ -305,21 +294,18 @@ def _checked_count(what: str, limit: int, base: int, exponent: int, factor: int 
     if exponent.bit_length() > _COUNT_BITS:
         text = f"at least 2^(2^{exponent.bit_length() - 1})"
     else:
-        text = f"{base}^{exponent}" if factor == 1 else f"{factor}*{base}^{exponent}"
+        text = f"{base}^{exponent}"
     raise SearchSpaceTooLarge(f"{text} {what} exceed the limit of {limit}")
-
-
-def _checked_space(problem: Problem, mode: HistoryMode, limit: int) -> tuple[int, int]:
-    return checked_shape_space(
-        problem.n, len(problem.x_space), len(problem.y_space), len(problem.yhat_space), mode, limit
-    )
 
 
 def checked_shape_space(n: int, nx: int, ny: int, na: int, mode: HistoryMode, limit: int) -> tuple[int, int]:
     """The numbers of histories and of history strategies, or SearchSpaceTooLarge when either exceeds ``limit``.
 
     They are those of any problem with ``n`` rounds and ``nx``, ``ny`` and
-    ``na`` labels in its observation, quantity and estimate alphabets.
+    ``na`` labels in its observation, quantity and estimate alphabets. The
+    identity walk of :func:`exact_loss_history` visits up to ``(nx * ny)**n``
+    complete trajectories, in either mode, so more than ``TRAJECTORY_LIMIT``
+    of them are refused too, after the strategies and histories.
 
     The last round alone has ``nx * r**(n - 1) >= 2**k`` histories (``r`` as in
     :func:`shape_history_count`; ``k`` below is exact when nx and r are powers
@@ -339,56 +325,8 @@ def checked_shape_space(n: int, nx: int, ny: int, na: int, mode: HistoryMode, li
         raise SearchSpaceTooLarge(
             f"{_count_text(histories)} histories ({mode.value} mode) exceed the limit of {limit}"
         )
+    _checked_count("trajectories", TRAJECTORY_LIMIT, nx * ny, n)
     return histories, count
-
-
-def enumerate_history_strategies(
-    problem: Problem, mode: HistoryMode, limit: int = DEFAULT_STRATEGY_LIMIT
-) -> Iterator[HistoryStrategy]:
-    """Yield every deterministic history strategy exactly once.
-
-    Order is lexicographic over the vector of decisions, with histories
-    ordered round-by-round and by rank within each round, and the last
-    history's decision varying fastest. The limit, on strategies and on
-    histories, is checked at call time, before the first strategy is produced.
-    """
-    histories, _ = _checked_space(problem, mode, limit)
-    nx, ny = len(problem.x_space), len(problem.y_space)
-    ends = list(itertools.accumulate(math.prod(_spans(nx, ny, mode, i)) for i in range(1, problem.n + 1)))
-    binding = _history_binding(problem)
-
-    def generate() -> Iterator[HistoryStrategy]:
-        for assignment in itertools.product(range(len(problem.yhat_space)), repeat=histories):
-            yield HistoryStrategy(
-                mode, *binding, tuple(assignment[start:end] for start, end in zip([0, *ends], ends))
-            )
-
-    return generate()
-
-
-def enumeration_minimum(
-    problem: Problem,
-    mode: HistoryMode,
-    limit: int = DEFAULT_STRATEGY_LIMIT,
-    pair_limit: int = DEFAULT_PAIR_LIMIT,
-) -> tuple[float, HistoryStrategy]:
-    """Literal brute force: evaluate every enumerated strategy, keep the best.
-
-    Feasible only on tiny instances; besides the strategy-space ``limit`` it
-    enforces ``pair_limit`` on strategy-trajectory pairs, since every strategy
-    is priced by full trajectory enumeration. Ties keep the strategy yielded
-    first, i.e. the lexicographically first minimizer.
-    """
-    _, count = _checked_space(problem, mode, limit)
-    trajectory_base = len(problem.x_space) * len(problem.y_space)
-    _checked_count("strategy-trajectory pairs", pair_limit, trajectory_base, problem.n, factor=count)
-    best: tuple[float, HistoryStrategy] | None = None
-    for strategy in enumerate_history_strategies(problem, mode, limit):
-        loss = exact_loss_history(problem, strategy)
-        if best is None or loss < best[0]:
-            best = (loss, strategy)
-    assert best is not None  # the strategy space is never empty
-    return best
 
 
 def verify_lemma1(problem: Problem, strategy: HistoryStrategy) -> tuple[float, float]:
@@ -428,17 +366,18 @@ def brute_force_optimum(
 
     The whole strategy space is exhausted by optimizing the decision at each
     syntactic history bottom-up over the history tree, which covers the same
-    function space as enumerating the ``strategy_count`` individual
-    strategies (the enumeration view is cross-checked in the test suite on
-    instances small enough to enumerate literally). Decisions at ties go to
-    the smallest estimate index, so the witness is the lexicographically
-    first minimizer. ``lemma1_pairs`` holds the loss-marginalization pair for
+    function space as enumerating every individual strategy (the enumeration
+    view is cross-checked in the test suite on instances small enough to
+    enumerate literally). Decisions at ties go to the smallest estimate
+    index, so the witness is the lexicographically first minimizer. ``lemma1_pairs`` holds the loss-marginalization pair for
     the witness. The problem is solved as a stack of one (see the module
     docstring); values are kept, by rank, for two adjacent rounds only.
 
     Raises SearchSpaceTooLarge when the strategy space, or the number of
     histories (which bounds the work, and exceeds the strategy count only
-    when there is a single estimate), exceeds ``limit``.
+    when there is a single estimate), exceeds ``limit``, or when the
+    identity pair's walk would visit more than ``TRAJECTORY_LIMIT``
+    trajectories.
     """
     spaces = (problem.x_space, problem.y_space, problem.yhat_space)
     stack = (problem.init, problem.transitions, problem.quantities, problem.loss)

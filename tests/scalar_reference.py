@@ -109,12 +109,8 @@ def evaluate_markov(problem, choices):
     return v, float(j)
 
 
-def simulate(problem, choices, rollouts, seed, keep):
-    """All rollouts from one uniform matrix: (mean, variance, trajectories).
-
-    Each of the first ``keep`` trajectories is (id, xs, ys, yhats, loss) with
-    label tuples, as in ``dyninfer.Trajectory``.
-    """
+def simulate(problem, choices, rollouts, seed):
+    """All rollouts from one uniform matrix: (mean, variance, per-rollout losses)."""
     n = problem.n
     uniforms = uniform_matrix(seed, rollouts, 2 * n)
 
@@ -132,15 +128,11 @@ def simulate(problem, choices, rollouts, seed, keep):
 
     xs = (uniforms[:, 0][:, None] >= init_cdf[None, :]).sum(axis=1)
     losses = np.zeros(rollouts)
-    xs_hist, ys_hist, yhats_hist = [], [], []
     for i in range(1, n + 1):
         k = i - 1
         ys = sample(quantity_cdfs[k][xs], uniforms[:, 2 * k + 1])
         yhats = choices[k, xs]
         losses += problem.loss[xs, ys, yhats]
-        xs_hist.append(xs[:keep].copy())
-        ys_hist.append(ys[:keep].copy())
-        yhats_hist.append(yhats[:keep].copy())
         if i < n:
             xs = sample(transition_cdfs[k][xs, yhats], uniforms[:, 2 * k + 2])
 
@@ -154,18 +146,7 @@ def simulate(problem, choices, rollouts, seed, keep):
         for value in losses.tolist():
             square_sum += (value - mean) ** 2
         variance = square_sum / (rollouts - 1)
-
-    labels = problem.x_space.labels, problem.y_space.labels, problem.yhat_space.labels
-    histories = [np.array(hist).T.tolist() for hist in (xs_hist, ys_hist, yhats_hist)]
-    trajectories = [
-        (
-            f"{seed}:{r}",
-            *(tuple(space[v] for v in hist[r]) for space, hist in zip(labels, histories)),
-            float(losses[r]),
-        )
-        for r in range(keep)
-    ]
-    return mean, variance, trajectories
+    return mean, variance, losses
 
 
 def _round_histories(problem, mode, i):

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from enumeration_reference import strategy_count
 
 from dyninfer import (
     Alphabet,
@@ -21,7 +22,6 @@ from dyninfer import (
     problem_from_tables,
     problem_to_dict,
     random_problem,
-    strategy_count,
     validate_problem,
 )
 from dyninfer.cli import run
@@ -243,6 +243,24 @@ def test_verify_limit_bounds_histories_too(tmp_path, capsys):
     assert payload["error"] == "SearchSpaceTooLarge"
     assert "510 histories" in payload["message"]
     assert run(["verify", "-m", str(model), "--limit", "510"]) == 0
+
+
+def test_verify_bounds_the_identity_walk(tmp_path, capsys):
+    # 524286 unrevealed histories, inside the default limit, but 4^18 trajectories for the identity walk
+    model = tmp_path / "one-estimate.json"
+    model.write_text(json.dumps(problem_to_dict(random_problem(np.random.default_rng(0), 18, 2, 2, 1))))
+    assert run(["verify", "-m", str(model)]) == 1
+    assert _single_error_line(capsys) == {
+        "error": "SearchSpaceTooLarge",
+        "message": "68719476736 trajectories exceed the limit of 10000000",
+    }
+
+
+def test_verify_takes_a_model_or_instances_not_both(capsys, stock_model):
+    assert run(["verify", "-m", str(stock_model), "--instances", "3", "--limit", str(2**50)]) == 2
+    assert capsys.readouterr().out == ""
+    assert run(["verify"]) == 1
+    assert _single_error_line(capsys)["error"] == "InvalidModelError"
 
 
 def test_verify_deep_horizon(tmp_path, capsys):

@@ -7,6 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from enumeration_reference import (
+    build_history_strategy,
+    enumerate_history_strategies,
+    enumeration_minimum,
+    strategy_count,
+)
 
 from dyninfer import (
     HistoryMode,
@@ -15,9 +21,6 @@ from dyninfer import (
     SearchSpaceTooLarge,
     ShapeMismatch,
     brute_force_optimum,
-    build_history_strategy,
-    enumerate_history_strategies,
-    enumeration_minimum,
     enumerate_markov_strategies,
     evaluate_markov,
     exact_loss_history,
@@ -28,10 +31,9 @@ from dyninfer import (
     random_history_strategy,
     random_problem,
     solve,
-    strategy_count,
     verify_lemma1,
 )
-from dyninfer.oracle import history_count, shape_history_count
+from dyninfer.oracle import checked_shape_space, history_count, shape_history_count
 
 BOTH_MODES = (HistoryMode.REVEALED, HistoryMode.UNREVEALED)
 
@@ -179,6 +181,22 @@ def test_search_space_limit_without_huge_integers():
         brute_force_optimum(problem, HistoryMode.UNREVEALED)
 
 
+def test_trajectory_count_bounds_the_identity_walk():
+    # 524286 unrevealed histories, inside the default limit, but 4^18 trajectories for the walk
+    problem = random_problem(np.random.default_rng(0), 18, 2, 2, 1)
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLarge, match=r"^68719476736 trajectories exceed the limit of 10000000$"):
+        brute_force_optimum(problem, HistoryMode.UNREVEALED)
+    assert time.perf_counter() - start < 2.0
+    # the strategy and history bounds are checked first, so their messages are unchanged
+    with pytest.raises(SearchSpaceTooLarge, match=r"^524286 histories \(unrevealed mode\)"):
+        brute_force_optimum(problem, HistoryMode.UNREVEALED, limit=1000)
+    # 4^11 trajectories are within the bound, 4^12 are not
+    assert checked_shape_space(11, 2, 2, 1, HistoryMode.UNREVEALED, 10**6) == (4094, 1)
+    with pytest.raises(SearchSpaceTooLarge, match=r"^16777216 trajectories"):
+        checked_shape_space(12, 2, 2, 1, HistoryMode.UNREVEALED, 10**6)
+
+
 def test_history_count_closed_form_equals_the_summed_definition():
     for mode in BOTH_MODES:
         for n, nx, ny in itertools.product(range(1, 7), range(1, 5), range(1, 4)):
@@ -214,12 +232,6 @@ def test_tree_search_equals_literal_enumeration():
         literal, literal_witness = enumeration_minimum(problem, mode, limit=2 ** 11)
         assert report.brute_min == pytest.approx(literal, abs=1e-12)
         assert exact_loss_history(problem, literal_witness) == literal
-
-
-def test_enumeration_minimum_pair_limit():
-    problem = example_section33(2)
-    with pytest.raises(SearchSpaceTooLarge, match="pairs"):
-        enumeration_minimum(problem, HistoryMode.REVEALED, limit=2 ** 11, pair_limit=100)
 
 
 def test_witness_achieves_the_minimum():
@@ -325,6 +337,18 @@ def test_marginalization_identity_random_sweep():
             strategy = random_history_strategy(problem, mode, rng)
             lhs, rhs = verify_lemma1(problem, strategy)
             assert abs(lhs - rhs) <= 1e-12
+
+
+def test_random_history_strategy_draws_are_pinned():
+    # one rng.integers(|Yhat|) per history, by round, then by rank; recorded before the tables were drawn directly
+    problem = example_section33(2)
+    revealed = ((1, 1), (1, 0, 0, 0, 0, 0, 0, 1))
+    unrevealed = ((1, 1), (1, 0, 0, 0))
+    assert random_history_strategy(problem, HistoryMode.REVEALED, np.random.default_rng(0)).tables == revealed
+    assert random_history_strategy(problem, HistoryMode.UNREVEALED, np.random.default_rng(0)).tables == unrevealed
+    rng = np.random.default_rng(0)
+    drawn = [random_history_strategy(problem, mode, rng).tables for mode in BOTH_MODES]
+    assert drawn == [revealed, ((1, 1), (1, 1, 1, 1))]
 
 
 def test_marginalization_identity_with_y_dependent_strategy():

@@ -8,6 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scalar_reference
+from enumeration_reference import strategy_count
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -31,7 +32,6 @@ from dyninfer import (
     random_history_strategy,
     random_problem,
     solve,
-    strategy_count,
     validate_problem,
     verify_lemma1,
 )

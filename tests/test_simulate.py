@@ -1,5 +1,6 @@
 """Seeded Monte Carlo rollouts: determinism, substreams, statistical sanity."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -24,16 +25,17 @@ from dyninfer import (
     solve,
 )
 from dyninfer import evaluate as evaluate_module
+from dyninfer.evaluate import _rollout_losses
 from dyninfer.rng import counter_uniforms, uniform_matrix
 
 
 def test_same_seed_is_bit_identical(stock):
     strategy = optimal_strategy(solve(stock))
-    first = simulate(stock, strategy, 5000, seed=42, return_trajectories=True)
-    second = simulate(stock, strategy, 5000, seed=42, return_trajectories=True)
+    first = simulate(stock, strategy, 5000, seed=42)
+    second = simulate(stock, strategy, 5000, seed=42)
     assert first.mean == second.mean
     assert first.variance == second.variance
-    assert first.trajectories == second.trajectories
+    assert _rollout_losses(stock, strategy, 5000, 42).tobytes() == _rollout_losses(stock, strategy, 5000, 42).tobytes()
 
 
 def test_different_seeds_differ(stock):
@@ -66,34 +68,37 @@ def test_rollout_substreams_are_prefix_stable(stock):
     # rollout k owns its own counter block, so extending the rollout count
     # must not change earlier rollouts
     strategy = myopic_strategy(stock)
-    small = simulate(stock, strategy, 50, seed=7, return_trajectories=True)
-    large = simulate(stock, strategy, 200, seed=7, return_trajectories=True)
-    assert large.trajectories[:50] == small.trajectories
+    small = _rollout_losses(stock, strategy, 50, 7)
+    large = _rollout_losses(stock, strategy, 200, 7)
+    assert large[:50].tobytes() == small.tobytes()
+
+
+def _one_rollout_loss(problem, choices, seed, r):
+    """The loss of rollout ``r`` drawn alone from substream ``r``, one round and one draw at a time."""
+    draws = iter(uniform_matrix(seed, 1, 2 * problem.n, r)[0].tolist())
+
+    def pick(row):
+        # inverse CDF in label-index order, with the last cumulative entry read as 1.0
+        u = next(draws)
+        cdf = list(itertools.accumulate(row.tolist()))
+        return next((m for m, c in enumerate(cdf[:-1]) if u < c), len(cdf) - 1)
+
+    loss = 0.0
+    x = pick(problem.init)
+    for k in range(problem.n):
+        y = pick(problem.quantities[k, x])
+        estimate = int(choices[k, x])
+        loss += float(problem.loss[x, y, estimate])
+        if k < problem.n - 1:
+            x = pick(problem.transitions[k, x, estimate])
+    return loss
 
 
 def test_trajectories_are_consistent(stock):
+    # each rollout follows the strategy along the trajectory its own substream draws
     strategy = optimal_strategy(solve(stock))
-    result = simulate(stock, strategy, 100, seed=3, return_trajectories=True)
-    assert len(result.trajectories) == 100
-    for trajectory in result.trajectories[:10]:
-        assert len(trajectory.xs) == len(trajectory.ys) == len(trajectory.yhats) == stock.n
-        xis = [stock.x_space.index(x) for x in trajectory.xs]
-        ais = [stock.yhat_space.index(yhat) for yhat in trajectory.yhats]
-        recomputed = sum(
-            stock.loss[xi, stock.y_space.index(y), ai]
-            for xi, y, ai in zip(xis, trajectory.ys, ais)
-        )
-        assert trajectory.loss == recomputed
-        for k, (xi, ai) in enumerate(zip(xis, ais)):
-            assert ai == strategy.choices[k, xi]
-    assert result.trajectories[0].id == "3:0"
-
-
-def test_trajectory_cap(stock):
-    strategy = myopic_strategy(stock)
-    result = simulate(stock, strategy, 500, seed=1, return_trajectories=True, trajectory_cap=20)
-    assert len(result.trajectories) == 20
-    assert simulate(stock, strategy, 500, seed=1).trajectories is None
+    losses = _rollout_losses(stock, strategy, 100, 3).tolist()
+    assert losses == [_one_rollout_loss(stock, strategy.choices, 3, r) for r in range(100)]
 
 
 def test_statistical_consistency(stock):
@@ -151,23 +156,20 @@ SIMULATE_CASES = {
 }
 
 
-def _assert_matches_reference(problem, strategy, rollouts, seed, cap):
-    result = simulate(problem, strategy, rollouts, seed, return_trajectories=True, trajectory_cap=cap)
-    mean, variance, trajectories = scalar_reference.simulate(
-        problem, strategy.choices, rollouts, seed, min(rollouts, cap)
-    )
+def _assert_matches_reference(problem, strategy, rollouts, seed):
+    result = simulate(problem, strategy, rollouts, seed)
+    mean, variance, losses = scalar_reference.simulate(problem, strategy.choices, rollouts, seed)
     assert result.mean == mean
     assert result.variance == variance
-    assert [(t.id, t.xs, t.ys, t.yhats, t.loss) for t in result.trajectories] == trajectories
+    assert _rollout_losses(problem, strategy, rollouts, seed).tobytes() == losses.tobytes()
 
 
 @pytest.mark.parametrize("case", SIMULATE_CASES)
 def test_streamed_simulate_matches_whole_matrix_reference(case):
     problem, strategy = SIMULATE_CASES[case]()
     block = evaluate_module.BLOCK_DRAWS // (2 * problem.n)
-    cap = block + block // 2  # the kept trajectories end inside the second block
     for rollouts in (1, block - 1, block, block + 1, 2 * block + 13):
-        _assert_matches_reference(problem, strategy, rollouts, 7 + rollouts, cap)
+        _assert_matches_reference(problem, strategy, rollouts, 7 + rollouts)
 
 
 def test_small_blocks_match_whole_matrix_reference(monkeypatch):
@@ -179,7 +181,7 @@ def test_small_blocks_match_whole_matrix_reference(monkeypatch):
         choices = rng.integers(0, 3, (n, 3))
         strategy = MarkovStrategy(n, problem.x_space.labels, problem.yhat_space.labels, choices)
         for rollouts in (1, 2, 37, 250):
-            _assert_matches_reference(problem, strategy, rollouts, 2**64 - rollouts, 29)
+            _assert_matches_reference(problem, strategy, rollouts, 2**64 - rollouts)
 
 
 def test_memory_is_one_loss_per_rollout_plus_a_block():
