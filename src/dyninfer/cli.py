@@ -21,13 +21,13 @@ import itertools
 import json
 import os
 import sys
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import examples as example_models
 from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
-from .evaluate import MarkovStrategy, evaluate_markov, optimal_strategy, simulate
+from .evaluate import MarkovStrategy, evaluate_markov, simulate
 from .model import Problem, problem_to_dict, validate_problem
 from .oracle import (
     DEFAULT_STRATEGY_LIMIT, HistoryMode, HistoryStrategy, OracleReport, brute_force_optimum, random_sweep
@@ -36,7 +36,7 @@ from .oracle import (
 from .oracle import random_problem  # noqa: F401
 from .reduction import bar_loss_table
 from .rng import check_seed
-from .solver import SolveResult, TieBreakRule, minimum_inference_loss, solve
+from .solver import TieBreakRule, minimum_inference_loss, solve
 from .trellis import export_trellis
 
 GAP_TOLERANCE = 1e-9
@@ -48,6 +48,11 @@ SWEEP_SHAPE = (2, 2, 2)
 def _round12(value: float) -> float:
     # fixed 12-significant-digit formatting keeps emitted JSON byte-stable
     return float(format(value, ".12g"))
+
+
+def _number(value: float) -> str:
+    """JSON text of a finite float at 12 significant digits: ``repr`` of its rounding, as ``json`` writes it."""
+    return repr(_round12(value))
 
 
 def _canonical(obj: Any) -> Any:
@@ -64,6 +69,77 @@ def _dump_json(obj: Any) -> str:
     return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
 
 
+def _document(members: dict[str, Iterable[str]]) -> Iterator[str]:
+    """A top-level JSON object as ``json.dumps(sort_keys=True, indent=2)`` writes it, plus a newline.
+
+    ``members`` maps each key to the chunks of its value's text; the chunks
+    are passed on one by one, so a value given as a generator is written as
+    it is made.
+    """
+    separator = "{\n  "
+    for key in sorted(members):
+        yield separator + json.dumps(key) + ": "
+        yield from members[key]
+        separator = ",\n  "
+    yield "\n}\n"
+
+
+class _RoundTables:
+    """Per-round tables keyed by labels, written as ``json.dumps(sort_keys=True, indent=2)`` writes them.
+
+    A table is a member of a top-level object: an array with one object per
+    round, keyed by the observation labels. Each label is encoded once, and
+    the members of every object are written in the sorted order of their
+    labels. A value is a number, an object of numbers keyed by the estimate
+    labels, an estimate label, or an array of estimate labels (a tie set,
+    whose text is made once per distinct set).
+    """
+
+    def __init__(self, x_labels: tuple[str, ...], yhat_labels: tuple[str, ...]) -> None:
+        self._rounds = self._object(x_labels, 3)
+        self._values = self._object(yhat_labels, 4)
+        self._estimates = [json.dumps(label) for label in yhat_labels]
+        self._tie_texts: dict[tuple[int, ...], str] = {}
+
+    @staticmethod
+    def _object(labels: tuple[str, ...], depth: int) -> tuple[list[int], list[str], str]:
+        """The label indices in sorted order, the text before each member's value, and the closing text."""
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        indent = "\n" + "  " * depth
+        heads = [("," if j else "{") + indent + json.dumps(labels[i]) + ": " for j, i in enumerate(order)]
+        return order, heads, "\n" + "  " * (depth - 1) + "}"
+
+    def table(self, rounds: Iterable[Sequence], value: Callable[[Any], str]) -> Iterator[str]:
+        """The text of one table, one chunk per round; ``rounds`` yields each round's rows by observation index."""
+        order, heads, tail = self._rounds
+        yield "[\n    "
+        separator = ""
+        for rows in rounds:
+            texts = [value(row) for row in rows]
+            yield separator + "".join([head + texts[i] for head, i in zip(heads, order)]) + tail
+            separator = ",\n    "
+        yield "\n  ]"
+
+    def numbers(self, row: list[float]) -> str:
+        order, heads, tail = self._values
+        return "".join([head + _number(row[i]) for head, i in zip(heads, order)]) + tail
+
+    def estimate(self, index: int) -> str:
+        return self._estimates[index]
+
+    def tie_set(self, indices: tuple[int, ...]) -> str:
+        text = self._tie_texts.get(indices)
+        if text is None:
+            text = ",".join(["\n        " + self._estimates[ai] for ai in indices])
+            text = self._tie_texts[indices] = "[" + text + "\n      ]"
+        return text
+
+
+def _array_rounds(table: np.ndarray) -> Iterator[list]:
+    """Each round of ``table`` as nested lists, made one round at a time."""
+    return map(np.ndarray.tolist, table)
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -71,12 +147,13 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` one by one to ``path`` (``-`` for stdout), opened only now."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(chunks)
 
 
 def _parse_json(text: str, source: str) -> Any:
@@ -132,44 +209,23 @@ def _with_init(problem: Problem, text: str) -> Problem:
     return dataclasses.replace(checked, init=probs / probs.sum())
 
 
-def _per_round(table: np.ndarray, *labels: tuple[str, ...]) -> list:
-    """One object per round of ``table``, keyed by ``labels[0]``, with any further axes nested below it."""
-
-    def keyed(rows: list, depth: int) -> dict:
-        if depth == len(labels) - 1:
-            return dict(zip(labels[depth], rows))
-        return {label: keyed(row, depth + 1) for label, row in zip(labels[depth], rows)}
-
-    return [keyed(rows, 0) for rows in table.tolist()]
-
-
-def _solve_payload(problem: Problem, result: SolveResult, min_loss: float) -> dict:
-    x_labels = problem.x_space.labels
-    yhat_labels = problem.yhat_space.labels
-    return {
-        "n": problem.n,
-        "tie_break": result.rule.value,
-        "min_loss": min_loss,
-        "v_star": _per_round(result.v_star, x_labels),
-        "q_star": _per_round(result.q_star, x_labels, yhat_labels),
-        "policy": optimal_strategy(result).to_rows(),
-        "ties": [
-            {
-                x: [yhat_labels[ai] for ai in result.tie_sets[k][xi]]
-                for xi, x in enumerate(x_labels)
-            }
-            for k in range(problem.n)
-        ],
-    }
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model)
     result = solve(problem, TieBreakRule(args.tie_break))
     if args.init is not None:
         problem = _with_init(problem, args.init)
     min_loss = minimum_inference_loss(problem, result)
-    _write_text(args.output, _dump_json(_solve_payload(problem, result, min_loss)))
+    tables = _RoundTables(problem.x_space.labels, problem.yhat_space.labels)
+    members = {
+        "min_loss": [_number(min_loss)],
+        "n": [str(problem.n)],
+        "policy": tables.table(_array_rounds(result.policy), tables.estimate),
+        "q_star": tables.table(_array_rounds(result.q_star), tables.numbers),
+        "tie_break": [json.dumps(result.rule.value)],
+        "ties": tables.table(result.tie_sets, tables.tie_set),
+        "v_star": tables.table(_array_rounds(result.v_star), _number),
+    }
+    _write(args.output, _document(members))
     return 0
 
 
@@ -177,8 +233,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model)
     strategy = _load_strategy(problem, args.strategy)
     result = evaluate_markov(problem, strategy)
-    payload = {"j": result.j, "v": _per_round(result.v, problem.x_space.labels)}
-    _write_text(args.output, _dump_json(payload))
+    tables = _RoundTables(problem.x_space.labels, problem.yhat_space.labels)
+    members = {"j": [_number(result.j)], "v": tables.table(_array_rounds(result.v), _number)}
+    _write(args.output, _document(members))
     return 0
 
 
@@ -192,7 +249,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "rollouts": result.rollouts,
         "seed": result.seed,
     }
-    _write_text(args.output, _dump_json(payload))
+    _write(args.output, [_dump_json(payload)])
     return 0
 
 
@@ -217,13 +274,8 @@ def _oracle_lines(reports: list[OracleReport], instances: Iterable[str]) -> str:
 
     ``instances`` holds each line's instance as JSON text. The text of the
     witness rows is built once per witness shape; each float is written
-    once, as ``repr`` of its 12-digit rounding, which is what ``json``
-    writes for a finite float.
+    once, by ``_number``.
     """
-
-    def number(value: float) -> str:
-        return repr(_round12(value))
-
     templates: dict[tuple, tuple[str, list[str], list[str]]] = {}
     lines = []
     for report, instance in zip(reports, instances):
@@ -235,10 +287,10 @@ def _oracle_lines(reports: list[OracleReport], instances: Iterable[str]) -> str:
         rows = ", ".join(
             [head + estimates[ai] for head, ai in zip(heads, itertools.chain.from_iterable(witness.tables))]
         )
-        pairs = ", ".join(f"[{number(lhs)}, {number(rhs)}]" for lhs, rhs in report.lemma1_pairs)
+        pairs = ", ".join(f"[{_number(lhs)}, {_number(rhs)}]" for lhs, rhs in report.lemma1_pairs)
         lines.append(
-            f'{{"brute_min": {number(report.brute_min)}, "dp_min": {number(report.dp_min)}, '
-            f'"gap": {number(report.gap)}, "instance": {instance}, "lemma1_pairs": [{pairs}], '
+            f'{{"brute_min": {_number(report.brute_min)}, "dp_min": {_number(report.dp_min)}, '
+            f'"gap": {_number(report.gap)}, "instance": {instance}, "lemma1_pairs": [{pairs}], '
             f'"mode": {mode}, "n": {witness.n}, '
             f'"strategies_searched": {report.strategies_searched}, "witness": [{rows}]}}\n'
         )
@@ -262,14 +314,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     gap_max = max(abs(report.gap) for report in reports)
     verdict = "PASS" if gap_max <= GAP_TOLERANCE else "FAIL"
     out = _oracle_lines(reports, instances) + f"{verdict} gap_max={format(gap_max, '.3e')}\n"
-    _write_text(args.output, out)
+    _write(args.output, [out])
     return 0 if verdict == "PASS" else 1
 
 
 def _cmd_export_trellis(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model)
     result = solve(problem, TieBreakRule(args.tie_break))
-    _write_text(args.output, export_trellis(problem, result, args.format))
+    _write(args.output, [export_trellis(problem, result, args.format)])
     return 0
 
 
@@ -286,7 +338,7 @@ def _cmd_export_bar_loss(args: argparse.Namespace) -> int:
         for x, row in zip(problem.x_space.labels, round_rows):
             for yhat, value in zip(problem.yhat_space.labels, row):
                 writer.writerow((i, x, yhat, format(value, ".12g")))
-    _write_text(args.output, text.getvalue())
+    _write(args.output, [text.getvalue()])
     return 0
 
 
@@ -311,7 +363,7 @@ def _cmd_example(args: argparse.Namespace) -> int:
             planner=example_models.PlannerStyle(args.planner),
         )
         problem = example_models.example_yield(args.n, params)
-    _write_text(args.output, _dump_json(problem_to_dict(problem)))
+    _write(args.output, [_dump_json(problem_to_dict(problem))])
     return 0
 
 

@@ -119,16 +119,6 @@ class HistoryStrategy:
                 raise ShapeMismatch(f"round {i} decision table contains an out-of-range estimate index")
         object.__setattr__(self, "tables", tables)
 
-    def decision(self, i: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
-        """The estimate index in round ``i`` after observations ``xs`` and, when revealed, quantities ``ys``."""
-        rank = 0
-        for x in xs:
-            rank = rank * len(self.x_labels) + x
-        if self.mode is HistoryMode.REVEALED:
-            for y in ys:
-                rank = rank * len(self.y_labels) + y
-        return self.tables[i - 1][rank]
-
     def rows(self) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
         """``(round, x-history, y-history, estimate index)`` for every history, by round, then by rank."""
         nx, ny = len(self.x_labels), len(self.y_labels)

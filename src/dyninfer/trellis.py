@@ -10,6 +10,7 @@ optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +18,13 @@ from .model import Problem
 from .solver import ReportRow, SolveResult, ensure_result_matches, solution_report
 
 
-@dataclass(frozen=True)
-class TrellisEdge:
+class TrellisEdge(NamedTuple):
+    """A transition of positive probability: from ``x`` in ``round``, under estimate ``yhat``, to ``next_x``.
+
+    A named tuple: its fields are read as attributes, and it compares and
+    unpacks as the tuple of its fields in this order.
+    """
+
     round: int
     x: str
     yhat: str
@@ -34,7 +40,8 @@ class TrellisDocument:
 
     ``nodes`` are the :func:`solution_report` rows, one per (round,
     observation) in round-major order; ``edges`` hold every transition with
-    positive probability, in (round, x, yhat, next x) order.
+    positive probability, as :class:`TrellisEdge` named tuples, in (round, x,
+    yhat, next x) order.
     """
 
     n: int
@@ -44,56 +51,47 @@ class TrellisDocument:
 
 def build_trellis(problem: Problem, result: SolveResult) -> TrellisDocument:
     ensure_result_matches(problem, result)
-    nodes = solution_report(result)
     # positive entries in (round, x, yhat, next x) order: the edge order of the document
     positive = problem.transitions > 0.0
-    edges = []
+    k, xi, ai, ni = np.argwhere(positive).T
+    policy = result.policy[k, xi]
+    chosen = ai == policy
+    deviation = chosen & (policy != result.myopic[k, xi])
     x_labels, yhat_labels = problem.x_space.labels, problem.yhat_space.labels
-    for (k, xi, ai, ni), probability in zip(
-        np.argwhere(positive).tolist(), problem.transitions[positive].tolist()
-    ):
-        node = nodes[k * len(x_labels) + xi]
-        is_chosen = yhat_labels[ai] == node.chosen
-        edges.append(
-            TrellisEdge(
-                round=k + 1,
-                x=node.x,
-                yhat=yhat_labels[ai],
-                next_x=x_labels[ni],
-                probability=probability,
-                chosen=is_chosen,
-                deviation=is_chosen and node.differs_from_myopic,
-            )
-        )
-    return TrellisDocument(problem.n, nodes, tuple(edges))
+    edges = map(
+        TrellisEdge,
+        (k + 1).tolist(),
+        [x_labels[i] for i in xi.tolist()],
+        [yhat_labels[i] for i in ai.tolist()],
+        [x_labels[i] for i in ni.tolist()],
+        problem.transitions[positive].tolist(),
+        chosen.tolist(),
+        deviation.tolist(),
+    )
+    return TrellisDocument(problem.n, solution_report(result), tuple(edges))
 
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _node_id(problem: Problem, i: int, x: str) -> str:
-    return f"r{i}_x{problem.x_space.index(x)}"
-
-
 def _render_dot(problem: Problem, doc: TrellisDocument) -> str:
+    # node "r<round>_x<index>"; escaping maps each character alone, so a label is escaped once and spliced in
+    x_index = {x: xi for xi, x in enumerate(problem.x_space)}
+    x_text = [_escape(x) for x in problem.x_space]
+    yhat_text = {yhat: _escape(yhat) for yhat in problem.yhat_space}
     lines = ["digraph trellis {", "  rankdir=LR;", "  node [shape=ellipse];"]
     for i in range(1, doc.n + 1):
-        ids = " ".join(f'"{_node_id(problem, i, x)}";' for x in problem.x_space)
+        ids = " ".join(f'"r{i}_x{xi}";' for xi in range(len(x_text)))
         lines.append(f"  {{ rank=same; {ids} }}")
     for node in doc.nodes:
-        label = _escape(f"x={node.x}") + "\\n" + _escape(f"V*={node.v_star:.4f}")
-        lines.append(f'  "{_node_id(problem, node.round, node.x)}" [label="{label}"];')
-    for edge in doc.edges:
-        attrs = [
-            f'label="{_escape(f"yhat={edge.yhat} p={edge.probability:.4f}")}"',
-            f"style={'solid' if edge.chosen else 'dashed'}",
-        ]
-        if edge.deviation:
-            attrs.append("color=blue")
+        xi = x_index[node.x]
+        lines.append(f'  "r{node.round}_x{xi}" [label="x={x_text[xi]}\\nV*={node.v_star:.4f}"];')
+    style = {(False, False): "style=dashed", (True, False): "style=solid", (True, True): "style=solid, color=blue"}
+    for i, x, yhat, next_x, probability, chosen, deviation in doc.edges:
         lines.append(
-            f'  "{_node_id(problem, edge.round, edge.x)}" -> '
-            f'"{_node_id(problem, edge.round + 1, edge.next_x)}" [{", ".join(attrs)}];'
+            f'  "r{i}_x{x_index[x]}" -> "r{i + 1}_x{x_index[next_x]}" '
+            f'[label="yhat={yhat_text[yhat]} p={probability:.4f}", {style[chosen, deviation]}];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

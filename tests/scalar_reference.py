@@ -8,7 +8,8 @@ equal floats, not close ones. ``simulate`` is the whole-matrix rollout loop
 that the block-streamed simulator replaced; it draws every rollout at once.
 ``brute_force``, ``exact_loss_history`` and ``lemma1`` are the oracle's
 history-tree walks as recursions over numpy scalars, with the immediate cost
-summed again at every history.
+summed again at every history; they read a history strategy's decisions
+through ``decision``, by history tuple.
 """
 
 import itertools
@@ -157,6 +158,21 @@ def _round_histories(problem, mode, i):
             yield xs, ys
 
 
+def decision(strategy, i, xs, ys):
+    """The estimate index of a history strategy in round ``i`` after observations ``xs`` and quantities ``ys``.
+
+    The history's rank reads ``xs`` as base-|X| digits followed, in revealed
+    mode, by ``ys`` as base-|Y| digits.
+    """
+    rank = 0
+    for x in xs:
+        rank = rank * len(strategy.x_labels) + x
+    if strategy.mode is HistoryMode.REVEALED:
+        for y in ys:
+            rank = rank * len(strategy.y_labels) + y
+    return strategy.tables[i - 1][rank]
+
+
 def brute_force(problem, mode):
     """Bottom-up optimum over every history strategy: (brute_min, per-round decision tables)."""
     n = problem.n
@@ -211,7 +227,7 @@ def exact_loss_history(problem, strategy):
     def visit(i, xs, ys, prob, acc):
         nonlocal total
         x = xs[-1]
-        ai = strategy.decision(i, xs, ys)
+        ai = decision(strategy, i, xs, ys)
         quantity = problem.quantities[i - 1]
         for yi in range(ny):
             p_y = quantity[x, yi]
@@ -245,7 +261,7 @@ def lemma1(problem, strategy):
     def visit(i, xs, ys, prob):
         nonlocal rhs
         x = xs[-1]
-        ai = strategy.decision(i, xs, ys)
+        ai = decision(strategy, i, xs, ys)
         rhs += prob * bar[i - 1, x, ai]
         if i == n:
             return

@@ -13,6 +13,7 @@ from enumeration_reference import (
     enumeration_minimum,
     strategy_count,
 )
+from scalar_reference import decision
 
 from dyninfer import (
     HistoryMode,
@@ -101,7 +102,7 @@ def test_missing_history_entry_raises():
             _section33_strategy(tables)
     strategy = _section33_strategy([[0, 1], [1, 0, 0, 1]])
     assert strategy.tables == ((0, 1), (1, 0, 0, 1))
-    assert strategy.decision(2, (1, 0), (1,)) == 0  # rank 0b10 = 2; y is not revealed
+    assert decision(strategy, 2, (1, 0), (1,)) == 0  # rank 0b10 = 2; y is not revealed
 
 
 def test_strategy_for_another_problem_is_refused():
@@ -303,7 +304,7 @@ def test_witness_rows_come_in_rank_order():
         assert rows == sorted(rows)  # by round, then lexicographically by history
         for i, xs, ys, ai in rows:
             assert len(xs) == i and len(ys) == (i - 1 if mode is HistoryMode.REVEALED else 0)
-            assert witness.decision(i, xs, ys) == ai
+            assert decision(witness, i, xs, ys) == ai
 
 
 def test_deep_horizon_memory_is_bounded():
@@ -363,7 +364,7 @@ def test_marginalization_identity_with_y_dependent_strategy():
     lhs, rhs = verify_lemma1(problem, strategy)
     assert abs(lhs - rhs) <= 1e-12
     # sanity: the strategy really is non-Markov, different decisions for y=0/1
-    assert strategy.decision(2, (0, 0), (0,)) != strategy.decision(2, (0, 0), (1,))
+    assert decision(strategy, 2, (0, 0), (0,)) != decision(strategy, 2, (0, 0), (1,))
 
 
 def test_report_identity_pairs_hold():

@@ -1,0 +1,119 @@
+"""The dict-based writers of ``solve``, ``evaluate`` and ``export-trellis``, kept as the byte reference.
+
+Each output is built whole: nested dicts of Python lists, rounded to 12
+significant digits by a recursive copy, then one ``json.dumps(sort_keys=True,
+indent=2)``; the trellis is one record per edge with positive probability,
+rendered with a label lookup per node id. The CLI writes the same bytes
+round by round from the result arrays; the tests compare the two.
+"""
+
+import json
+
+import numpy as np
+
+from dyninfer.evaluate import optimal_strategy
+from dyninfer.solver import solution_report
+
+
+def _round12(value):
+    return float(format(value, ".12g"))
+
+
+def _canonical(obj):
+    if isinstance(obj, float):
+        return _round12(obj)
+    if isinstance(obj, dict):
+        return {key: _canonical(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(value) for value in obj]
+    return obj
+
+
+def dump_json(obj):
+    return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
+
+
+def _per_round(table, *labels):
+    """One object per round of ``table``, keyed by ``labels[0]``, with any further axes nested below it."""
+
+    def keyed(rows, depth):
+        if depth == len(labels) - 1:
+            return dict(zip(labels[depth], rows))
+        return {label: keyed(row, depth + 1) for label, row in zip(labels[depth], rows)}
+
+    return [keyed(rows, 0) for rows in table.tolist()]
+
+
+def solve_text(problem, result, min_loss):
+    """The ``solve`` output for ``result``, with ``min_loss`` taken under ``problem``'s initial law."""
+    x_labels = problem.x_space.labels
+    yhat_labels = problem.yhat_space.labels
+    payload = {
+        "n": problem.n,
+        "tie_break": result.rule.value,
+        "min_loss": min_loss,
+        "v_star": _per_round(result.v_star, x_labels),
+        "q_star": _per_round(result.q_star, x_labels, yhat_labels),
+        "policy": optimal_strategy(result).to_rows(),
+        "ties": [
+            {x: [yhat_labels[ai] for ai in result.tie_sets[k][xi]] for xi, x in enumerate(x_labels)}
+            for k in range(problem.n)
+        ],
+    }
+    return dump_json(payload)
+
+
+def evaluate_text(problem, result):
+    return dump_json({"j": result.j, "v": _per_round(result.v, problem.x_space.labels)})
+
+
+def trellis_edges(problem, result):
+    """``(round, x, yhat, next x, probability, chosen, deviation)`` per positive transition, one at a time."""
+    nodes = solution_report(result)
+    positive = problem.transitions > 0.0
+    x_labels, yhat_labels = problem.x_space.labels, problem.yhat_space.labels
+    edges = []
+    for (k, xi, ai, ni), probability in zip(np.argwhere(positive).tolist(), problem.transitions[positive].tolist()):
+        node = nodes[k * len(x_labels) + xi]
+        is_chosen = yhat_labels[ai] == node.chosen
+        deviation = is_chosen and node.differs_from_myopic
+        edges.append((k + 1, node.x, yhat_labels[ai], x_labels[ni], probability, is_chosen, deviation))
+    return edges
+
+
+def _escape(text):
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _node_id(problem, i, x):
+    return f"r{i}_x{problem.x_space.index(x)}"
+
+
+def dot_text(problem, result):
+    lines = ["digraph trellis {", "  rankdir=LR;", "  node [shape=ellipse];"]
+    for i in range(1, problem.n + 1):
+        ids = " ".join(f'"{_node_id(problem, i, x)}";' for x in problem.x_space)
+        lines.append(f"  {{ rank=same; {ids} }}")
+    for node in solution_report(result):
+        label = _escape(f"x={node.x}") + "\\n" + _escape(f"V*={node.v_star:.4f}")
+        lines.append(f'  "{_node_id(problem, node.round, node.x)}" [label="{label}"];')
+    for i, x, yhat, next_x, probability, chosen, deviation in trellis_edges(problem, result):
+        attrs = [
+            f'label="{_escape(f"yhat={yhat} p={probability:.4f}")}"',
+            f"style={'solid' if chosen else 'dashed'}",
+        ]
+        if deviation:
+            attrs.append("color=blue")
+        lines.append(f'  "{_node_id(problem, i, x)}" -> "{_node_id(problem, i + 1, next_x)}" [{", ".join(attrs)}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def trellis_text(result):
+    lines = []
+    for node in solution_report(result):
+        lines.append(
+            f"round {node.round}: x={node.x} V*={node.v_star:.4f} "
+            f"chosen={node.chosen} myopic={node.myopic} tie={'yes' if node.tie else 'no'}"
+        )
+    return "\n".join(lines) + "\n"
