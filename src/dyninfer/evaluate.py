@@ -142,16 +142,37 @@ class SimulationResult:
     seed: int
 
 
-def _row_cdfs(table: np.ndarray) -> np.ndarray:
-    """Cumulative rows with the last entry pinned to 1.0 for inverse-CDF draws."""
-    cdf = np.cumsum(table, axis=-1)
-    cdf[..., -1] = 1.0
-    return cdf
+def _search_table(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rows' inverse-CDF search table, flattened, and its power-of-two row width.
+
+    Table row ``r`` holds the running sums of probability row ``r`` in label
+    order, without the last one (a draw reads it as 1.0), padded with 2.0 to
+    the width: at least 1 and at least the row length less one.
+    """
+    m = rows.shape[-1]
+    width = 1 << max(m - 2, 0).bit_length()
+    table = np.full(rows.shape[:-1] + (width,), 2.0)
+    np.cumsum(rows[..., :-1], axis=-1, out=table[..., : m - 1])
+    return table.reshape(-1), width
 
 
-def _sample(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # smallest index m with u < cdf[m], i.e. inverse CDF in label-index order
-    return (u[:, None] >= cdf_rows).sum(axis=1)
+def _draw(table: np.ndarray, width: int, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: for each table row in ``rows``, how many of its entries are ``<= u``.
+
+    That count is the smallest label index ``m`` with ``u < cdf[m]``. A
+    branchless binary search finds it, reading ``log2(width) + 1`` entries
+    per draw: running sums of non-negative entries never decrease, and an
+    entry past 1.0 or the 2.0 padding is never ``<= u < 1``.
+    """
+    base = rows * width
+    pos = base.copy()
+    step = width // 2
+    while step:
+        pos += step * (table[pos + (step - 1)] <= u)
+        step //= 2
+    pos += table[pos] <= u
+    pos -= base
+    return pos
 
 
 def _in_blocks(values: np.ndarray, rows: int):
@@ -168,23 +189,29 @@ def _block_rows(n: int) -> int:
 def _rollout_losses(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: int) -> np.ndarray:
     """The accumulated loss of each rollout, in rollout order, drawn block by block as :func:`simulate` describes."""
     n = problem.n
+    nx, ny = len(problem.x_space), len(problem.y_space)
     block_rows = _block_rows(n)
-    init_cdf = _row_cdfs(problem.init[None, :])
-    quantity_cdfs = _row_cdfs(problem.quantities)
-    transition_cdfs = _row_cdfs(problem.transitions)
+    choices = strategy.choices
+    # one table row per (round, observation), holding the strategy's own transition rows and losses
+    init_table, init_width = _search_table(problem.init)
+    quantity_table, quantity_width = _search_table(problem.quantities)
+    transition_table, transition_width = _search_table(
+        np.take_along_axis(problem.transitions, choices[:-1, :, None, None], axis=2)[:, :, 0]
+    )
+    chosen_loss = problem.loss.transpose(2, 0, 1)[choices, np.arange(nx)].reshape(-1)
 
     losses = np.zeros(rollouts)
     for start in range(0, rollouts, block_rows):
         stop = min(start + block_rows, rollouts)
         uniforms = uniform_matrix(seed, stop - start, 2 * n, start)
         block_losses = losses[start:stop]
-        xs = _sample(init_cdf, uniforms[:, 0])
+        xs = _draw(init_table, init_width, np.zeros(stop - start, dtype=np.intp), uniforms[:, 0])
         for k in range(n):
-            ys = _sample(quantity_cdfs[k][xs], uniforms[:, 2 * k + 1])
-            yhats = strategy.choices[k, xs]
-            block_losses += problem.loss[xs, ys, yhats]
+            rows = xs + k * nx
+            ys = _draw(quantity_table, quantity_width, rows, uniforms[:, 2 * k + 1])
+            block_losses += chosen_loss[rows * ny + ys]
             if k < n - 1:
-                xs = _sample(transition_cdfs[k][xs, yhats], uniforms[:, 2 * k + 2])
+                xs = _draw(transition_table, transition_width, rows, uniforms[:, 2 * k + 2])
     return losses
 
 

@@ -107,6 +107,11 @@ class Alphabet:
             raise InvalidModelError("an alphabet must contain at least one label")
         if any(not isinstance(label, str) for label in labels):
             raise InvalidModelError(f"alphabet labels must be strings: {labels!r}")
+        for label in labels:
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which no output could write
+                raise InvalidModelError(f"alphabet label {ascii(label)} is not valid Unicode text") from None
         if len(set(labels)) != len(labels):
             raise InvalidModelError(f"alphabet labels must be distinct: {labels!r}")
         object.__setattr__(self, "labels", labels)

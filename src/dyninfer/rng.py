@@ -30,21 +30,27 @@ def check_seed(seed: int) -> None:
         raise InvalidParams(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
-def mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise on uint64 arrays (wrapping)."""
-    z = (z ^ (z >> np.uint64(30))) * _MULT1
-    z = (z ^ (z >> np.uint64(27))) * _MULT2
-    return z ^ (z >> np.uint64(31))
-
-
 def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) at the given counter positions of the seed's stream.
 
-    Each output has the full 53 bits of double-precision resolution.
+    Each output has the full 53 bits of double-precision resolution. The
+    SplitMix64 finalizer runs in place on one array of states, with one
+    scratch array for the shifted copies that then holds the output.
     """
-    counters = np.asarray(counters, dtype=np.uint64)
-    state = np.uint64(seed & _MASK64) + (counters + np.uint64(1)) * _GAMMA
-    return (mix64(state) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    z = np.asarray(counters, dtype=np.uint64) + np.uint64(1)
+    z *= _GAMMA
+    z += np.uint64(seed & _MASK64)
+    shifted = np.empty_like(z)
+    for shift, mult in ((30, _MULT1), (27, _MULT2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        if mult is not None:
+            z *= mult
+    z >>= np.uint64(11)
+    uniforms = shifted.view(np.float64)
+    uniforms[...] = z
+    uniforms *= 2.0**-53
+    return uniforms
 
 
 def uniform_matrix(

@@ -5,7 +5,9 @@ evaluation as array operations over (x, yhat), with a Python loop left only
 over the label being summed. These are the entry-by-entry loops they
 replaced. Both add the same products in the same order, so the tests require
 equal floats, not close ones. ``simulate`` is the whole-matrix rollout loop
-that the block-streamed simulator replaced; it draws every rollout at once.
+that the block-streamed simulator replaced; it draws every rollout at once,
+each draw by ``sample``, which compares ``u`` with every entry of a gathered
+CDF row where the simulator binary-searches its own table.
 ``brute_force``, ``exact_loss_history`` and ``lemma1`` are the oracle's
 history-tree walks as recursions over numpy scalars, with the immediate cost
 summed again at every history; they read a history strategy's decisions
@@ -110,22 +112,29 @@ def evaluate_markov(problem, choices):
     return v, float(j)
 
 
+def row_cdfs(table):
+    """Cumulative rows with the last entry pinned to 1.0 for inverse-CDF draws."""
+    cdf = np.cumsum(table, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
+def sample(cdf_rows, u):
+    """The row-gather draw: each ``u`` against its own gathered CDF row, counting the entries at or below it.
+
+    That count is the smallest index ``m`` with ``u < cdf[m]``, i.e. the
+    inverse CDF in label-index order.
+    """
+    return (u[:, None] >= cdf_rows).sum(axis=1)
+
+
 def simulate(problem, choices, rollouts, seed):
     """All rollouts from one uniform matrix: (mean, variance, per-rollout losses)."""
     n = problem.n
     uniforms = uniform_matrix(seed, rollouts, 2 * n)
-
-    def cdfs(table):
-        cdf = np.cumsum(table, axis=-1)
-        cdf[..., -1] = 1.0
-        return cdf
-
-    def sample(cdf_rows, u):
-        return (u[:, None] >= cdf_rows).sum(axis=1)
-
-    init_cdf = cdfs(problem.init[None, :])[0]
-    quantity_cdfs = cdfs(problem.quantities)
-    transition_cdfs = cdfs(problem.transitions)
+    init_cdf = row_cdfs(problem.init[None, :])[0]
+    quantity_cdfs = row_cdfs(problem.quantities)
+    transition_cdfs = row_cdfs(problem.transitions)
 
     xs = (uniforms[:, 0][:, None] >= init_cdf[None, :]).sum(axis=1)
     losses = np.zeros(rollouts)

@@ -615,3 +615,23 @@ def test_every_command_writes_strict_output_and_nothing_on_stderr(tmp_path, caps
                 assert lines[-1].startswith("PASS gap_max=")
                 for line in lines[:-1]:
                     _strict_json(line)
+
+
+def test_a_label_utf8_cannot_encode_fails_at_load(tmp_path, capsys):
+    # a model document may spell a lone surrogate as "\ud800"; no output could write it
+    stock = example_stock(2)
+    tables = (stock.init, stock.transitions, stock.quantities, stock.loss)
+    marked = problem_from_tables(stock.n, Alphabet(("LONE", "1")), stock.y_space, stock.yhat_space, *tables)
+    text = json.dumps(problem_to_dict(marked))
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(text)
+    bad.write_text(text.replace("LONE", "\\ud800"))
+    out = tmp_path / "out"
+    for command in (["solve"], ["export-trellis"], ["export", "bar-loss"]):
+        assert run([*command, "-m", str(good), "-o", str(out)]) == 0  # the label is the only fault
+        out.write_bytes(b"an earlier output\n")
+        assert run([*command, "-m", str(bad), "-o", str(out)]) == 1
+        payload = _single_error_line(capsys)
+        assert payload["error"] == "InvalidModelError"
+        assert ascii("\ud800") in payload["message"]
+        assert out.read_bytes() == b"an earlier output\n"

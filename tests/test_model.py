@@ -1,5 +1,6 @@
 """Validation, construction and document round-trips for problem instances."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,13 @@ def test_alphabet_rejects_duplicates_and_empty():
         Alphabet(())
     with pytest.raises(InvalidModelError):
         Alphabet((1, 2))  # type: ignore[arg-type]
+
+
+def test_alphabet_rejects_labels_utf8_cannot_encode():
+    for label in ("\ud800", "a\udfff", "\ud83d\ude00"):  # lone surrogates, even a pair of them
+        with pytest.raises(InvalidModelError, match=re.escape(ascii(label))):
+            Alphabet(("ok", label))
+    assert Alphabet(("é", "\U0001f600", "\x00")).labels == ("é", "\U0001f600", "\x00")
 
 
 def test_alphabet_index_is_stable_bijection():

@@ -7,6 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scalar_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dyninfer import (
     Alphabet,
@@ -196,3 +199,56 @@ def test_memory_is_one_loss_per_rollout_plus_a_block():
         tracemalloc.stop()
     # whole-matrix simulation reached about 300 MB here
     assert peak < 8 * rollouts + 24 * 2**20
+
+
+# zero steps repeat a running sum, 0.7 and 1.0 push it past 1.0 before the pinned end, and 5e-324 is subnormal
+ENTRIES = st.one_of(st.sampled_from([0.0, 5e-324, 2.5e-310, 1e-300, 0.1, 1 / 3, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def rows_and_uniforms(draw):
+    """1 to 3 rows of 1 to 17 non-negative entries, and uniforms at, just below and just above each running sum."""
+    width = draw(st.integers(1, 17))
+    rows = draw(hnp.arrays(np.float64, (draw(st.integers(1, 3)), width), elements=ENTRIES))
+    sums = scalar_reference.row_cdfs(rows).ravel()
+    free = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
+    ends = [0.0, np.nextafter(1.0, 0.0)]
+    points = np.concatenate([sums, np.nextafter(sums, 0.0), np.nextafter(sums, 1.0), ends, free])
+    return rows, np.unique(points[(points >= 0.0) & (points < 1.0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_and_uniforms())
+@example((np.array([[0.7, 0.7, 0.0, 0.3]]), np.array([0.0, 0.7, np.nextafter(0.7, 0.0), np.nextafter(1.0, 0.0)])))
+@example((np.array([[5e-324, 0.0, 5e-324, 1.0], [0.0, 0.0, 0.0, 1.0]]), np.array([0.0, 5e-324, 1e-323, 0.5])))
+@example((np.array([[1.0]]), np.array([0.0, 0.5])))
+def test_binary_search_draws_what_the_row_gather_draws(case):
+    rows, uniforms = case
+    table, width = evaluate_module._search_table(rows)
+    row_index = np.repeat(np.arange(len(rows)), len(uniforms))
+    u = np.tile(uniforms, len(rows))
+    expected = scalar_reference.sample(scalar_reference.row_cdfs(rows)[row_index], u)
+    assert evaluate_module._draw(table, width, row_index, u).tolist() == expected.tolist()
+
+
+def test_long_horizon_tables_hold_only_the_strategy_rows(monkeypatch):
+    problem = example_stock(10**5)
+    strategy = myopic_strategy(problem)
+    search_table = evaluate_module._search_table
+    table_bytes = []
+
+    def recording(rows):
+        table, width = search_table(rows)
+        table_bytes.append(table.nbytes)
+        return table, width
+
+    monkeypatch.setattr(evaluate_module, "_search_table", recording)
+    tracemalloc.start()
+    try:
+        simulate(problem, strategy, 3, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # CDFs of every estimate's transition rows and of the quantities peaked at 16.8 MiB here
+    assert peak <= 16.8 * 2**20
+    assert sum(table_bytes) < 8 * problem.transitions.size  # the full transition cumsum alone
