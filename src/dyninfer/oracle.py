@@ -29,16 +29,21 @@ index arrays are gathered: memory stays of the order of the histories times
 order a loop over one history's successors sums them; a term of zero
 probability is masked out with ``np.where``, never multiplied by 0.0, so
 signed zeros come out as in that loop; and ``argmin`` takes the first
-minimizer. The walks behind :func:`exact_loss_history` and
-:func:`verify_lemma1` stay scalar pre-order walks over a problem's tables in
-list form; they are the independent check of the identity.
+minimizer.
+
+The identity pair of :func:`verify_lemma1` and the loss of
+:func:`exact_loss_history` come from :mod:`dyninfer.walks`: forward array
+passes over a stack that read only a strategy's decisions and the problem's
+tables, never the history DP's values or the solver's, so they stay the
+independent check of the identity.
 
 Strategy spaces grow as a double exponential, so every search is gated by a
 limit on the number of strategy functions in the space; the brute-force
 optimum also bounds the number of histories, its actual work, by the same
 limit. A third bound, ``TRAJECTORY_LIMIT``, caps the complete (x, y)
-trajectories of the identity walk, which grow as (|X|·|Y|)^n even in
-unrevealed mode, where the histories grow only as |X|^n.
+trajectories of the identity walks, which grow as (|X|·|Y|)^n even in
+unrevealed mode, where the histories grow only as |X|^n; it is checked
+before every walk.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .evaluate import MarkovStrategy, _markov_binding
 from .model import Alphabet, Problem, problem_from_tables, stack_from_tables
 from .reduction import bar_loss_table, bar_loss_values
 from .solver import initial_value, value_tables
+from .walks import bar_sums, loss_sums
 # unused here: perfbench/tracing.py hooks this name, and every name it hooks must resolve
 from .solver import solve  # noqa: F401
 
@@ -149,97 +155,30 @@ def _check_history_strategy(problem: Problem, strategy: HistoryStrategy) -> None
         raise ShapeMismatch("history strategy is shaped for a different problem")
 
 
-def _roots(init: list[float]) -> list[tuple[int, float]]:
-    """The round-1 observations of positive probability, last first.
+def _walk_arguments(problem: Problem, strategy: HistoryStrategy) -> tuple:
+    """The identity walks' leading arguments for one problem and strategy, as a stack of one.
 
-    The walks below visit histories in pre-order with an explicit stack:
-    pushing the roots, and each node's children, in reverse order makes them
-    pop in lexicographic order, so every sum is taken in the order of a
-    recursive walk. A round-1 history's x-rank is its observation.
+    The strategy must fit the problem, and its trajectories must be within
+    ``TRAJECTORY_LIMIT``, checked before any walk.
     """
-    return [(x1, p) for x1, p in reversed(list(enumerate(init))) if p > 0.0]
-
-
-def _tables_as_lists(problem: Problem) -> tuple[list, list, list, list]:
-    """The problem's init, transitions, quantities and loss in the list form the walks read."""
-    return problem.init.tolist(), problem.transitions.tolist(), problem.quantities.tolist(), problem.loss.tolist()
-
-
-def _loss_walk(mode: HistoryMode, tables: tuple, init: list, transitions: list, quantities: list, loss: list) -> float:
-    """:func:`exact_loss_history` of the strategy with decision ``tables`` on a problem's tables in list form."""
-    n, nx, ny = len(tables), len(init), len(loss[0])
-    y_spans = [_spans(nx, ny, mode, i)[1] for i in range(1, n + 1)]  # the x-rank's multipliers
-    revealed = mode is HistoryMode.REVEALED
-    total = 0.0
-
-    stack = [(1, x1, 0, prob, 0.0) for x1, prob in _roots(init)]
-    while stack:
-        i, rx, ry, prob, acc = stack.pop()
-        x = rx % nx
-        ai = tables[i - 1][rx * y_spans[i - 1] + ry]
-        quantity = quantities[i - 1][x]
-        if i == n:
-            for yi in range(ny):
-                p_y = quantity[yi]
-                if p_y != 0.0:
-                    total += prob * p_y * (acc + loss[x][yi][ai])
-            continue
-        transition = transitions[i - 1][x][ai]
-        for yi in reversed(range(ny)):
-            p_y = quantity[yi]
-            if p_y == 0.0:
-                continue
-            step = acc + loss[x][yi][ai]
-            ry_next = ry * ny + yi if revealed else 0
-            for xn in reversed(range(nx)):
-                p_x = transition[xn]
-                if p_x != 0.0:
-                    stack.append((i + 1, rx * nx + xn, ry_next, prob * p_y * p_x, step))
-    return total
-
-
-def _bar_walk(mode: HistoryMode, tables: tuple, init: list, transitions: list, quantities: list, bar: list) -> float:
-    """The right side of :func:`verify_lemma1` for decision ``tables``, on a problem's tables and bar-loss as lists."""
-    n, nx, ny = len(tables), len(init), len(quantities[0][0])
-    y_spans = [_spans(nx, ny, mode, i)[1] for i in range(1, n + 1)]  # the x-rank's multipliers
-    if mode is HistoryMode.REVEALED:
-        y_base, weights = ny, quantities
-    else:  # one quantity digit of weight 1.0 (see the module docstring)
-        y_base, weights = 1, [[[1.0]] * nx] * n
-    total = 0.0
-
-    stack = [(1, x1, 0, prob) for x1, prob in _roots(init)]
-    while stack:
-        i, rx, ry, prob = stack.pop()
-        x = rx % nx
-        ai = tables[i - 1][rx * y_spans[i - 1] + ry]
-        total += prob * bar[i - 1][x][ai]
-        if i == n:
-            continue
-        transition = transitions[i - 1][x][ai]
-        weight = weights[i - 1][x]
-        for yi in reversed(range(y_base)):
-            p_y = weight[yi]
-            if p_y == 0.0:
-                continue
-            for xn in reversed(range(nx)):
-                p_x = transition[xn]
-                if p_x > 0.0:
-                    stack.append((i + 1, rx * nx + xn, ry * y_base + yi, prob * p_y * p_x))
-    return total
+    _check_history_strategy(problem, strategy)
+    _checked_count("trajectories", TRAJECTORY_LIMIT, len(problem.x_space) * len(problem.y_space), problem.n)
+    decisions = [np.array(table)[None] for table in strategy.tables]
+    revealed = strategy.mode is HistoryMode.REVEALED
+    return revealed, decisions, problem.init[None], problem.transitions[None], problem.quantities[None]
 
 
 def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
     """Expected accumulated loss by plain summation over complete trajectories.
 
-    Enumerates every (x-sequence, y-sequence) with positive probability in
-    lexicographic order, weighting the accumulated loss of each by its exact
+    Sums the accumulated loss of every (x-sequence, y-sequence) with positive
+    probability in lexicographic order, each weighted by its exact
     probability under the strategy. No sampling, no value recursion. The walk
-    keeps its own stack, so the horizon is not bounded by Python's recursion
-    limit.
+    goes forward round by round, so the horizon is not bounded by Python's
+    recursion limit. Raises SearchSpaceTooLarge when there are more than
+    ``TRAJECTORY_LIMIT`` trajectories.
     """
-    _check_history_strategy(problem, strategy)
-    return _loss_walk(strategy.mode, strategy.tables, *_tables_as_lists(problem))
+    return float(loss_sums(*_walk_arguments(problem, strategy), problem.loss[None])[0])
 
 
 def history_count(problem: Problem, mode: HistoryMode) -> int:
@@ -325,16 +264,12 @@ def verify_lemma1(problem: Problem, strategy: HistoryStrategy) -> tuple[float, f
     The left side sums the raw contextual loss over complete (x, y)
     trajectories; the right side sums the observation-estimate loss over
     histories, with the current round's quantity marginalized analytically.
-    They must agree for every strategy, history-dependent or not.
+    They must agree for every strategy, history-dependent or not. Raises
+    SearchSpaceTooLarge as :func:`exact_loss_history` does.
     """
-    _check_history_strategy(problem, strategy)
-    init, transitions, quantities, loss = _tables_as_lists(problem)
-    bar = bar_loss_table(problem).values.tolist()
-    mode, tables = strategy.mode, strategy.tables
-    return (
-        _loss_walk(mode, tables, init, transitions, quantities, loss),
-        _bar_walk(mode, tables, init, transitions, quantities, bar),
-    )
+    arguments = _walk_arguments(problem, strategy)
+    bar = bar_loss_table(problem).values[None]
+    return float(loss_sums(*arguments, problem.loss[None])[0]), float(bar_sums(*arguments, bar)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,22 +440,21 @@ def _stack_reports(
 
     The limit is checked first. The solver's minimum comes from its array core
     (``solve`` on one problem runs the same core), and the identity pair from
-    the walks of :func:`verify_lemma1`.
+    the walks of :func:`verify_lemma1`, run once over the whole stack on the
+    witnesses' decisions.
     """
     _, count = checked_shape_space(n, *(len(space) for space in spaces), mode, limit)
     bar = bar_loss_values(quantities, loss)
     brute_min, tables = _history_optimum(mode, init, transitions, quantities, bar)
     dp_min = initial_value(init, value_tables(bar, transitions)[1])
+    revealed = mode is HistoryMode.REVEALED
+    lhs = loss_sums(revealed, tables, init, transitions, quantities, loss)
+    rhs = bar_sums(revealed, tables, init, transitions, quantities, bar)
     binding = (n, *(space.labels for space in spaces))
-    lists = [table.tolist() for table in (init, transitions, quantities, loss, bar)]
     tables = [table.tolist() for table in tables]
     reports = []
-    for b, (brute, dp) in enumerate(zip(brute_min.tolist(), dp_min.tolist())):
-        init_b, transitions_b, quantities_b, loss_b, bar_b = (table[b] for table in lists)
+    pairs = zip(lhs.tolist(), rhs.tolist())
+    for b, (brute, dp, pair) in enumerate(zip(brute_min.tolist(), dp_min.tolist(), pairs)):
         witness = HistoryStrategy(mode, *binding, tuple(table[b] for table in tables))
-        pair = (
-            _loss_walk(mode, witness.tables, init_b, transitions_b, quantities_b, loss_b),
-            _bar_walk(mode, witness.tables, init_b, transitions_b, quantities_b, bar_b),
-        )
         reports.append(OracleReport(brute, dp, brute - dp, witness, count, (pair,)))
     return reports

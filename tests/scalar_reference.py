@@ -8,10 +8,13 @@ equal floats, not close ones. ``simulate`` is the whole-matrix rollout loop
 that the block-streamed simulator replaced; it draws every rollout at once,
 each draw by ``sample``, which compares ``u`` with every entry of a gathered
 CDF row where the simulator binary-searches its own table.
-``brute_force``, ``exact_loss_history`` and ``lemma1`` are the oracle's
-history-tree walks as recursions over numpy scalars, with the immediate cost
-summed again at every history; they read a history strategy's decisions
-through ``decision``, by history tuple.
+``brute_force`` is the history DP as a recursion over numpy scalars, with
+the immediate cost summed again at every history. ``exact_loss_history`` and
+``lemma1`` are the identity walks as recursions in pre-order, adding one term
+at a time to a total that starts at 0.0 and skipping every branch of zero
+weight; the blocked forward passes of ``dyninfer.walks`` must give their
+bits. All three read a history strategy's decisions through ``decision``, by
+history tuple.
 """
 
 import itertools

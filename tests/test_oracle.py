@@ -196,6 +196,14 @@ def test_trajectory_count_bounds_the_identity_walk():
     assert checked_shape_space(11, 2, 2, 1, HistoryMode.UNREVEALED, 10**6) == (4094, 1)
     with pytest.raises(SearchSpaceTooLarge, match=r"^16777216 trajectories"):
         checked_shape_space(12, 2, 2, 1, HistoryMode.UNREVEALED, 10**6)
+    # the public walks are bounded too: 40 unrevealed histories, one per round, but 2^40 trajectories
+    problem = random_problem(np.random.default_rng(0), 40, 1, 2, 2)
+    strategy = random_history_strategy(problem, HistoryMode.UNREVEALED, np.random.default_rng(1))
+    start = time.perf_counter()
+    for walk in (exact_loss_history, verify_lemma1):
+        with pytest.raises(SearchSpaceTooLarge, match=r"^1099511627776 trajectories exceed the limit of 10000000$"):
+            walk(problem, strategy)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_history_count_closed_form_equals_the_summed_definition():
@@ -321,6 +329,24 @@ def test_deep_horizon_memory_is_bounded():
 
 
 # ---- loss-marginalization identity ----
+
+
+def test_identity_walk_memory_is_bounded():
+    # 4^10 trajectories: the walks run in blocks, not over every trajectory at once
+    problem = random_problem(np.random.default_rng(1), 10, 2, 2, 2)
+    rng = np.random.default_rng(2)
+    for mode in BOTH_MODES:
+        spans = [2**i * (2 ** (i - 1) if mode is HistoryMode.REVEALED else 1) for i in range(1, 11)]
+        tables = [rng.integers(2, size=span).tolist() for span in spans]
+        strategy = HistoryStrategy(mode, 10, ("0", "1"), ("0", "1"), ("0", "1"), tables)
+        tracemalloc.start()
+        try:
+            lhs, rhs = verify_lemma1(problem, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(lhs - rhs) <= 1e-12
+        assert peak <= 16 * 2**20
 
 
 def test_marginalization_identity_one_round():

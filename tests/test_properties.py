@@ -35,7 +35,7 @@ from dyninfer import (
     validate_problem,
     verify_lemma1,
 )
-from dyninfer import cli
+from dyninfer import cli, walks
 from dyninfer.model import stack_from_tables
 from dyninfer.oracle import _stack_reports
 from dyninfer.reduction import bar_loss_values
@@ -45,6 +45,8 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 # few distinct values, so that exact ties between estimates are common
 LOSS_VALUES = (0.0, 0.1, 0.25, 0.5, 1.0, 3.0)
+# signed values: negative losses and -0.0 reach every sum, so terms of both signs meet in it
+SIGNED_LOSS_VALUES = (-0.0, 0.0, -0.5, 0.25, -1.0, 3.0)
 # values 4e-10 apart: near ties, inside the solver's tie tolerance but not equal
 NEAR_TIE_VALUES = (0.5, 0.5 + 4e-10)
 
@@ -86,7 +88,7 @@ def problems(draw, exact=None, max_labels=6, max_n=5, shape=None):
     init = _rows(draw, (nx,), exact)
     transitions = _rows(draw, (rounds or n - 1, nx, na, nx), exact) if n > 1 else np.empty((0, nx, na, nx))
     quantities = _rows(draw, (rounds or n, nx, ny), exact)
-    values = NEAR_TIE_VALUES if draw(st.booleans()) else LOSS_VALUES
+    values = draw(st.sampled_from((LOSS_VALUES, SIGNED_LOSS_VALUES, NEAR_TIE_VALUES)))
     loss = draw(hnp.arrays(np.float64, (nx, ny, na), elements=st.sampled_from(values)))
     return problem_from_tables(n, x_space, y_space, yhat_space, init, transitions, quantities, loss)
 
@@ -132,6 +134,12 @@ def test_evaluate_matches_scalar_reference(problem, data):
         assert result.j == j
 
 
+def _same_bits(a, b) -> bool:
+    """Equal floats, told apart by sign of zero too."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # small shapes of either kind: drawn tables with exact zeros and tied losses, or
 # ``random_problem`` floats, on which the order of every sum shows in the bits
 SMALL_SHAPES = st.tuples(*(st.integers(1, k) for k in (4, 3, 3, 3)))
@@ -155,10 +163,10 @@ def test_oracle_matches_scalar_reference(problem, seed):
         assert abs(report.gap) <= cli.GAP_TOLERANCE
         # the reference keys each round's decisions by history tuple; sorted keys are rank order
         assert list(report.witness.tables) == [tuple(table[key] for key in sorted(table)) for table in decisions]
-        assert report.lemma1_pairs == (scalar_reference.lemma1(problem, report.witness),)
+        assert _same_bits(report.lemma1_pairs, (scalar_reference.lemma1(problem, report.witness),))
         drawn = random_history_strategy(problem, mode, np.random.default_rng(seed))
-        assert exact_loss_history(problem, drawn) == scalar_reference.exact_loss_history(problem, drawn)
-        assert verify_lemma1(problem, drawn) == scalar_reference.lemma1(problem, drawn)
+        assert _same_bits(exact_loss_history(problem, drawn), scalar_reference.exact_loss_history(problem, drawn))
+        assert _same_bits(verify_lemma1(problem, drawn), scalar_reference.lemma1(problem, drawn))
 
 
 @st.composite
@@ -167,12 +175,6 @@ def problem_stacks(draw):
     first = draw(problems(max_labels=3, max_n=3))
     shape = (first.n, len(first.x_space), len(first.y_space), len(first.yhat_space))
     return [first, *draw(st.lists(problems(shape=shape), max_size=4))]
-
-
-def _same_bits(a, b) -> bool:
-    """Equal floats, told apart by sign of zero too."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @SETTINGS
@@ -202,6 +204,37 @@ def test_stacked_oracle_and_solver_match_each_problem(problems):
             expected_lhs, expected_rhs = scalar_reference.lemma1(problem, report.witness)
             assert _same_bits(lhs, expected_lhs) and _same_bits(rhs, expected_rhs)
             assert report.strategies_searched == strategy_count(problem, mode)
+
+
+# fewer examples: each runs both walks at every block size, in both modes
+@settings(max_examples=50, deadline=None)
+@given(problem_stacks(), st.integers(0, 2**32 - 1))
+def test_tiny_blocks_split_the_walks_and_keep_their_bits(problems, seed):
+    # blocks this small split stacks between problems and problems between subtrees, mid-tree
+    first = problems[0]
+    init, transitions, quantities, loss = (
+        np.stack([getattr(problem, name) for problem in problems])
+        for name in ("init", "transitions", "quantities", "loss")
+    )
+    bar = bar_loss_values(quantities, loss)
+    rng = np.random.default_rng(seed)
+    for mode in HistoryMode:
+        strategies = [random_history_strategy(problem, mode, rng) for problem in problems]
+        decisions = [np.array([strategy.tables[i] for strategy in strategies]) for i in range(first.n)]
+        expected = [scalar_reference.lemma1(problem, strategy) for problem, strategy in zip(problems, strategies)]
+        for block in (1, 2, 3, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(walks, "BLOCK_ENTRIES", block)
+                revealed = mode is HistoryMode.REVEALED
+                lhs = walks.loss_sums(revealed, decisions, init, transitions, quantities, loss)
+                rhs = walks.bar_sums(revealed, decisions, init, transitions, quantities, bar)
+                alone = [
+                    (exact_loss_history(problem, strategy), verify_lemma1(problem, strategy))
+                    for problem, strategy in zip(problems, strategies)
+                ]
+            assert _same_bits(np.stack([lhs, rhs], axis=1), expected)
+            for (loss_sum, pair), pair_expected in zip(alone, expected):
+                assert _same_bits(loss_sum, pair_expected[0]) and _same_bits(pair, pair_expected)
 
 
 def test_a_stack_names_its_first_faulty_problem_as_a_single_build_does():
