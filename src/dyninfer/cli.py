@@ -28,7 +28,7 @@ import numpy as np
 from . import examples as example_models
 from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
 from .evaluate import MarkovStrategy, evaluate_markov, simulate
-from .model import Problem, problem_to_dict, validate_problem
+from .model import Problem, _init_row, _normalized, problem_to_dict, validate_problem
 from .oracle import (
     DEFAULT_STRATEGY_LIMIT, HistoryMode, HistoryStrategy, OracleReport, brute_force_optimum, random_sweep
 )
@@ -204,9 +204,7 @@ def _with_init(problem: Problem, text: str) -> Problem:
             probs[index] = float(value)
         except OverflowError:
             raise InvalidModelError(f"--init: probability for {label!r} is an integer too large for a float64") from None
-    # a Problem stores its rows as given: build one to check the raw row, then store the divided one
-    checked = dataclasses.replace(problem, init=probs)
-    return dataclasses.replace(checked, init=probs / probs.sum())
+    return dataclasses.replace(problem, init=_normalized(probs, _init_row))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidParams, ShapeMismatch
 from .model import _MAX_ARRAY_BYTES, Problem, _fields_equal
-from .reduction import bar_loss_table
+from .reduction import _label_sum, bar_loss_table
 from .rng import check_seed, uniform_matrix
 from .solver import SolveResult
 
@@ -123,15 +123,10 @@ def evaluate_markov(problem: Problem, strategy: MarkovStrategy) -> EvalResult:
     for k in range(problem.n - 2, -1, -1):
         # row xi is the law of the next observation after the estimate chosen at xi
         transition = problem.transitions[k][np.arange(len(problem.x_space)), choices[k]]
-        expected = 0.0
-        for xn in range(len(problem.x_space)):
-            expected = expected + transition[:, xn] * v[k + 1, xn]
-        v[k] += expected
-    j = 0.0
-    for xi in range(len(problem.x_space)):
-        j += problem.init[xi] * v[0, xi]
+        v[k] += _label_sum(transition, v[k + 1])
+    j = float(_label_sum(problem.init, v[0]))
     v.setflags(write=False)
-    return EvalResult(float(j), v)
+    return EvalResult(j, v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -58,9 +58,9 @@ import numpy as np
 
 from .errors import SearchSpaceTooLarge, ShapeMismatch
 from .evaluate import MarkovStrategy, _markov_binding
-from .model import Alphabet, Problem, problem_from_tables, stack_from_tables
-from .reduction import bar_loss_table, bar_loss_values
-from .solver import initial_value, value_tables
+from .model import Alphabet, Problem, problem_from_tables
+from .reduction import _label_sum, bar_loss_table, bar_loss_values
+from .solver import value_tables
 from .walks import bar_sums, loss_sums
 # unused here: perfbench/tracing.py hooks this name, and every name it hooks must resolve
 from .solver import solve  # noqa: F401
@@ -349,10 +349,7 @@ def _history_optimum(
         tables.append(values.argmin(axis=-1).reshape(batch, -1))  # the first minimizer
         later = values.min(axis=-1).reshape(batch, -1)
     tables.reverse()
-    brute_min = 0.0
-    for x1 in range(nx):
-        brute_min = brute_min + init[:, x1] * later[:, x1]
-    return brute_min, tables
+    return _label_sum(init, later), tables
 
 
 def enumerate_markov_strategies(problem: Problem) -> Iterator[MarkovStrategy]:
@@ -408,6 +405,12 @@ def random_sweep(
     one bar-loss table and one backward induction over a leading instance
     axis, and the identity walks per instance. The limit is checked on the
     largest horizon before the first draw.
+
+    Each probability row is divided by its sum once more, elementwise, as
+    :func:`problem_from_tables` divides the rows of :func:`random_problem`,
+    so every instance's tables are those of its random problem bit for bit.
+    Nothing else of ``Problem``'s checks is run: the rows are positive and
+    normalized by construction, and the losses lie in [0, 1).
     """
     checked_shape_space(max_n, nx, ny, nyhat, mode, limit)
     drawn = []
@@ -420,7 +423,7 @@ def random_sweep(
         members = [k for k, (m, _) in enumerate(drawn) if m == n]
         init, transitions, quantities, loss = (np.stack(tables) for tables in zip(*(drawn[k][1] for k in members)))
         rows = (_positive_rows(table) for table in (init, transitions, quantities))
-        stack = stack_from_tables(n, *spaces, *rows, loss)
+        stack = (*(table / table.sum(axis=-1, keepdims=True) for table in rows), loss)
         for k, report in zip(members, _stack_reports(n, spaces, mode, limit, *stack)):
             reports[k] = report
     return reports
@@ -436,9 +439,15 @@ def _stack_reports(
     quantities: np.ndarray,
     loss: np.ndarray,
 ) -> list[OracleReport]:
-    """:func:`brute_force_optimum` on each problem of a stack (see :func:`stack_from_tables`).
+    """:func:`brute_force_optimum` on each problem of a stack of B problems of one shape.
 
-    The limit is checked first. The solver's minimum comes from its array core
+    ``init``, ``transitions``, ``quantities`` and ``loss`` have shapes
+    (B, |X|), (B, n-1, |X|, |Yhat|, |X|), (B, n, |X|, |Y|) and
+    (B, |X|, |Y|, |Yhat|), and hold each problem's tables as a ``Problem``
+    stores them: :func:`brute_force_optimum` passes one problem's, and
+    :func:`random_sweep` divides its drawn rows by their sums once more, as
+    ``problem_from_tables`` does. The tables are not checked again. The
+    limit is checked first. The solver's minimum comes from its array core
     (``solve`` on one problem runs the same core), and the identity pair from
     the walks of :func:`verify_lemma1`, run once over the whole stack on the
     witnesses' decisions.
@@ -446,7 +455,7 @@ def _stack_reports(
     _, count = checked_shape_space(n, *(len(space) for space in spaces), mode, limit)
     bar = bar_loss_values(quantities, loss)
     brute_min, tables = _history_optimum(mode, init, transitions, quantities, bar)
-    dp_min = initial_value(init, value_tables(bar, transitions)[1])
+    dp_min = _label_sum(init, value_tables(bar, transitions)[1][:, 0])
     revealed = mode is HistoryMode.REVEALED
     lhs = loss_sums(revealed, tables, init, transitions, quantities, loss)
     rhs = bar_sums(revealed, tables, init, transitions, quantities, bar)

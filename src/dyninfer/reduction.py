@@ -51,7 +51,18 @@ def bar_loss_values(quantities: np.ndarray, loss: np.ndarray) -> np.ndarray:
     Leading axes index problems of one shape; each problem's entries are
     the floats its own table holds.
     """
-    values = 0.0
-    for yi in range(quantities.shape[-1]):
-        values = values + quantities[..., yi, None] * loss[..., None, :, yi, :]
-    return values
+    return _label_sum(quantities[..., None, :], loss[..., None, :, :, :].swapaxes(-1, -2))
+
+
+def _label_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray | float:
+    """``weights[..., k] * values[..., k]`` summed over the last axis, from 0.0 in label order.
+
+    The two arrays broadcast against each other once their last (label) axis
+    is indexed. Every expectation of the solver, ``evaluate_markov`` and the
+    oracle is this one sum, so each of them is the float a scalar loop over
+    the labels gives.
+    """
+    total = 0.0
+    for k in range(weights.shape[-1]):
+        total = total + weights[..., k] * values[..., k]
+    return total

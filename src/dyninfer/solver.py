@@ -3,8 +3,8 @@
 Solves the finite-horizon MDP view of a problem exactly: the final-round
 action values are the observation-estimate losses, and each earlier round
 adds the expected optimal value of the next observation under the controlled
-transition kernel. Expectations are plain sums in label-index order, so
-outputs are reproducible bit for bit.
+transition kernel. Every expectation is :func:`dyninfer.reduction._label_sum`,
+a plain sum in label-index order, so outputs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MismatchedResult
 from .model import Problem, _fields_equal
-from .reduction import bar_loss_table
+from .reduction import _label_sum, bar_loss_table
 
 TIE_TOLERANCE = 1e-9
 
@@ -87,20 +87,9 @@ def value_tables(bar: np.ndarray, transitions: np.ndarray) -> tuple[np.ndarray, 
     q_star = bar.copy()
     v_star = q_star.min(axis=-1)
     for k in range(q_star.shape[-3] - 2, -1, -1):
-        expected = 0.0
-        for xn in range(q_star.shape[-2]):
-            expected = expected + transitions[..., k, :, :, xn] * v_star[..., k + 1, xn, None, None]
-        q_star[..., k, :, :] += expected
+        q_star[..., k, :, :] += _label_sum(transitions[..., k, :, :, :], v_star[..., k + 1, None, None, :])
         v_star[..., k, :] = q_star[..., k, :, :].min(axis=-1)
     return q_star, v_star
-
-
-def initial_value(init: np.ndarray, v_star: np.ndarray) -> np.ndarray:
-    """The expectation of round-1 values ``v_star[..., 0, :]`` under ``init`` (..., |X|), summed in label order."""
-    total = 0.0
-    for xi in range(init.shape[-1]):
-        total = total + init[..., xi] * v_star[..., 0, xi]
-    return total
 
 
 def ensure_result_matches(problem: Problem, result: SolveResult) -> None:
@@ -121,7 +110,7 @@ def ensure_result_matches(problem: Problem, result: SolveResult) -> None:
 def minimum_inference_loss(problem: Problem, result: SolveResult) -> float:
     """Minimum expected accumulated loss: the initial expectation of round-1 values."""
     ensure_result_matches(problem, result)
-    return float(initial_value(problem.init, result.v_star))
+    return float(_label_sum(problem.init, result.v_star[0]))
 
 
 @dataclass(frozen=True)

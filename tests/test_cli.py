@@ -304,6 +304,18 @@ def test_bad_init_override_is_a_domain_error(capsys, stock_model):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "UnknownLabel"
 
 
+@pytest.mark.parametrize(
+    "init, message",
+    [
+        ('{"0": -0.5, "1": 1.5}', "distribution has a negative entry: [-0.5, 1.5]"),
+        ("{}", "distribution sums to 0.0, outside 1 +/- 1e-09"),
+    ],
+)
+def test_init_override_that_is_not_a_distribution_names_the_fault(capsys, stock_model, init, message):
+    assert run(["solve", "-m", str(stock_model), "--init", init]) == 1
+    assert _single_error_line(capsys) == {"error": "NotStochastic", "message": message}
+
+
 def test_nonstochastic_model_reports_error(tmp_path, capsys):
     model = tmp_path / "model.json"
     assert run(["example", "stock", "--n", "2", "-o", str(model)]) == 0

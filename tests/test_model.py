@@ -223,6 +223,16 @@ def test_stationary_form_of_a_problem_whose_rounds_differ_is_refused():
     assert "stationary" not in problem_to_dict(problem)
 
 
+def test_stationary_writer_takes_only_true_false_or_auto():
+    # a truthy string such as "false" once read as True and wrote the compact form
+    problem = example_section33(3)
+    for value in ("false", "no", "true", "", 1, 0, None):
+        with pytest.raises(InvalidParams, match="stationary must be True, False or 'auto'"):
+            problem_to_dict(problem, value)
+    assert "stationary" not in problem_to_dict(problem, False)
+    assert problem_to_dict(problem, True)["stationary"] is True
+
+
 def test_stationary_flag_expands_single_entries():
     doc = section33_dict(4)
     problem = validate_problem(doc)

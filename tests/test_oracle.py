@@ -34,7 +34,7 @@ from dyninfer import (
     solve,
     verify_lemma1,
 )
-from dyninfer.oracle import checked_shape_space, history_count, shape_history_count
+from dyninfer.oracle import checked_shape_space, history_count, random_sweep, shape_history_count
 
 BOTH_MODES = (HistoryMode.REVEALED, HistoryMode.UNREVEALED)
 
@@ -313,6 +313,23 @@ def test_witness_rows_come_in_rank_order():
         for i, xs, ys, ai in rows:
             assert len(xs) == i and len(ys) == (i - 1 if mode is HistoryMode.REVEALED else 0)
             assert decision(witness, i, xs, ys) == ai
+
+
+def _report_bits(report):
+    """Every number of a report as float hex strings, and its witness decisions."""
+    floats = (report.brute_min, report.dp_min, report.gap, *itertools.chain(*report.lemma1_pairs))
+    return [value.hex() for value in floats], report.witness.tables, report.strategies_searched
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("mode", BOTH_MODES)
+def test_sweep_reports_are_those_of_each_replayed_random_problem(seed, mode):
+    # the sweep builds no Problem; replaying its draws through random_problem runs every model check
+    reports = random_sweep(np.random.default_rng(seed), 200, mode, 2**50, 3, 2, 2, 2)
+    rng = np.random.default_rng(seed)
+    for report in reports:
+        problem = random_problem(rng, int(rng.integers(1, 4)))
+        assert _report_bits(brute_force_optimum(problem, mode, 2**50)) == _report_bits(report)
 
 
 def test_deep_horizon_memory_is_bounded():

@@ -36,7 +36,6 @@ from dyninfer import (
     verify_lemma1,
 )
 from dyninfer import cli, walks
-from dyninfer.model import stack_from_tables
 from dyninfer.oracle import _stack_reports
 from dyninfer.reduction import bar_loss_values
 from dyninfer.solver import value_tables
@@ -235,24 +234,6 @@ def test_tiny_blocks_split_the_walks_and_keep_their_bits(problems, seed):
             assert _same_bits(np.stack([lhs, rhs], axis=1), expected)
             for (loss_sum, pair), pair_expected in zip(alone, expected):
                 assert _same_bits(loss_sum, pair_expected[0]) and _same_bits(pair, pair_expected)
-
-
-def test_a_stack_names_its_first_faulty_problem_as_a_single_build_does():
-    rng = np.random.default_rng(3)
-    n, spaces = 3, (Alphabet(("a", "b")), Alphabet(("u", "v", "w")), Alphabet(("p", "q")))
-    init, transitions, quantities = (
-        rows / rows.sum(axis=-1, keepdims=True)
-        for rows in (rng.random((5, 2)), rng.random((5, n - 1, 2, 2, 2)), rng.random((5, n, 2, 3)))
-    )
-    loss = rng.random((5, 2, 3, 2))
-    transitions[2, 1, 0, 1, 0] = -0.25  # the third problem: a negative entry
-    quantities[4, 0, 1] *= 2.0  # a later problem: a row that sums past 1
-    with pytest.raises(NotStochastic) as single:
-        problem_from_tables(n, *spaces, init[2], transitions[2], quantities[2], loss[2])
-    with pytest.raises(NotStochastic) as stacked:
-        stack_from_tables(n, *spaces, init, transitions, quantities, loss)
-    assert "has a negative entry" in str(single.value)
-    assert str(stacked.value) == str(single.value)
 
 
 @SETTINGS
