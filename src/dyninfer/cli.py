@@ -14,8 +14,8 @@ default for every ``--seed`` flag.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -28,7 +28,7 @@ import numpy as np
 from . import examples as example_models
 from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
 from .evaluate import MarkovStrategy, evaluate_markov, simulate
-from .model import Problem, _init_row, _normalized, problem_to_dict, validate_problem
+from .model import Problem, _freeze, _init_row, _normalized, problem_to_dict, validate_problem
 from .oracle import (
     DEFAULT_STRATEGY_LIMIT, HistoryMode, HistoryStrategy, OracleReport, brute_force_optimum, random_sweep
 )
@@ -187,7 +187,9 @@ def _with_init(problem: Problem, text: str) -> Problem:
     """``problem`` with an --init override: a JSON label->probability object, or a bare label.
 
     A bare label is read as ``{label: 1.0}`` and labels left out get
-    probability 0; the row is checked, then divided by its sum once.
+    probability 0; the row is checked, then divided by its sum once. Only
+    that row is new: the copy shares the problem's other, already checked
+    tables rather than checking them again.
     """
     if text.lstrip().startswith("{"):
         doc = _parse_json(text, "--init")
@@ -204,7 +206,9 @@ def _with_init(problem: Problem, text: str) -> Problem:
             probs[index] = float(value)
         except OverflowError:
             raise InvalidModelError(f"--init: probability for {label!r} is an integer too large for a float64") from None
-    return dataclasses.replace(problem, init=_normalized(probs, _init_row))
+    overridden = copy.copy(problem)
+    object.__setattr__(overridden, "init", _freeze(_normalized(probs, _init_row)))
+    return overridden
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

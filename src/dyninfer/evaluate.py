@@ -21,8 +21,8 @@ from .reduction import _label_sum, bar_loss_table
 from .rng import check_seed, uniform_matrix
 from .solver import SolveResult
 
-# draws per block of rollouts in ``simulate`` (2 MB per float64 temporary)
-BLOCK_DRAWS = 2**18
+# draws per tile of rollouts and rounds in ``simulate`` (512 KiB per 8-byte temporary)
+BLOCK_DRAWS = 2**16
 
 
 def _markov_binding(problem: Problem) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
@@ -176,16 +176,12 @@ def _in_blocks(values: np.ndarray, rows: int):
         yield from values[start : start + rows].tolist()
 
 
-def _block_rows(n: int) -> int:
-    """Rollouts per block: about ``BLOCK_DRAWS`` draws of ``2 n`` each, and at least one rollout."""
-    return max(1, BLOCK_DRAWS // (2 * n))
-
-
 def _rollout_losses(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: int) -> np.ndarray:
-    """The accumulated loss of each rollout, in rollout order, drawn block by block as :func:`simulate` describes."""
+    """The accumulated loss of each rollout, in rollout order, drawn tile by tile as :func:`simulate` describes."""
     n = problem.n
     nx, ny = len(problem.x_space), len(problem.y_space)
-    block_rows = _block_rows(n)
+    tile_rollouts = min(rollouts, BLOCK_DRAWS)
+    tile_draws = max(1, BLOCK_DRAWS // tile_rollouts)
     choices = strategy.choices
     # one table row per (round, observation), holding the strategy's own transition rows and losses
     init_table, init_width = _search_table(problem.init)
@@ -196,17 +192,21 @@ def _rollout_losses(problem: Problem, strategy: MarkovStrategy, rollouts: int, s
     chosen_loss = problem.loss.transpose(2, 0, 1)[choices, np.arange(nx)].reshape(-1)
 
     losses = np.zeros(rollouts)
-    for start in range(0, rollouts, block_rows):
-        stop = min(start + block_rows, rollouts)
-        uniforms = uniform_matrix(seed, stop - start, 2 * n, start)
-        block_losses = losses[start:stop]
-        xs = _draw(init_table, init_width, np.zeros(stop - start, dtype=np.intp), uniforms[:, 0])
-        for k in range(n):
-            rows = xs + k * nx
-            ys = _draw(quantity_table, quantity_width, rows, uniforms[:, 2 * k + 1])
-            block_losses += chosen_loss[rows * ny + ys]
-            if k < n - 1:
-                xs = _draw(transition_table, transition_width, rows, uniforms[:, 2 * k + 2])
+    for start in range(0, rollouts, tile_rollouts):
+        stop = min(start + tile_rollouts, rollouts)
+        tile_losses = losses[start:stop]
+        for first in range(0, 2 * n, tile_draws):
+            draws = min(tile_draws, 2 * n - first)
+            columns = uniform_matrix(seed, stop - start, draws, start, first, 2 * n).T
+            for t, u in enumerate(columns, first):
+                if t == 0:  # the initial observation
+                    xs = _draw(init_table, init_width, np.zeros(stop - start, dtype=np.intp), u)
+                elif t % 2:  # the quantity of round t // 2, and its loss
+                    rows = xs + (t // 2) * nx
+                    ys = _draw(quantity_table, quantity_width, rows, u)
+                    tile_losses += chosen_loss[rows * ny + ys]
+                else:  # the next observation, after the estimate chosen at ``rows``
+                    xs = _draw(transition_table, transition_width, rows, u)
     return losses
 
 
@@ -221,9 +221,12 @@ def simulate(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: in
     index order once all rollouts are complete, so the result does not depend
     on how the rollouts were scheduled.
 
-    Rollouts run in consecutive blocks of about ``BLOCK_DRAWS`` draws, so
-    memory is 8 bytes per rollout (its loss) plus one block of draws, and the
-    result is bit-identical to drawing every rollout at once.
+    The draws are made in tiles of ``R = min(rollouts, BLOCK_DRAWS)``
+    rollouts by ``max(1, BLOCK_DRAWS // R)`` consecutive draws, so a tile
+    holds at most ``BLOCK_DRAWS`` draws. Each draw is one array step over
+    the tile's rollouts, whether the tiles split the rollouts, the rounds
+    or both. Memory is 8 bytes per rollout (its loss) plus one tile of
+    draws, and the result is bit-identical to drawing every rollout at once.
     """
     _check_strategy(problem, strategy)
     if isinstance(rollouts, bool) or not isinstance(rollouts, int) or rollouts < 1:
@@ -232,17 +235,16 @@ def simulate(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: in
         raise InvalidParams(f"{rollouts} rollouts are more than an array of their losses can index")
     check_seed(seed)
     losses = _rollout_losses(problem, strategy, rollouts, seed)
-    block_rows = _block_rows(problem.n)
 
     total = 0.0
-    for value in _in_blocks(losses, block_rows):
+    for value in _in_blocks(losses, BLOCK_DRAWS):
         total += value
     mean = total / rollouts
     variance = 0.0
     if rollouts > 1:
         square_sum = 0.0
         try:
-            for value in _in_blocks(losses, block_rows):
+            for value in _in_blocks(losses, BLOCK_DRAWS):
                 square_sum += (value - mean) ** 2
         except OverflowError:  # a float power past the float64 range raises rather than giving inf
             square_sum = math.inf

@@ -54,15 +54,26 @@ def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
 
 
 def uniform_matrix(
-    seed: int, streams: int, draws_per_stream: int, first_stream: int = 0
+    seed: int,
+    streams: int,
+    draws: int,
+    first_stream: int = 0,
+    first_draw: int = 0,
+    draws_per_stream: int | None = None,
 ) -> np.ndarray:
-    """Matrix of uniforms whose row ``k`` is substream ``first_stream + k`` of ``seed``.
+    """Matrix of uniforms whose row ``k`` holds draws of substream ``first_stream + k`` of ``seed``.
 
-    Substream ``s`` occupies counters ``[s * draws_per_stream,
-    (s + 1) * draws_per_stream)``; entry ``[k, t]`` is draw ``t`` of
-    substream ``first_stream + k``. Consecutive calls over adjacent stream
-    ranges therefore tile the matrix of a single call over their union.
+    Substream ``s`` occupies counters ``[s * d, (s + 1) * d)`` with ``d =
+    draws_per_stream`` (by default ``draws``); entry ``[k, t]`` is draw
+    ``first_draw + t`` of substream ``first_stream + k``. Any tile of streams
+    and consecutive draws therefore matches the same tile of a single call
+    over every stream and draw. The matrix is a transposed view of a
+    draw-major array, so each draw's column over the streams is contiguous.
     """
-    start = first_stream * draws_per_stream
-    counters = np.arange(start, start + streams * draws_per_stream, dtype=np.uint64)
-    return counter_uniforms(seed, counters).reshape(streams, draws_per_stream)
+    if draws_per_stream is None:
+        draws_per_stream = draws
+    stream_starts = np.arange(first_stream, first_stream + streams, dtype=np.uint64)
+    stream_starts *= np.uint64(draws_per_stream)
+    offsets = np.arange(first_draw, first_draw + draws, dtype=np.uint64)
+    counters = np.add.outer(offsets, stream_starts)
+    return counter_uniforms(seed, counters).T

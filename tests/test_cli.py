@@ -24,6 +24,7 @@ from dyninfer import (
     random_problem,
     validate_problem,
 )
+from dyninfer import cli
 from dyninfer.cli import run
 
 
@@ -78,6 +79,16 @@ def test_solve_init_override(tmp_path, stock_model):
     assert json.loads(out.read_text())["min_loss"] == 1.8
     assert run(["solve", "-m", str(stock_model), "--init", '{"0": 0.5, "1": 0.5}', "-o", str(out)]) == 0
     assert json.loads(out.read_text())["min_loss"] == pytest.approx((2.1 + 1.8) / 2, abs=1e-9)
+
+
+def test_init_override_shares_the_checked_tables():
+    # only the new initial row is checked; the loaded tables are not copied or checked again
+    problem = example_stock(6)
+    overridden = cli._with_init(problem, '{"0": 0.25, "1": 0.75}')
+    assert overridden.init.tolist() == [0.25, 0.75] and not overridden.init.flags.writeable
+    assert problem.init.tolist() == [1.0, 0.0]
+    for name in ("transitions", "quantities", "loss", "x_space", "y_space", "yhat_space"):
+        assert getattr(overridden, name) is getattr(problem, name)
 
 
 def test_evaluate_matches_library(tmp_path, stock_model, strategy_file):

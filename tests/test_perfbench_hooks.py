@@ -80,6 +80,26 @@ def test_solve_and_trellis_counts_hooks_read_real_cli_calls(monkeypatch, tmp_pat
     assert (trellis["calls"], trellis["nodes"], trellis["edges"]) == (1, 12, 20)
 
 
+def test_draw_counts_hook_reads_a_real_simulate_call(monkeypatch, tmp_path):
+    # the hook reads the draws from uniform_matrix's second and third positional arguments
+    tracing = _load_tracing(monkeypatch)
+    from dyninfer import cli
+
+    model, solved = tmp_path / "stock.json", tmp_path / "solved.json"
+    assert cli.run(["example", "stock", "--n", "40", "-o", str(model)]) == 0
+    assert cli.run(["solve", "-m", str(model), "-o", str(solved)]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        argv = ["simulate", "-m", str(model), "-s", str(solved), "--rollouts", "3000", "--seed", "9"]
+        assert cli.run([*argv, "-o", str(tmp_path / "simulated.json")]) == 0
+    finally:
+        tracer.uninstall()
+    summary = tracing.summarize(tracer.spans)
+    assert summary["evaluate.simulate"]["calls"] == 1
+    assert summary["rng.uniform_matrix"]["draws"] == 3000 * 2 * 40
+
+
 @pytest.mark.parametrize("mode", ["revealed", "unrevealed"])
 def test_traced_sweep_writes_the_untraced_bytes(monkeypatch, tmp_path, mode):
     # a stack reaching a hooked name (dyninfer.cli.brute_force_optimum, dyninfer.oracle.solve)

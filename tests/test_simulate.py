@@ -136,6 +136,11 @@ def test_uniform_source_is_platform_independent():
     for streams, draws, first in ((1, 2, 1), (3, 5, 4), (2, 7, 0), (4, 1, 9)):
         whole = uniform_matrix(42, first + streams, draws)
         assert np.array_equal(uniform_matrix(42, streams, draws, first), whole[first:])
+    # a tile of streams and consecutive draws returns the matching block of one call over every draw
+    whole = uniform_matrix(42, 6, 10)
+    for streams, draws, first, first_draw in ((2, 3, 1, 4), (6, 10, 0, 0), (1, 1, 5, 9), (3, 7, 2, 3)):
+        tile = uniform_matrix(42, streams, draws, first, first_draw, 10)
+        assert np.array_equal(tile, whole[first : first + streams, first_draw : first_draw + draws])
 
 
 def _random_case(seed, n, nx, ny, nyhat):
@@ -169,10 +174,53 @@ def _assert_matches_reference(problem, strategy, rollouts, seed):
 
 @pytest.mark.parametrize("case", SIMULATE_CASES)
 def test_streamed_simulate_matches_whole_matrix_reference(case):
+    # a tile holds R = rollouts (below BLOCK_DRAWS) by BLOCK_DRAWS // R draws: up to ``whole``
+    # rollouts that covers all 2n draws, and past it the tiles split the rounds
     problem, strategy = SIMULATE_CASES[case]()
-    block = evaluate_module.BLOCK_DRAWS // (2 * problem.n)
-    for rollouts in (1, block - 1, block, block + 1, 2 * block + 13):
+    whole = evaluate_module.BLOCK_DRAWS // (2 * problem.n)
+    for rollouts in (1, whole - 1, whole, whole + 1, 2 * whole + 13):
         _assert_matches_reference(problem, strategy, rollouts, 7 + rollouts)
+
+
+def test_full_tiles_match_whole_matrix_reference():
+    # from R = BLOCK_DRAWS rollouts on, a tile is one draw of R rollouts and the last tile is
+    # partial; a short horizon keeps the whole-matrix reference small
+    problem, strategy = _random_case(4, 3, 3, 2, 3)
+    tile = evaluate_module.BLOCK_DRAWS
+    for rollouts in (tile - 1, tile, tile + 1, 2 * tile + 13):
+        _assert_matches_reference(problem, strategy, rollouts, rollouts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    block_draws=st.integers(1, 64),
+    # an integer, or (a, b) for a * R + b rollouts with R = BLOCK_DRAWS: R - 1, R, R + 1 and 2R + 13
+    rollouts=st.one_of(st.integers(1, 150), st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 13)])),
+    problem_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(n=5, block_draws=8, rollouts=(2, 13), problem_seed=0, seed=2**64 - 1)
+@example(n=12, block_draws=64, rollouts=3, problem_seed=1, seed=0)
+@example(n=1, block_draws=1, rollouts=(1, 1), problem_seed=2, seed=1)
+def test_tiles_over_rollouts_and_rounds_match_whole_matrix_reference(n, block_draws, rollouts, problem_seed, seed):
+    # small blocks split both the rollouts (R = min(rollouts, BLOCK_DRAWS)) and the 2n draws of each
+    # rollout (BLOCK_DRAWS // R per tile), at and around the tile boundaries
+    if isinstance(rollouts, tuple):
+        a, b = rollouts
+        rollouts = max(1, a * block_draws + b)  # R - 1 is no rollout at R = 1
+    problem, strategy = _random_case(problem_seed, n, 3, 2, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate_module, "BLOCK_DRAWS", block_draws)
+        _assert_matches_reference(problem, strategy, rollouts, seed)
+
+
+def test_long_horizon_tiles_of_many_rollouts_match_whole_matrix_reference():
+    # 64 rollouts of 4000 draws: every tile holds all 64 rollouts and a fraction of the rounds
+    problem = example_stock(2000)
+    strategy = myopic_strategy(problem)
+    assert 64 < evaluate_module.BLOCK_DRAWS < 64 * 2 * problem.n
+    _assert_matches_reference(problem, strategy, 64, 11)
 
 
 def test_small_blocks_match_whole_matrix_reference(monkeypatch):
