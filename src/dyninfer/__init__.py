@@ -55,7 +55,7 @@ from .solver import (
     solution_report,
     solve,
 )
-from .trellis import TrellisDocument, TrellisEdge, build_trellis, export_trellis
+from .trellis import export_trellis
 
 __version__ = "0.1.0"
 
@@ -82,13 +82,10 @@ __all__ = [
     "SimulationResult",
     "SolveResult",
     "TieBreakRule",
-    "TrellisDocument",
-    "TrellisEdge",
     "UnknownLabel",
     "YieldParams",
     "bar_loss_table",
     "brute_force_optimum",
-    "build_trellis",
     "enumerate_markov_strategies",
     "evaluate_markov",
     "exact_loss_history",

@@ -129,7 +129,7 @@ class ReportRow:
 
 
 def solution_report(result: SolveResult) -> tuple[ReportRow, ...]:
-    """Flatten a solve result into per-(round, x) rows, fit for trellis export."""
+    """Flatten a solve result into per-(round, x) rows, for callers that read nodes by label."""
     problem = result.problem
     yhat_labels = problem.yhat_space.labels
     v_star, q_star = result.v_star.tolist(), result.q_star.tolist()

@@ -4,114 +4,69 @@ The trellis has one node per (round, observation) annotated with the optimal
 remaining loss, and one edge per (estimate, successor) pair with positive
 probability. Chosen estimates are drawn solid, others dashed; a chosen edge
 is colored blue where the dynamic optimum departs from the single-round
-optimum.
+optimum. Both renderers read the solve result's arrays directly: nodes in
+(round, observation index) order, edges in (round, x, yhat, next x) index
+order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
+from .errors import InvalidParams
 from .model import Problem
-from .solver import ReportRow, SolveResult, ensure_result_matches, solution_report
-
-
-class TrellisEdge(NamedTuple):
-    """A transition of positive probability: from ``x`` in ``round``, under estimate ``yhat``, to ``next_x``.
-
-    A named tuple: its fields are read as attributes, and it compares and
-    unpacks as the tuple of its fields in this order.
-    """
-
-    round: int
-    x: str
-    yhat: str
-    next_x: str
-    probability: float
-    chosen: bool
-    deviation: bool
-
-
-@dataclass(frozen=True)
-class TrellisDocument:
-    """A solved trellis over ``n`` rounds.
-
-    ``nodes`` are the :func:`solution_report` rows, one per (round,
-    observation) in round-major order; ``edges`` hold every transition with
-    positive probability, as :class:`TrellisEdge` named tuples, in (round, x,
-    yhat, next x) order.
-    """
-
-    n: int
-    nodes: tuple[ReportRow, ...]
-    edges: tuple[TrellisEdge, ...]
-
-
-def build_trellis(problem: Problem, result: SolveResult) -> TrellisDocument:
-    ensure_result_matches(problem, result)
-    # positive entries in (round, x, yhat, next x) order: the edge order of the document
-    positive = problem.transitions > 0.0
-    k, xi, ai, ni = np.argwhere(positive).T
-    policy = result.policy[k, xi]
-    chosen = ai == policy
-    deviation = chosen & (policy != result.myopic[k, xi])
-    x_labels, yhat_labels = problem.x_space.labels, problem.yhat_space.labels
-    edges = map(
-        TrellisEdge,
-        (k + 1).tolist(),
-        [x_labels[i] for i in xi.tolist()],
-        [yhat_labels[i] for i in ai.tolist()],
-        [x_labels[i] for i in ni.tolist()],
-        problem.transitions[positive].tolist(),
-        chosen.tolist(),
-        deviation.tolist(),
-    )
-    return TrellisDocument(problem.n, solution_report(result), tuple(edges))
+from .solver import SolveResult, ensure_result_matches
 
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _render_dot(problem: Problem, doc: TrellisDocument) -> str:
+def _render_dot(problem: Problem, result: SolveResult) -> str:
     # node "r<round>_x<index>"; escaping maps each character alone, so a label is escaped once and spliced in
-    x_index = {x: xi for xi, x in enumerate(problem.x_space)}
     x_text = [_escape(x) for x in problem.x_space]
-    yhat_text = {yhat: _escape(yhat) for yhat in problem.yhat_space}
+    yhat_text = [_escape(yhat) for yhat in problem.yhat_space]
     lines = ["digraph trellis {", "  rankdir=LR;", "  node [shape=ellipse];"]
-    for i in range(1, doc.n + 1):
+    for i in range(1, problem.n + 1):
         ids = " ".join(f'"r{i}_x{xi}";' for xi in range(len(x_text)))
         lines.append(f"  {{ rank=same; {ids} }}")
-    for node in doc.nodes:
-        xi = x_index[node.x]
-        lines.append(f'  "r{node.round}_x{xi}" [label="x={x_text[xi]}\\nV*={node.v_star:.4f}"];')
-    style = {(False, False): "style=dashed", (True, False): "style=solid", (True, True): "style=solid, color=blue"}
-    for i, x, yhat, next_x, probability, chosen, deviation in doc.edges:
+    for i, row in enumerate(result.v_star.tolist(), start=1):
+        lines.extend(f'  "r{i}_x{xi}" [label="x={x_text[xi]}\\nV*={v:.4f}"];' for xi, v in enumerate(row))
+    positive = problem.transitions > 0.0
+    k, xi, ai, ni = np.argwhere(positive).T
+    policy = result.policy[k, xi]
+    chosen = ai == policy
+    # 0 dashed, 1 chosen, 2 chosen and off the myopic estimate; a bool sum would be a logical or
+    style = chosen.astype(np.intp) + (chosen & (policy != result.myopic[k, xi]))
+    styles = ("style=dashed", "style=solid", "style=solid, color=blue")
+    probabilities = problem.transitions[positive]
+    edges = zip((k + 1).tolist(), xi.tolist(), ai.tolist(), ni.tolist(), probabilities.tolist(), style.tolist())
+    for i, x, yhat, next_x, probability, s in edges:
         lines.append(
-            f'  "r{i}_x{x_index[x]}" -> "r{i + 1}_x{x_index[next_x]}" '
-            f'[label="yhat={yhat_text[yhat]} p={probability:.4f}", {style[chosen, deviation]}];'
+            f'  "r{i}_x{x}" -> "r{i + 1}_x{next_x}" [label="yhat={yhat_text[yhat]} p={probability:.4f}", {styles[s]}];'
         )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")  # the last line ends the text, so the joined text is not copied to append it
+    return "\n".join(lines)
 
 
-def _render_text(doc: TrellisDocument) -> str:
+def _render_text(problem: Problem, result: SolveResult) -> str:
+    x_labels, yhat_labels = problem.x_space.labels, problem.yhat_space.labels
+    rounds = zip(result.v_star.tolist(), result.policy.tolist(), result.myopic.tolist(), result.tie_sets)
     lines = []
-    for node in doc.nodes:
-        lines.append(
-            f"round {node.round}: x={node.x} V*={node.v_star:.4f} "
-            f"chosen={node.chosen} myopic={node.myopic} tie={'yes' if node.tie else 'no'}"
-        )
-    return "\n".join(lines) + "\n"
+    for i, (v_row, policy_row, myopic_row, tie_row) in enumerate(rounds, start=1):
+        for xi, x in enumerate(x_labels):
+            lines.append(
+                f"round {i}: x={x} V*={v_row[xi]:.4f} chosen={yhat_labels[policy_row[xi]]} "
+                f"myopic={yhat_labels[myopic_row[xi]]} tie={'yes' if len(tie_row[xi]) > 1 else 'no'}\n"
+            )
+    return "".join(lines)
 
 
 def export_trellis(problem: Problem, result: SolveResult, format: str = "dot") -> str:
     """Render the solved trellis as a DOT digraph or a per-round text table."""
-    doc = build_trellis(problem, result)
+    ensure_result_matches(problem, result)
     if format == "dot":
-        return _render_dot(problem, doc)
+        return _render_dot(problem, result)
     if format == "text":
-        return _render_text(doc)
-    raise ValueError(f"unknown trellis format {format!r}; expected 'dot' or 'text'")
+        return _render_text(problem, result)
+    raise InvalidParams(f"unknown trellis format {format!r}; expected 'dot' or 'text'")

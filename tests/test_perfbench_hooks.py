@@ -13,13 +13,16 @@ from dyninfer.oracle import history_count
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# hooks on the myopic-estimate functions that bar_loss_table absorbed; their
-# layer reads zero until the benchmark's hooks are retargeted
+# hooks on the myopic-estimate functions that bar_loss_table absorbed, and on
+# build_trellis, whose document the trellis renderers no longer build (the
+# export itself is still timed through dyninfer.cli.export_trellis); their
+# layers read zero until the benchmark's hooks are retargeted
 STALE_HOOKS = {
     ("dyninfer.solver", "myopic_bayes_index"),
     ("dyninfer.solver", "myopic_bayes_estimate"),
     ("dyninfer.evaluate", "myopic_bayes_index"),
     ("dyninfer.trellis", "myopic_bayes_estimate"),
+    ("dyninfer.trellis", "build_trellis"),
 }
 
 
@@ -76,8 +79,7 @@ def test_solve_and_trellis_counts_hooks_read_real_cli_calls(monkeypatch, tmp_pat
     ties = sum(len(tie) > 1 for round_ties in solve(example_stock(6)).tie_sets for tie in round_ties)
     assert ties > 0
     assert summary["solver.solve"]["calls"] == 2 and summary["solver.solve"]["ties"] == 2 * ties
-    trellis = summary["trellis.build_trellis"]
-    assert (trellis["calls"], trellis["nodes"], trellis["edges"]) == (1, 12, 20)
+    assert summary["trellis.export_trellis"]["calls"] == 1
 
 
 def test_draw_counts_hook_reads_a_real_simulate_call(monkeypatch, tmp_path):

@@ -236,6 +236,54 @@ def test_tiny_blocks_split_the_walks_and_keep_their_bits(problems, seed):
                 assert _same_bits(loss_sum, pair_expected[0]) and _same_bits(pair, pair_expected)
 
 
+def _tables(problem):
+    return (problem.init, problem.transitions, problem.quantities, problem.loss)
+
+
+@SETTINGS
+@given(problems())
+def test_static_inference_makes_the_myopic_estimate_optimal(problem):
+    # the paper's static special case: when no estimate steers the next observation, the future adds
+    # the same value to every estimate of a row, so the single-round optimum is optimal in every round
+    init, transitions, quantities, loss = _tables(problem)
+    static_transitions = np.repeat(transitions[:, :, :1], len(problem.yhat_space), axis=2)
+    spaces = (problem.x_space, problem.y_space, problem.yhat_space)
+    static = problem_from_tables(problem.n, *spaces, init, static_transitions, quantities, loss)
+    result = solve(static, TieBreakRule.MYOPIC_PREFERRED)
+    assert np.array_equal(result.policy, bar_loss_table(static).myopic)
+    assert evaluate_markov(static, myopic_strategy(static)).j == minimum_inference_loss(static, result)
+
+
+@SETTINGS
+@given(problems(), st.data())
+def test_a_duplicated_estimate_changes_no_value(problem, data):
+    # an estimate that repeats column ``a`` of the transitions and the loss is as good as ``a``
+    # everywhere: the values keep their bits and every tie set holding ``a`` gains the copy;
+    # both sides are built from the same tables, as a rebuild divides each row by its sum again
+    na = len(problem.yhat_space)
+    a = data.draw(st.integers(0, na - 1))
+    init, transitions, quantities, loss = _tables(problem)
+    x_space, y_space, yhat_space = problem.x_space, problem.y_space, problem.yhat_space
+    original = problem_from_tables(problem.n, x_space, y_space, yhat_space, init, transitions, quantities, loss)
+    duplicated = problem_from_tables(
+        problem.n,
+        x_space,
+        y_space,
+        Alphabet((*yhat_space.labels, "copy")),
+        init,
+        np.concatenate([transitions, transitions[:, :, a : a + 1]], axis=2),
+        quantities,
+        np.concatenate([loss, loss[:, :, a : a + 1]], axis=2),
+    )
+    for rule in TieBreakRule:
+        before, after = solve(original, rule), solve(duplicated, rule)
+        assert _same_bits(minimum_inference_loss(duplicated, after), minimum_inference_loss(original, before))
+        assert _same_bits(after.v_star, before.v_star)
+        assert after.tie_sets == tuple(
+            tuple(tie + (na,) * (a in tie) for tie in round_ties) for round_ties in before.tie_sets
+        )
+
+
 @SETTINGS
 @given(problems(exact=True))
 def test_document_round_trip(problem):

@@ -1,25 +1,40 @@
-"""Trellis construction and DOT/text rendering."""
+"""Trellis rendering to DOT and text."""
+
+import re
+import tracemalloc
 
 import pytest
+from writer_reference import trellis_edges
 
 from dyninfer import (
+    InvalidParams,
     MismatchedResult,
-    build_trellis,
     example_section33,
     example_stock,
     export_trellis,
     solve,
 )
 
+NODE = re.compile(r'  "r(\d+)_x(\d+)" \[label="x=')
+EDGE = re.compile(r'  "r(\d+)_x(\d+)" -> "r(\d+)_x(\d+)" \[label="yhat=(.*) p=([0-9.]+)", ([^\]]*)\];')
+
+
+def _edges(dot):
+    return [match.groups() for match in map(EDGE.fullmatch, dot.splitlines()) if match]
+
 
 def test_document_shape(stock):
-    doc = build_trellis(stock, solve(stock))
-    assert doc.n == 6
-    assert len(doc.nodes) == 12  # every (round, observation) pair
+    result = solve(stock)
+    dot = export_trellis(stock, result, "dot")
+    assert dot.count("rank=same") == 6
+    nodes = [match.groups() for match in map(NODE.match, dot.splitlines()) if match]
+    assert nodes == [(str(i), str(xi)) for i in range(1, 7) for xi in range(2)]  # every (round, observation) pair
     # deterministic transitions: one successor per estimate, two estimates, 5 transition rounds
-    assert len(doc.edges) == 2 * 2 * 5
-    assert sum(edge.deviation for edge in doc.edges) == 3
-    assert {(e.round, e.x) for e in doc.edges if e.deviation} == {(1, "0"), (2, "0"), (3, "0")}
+    edges = _edges(dot)
+    assert len(edges) == len(trellis_edges(stock, result)) == 2 * 2 * 5
+    deviations = {(int(i), stock.x_space.labels[int(xi)]) for i, xi, *_, style in edges if "color=blue" in style}
+    assert deviations == {(1, "0"), (2, "0"), (3, "0")}
+    assert {edge[:2] for edge in trellis_edges(stock, result) if edge[6]} == deviations
 
 
 def test_dot_labels_final_round_value(section33):
@@ -46,9 +61,10 @@ def test_section33_blue_edges(section33):
 
 def test_single_round_trellis():
     problem = example_stock(1)
-    doc = build_trellis(problem, solve(problem))
-    assert len(doc.nodes) == 2
-    assert doc.edges == ()
+    result = solve(problem)
+    dot = export_trellis(problem, result, "dot")
+    assert [match.groups() for match in map(NODE.match, dot.splitlines()) if match] == [("1", "0"), ("1", "1")]
+    assert " -> " not in dot and trellis_edges(problem, result) == []
 
 
 def test_text_format(stock):
@@ -60,7 +76,7 @@ def test_text_format(stock):
 
 
 def test_unknown_format(stock):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="unknown trellis format 'svg'"):
         export_trellis(stock, solve(stock), "svg")
 
 
@@ -71,11 +87,31 @@ def test_mismatched_result(section33, stock):
 
 def test_edges_cover_positive_probability_pairs():
     problem = example_section33(4)
-    doc = build_trellis(problem, solve(problem))
+    result = solve(problem)
+    edges = trellis_edges(problem, result)
+    assert len(edges) == (problem.transitions > 0).sum()
     kernel = problem.transitions[0]
-    for edge in doc.edges:
-        xi = problem.x_space.index(edge.x)
-        ai = problem.yhat_space.index(edge.yhat)
-        ni = problem.x_space.index(edge.next_x)
-        assert kernel[xi, ai, ni] == pytest.approx(edge.probability)
-        assert edge.probability > 0
+    x_index, yhat_index = problem.x_space.index, problem.yhat_space.index
+    for i, x, yhat, next_x, probability, *_ in edges:
+        assert kernel[x_index(x), yhat_index(yhat), x_index(next_x)] == probability > 0
+    # the DOT edges are the same transitions, in the same order, with their probabilities to 4 decimals
+    styles = {(False, False): "style=dashed", (True, False): "style=solid", (True, True): "style=solid, color=blue"}
+    assert _edges(export_trellis(problem, result, "dot")) == [
+        (str(i), str(x_index(x)), str(i + 1), str(x_index(next_x)), yhat, f"{p:.4f}", styles[chosen, deviation])
+        for i, x, yhat, next_x, p, chosen, deviation in edges
+    ]
+
+
+@pytest.mark.parametrize("format", ["dot", "text"])
+def test_export_allocates_a_few_times_its_output(format):
+    # rendering from the solve arrays holds the lines and the text; a record per node and per edge
+    # built before the first line would take 7 (DOT) to 17 (text) times the output here
+    problem = example_stock(3000)
+    result = solve(problem)
+    tracemalloc.start()
+    try:
+        text = export_trellis(problem, result, format)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text)

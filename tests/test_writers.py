@@ -21,7 +21,6 @@ from dyninfer import (
     Alphabet,
     MarkovStrategy,
     TieBreakRule,
-    build_trellis,
     evaluate_markov,
     minimum_inference_loss,
     problem_from_tables,
@@ -91,7 +90,6 @@ def _check_against_reference(directory, problem):
         policy = MarkovStrategy.from_rows(loaded, json.loads(strategy.read_text())["policy"])
         evaluated = evaluate_markov(loaded, policy)
         assert output("evaluate", "-s", str(strategy)) == reference.evaluate_text(loaded, evaluated).encode()
-        assert build_trellis(loaded, result).edges == tuple(reference.trellis_edges(loaded, result))
         dot = output("export-trellis", "--tie-break", rule.value, "-f", "dot")
         assert dot == reference.dot_text(loaded, result).encode("utf-8")
         text = output("export-trellis", "--tie-break", rule.value, "-f", "text")
