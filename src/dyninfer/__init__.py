@@ -12,7 +12,6 @@ from .errors import (
     HorizonMismatch,
     InvalidModelError,
     InvalidParams,
-    MismatchedResult,
     NotStochastic,
     SearchSpaceTooLarge,
     ShapeMismatch,
@@ -71,7 +70,6 @@ __all__ = [
     "InvalidModelError",
     "InvalidParams",
     "MarkovStrategy",
-    "MismatchedResult",
     "NotStochastic",
     "OracleReport",
     "PlannerStyle",

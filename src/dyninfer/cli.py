@@ -14,8 +14,8 @@ default for every ``--seed`` flag.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -28,7 +28,7 @@ import numpy as np
 from . import examples as example_models
 from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
 from .evaluate import MarkovStrategy, evaluate_markov, simulate
-from .model import Problem, _freeze, _init_row, _normalized, problem_to_dict, validate_problem
+from .model import Problem, _init_row, _normalized, problem_to_dict, validate_problem
 from .oracle import (
     DEFAULT_STRATEGY_LIMIT, HistoryMode, HistoryStrategy, OracleReport, brute_force_optimum, random_sweep
 )
@@ -40,9 +40,6 @@ from .solver import TieBreakRule, minimum_inference_loss, solve
 from .trellis import export_trellis
 
 GAP_TOLERANCE = 1e-9
-# `verify --instances` draws instances with horizons 1..SWEEP_MAX_N and binary alphabets: (|X|, |Y|, |Yhat|)
-SWEEP_MAX_N = 3
-SWEEP_SHAPE = (2, 2, 2)
 
 
 def _round12(value: float) -> float:
@@ -187,9 +184,9 @@ def _with_init(problem: Problem, text: str) -> Problem:
     """``problem`` with an --init override: a JSON label->probability object, or a bare label.
 
     A bare label is read as ``{label: 1.0}`` and labels left out get
-    probability 0; the row is checked, then divided by its sum once. Only
-    that row is new: the copy shares the problem's other, already checked
-    tables rather than checking them again.
+    probability 0; the row is checked, then divided by its sum once. The new
+    problem is built by ``Problem``'s own constructor and shares the other,
+    read-only tables.
     """
     if text.lstrip().startswith("{"):
         doc = _parse_json(text, "--init")
@@ -206,17 +203,15 @@ def _with_init(problem: Problem, text: str) -> Problem:
             probs[index] = float(value)
         except OverflowError:
             raise InvalidModelError(f"--init: probability for {label!r} is an integer too large for a float64") from None
-    overridden = copy.copy(problem)
-    object.__setattr__(overridden, "init", _freeze(_normalized(probs, _init_row)))
-    return overridden
+    return dataclasses.replace(problem, init=_normalized(probs, _init_row))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model)
-    result = solve(problem, TieBreakRule(args.tie_break))
     if args.init is not None:
         problem = _with_init(problem, args.init)
-    min_loss = minimum_inference_loss(problem, result)
+    result = solve(problem, TieBreakRule(args.tie_break))
+    min_loss = minimum_inference_loss(result)
     tables = _RoundTables(problem.x_space.labels, problem.yhat_space.labels)
     members = {
         "min_loss": [_number(min_loss)],
@@ -306,7 +301,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise InvalidParams(f"--instances must be >= 1, got {args.instances}")
         check_seed(args.seed)
         rng = np.random.default_rng(args.seed)
-        reports = random_sweep(rng, args.instances, mode, args.limit, SWEEP_MAX_N, *SWEEP_SHAPE)
+        reports = random_sweep(rng, args.instances, mode, args.limit)
         instances: Iterable[str] = map(str, range(args.instances))
     else:
         if args.model is None:
@@ -321,9 +316,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_trellis(args: argparse.Namespace) -> int:
-    problem = _load_problem(args.model)
-    result = solve(problem, TieBreakRule(args.tie_break))
-    _write(args.output, [export_trellis(problem, result, args.format)])
+    result = solve(_load_problem(args.model), TieBreakRule(args.tie_break))
+    _write(args.output, [export_trellis(result, args.format)])
     return 0
 
 

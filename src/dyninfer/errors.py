@@ -29,10 +29,6 @@ class ShapeMismatch(DynamicInferenceError):
     """A strategy is shaped for a different problem."""
 
 
-class MismatchedResult(DynamicInferenceError):
-    """A solve result was produced from a different problem."""
-
-
 class SearchSpaceTooLarge(DynamicInferenceError):
     """An exhaustive search would exceed the configured limit."""
 

@@ -386,25 +386,21 @@ def random_problem(
     return problem_from_tables(n, *_digit_spaces(nx, ny, nyhat), *rows, loss)
 
 
-def random_sweep(
-    rng: np.random.Generator,
-    instances: int,
-    mode: HistoryMode,
-    limit: int,
-    max_n: int,
-    nx: int,
-    ny: int,
-    nyhat: int,
-) -> list[OracleReport]:
+# `verify --instances` draws instances with horizons 1..SWEEP_MAX_N and binary alphabets: (|X|, |Y|, |Yhat|)
+SWEEP_MAX_N = 3
+SWEEP_SHAPE = (2, 2, 2)
+
+
+def random_sweep(rng: np.random.Generator, instances: int, mode: HistoryMode, limit: int) -> list[OracleReport]:
     """:func:`brute_force_optimum` on ``instances`` random problems, in draw order.
 
-    Each instance draws its horizon from 1..``max_n``, then its tables as
-    :func:`random_problem` does; every instance is drawn before any is
-    solved, so the rng stream is that of one such draw after another. The
-    problems of each horizon are then solved as one stack: one history DP,
-    one bar-loss table and one backward induction over a leading instance
-    axis, and the identity walks per instance. The limit is checked on the
-    largest horizon before the first draw.
+    Each instance draws its horizon from 1..``SWEEP_MAX_N``, then its tables
+    of shape ``SWEEP_SHAPE`` as :func:`random_problem` does; every instance is
+    drawn before any is solved, so the rng stream is that of one such draw
+    after another. The problems of each horizon are then solved as one
+    stack: one history DP, one bar-loss table and one backward induction
+    over a leading instance axis, and the identity walks per instance. The
+    limit is checked on the largest horizon before the first draw.
 
     Each probability row is divided by its sum once more, elementwise, as
     :func:`problem_from_tables` divides the rows of :func:`random_problem`,
@@ -412,12 +408,12 @@ def random_sweep(
     Nothing else of ``Problem``'s checks is run: the rows are positive and
     normalized by construction, and the losses lie in [0, 1).
     """
-    checked_shape_space(max_n, nx, ny, nyhat, mode, limit)
+    checked_shape_space(SWEEP_MAX_N, *SWEEP_SHAPE, mode, limit)
     drawn = []
     for _ in range(instances):
-        n = int(rng.integers(1, max_n + 1))
-        drawn.append((n, _random_tables(rng, n, nx, ny, nyhat)))
-    spaces = _digit_spaces(nx, ny, nyhat)
+        n = int(rng.integers(1, SWEEP_MAX_N + 1))
+        drawn.append((n, _random_tables(rng, n, *SWEEP_SHAPE)))
+    spaces = _digit_spaces(*SWEEP_SHAPE)
     reports: list[OracleReport] = [None] * instances  # type: ignore[list-item]
     for n in sorted({n for n, _ in drawn}):
         members = [k for k, (m, _) in enumerate(drawn) if m == n]

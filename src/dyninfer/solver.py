@@ -5,6 +5,9 @@ action values are the observation-estimate losses, and each earlier round
 adds the expected optimal value of the next observation under the controlled
 transition kernel. Every expectation is :func:`dyninfer.reduction._label_sum`,
 a plain sum in label-index order, so outputs are reproducible bit for bit.
+A :class:`SolveResult` carries the problem it was solved for, so its readers
+(:func:`minimum_inference_loss`, :func:`solution_report`,
+:func:`dyninfer.export_trellis`) take the result alone.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedResult
-from .model import Problem, _fields_equal
+from .model import Problem
 from .reduction import _label_sum, bar_loss_table
 
 TIE_TOLERANCE = 1e-9
@@ -35,7 +37,7 @@ class TieBreakRule(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Value tables, optimal policy and tie diagnostics from one solve.
+    """Value tables, optimal policy and tie diagnostics from one solve of ``problem``.
 
     ``v_star[i-1, xi]`` is the minimum expected remaining loss from round
     ``i`` at observation index ``xi``; ``q_star`` the per-estimate values;
@@ -92,25 +94,9 @@ def value_tables(bar: np.ndarray, transitions: np.ndarray) -> tuple[np.ndarray, 
     return q_star, v_star
 
 
-def ensure_result_matches(problem: Problem, result: SolveResult) -> None:
-    """Raise MismatchedResult unless ``result`` was solved for this model.
-
-    The initial distribution is deliberately ignored: value tables and the
-    policy do not depend on it, which is what makes ``--init`` overrides safe.
-    A result checked against the very problem it was solved for passes at once.
-    """
-    source = result.problem
-    if source is problem:
-        return
-    fields = ("n", "x_space", "y_space", "yhat_space", "transitions", "quantities", "loss")
-    if not _fields_equal(source, problem, fields):
-        raise MismatchedResult("solve result was produced from a different problem")
-
-
-def minimum_inference_loss(problem: Problem, result: SolveResult) -> float:
-    """Minimum expected accumulated loss: the initial expectation of round-1 values."""
-    ensure_result_matches(problem, result)
-    return float(_label_sum(problem.init, result.v_star[0]))
+def minimum_inference_loss(result: SolveResult) -> float:
+    """Minimum expected accumulated loss: the initial expectation of round-1 values, J* = E[V*_1(X_1)]."""
+    return float(_label_sum(result.problem.init, result.v_star[0]))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ The trellis has one node per (round, observation) annotated with the optimal
 remaining loss, and one edge per (estimate, successor) pair with positive
 probability. Chosen estimates are drawn solid, others dashed; a chosen edge
 is colored blue where the dynamic optimum departs from the single-round
-optimum. Both renderers read the solve result's arrays directly: nodes in
-(round, observation index) order, edges in (round, x, yhat, next x) index
-order.
+optimum. Both renderers read the solve result alone, its arrays and the
+problem it was solved for: nodes in (round, observation index) order, edges
+in (round, x, yhat, next x) index order.
 """
 
 from __future__ import annotations
@@ -14,15 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParams
-from .model import Problem
-from .solver import SolveResult, ensure_result_matches
+from .solver import SolveResult
 
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _render_dot(problem: Problem, result: SolveResult) -> str:
+def _render_dot(result: SolveResult) -> str:
+    problem = result.problem
     # node "r<round>_x<index>"; escaping maps each character alone, so a label is escaped once and spliced in
     x_text = [_escape(x) for x in problem.x_space]
     yhat_text = [_escape(yhat) for yhat in problem.yhat_space]
@@ -49,8 +49,8 @@ def _render_dot(problem: Problem, result: SolveResult) -> str:
     return "\n".join(lines)
 
 
-def _render_text(problem: Problem, result: SolveResult) -> str:
-    x_labels, yhat_labels = problem.x_space.labels, problem.yhat_space.labels
+def _render_text(result: SolveResult) -> str:
+    x_labels, yhat_labels = result.problem.x_space.labels, result.problem.yhat_space.labels
     rounds = zip(result.v_star.tolist(), result.policy.tolist(), result.myopic.tolist(), result.tie_sets)
     lines = []
     for i, (v_row, policy_row, myopic_row, tie_row) in enumerate(rounds, start=1):
@@ -62,11 +62,10 @@ def _render_text(problem: Problem, result: SolveResult) -> str:
     return "".join(lines)
 
 
-def export_trellis(problem: Problem, result: SolveResult, format: str = "dot") -> str:
-    """Render the solved trellis as a DOT digraph or a per-round text table."""
-    ensure_result_matches(problem, result)
+def export_trellis(result: SolveResult, format: str = "dot") -> str:
+    """Render the trellis of ``result.problem`` as a DOT digraph or a per-round text table."""
     if format == "dot":
-        return _render_dot(problem, result)
+        return _render_dot(result)
     if format == "text":
-        return _render_text(problem, result)
+        return _render_text(result)
     raise InvalidParams(f"unknown trellis format {format!r}; expected 'dot' or 'text'")

@@ -145,7 +145,7 @@ def test_criterion_6_minimum_equals_optimal_strategy_loss():
     for problem in problems:
         result = solve(problem)
         j = evaluate_markov(problem, optimal_strategy(result)).j
-        worst = max(worst, abs(j - minimum_inference_loss(problem, result)))
+        worst = max(worst, abs(j - minimum_inference_loss(result)))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-12
     _report(

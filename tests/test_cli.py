@@ -82,13 +82,26 @@ def test_solve_init_override(tmp_path, stock_model):
 
 
 def test_init_override_shares_the_checked_tables():
-    # only the new initial row is checked; the loaded tables are not copied or checked again
+    # the override is a new problem that shares the loaded, read-only tables rather than copying them
     problem = example_stock(6)
     overridden = cli._with_init(problem, '{"0": 0.25, "1": 0.75}')
     assert overridden.init.tolist() == [0.25, 0.75] and not overridden.init.flags.writeable
     assert problem.init.tolist() == [1.0, 0.0]
     for name in ("transitions", "quantities", "loss", "x_space", "y_space", "yhat_space"):
         assert getattr(overridden, name) is getattr(problem, name)
+
+
+def test_bad_init_fails_before_solving(tmp_path, stock_model, monkeypatch, capsys):
+    # --init is read before the backward induction, so a bad label costs no solve and writes no output
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before --init was checked")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    out = tmp_path / "out.json"
+    assert run(["solve", "-m", str(stock_model), "--init", "nope", "-o", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "UnknownLabel", "message": "label 'nope' not in alphabet ('0', '1')"}
+    assert not out.exists()
 
 
 def test_evaluate_matches_library(tmp_path, stock_model, strategy_file):

@@ -34,7 +34,7 @@ def test_optimal_strategy_reproduces_v_star(section33):
     result = solve(section33)
     evaluated = evaluate_markov(section33, optimal_strategy(result))
     assert np.all(np.abs(evaluated.v - result.v_star) <= 1e-12)
-    assert evaluated.j == pytest.approx(minimum_inference_loss(section33, result), abs=1e-12)
+    assert evaluated.j == pytest.approx(minimum_inference_loss(result), abs=1e-12)
 
 
 def test_stock_myopic_versus_dynamic(stock):

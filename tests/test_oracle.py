@@ -299,7 +299,7 @@ def test_truncated_model_matches_v_star():
         report = brute_force_optimum(pinned, mode, limit=2 ** 50)
         assert report.brute_min == pytest.approx(result.v_star[0, pinned.x_space.index("1")], abs=1e-9)
         assert report.brute_min == pytest.approx(1.1, abs=1e-9)  # horizon-3 value at x=1
-        assert report.dp_min == pytest.approx(minimum_inference_loss(pinned, result), abs=1e-12)
+        assert report.dp_min == pytest.approx(minimum_inference_loss(result), abs=1e-12)
 
 
 def test_witness_rows_come_in_rank_order():
@@ -325,7 +325,7 @@ def _report_bits(report):
 @pytest.mark.parametrize("mode", BOTH_MODES)
 def test_sweep_reports_are_those_of_each_replayed_random_problem(seed, mode):
     # the sweep builds no Problem; replaying its draws through random_problem runs every model check
-    reports = random_sweep(np.random.default_rng(seed), 200, mode, 2**50, 3, 2, 2, 2)
+    reports = random_sweep(np.random.default_rng(seed), 200, mode, 2**50)
     rng = np.random.default_rng(seed)
     for report in reports:
         problem = random_problem(rng, int(rng.integers(1, 4)))
@@ -431,4 +431,4 @@ def test_markov_enumeration_count():
 def test_markov_minimum_matches_dp():
     problem = example_stock(3)
     best = min(evaluate_markov(problem, s).j for s in enumerate_markov_strategies(problem))
-    assert best == pytest.approx(minimum_inference_loss(problem, solve(problem)), abs=1e-12)
+    assert best == pytest.approx(minimum_inference_loss(solve(problem)), abs=1e-12)

@@ -38,7 +38,7 @@ from dyninfer import (
 from dyninfer import cli, walks
 from dyninfer.oracle import _stack_reports
 from dyninfer.reduction import bar_loss_values
-from dyninfer.solver import value_tables
+from dyninfer.solver import TIE_TOLERANCE, value_tables
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -195,7 +195,7 @@ def test_stacked_oracle_and_solver_match_each_problem(problems):
             alone = solve(problem)  # a stack of one
             assert _same_bits(bar[b], bar_loss_table(problem).values)
             assert _same_bits(q_star[b], alone.q_star) and _same_bits(v_star[b], alone.v_star)
-            assert _same_bits(report.dp_min, minimum_inference_loss(problem, alone))
+            assert _same_bits(report.dp_min, minimum_inference_loss(alone))
             brute_min, decisions = scalar_reference.brute_force(problem, mode)
             assert _same_bits(report.brute_min, brute_min)
             assert list(report.witness.tables) == [tuple(table[key] for key in sorted(table)) for table in decisions]
@@ -240,48 +240,159 @@ def _tables(problem):
     return (problem.init, problem.transitions, problem.quantities, problem.loss)
 
 
+def _spaces(problem):
+    return (problem.x_space, problem.y_space, problem.yhat_space)
+
+
+# Each transform builds its problem with problem_from_tables, and is compared with ``_rebuilt``, built
+# the same way from the original tables: a rebuild divides each row by its sum again, which can move bits.
+
+
+def _rebuilt(problem):
+    return problem_from_tables(problem.n, *_spaces(problem), *_tables(problem))
+
+
+def _static(problem):
+    """``problem`` with every estimate's transitions those of the first: no estimate steers the next observation."""
+    init, transitions, quantities, loss = _tables(problem)
+    static_transitions = np.repeat(transitions[:, :, :1], len(problem.yhat_space), axis=2)
+    return problem_from_tables(problem.n, *_spaces(problem), init, static_transitions, quantities, loss)
+
+
+def _duplicated(problem, a):
+    """``problem`` with one more estimate, ``"copy"``, that repeats estimate ``a``'s transitions and losses."""
+    init, transitions, quantities, loss = _tables(problem)
+    return problem_from_tables(
+        problem.n,
+        problem.x_space,
+        problem.y_space,
+        Alphabet((*problem.yhat_space.labels, "copy")),
+        init,
+        np.concatenate([transitions, transitions[:, :, a : a + 1]], axis=2),
+        quantities,
+        np.concatenate([loss, loss[:, :, a : a + 1]], axis=2),
+    )
+
+
+def _permuted(problem, px, py, pa):
+    """``problem`` with its alphabets reordered: new index j of X, Y and Yhat is old index px[j], py[j] and pa[j]."""
+    init, transitions, quantities, loss = _tables(problem)
+    spaces = (Alphabet(tuple(space.labels[k] for k in p)) for space, p in zip(_spaces(problem), (px, py, pa)))
+    return problem_from_tables(
+        problem.n,
+        *spaces,
+        init[px],
+        transitions[np.ix_(range(problem.n - 1), px, pa, px)],
+        quantities[np.ix_(range(problem.n), px, py)],
+        loss[np.ix_(px, py, pa)],
+    )
+
+
+def _rounding_bound(problem, shift=0.0):
+    """4 n^2 eps (max|loss| + |shift|): how far a value may move when a transform reorders or shifts its sums."""
+    return 4 * problem.n**2 * np.finfo(np.float64).eps * (float(np.abs(problem.loss).max()) + abs(shift))
+
+
+def _clear_rows(q_star, bound):
+    """Mask of the (round, observation) rows whose best Q leads the next by more than TIE_TOLERANCE + 2 * bound."""
+    if q_star.shape[-1] == 1:
+        return np.ones(q_star.shape[:-1], dtype=bool)
+    best, second = np.sort(q_star, axis=-1)[..., :2].transpose(2, 0, 1)
+    return second - best > TIE_TOLERANCE + 2 * bound
+
+
 @SETTINGS
 @given(problems())
 def test_static_inference_makes_the_myopic_estimate_optimal(problem):
     # the paper's static special case: when no estimate steers the next observation, the future adds
     # the same value to every estimate of a row, so the single-round optimum is optimal in every round
-    init, transitions, quantities, loss = _tables(problem)
-    static_transitions = np.repeat(transitions[:, :, :1], len(problem.yhat_space), axis=2)
-    spaces = (problem.x_space, problem.y_space, problem.yhat_space)
-    static = problem_from_tables(problem.n, *spaces, init, static_transitions, quantities, loss)
+    static = _static(problem)
     result = solve(static, TieBreakRule.MYOPIC_PREFERRED)
     assert np.array_equal(result.policy, bar_loss_table(static).myopic)
-    assert evaluate_markov(static, myopic_strategy(static)).j == minimum_inference_loss(static, result)
+    assert evaluate_markov(static, myopic_strategy(static)).j == minimum_inference_loss(result)
 
 
 @SETTINGS
 @given(problems(), st.data())
 def test_a_duplicated_estimate_changes_no_value(problem, data):
     # an estimate that repeats column ``a`` of the transitions and the loss is as good as ``a``
-    # everywhere: the values keep their bits and every tie set holding ``a`` gains the copy;
-    # both sides are built from the same tables, as a rebuild divides each row by its sum again
+    # everywhere: the values keep their bits and every tie set holding ``a`` gains the copy
     na = len(problem.yhat_space)
     a = data.draw(st.integers(0, na - 1))
-    init, transitions, quantities, loss = _tables(problem)
-    x_space, y_space, yhat_space = problem.x_space, problem.y_space, problem.yhat_space
-    original = problem_from_tables(problem.n, x_space, y_space, yhat_space, init, transitions, quantities, loss)
-    duplicated = problem_from_tables(
-        problem.n,
-        x_space,
-        y_space,
-        Alphabet((*yhat_space.labels, "copy")),
-        init,
-        np.concatenate([transitions, transitions[:, :, a : a + 1]], axis=2),
-        quantities,
-        np.concatenate([loss, loss[:, :, a : a + 1]], axis=2),
-    )
+    original, duplicated = _rebuilt(problem), _duplicated(problem, a)
     for rule in TieBreakRule:
         before, after = solve(original, rule), solve(duplicated, rule)
-        assert _same_bits(minimum_inference_loss(duplicated, after), minimum_inference_loss(original, before))
+        assert _same_bits(minimum_inference_loss(after), minimum_inference_loss(before))
         assert _same_bits(after.v_star, before.v_star)
         assert after.tie_sets == tuple(
             tuple(tie + (na,) * (a in tie) for tie in round_ties) for round_ties in before.tie_sets
         )
+
+
+@SETTINGS
+@given(problems(), st.data())
+def test_permuting_the_estimates_permutes_the_solution_bit_for_bit(problem, data):
+    # each sum runs over observations or quantities, never over estimates, so no sum changes order
+    pa = np.array(data.draw(st.permutations(range(len(problem.yhat_space)))), dtype=np.intp)
+    identity_x, identity_y = np.arange(len(problem.x_space)), np.arange(len(problem.y_space))
+    before, after = solve(_rebuilt(problem)), solve(_permuted(problem, identity_x, identity_y, pa))
+    assert _same_bits(after.q_star, before.q_star[..., pa])
+    assert _same_bits(after.v_star, before.v_star)
+    new_index = np.argsort(pa).tolist()
+    assert after.tie_sets == tuple(
+        tuple(tuple(sorted(new_index[ai] for ai in tie)) for tie in round_ties) for round_ties in before.tie_sets
+    )
+
+
+@SETTINGS
+@given(problems(), st.data())
+def test_permuting_every_alphabet_permutes_the_solution(problem, data):
+    # reordered observations and quantities reorder the sums, so values match within a rounding bound,
+    # and the policy matches where the best estimate leads the next by more than the tie tolerance and that bound
+    px, py, pa = (
+        np.array(data.draw(st.permutations(range(len(space)))), dtype=np.intp) for space in _spaces(problem)
+    )
+    original, permuted = _rebuilt(problem), _permuted(problem, px, py, pa)
+    bound = _rounding_bound(original)
+    new_index = np.argsort(pa)
+    for rule in TieBreakRule:
+        before, after = solve(original, rule), solve(permuted, rule)
+        assert np.abs(after.q_star - before.q_star[:, px][..., pa]).max() <= bound
+        assert np.abs(after.v_star - before.v_star[:, px]).max() <= bound
+        assert abs(minimum_inference_loss(after) - minimum_inference_loss(before)) <= bound
+        clear = _clear_rows(after.q_star, bound)
+        assert np.array_equal(after.policy[clear], new_index[before.policy[:, px]][clear])
+
+
+@SETTINGS
+@given(problems(), st.sampled_from((-7.0, -1.0, -0.1, 0.25, 0.5, 3.0, 1e3)))
+def test_a_loss_shift_shifts_every_value(problem, c):
+    # c more loss in every round adds (n - i + 1) c to the values from round i on, and n c to J
+    original = _rebuilt(problem)
+    init, transitions, quantities, loss = _tables(problem)
+    shifted = problem_from_tables(problem.n, *_spaces(problem), init, transitions, quantities, loss + c)
+    bound = _rounding_bound(original, c)
+    remaining = c * np.arange(problem.n, 0, -1.0)[:, None]  # (n - i + 1) c for rounds i = 1..n
+    for rule in TieBreakRule:
+        before, after = solve(original, rule), solve(shifted, rule)
+        assert np.abs(after.q_star - (before.q_star + remaining[..., None])).max() <= bound
+        assert np.abs(after.v_star - (before.v_star + remaining)).max() <= bound
+        assert abs(minimum_inference_loss(after) - (minimum_inference_loss(before) + problem.n * c)) <= bound
+        clear = _clear_rows(after.q_star, bound)
+        assert np.array_equal(after.policy[clear], before.policy[clear])
+
+
+@SETTINGS
+@given(SMALL_PROBLEMS, st.data())
+def test_brute_force_equals_the_solver_on_transformed_problems(problem, data):
+    # the static and the duplicated-estimate transforms keep brute force = solver in both history modes
+    a = data.draw(st.integers(0, len(problem.yhat_space) - 1))
+    for transformed in (_static(problem), _duplicated(problem, a)):
+        dp_min = minimum_inference_loss(solve(transformed))
+        for mode in HistoryMode:
+            report = brute_force_optimum(transformed, mode, limit=10**10_000)  # no limit
+            assert _same_bits(report.dp_min, dp_min)
+            assert abs(report.gap) <= cli.GAP_TOLERANCE
 
 
 @SETTINGS

@@ -5,6 +5,7 @@ import inspect
 import dyninfer
 
 REMOVED = {
+    "MismatchedResult",
     "Trajectory",
     "TrellisDocument",
     "TrellisEdge",
@@ -22,7 +23,7 @@ def test_public_names_are_sorted_unique_and_resolve():
     assert len(set(names)) == len(names)
     for name in names:
         assert hasattr(dyninfer, name), name
-    # the literal brute force lives in the test suite, simulate keeps no trajectories, and the trellis
-    # renders from the solve arrays without a document of its own
+    # the literal brute force lives in the test suite, simulate keeps no trajectories, the trellis
+    # renders from the solve arrays without a document of its own, and a solve result is read on its own
     assert not REMOVED & set(names)
     assert list(inspect.signature(dyninfer.simulate).parameters) == ["problem", "strategy", "rollouts", "seed"]

@@ -8,7 +8,6 @@ from writer_reference import trellis_edges
 
 from dyninfer import (
     InvalidParams,
-    MismatchedResult,
     example_section33,
     example_stock,
     export_trellis,
@@ -25,7 +24,7 @@ def _edges(dot):
 
 def test_document_shape(stock):
     result = solve(stock)
-    dot = export_trellis(stock, result, "dot")
+    dot = export_trellis(result, "dot")
     assert dot.count("rank=same") == 6
     nodes = [match.groups() for match in map(NODE.match, dot.splitlines()) if match]
     assert nodes == [(str(i), str(xi)) for i in range(1, 7) for xi in range(2)]  # every (round, observation) pair
@@ -38,14 +37,14 @@ def test_document_shape(stock):
 
 
 def test_dot_labels_final_round_value(section33):
-    dot = export_trellis(section33, solve(section33), "dot")
+    dot = export_trellis(solve(section33), "dot")
     assert '"r6_x0" [label="x=0\\nV*=0.1000"];' in dot
     assert dot.startswith("digraph trellis {")
     assert dot.count("rank=same") == 6
 
 
 def test_dot_blue_edges(stock):
-    dot = export_trellis(stock, solve(stock), "dot")
+    dot = export_trellis(solve(stock), "dot")
     blue = [line for line in dot.splitlines() if "color=blue" in line]
     assert len(blue) == 3
     for line in blue:
@@ -54,7 +53,7 @@ def test_dot_blue_edges(stock):
 
 
 def test_section33_blue_edges(section33):
-    dot = export_trellis(section33, solve(section33), "dot")
+    dot = export_trellis(solve(section33), "dot")
     blue = [line for line in dot.splitlines() if "color=blue" in line]
     assert len(blue) == 3
 
@@ -62,13 +61,13 @@ def test_section33_blue_edges(section33):
 def test_single_round_trellis():
     problem = example_stock(1)
     result = solve(problem)
-    dot = export_trellis(problem, result, "dot")
+    dot = export_trellis(result, "dot")
     assert [match.groups() for match in map(NODE.match, dot.splitlines()) if match] == [("1", "0"), ("1", "1")]
     assert " -> " not in dot and trellis_edges(problem, result) == []
 
 
 def test_text_format(stock):
-    text = export_trellis(stock, solve(stock), "text")
+    text = export_trellis(solve(stock), "text")
     lines = text.strip().splitlines()
     assert len(lines) == 12
     assert lines[0] == "round 1: x=0 V*=2.1000 chosen=1 myopic=0 tie=no"
@@ -77,12 +76,7 @@ def test_text_format(stock):
 
 def test_unknown_format(stock):
     with pytest.raises(InvalidParams, match="unknown trellis format 'svg'"):
-        export_trellis(stock, solve(stock), "svg")
-
-
-def test_mismatched_result(section33, stock):
-    with pytest.raises(MismatchedResult):
-        export_trellis(stock, solve(section33), "dot")
+        export_trellis(solve(stock), "svg")
 
 
 def test_edges_cover_positive_probability_pairs():
@@ -96,7 +90,7 @@ def test_edges_cover_positive_probability_pairs():
         assert kernel[x_index(x), yhat_index(yhat), x_index(next_x)] == probability > 0
     # the DOT edges are the same transitions, in the same order, with their probabilities to 4 decimals
     styles = {(False, False): "style=dashed", (True, False): "style=solid", (True, True): "style=solid, color=blue"}
-    assert _edges(export_trellis(problem, result, "dot")) == [
+    assert _edges(export_trellis(result, "dot")) == [
         (str(i), str(x_index(x)), str(i + 1), str(x_index(next_x)), yhat, f"{p:.4f}", styles[chosen, deviation])
         for i, x, yhat, next_x, p, chosen, deviation in edges
     ]
@@ -110,7 +104,7 @@ def test_export_allocates_a_few_times_its_output(format):
     result = solve(problem)
     tracemalloc.start()
     try:
-        text = export_trellis(problem, result, format)
+        text = export_trellis(result, format)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

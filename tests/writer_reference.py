@@ -45,7 +45,7 @@ def _per_round(table, *labels):
 
 
 def solve_text(problem, result, min_loss):
-    """The ``solve`` output for ``result``, with ``min_loss`` taken under ``problem``'s initial law."""
+    """The ``solve`` output for ``result``, with ``min_loss`` as given: J under an ``--init`` override, if any."""
     x_labels = problem.x_space.labels
     yhat_labels = problem.yhat_space.labels
     payload = {
