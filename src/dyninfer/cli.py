@@ -39,8 +39,6 @@ from .rng import check_seed
 from .solver import TieBreakRule, minimum_inference_loss, solve
 from .trellis import export_trellis
 
-GAP_TOLERANCE = 1e-9
-
 
 def _round12(value: float) -> float:
     # fixed 12-significant-digit formatting keeps emitted JSON byte-stable
@@ -48,8 +46,18 @@ def _round12(value: float) -> float:
 
 
 def _number(value: float) -> str:
-    """JSON text of a finite float at 12 significant digits: ``repr`` of its rounding, as ``json`` writes it."""
-    return repr(_round12(value))
+    """JSON text of a finite float at 12 significant digits: ``repr`` of its rounding, as ``json`` writes it.
+
+    A decimal of at most 12 significant digits is already the shortest text
+    that reads back as its float, so ``repr`` of that float writes the same
+    digits wherever it writes positional text: exponents in [-4, 16), which
+    hold ``.12g``'s positional range [-4, 12). Only text with an exponent
+    goes through ``repr``; a whole number gets the ``.0`` that ``repr`` adds.
+    """
+    text = format(value, ".12g")
+    if "e" in text:
+        return repr(float(text))
+    return text if "." in text else text + ".0"
 
 
 def _canonical(obj: Any) -> Any:
@@ -89,14 +97,15 @@ class _RoundTables:
     the members of every object are written in the sorted order of their
     labels. A value is a number, an object of numbers keyed by the estimate
     labels, an estimate label, or an array of estimate labels (a tie set,
-    whose text is made once per distinct set).
+    read from a row of the tie mask, whose text is made once per distinct
+    row).
     """
 
     def __init__(self, x_labels: tuple[str, ...], yhat_labels: tuple[str, ...]) -> None:
         self._rounds = self._object(x_labels, 3)
         self._values = self._object(yhat_labels, 4)
         self._estimates = [json.dumps(label) for label in yhat_labels]
-        self._tie_texts: dict[tuple[int, ...], str] = {}
+        self._tie_texts: dict[tuple[bool, ...], str] = {}
 
     @staticmethod
     def _object(labels: tuple[str, ...], depth: int) -> tuple[list[int], list[str], str]:
@@ -124,11 +133,12 @@ class _RoundTables:
     def estimate(self, index: int) -> str:
         return self._estimates[index]
 
-    def tie_set(self, indices: tuple[int, ...]) -> str:
-        text = self._tie_texts.get(indices)
+    def tie_set(self, mask: list[bool]) -> str:
+        key = tuple(mask)
+        text = self._tie_texts.get(key)
         if text is None:
-            text = ",".join(["\n        " + self._estimates[ai] for ai in indices])
-            text = self._tie_texts[indices] = "[" + text + "\n      ]"
+            text = ",".join([f"\n        {estimate}" for estimate, tied in zip(self._estimates, key) if tied])
+            text = self._tie_texts[key] = "[" + text + "\n      ]"
         return text
 
 
@@ -219,7 +229,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "policy": tables.table(_array_rounds(result.policy), tables.estimate),
         "q_star": tables.table(_array_rounds(result.q_star), tables.numbers),
         "tie_break": [json.dumps(result.rule.value)],
-        "ties": tables.table(result.tie_sets, tables.tie_set),
+        "ties": tables.table(_array_rounds(result.tied), tables.tie_set),
         "v_star": tables.table(_array_rounds(result.v_star), _number),
     }
     _write(args.output, _document(members))
@@ -309,7 +319,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         reports = [brute_force_optimum(_load_problem(args.model), mode, args.limit)]
         instances = [json.dumps("model")]
     gap_max = max(abs(report.gap) for report in reports)
-    verdict = "PASS" if gap_max <= GAP_TOLERANCE else "FAIL"
+    verdict = "PASS" if all(abs(report.gap) <= report.gap_bound for report in reports) else "FAIL"
     out = _oracle_lines(reports, instances) + f"{verdict} gap_max={format(gap_max, '.3e')}\n"
     _write(args.output, [out])
     return 0 if verdict == "PASS" else 1

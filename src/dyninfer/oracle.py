@@ -66,6 +66,9 @@ from .walks import bar_sums, loss_sums
 from .solver import solve  # noqa: F401
 
 DEFAULT_STRATEGY_LIMIT = 10**6
+# a brute-force and a solver minimum may differ by rounding alone by up to
+# about n·ε·max|loss| (ε = 2^-52); a gap within GAP_RTOL·n·max|loss| passes
+GAP_RTOL = 1e-9
 # the identity walk's trajectories, which grow as (|X|·|Y|)^n even where the histories do not
 TRAJECTORY_LIMIT = 10**7
 # a count that may need more bits than this is not written out in decimal in an error message
@@ -274,7 +277,12 @@ def verify_lemma1(problem: Problem, strategy: HistoryStrategy) -> tuple[float, f
 
 @dataclass(frozen=True, eq=False)
 class OracleReport:
-    """Outcome of one brute-force-vs-solver comparison."""
+    """Outcome of one brute-force-vs-solver comparison.
+
+    ``gap_bound`` is ``GAP_RTOL · n · max|loss|`` of the compared problem:
+    the comparison passes when ``|gap| <= gap_bound``, so a gap of exactly 0
+    always passes, and the verdict does not change when the loss is scaled.
+    """
 
     brute_min: float
     dp_min: float
@@ -282,6 +290,7 @@ class OracleReport:
     witness: HistoryStrategy
     strategies_searched: int
     lemma1_pairs: tuple[tuple[float, float], ...]
+    gap_bound: float
 
 
 def brute_force_optimum(
@@ -457,9 +466,10 @@ def _stack_reports(
     rhs = bar_sums(revealed, tables, init, transitions, quantities, bar)
     binding = (n, *(space.labels for space in spaces))
     tables = [table.tolist() for table in tables]
+    bounds = (GAP_RTOL * n * np.abs(loss).max(axis=(1, 2, 3))).tolist()
     reports = []
     pairs = zip(lhs.tolist(), rhs.tolist())
-    for b, (brute, dp, pair) in enumerate(zip(brute_min.tolist(), dp_min.tolist(), pairs)):
+    for b, (brute, dp, pair, bound) in enumerate(zip(brute_min.tolist(), dp_min.tolist(), pairs, bounds)):
         witness = HistoryStrategy(mode, *binding, tuple(table[b] for table in tables))
-        reports.append(OracleReport(brute, dp, brute - dp, witness, count, (pair,)))
+        reports.append(OracleReport(brute, dp, brute - dp, witness, count, (pair,), bound))
     return reports

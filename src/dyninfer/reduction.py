@@ -54,15 +54,17 @@ def bar_loss_values(quantities: np.ndarray, loss: np.ndarray) -> np.ndarray:
     return _label_sum(quantities[..., None, :], loss[..., None, :, :, :].swapaxes(-1, -2))
 
 
-def _label_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray | float:
+def _label_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray | np.float64:
     """``weights[..., k] * values[..., k]`` summed over the last axis, from 0.0 in label order.
 
     The two arrays broadcast against each other once their last (label) axis
     is indexed. Every expectation of the solver, ``evaluate_markov`` and the
     oracle is this one sum, so each of them is the float a scalar loop over
-    the labels gives.
+    the labels gives. ``np.add.accumulate`` adds strictly left to right, so
+    its last column is that loop's float; it runs in place on the products,
+    which are the only temporary. The final ``+ 0.0`` is the loop's start:
+    it turns the -0.0 that an all -0.0 row accumulates to into the 0.0 a sum
+    from 0.0 gives, and leaves every other value as it is.
     """
-    total = 0.0
-    for k in range(weights.shape[-1]):
-        total = total + weights[..., k] * values[..., k]
-    return total
+    products = np.multiply(weights, values)
+    return np.add.accumulate(products, axis=-1, out=products)[..., -1] + 0.0

@@ -5,6 +5,8 @@ action values are the observation-estimate losses, and each earlier round
 adds the expected optimal value of the next observation under the controlled
 transition kernel. Every expectation is :func:`dyninfer.reduction._label_sum`,
 a plain sum in label-index order, so outputs are reproducible bit for bit.
+Ties are kept as one boolean mask over (round, x, yhat); the nested tie sets
+are derived from it only when read.
 A :class:`SolveResult` carries the problem it was solved for, so its readers
 (:func:`minimum_inference_loss`, :func:`solution_report`,
 :func:`dyninfer.export_trellis`) take the result alone.
@@ -13,6 +15,7 @@ A :class:`SolveResult` carries the problem it was solved for, so its readers
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +44,10 @@ class SolveResult:
 
     ``v_star[i-1, xi]`` is the minimum expected remaining loss from round
     ``i`` at observation index ``xi``; ``q_star`` the per-estimate values;
-    ``policy`` the chosen estimate indices; ``tie_sets[i-1][xi]`` every
-    estimate index within ``TIE_TOLERANCE`` of the row minimum; ``myopic``
-    the single-round optimal estimate indices of the bar-loss table.
+    ``policy`` the chosen estimate indices; ``tied[i-1, xi, ai]`` whether
+    estimate index ``ai`` is within ``TIE_TOLERANCE`` of the row minimum;
+    ``myopic`` the single-round optimal estimate indices of the bar-loss
+    table. Every array is read-only.
     """
 
     problem: Problem
@@ -51,15 +55,25 @@ class SolveResult:
     v_star: np.ndarray  # (n, |X|)
     q_star: np.ndarray  # (n, |X|, |Yhat|)
     policy: np.ndarray  # (n, |X|) estimate indices
-    tie_sets: tuple[tuple[tuple[int, ...], ...], ...]
+    tied: np.ndarray  # (n, |X|, |Yhat|) bool
     myopic: np.ndarray  # (n, |X|) estimate indices
+
+    @functools.cached_property
+    def tie_sets(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``tie_sets[i-1][xi]``: the tied estimate indices of a node, increasing, made from ``tied`` on first read."""
+        return tuple(
+            tuple(tuple(ai for ai, is_tied in enumerate(row) if is_tied) for row in round_rows)
+            for round_rows in self.tied.tolist()
+        )
 
 
 def solve(problem: Problem, rule: TieBreakRule = TieBreakRule.MYOPIC_PREFERRED) -> SolveResult:
     """Compute optimal value tables and a deterministic optimal policy.
 
     Each round is one array step over (x, yhat); the expectation over the
-    next observation is summed in label order, as a scalar loop would.
+    next observation is summed in label order, as a scalar loop would. The
+    result holds the tie mask, not the tie sets, so its size is a few times
+    that of ``q_star``.
     """
     bar = bar_loss_table(problem)
     q_star, v_star = value_tables(bar.values, problem.transitions)
@@ -68,14 +82,9 @@ def solve(problem: Problem, rule: TieBreakRule = TieBreakRule.MYOPIC_PREFERRED) 
     if rule is TieBreakRule.MYOPIC_PREFERRED:
         myopic_tied = np.take_along_axis(tied, bar.myopic[..., None], axis=-1)[..., 0]
         policy = np.where(myopic_tied, bar.myopic, policy)
-    tie_sets = tuple(
-        tuple(tuple(ai for ai, is_tied in enumerate(row) if is_tied) for row in round_rows)
-        for round_rows in tied.tolist()
-    )
-    q_star.setflags(write=False)
-    v_star.setflags(write=False)
-    policy.setflags(write=False)
-    return SolveResult(problem, rule, v_star, q_star, policy, tie_sets, bar.myopic)
+    for table in (q_star, v_star, policy, tied):
+        table.setflags(write=False)
+    return SolveResult(problem, rule, v_star, q_star, policy, tied, bar.myopic)
 
 
 def value_tables(bar: np.ndarray, transitions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,13 +128,13 @@ def solution_report(result: SolveResult) -> tuple[ReportRow, ...]:
     problem = result.problem
     yhat_labels = problem.yhat_space.labels
     v_star, q_star = result.v_star.tolist(), result.q_star.tolist()
-    policy, myopic = result.policy.tolist(), result.myopic.tolist()
+    policy, myopic, tied = result.policy.tolist(), result.myopic.tolist(), result.tied.tolist()
     rows = []
     for k in range(problem.n):
         for xi, x in enumerate(problem.x_space):
             chosen = yhat_labels[policy[k][xi]]
             myopic_label = yhat_labels[myopic[k][xi]]
-            ties = tuple(yhat_labels[ai] for ai in result.tie_sets[k][xi])
+            ties = tuple(label for label, is_tied in zip(yhat_labels, tied[k][xi]) if is_tied)
             rows.append(
                 ReportRow(
                     round=k + 1,

@@ -51,13 +51,14 @@ def _render_dot(result: SolveResult) -> str:
 
 def _render_text(result: SolveResult) -> str:
     x_labels, yhat_labels = result.problem.x_space.labels, result.problem.yhat_space.labels
-    rounds = zip(result.v_star.tolist(), result.policy.tolist(), result.myopic.tolist(), result.tie_sets)
+    tie = np.count_nonzero(result.tied, axis=-1) > 1
+    rounds = zip(result.v_star.tolist(), result.policy.tolist(), result.myopic.tolist(), tie.tolist())
     lines = []
     for i, (v_row, policy_row, myopic_row, tie_row) in enumerate(rounds, start=1):
         for xi, x in enumerate(x_labels):
             lines.append(
                 f"round {i}: x={x} V*={v_row[xi]:.4f} chosen={yhat_labels[policy_row[xi]]} "
-                f"myopic={yhat_labels[myopic_row[xi]]} tie={'yes' if len(tie_row[xi]) > 1 else 'no'}\n"
+                f"myopic={yhat_labels[myopic_row[xi]]} tie={'yes' if tie_row[xi] else 'no'}\n"
             )
     return "".join(lines)
 

@@ -1,6 +1,7 @@
 """Command-line behavior: schemas, exit codes, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -24,7 +25,7 @@ from dyninfer import (
     random_problem,
     validate_problem,
 )
-from dyninfer import cli
+from dyninfer import cli, oracle
 from dyninfer.cli import run
 
 
@@ -295,6 +296,44 @@ def test_verify_deep_horizon(tmp_path, capsys):
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
         assert lines[-1].startswith("PASS gap_max=")
+
+
+def _scaled_model(tmp_path, scale):
+    problem = random_problem(np.random.default_rng(0), 2, 2, 2, 2)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(problem_to_dict(dataclasses.replace(problem, loss=problem.loss * scale))))
+    return path
+
+
+@pytest.mark.parametrize(
+    ("scale", "summary"),
+    [
+        # the minima differ by rounding alone: 1.192e-07 is past an absolute 1e-9, within 1e-9 · n · max|loss|
+        (1e9, "PASS gap_max=1.192e-07"),
+        (0.0, "PASS gap_max=0.000e+00"),  # a zero gap passes though its bound is 0
+    ],
+)
+def test_verify_bounds_the_gap_by_the_loss_scale(tmp_path, capsys, scale, summary):
+    model = _scaled_model(tmp_path, scale)
+    assert run(["verify", "-m", str(model), "--mode", "revealed", "--limit", str(2**50)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == summary
+    problem = validate_problem(json.loads(model.read_text()))
+    report = oracle.brute_force_optimum(problem, HistoryMode.REVEALED, 2**50)
+    assert report.gap_bound == oracle.GAP_RTOL * problem.n * np.abs(problem.loss).max()
+
+
+def test_verify_fails_a_relative_error_at_a_small_loss_scale(tmp_path, capsys, monkeypatch):
+    # at loss scale 1e-12 a solver minimum off by a relative 1e-6 is a gap far below an absolute 1e-9
+    model = _scaled_model(tmp_path, 1e-12)
+    value_tables = oracle.value_tables
+
+    def skewed(bar, transitions):
+        return tuple(table * (1 + 1e-6) for table in value_tables(bar, transitions))
+
+    monkeypatch.setattr(oracle, "value_tables", skewed)
+    assert run(["verify", "-m", str(model), "--mode", "revealed", "--limit", str(2**50)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("FAIL gap_max=")
 
 
 def test_malformed_model_is_a_domain_error(tmp_path, capsys):

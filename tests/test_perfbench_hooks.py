@@ -55,7 +55,7 @@ def test_history_counts_hook_reads_a_real_brute_force_call(monkeypatch):
         report = cli.brute_force_optimum(problem, HistoryMode.REVEALED, 2**129)
     finally:
         tracer.uninstall()
-    assert abs(report.gap) <= cli.GAP_TOLERANCE
+    assert abs(report.gap) <= report.gap_bound
     summary = tracing.summarize(tracer.spans)
     assert summary["oracle.brute_force_optimum"]["calls"] == 1
     assert summary["oracle.brute_force_optimum"]["histories"] == history_count(problem, HistoryMode.REVEALED) == 129

@@ -35,7 +35,7 @@ from dyninfer import (
     validate_problem,
     verify_lemma1,
 )
-from dyninfer import cli, walks
+from dyninfer import walks
 from dyninfer.oracle import _stack_reports
 from dyninfer.reduction import bar_loss_values
 from dyninfer.solver import TIE_TOLERANCE, value_tables
@@ -159,7 +159,7 @@ def test_oracle_matches_scalar_reference(problem, seed):
         report = brute_force_optimum(problem, mode, limit=10**10_000)  # no limit
         brute_min, decisions = scalar_reference.brute_force(problem, mode)
         assert report.brute_min == brute_min
-        assert abs(report.gap) <= cli.GAP_TOLERANCE
+        assert abs(report.gap) <= report.gap_bound
         # the reference keys each round's decisions by history tuple; sorted keys are rank order
         assert list(report.witness.tables) == [tuple(table[key] for key in sorted(table)) for table in decisions]
         assert _same_bits(report.lemma1_pairs, (scalar_reference.lemma1(problem, report.witness),))
@@ -392,7 +392,7 @@ def test_brute_force_equals_the_solver_on_transformed_problems(problem, data):
         for mode in HistoryMode:
             report = brute_force_optimum(transformed, mode, limit=10**10_000)  # no limit
             assert _same_bits(report.dp_min, dp_min)
-            assert abs(report.gap) <= cli.GAP_TOLERANCE
+            assert abs(report.gap) <= report.gap_bound
 
 
 @SETTINGS

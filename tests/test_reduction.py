@@ -5,6 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 import scalar_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dyninfer import (
     bar_loss_table,
@@ -13,6 +16,7 @@ from dyninfer import (
     random_problem,
     solve,
 )
+from dyninfer.reduction import _label_sum
 
 
 def brute_expected_loss(problem, i, x, yhat):
@@ -117,3 +121,56 @@ def test_problem_arrays_are_the_mdp_dynamics(section33, stock):
         for ai in range(2):
             # deterministic dynamics: the next observation equals the action label
             assert np.all(stock.transitions[:, xi, ai, ai] == 1.0)
+
+
+def _loop_sum(weights, values):
+    """The scalar loop ``_label_sum`` must match: Python floats, from 0.0, in label order, at every index."""
+    weights, values = np.broadcast_arrays(weights, values)
+    sums = np.empty(weights.shape[:-1])
+    for index in np.ndindex(sums.shape):
+        total = 0.0
+        for w, v in zip(weights[index].tolist(), values[index].tolist()):
+            total = total + w * v
+        sums[index] = total
+    return sums
+
+
+# magnitudes from 1e-300 to 1e300, both signs, and both zeros
+LABEL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(1e-300, 1e300).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+# probabilities with exact zeros
+LABEL_WEIGHTS = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _broadcast_pairs(draw):
+    """Weights and values with 0-2 leading axes that broadcast against each other, over 1-30 labels."""
+    labels = draw(st.integers(1, 30))
+    lead = draw(st.lists(st.integers(1, 3), max_size=2))
+
+    def operand(elements):
+        # each operand keeps a suffix of the leading axes, any of them of length 1
+        kept = lead[draw(st.integers(0, len(lead))):]
+        shape = tuple(draw(st.sampled_from([1, side])) for side in kept)
+        return draw(hnp.arrays(np.float64, (*shape, labels), elements=elements))
+
+    return operand(LABEL_WEIGHTS), operand(LABEL_VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_broadcast_pairs())
+def test_label_sum_is_the_scalar_loop_bit_for_bit(pair):
+    weights, values = pair
+    expected = _loop_sum(weights, values)
+    got = np.asarray(_label_sum(weights, values))
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_label_sum_of_zero_weights_is_positive_zero():
+    # every product is -0.0: a sum from 0.0 gives +0.0, where the running sum alone would stay at -0.0
+    got = _label_sum(np.zeros((2, 3)), -np.arange(1.0, 4.0))
+    assert got.tolist() == [0.0, 0.0]
+    assert not np.signbit(got).any()

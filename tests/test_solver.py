@@ -6,6 +6,7 @@ test_oracle.py); the solver must reproduce them to tight tolerance.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dyninfer import (
     evaluate_markov,
     example_section33,
     example_stock,
+    export_trellis,
     minimum_inference_loss,
     optimal_strategy,
     random_problem,
@@ -90,6 +92,33 @@ def test_v_star_is_row_minimum_and_policy_in_ties(stock):
         for xi in range(2):
             assert result.v_star[k, xi] == result.q_star[k, xi].min()
             assert result.policy[k, xi] in result.tie_sets[k][xi]
+
+
+def test_tie_sets_are_the_tie_mask_read_on_demand(section33):
+    result = solve(section33)
+    assert result.tied.shape == result.q_star.shape and not result.tied.flags.writeable
+    for format in ("dot", "text"):
+        export_trellis(result, format)
+    solution_report(result)
+    assert "tie_sets" not in vars(result)  # no writer builds the nested tuples
+    expected = tuple(tuple(tuple(np.flatnonzero(row).tolist()) for row in rows) for rows in result.tied)
+    assert result.tie_sets == expected
+    assert result.tie_sets is result.tie_sets  # made once
+
+
+def test_solve_allocates_a_few_times_its_result():
+    # the result's arrays and a few round-sized temporaries; the nested tie sets it held
+    # before the tie mask peaked at about 6 times the arrays here
+    problem = example_stock(10**5)
+    tracemalloc.start()
+    try:
+        result = solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (result.v_star, result.q_star, result.policy, result.tied, result.myopic)
+    assert peak < 3 * sum(table.nbytes for table in arrays)
+    assert "tie_sets" not in vars(result)
 
 
 def test_bellman_consistency_on_random_instances():

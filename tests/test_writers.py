@@ -28,7 +28,7 @@ from dyninfer import (
     solve,
     validate_problem,
 )
-from dyninfer.cli import _with_init, run
+from dyninfer.cli import _number, _with_init, run
 
 # '|' joins the composite transition keys of a model document, so a label holding it may not resolve;
 # a lone surrogate (category Cs) is not a valid label, which test_model and test_cli check on their own
@@ -184,3 +184,36 @@ def test_a_failing_solve_leaves_its_output_file_unchanged(tmp_path, capsys):
     assert captured.out == "" and captured.err.count("\n") == 1
     assert json.loads(captured.err)["error"] == "UnknownLabel"
     assert out.read_bytes() == b"an earlier output\n"
+
+
+def _json_number(value):
+    """The text ``json.dumps`` writes for ``value`` rounded to 12 significant digits."""
+    return repr(float(format(value, ".12g")))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_number_is_the_json_text_of_the_12_digit_rounding(value):
+    assert _number(value) == _json_number(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        0.0,
+        -0.0,
+        5e-324,  # the smallest subnormal
+        1e-5,  # below 1e-4 both write an exponent
+        1e-4,  # the smallest power of ten both write positionally
+        -1e-4,
+        999999999999.4,  # rounds to 12 nines, still positional
+        999999999999.5,  # rounds up to 1e+12, which repr writes positionally
+        1e12,
+        123456789012345.0,  # past 12 digits .12g writes an exponent and repr does not
+        1e16,  # repr's first exponent
+        sys.float_info.max,
+        -sys.float_info.max,
+    ],
+)
+def test_number_boundaries(value):
+    assert _number(value) == _json_number(value)
