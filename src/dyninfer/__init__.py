@@ -46,14 +46,7 @@ from .oracle import (
     verify_lemma1,
 )
 from .reduction import BarLossTable, bar_loss_table
-from .solver import (
-    ReportRow,
-    SolveResult,
-    TieBreakRule,
-    minimum_inference_loss,
-    solution_report,
-    solve,
-)
+from .solver import SolveResult, TieBreakRule, minimum_inference_loss, solve
 from .trellis import export_trellis
 
 __version__ = "0.1.0"
@@ -74,7 +67,6 @@ __all__ = [
     "OracleReport",
     "PlannerStyle",
     "Problem",
-    "ReportRow",
     "SearchSpaceTooLarge",
     "ShapeMismatch",
     "SimulationResult",
@@ -99,7 +91,6 @@ __all__ = [
     "random_history_strategy",
     "random_problem",
     "simulate",
-    "solution_report",
     "solve",
     "validate_problem",
     "verify_lemma1",

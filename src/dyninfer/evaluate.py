@@ -74,12 +74,6 @@ class MarkovStrategy:
                 choices[k, xi] = problem.yhat_space.index(row[x])
         return cls(*_markov_binding(problem), choices)
 
-    def to_rows(self) -> list[dict[str, str]]:
-        return [
-            {x: self.yhat_labels[self.choices[k, xi]] for xi, x in enumerate(self.x_labels)}
-            for k in range(self.n)
-        ]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MarkovStrategy):
             return NotImplemented

@@ -8,8 +8,8 @@ a plain sum in label-index order, so outputs are reproducible bit for bit.
 Ties are kept as one boolean mask over (round, x, yhat); the nested tie sets
 are derived from it only when read.
 A :class:`SolveResult` carries the problem it was solved for, so its readers
-(:func:`minimum_inference_loss`, :func:`solution_report`,
-:func:`dyninfer.export_trellis`) take the result alone.
+(:func:`minimum_inference_loss`, :func:`dyninfer.export_trellis`) take the
+result alone.
 """
 
 from __future__ import annotations
@@ -106,46 +106,3 @@ def value_tables(bar: np.ndarray, transitions: np.ndarray) -> tuple[np.ndarray, 
 def minimum_inference_loss(result: SolveResult) -> float:
     """Minimum expected accumulated loss: the initial expectation of round-1 values, J* = E[V*_1(X_1)]."""
     return float(_label_sum(result.problem.init, result.v_star[0]))
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One (round, observation) line of a solution report."""
-
-    round: int
-    x: str
-    v_star: float
-    q_row: tuple[float, ...]
-    chosen: str
-    tie: bool
-    tie_labels: tuple[str, ...]
-    myopic: str
-    differs_from_myopic: bool
-
-
-def solution_report(result: SolveResult) -> tuple[ReportRow, ...]:
-    """Flatten a solve result into per-(round, x) rows, for callers that read nodes by label."""
-    problem = result.problem
-    yhat_labels = problem.yhat_space.labels
-    v_star, q_star = result.v_star.tolist(), result.q_star.tolist()
-    policy, myopic, tied = result.policy.tolist(), result.myopic.tolist(), result.tied.tolist()
-    rows = []
-    for k in range(problem.n):
-        for xi, x in enumerate(problem.x_space):
-            chosen = yhat_labels[policy[k][xi]]
-            myopic_label = yhat_labels[myopic[k][xi]]
-            ties = tuple(label for label, is_tied in zip(yhat_labels, tied[k][xi]) if is_tied)
-            rows.append(
-                ReportRow(
-                    round=k + 1,
-                    x=x,
-                    v_star=v_star[k][xi],
-                    q_row=tuple(q_star[k][xi]),
-                    chosen=chosen,
-                    tie=len(ties) > 1,
-                    tie_labels=ties,
-                    myopic=myopic_label,
-                    differs_from_myopic=chosen != myopic_label,
-                )
-            )
-    return tuple(rows)

@@ -11,6 +11,8 @@ in (round, x, yhat, next x) index order.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .errors import InvalidParams
@@ -49,8 +51,14 @@ def _render_dot(result: SolveResult) -> str:
     return "\n".join(lines)
 
 
+def _text_label(label: str) -> str:
+    return label if label.isprintable() else json.dumps(label)
+
+
 def _render_text(result: SolveResult) -> str:
-    x_labels, yhat_labels = result.problem.x_space.labels, result.problem.yhat_space.labels
+    # a label holding a line end or another unprintable character is written as its JSON string, so a node is one line
+    x_labels = [_text_label(x) for x in result.problem.x_space]
+    yhat_labels = [_text_label(yhat) for yhat in result.problem.yhat_space]
     tie = np.count_nonzero(result.tied, axis=-1) > 1
     rounds = zip(result.v_star.tolist(), result.policy.tolist(), result.myopic.tolist(), tie.tolist())
     lines = []

@@ -22,7 +22,6 @@ from dyninfer import (
     random_history_strategy,
     random_problem,
     simulate,
-    solution_report,
     solve,
     verify_lemma1,
 )
@@ -35,7 +34,9 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def _deviations(problem):
-    return {(r.round, r.x) for r in solution_report(solve(problem)) if r.differs_from_myopic}
+    r = solve(problem)
+    x_labels = problem.x_space.labels
+    return {(k + 1, x_labels[xi]) for k, xi in np.argwhere(r.policy != r.myopic).tolist()}
 
 
 def _sweep_instances(count: int = 50, seed: int = 20240803):

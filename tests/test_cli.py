@@ -410,7 +410,10 @@ def test_module_entry_point(tmp_path):
 def test_evaluate_cross_checks_with_library(tmp_path, stock_model):
     strategy = tmp_path / "myopic.json"
     stock = example_stock(6)
-    strategy.write_text(json.dumps({"policy": myopic_strategy(stock).to_rows()}))
+    choices = myopic_strategy(stock).choices.tolist()
+    x_labels, yhat_labels = stock.x_space.labels, stock.yhat_space.labels
+    rows = [{x: yhat_labels[ai] for x, ai in zip(x_labels, row)} for row in choices]
+    strategy.write_text(json.dumps({"policy": rows}))
     out = tmp_path / "eval.json"
     assert run(["evaluate", "-m", str(stock_model), "-s", str(strategy), "-o", str(out)]) == 0
     assert json.loads(out.read_text())["j"] == pytest.approx(

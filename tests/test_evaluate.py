@@ -1,6 +1,7 @@
 """Exact strategy evaluation: inference loss and loss-to-go tables."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dyninfer import (
     random_problem,
     solve,
 )
+from dyninfer.cli import run
 
 
 def constant_strategy(problem, label):
@@ -74,11 +76,13 @@ def test_shape_mismatch(section33):
             evaluate_markov(section33, foreign)
 
 
-def test_strategy_wire_round_trip(stock):
-    strategy = optimal_strategy(solve(stock))
-    rows = strategy.to_rows()
+def test_strategy_wire_round_trip(tmp_path, stock):
+    model, out = tmp_path / "stock.json", tmp_path / "solve.json"
+    assert run(["example", "stock", "--n", "6", "-o", str(model)]) == 0
+    assert run(["solve", "-m", str(model), "-o", str(out)]) == 0
+    rows = json.loads(out.read_text())["policy"]  # the policy as `dyninfer solve` writes it
     assert rows[0] == {"0": "1", "1": "1"}
-    assert MarkovStrategy.from_rows(stock, rows) == strategy
+    assert MarkovStrategy.from_rows(stock, rows) == optimal_strategy(solve(stock))
     with pytest.raises(ShapeMismatch):
         MarkovStrategy.from_rows(stock, rows[:-1])
     with pytest.raises(ShapeMismatch):

@@ -13,7 +13,6 @@ from dyninfer import (
     example_stock,
     example_yield,
     bar_loss_table,
-    solution_report,
     solve,
     validate_problem,
     problem_to_dict,
@@ -21,7 +20,9 @@ from dyninfer import (
 
 
 def deviations(problem):
-    return {(r.round, r.x) for r in solution_report(solve(problem)) if r.differs_from_myopic}
+    r = solve(problem)
+    x_labels = problem.x_space.labels
+    return {(k + 1, x_labels[xi]) for k, xi in np.argwhere(r.policy != r.myopic).tolist()}
 
 
 def test_section33_golden_deviations(section33):

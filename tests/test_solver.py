@@ -1,4 +1,4 @@
-"""Backward induction: value tables, tie handling, reports.
+"""Backward induction: value tables, tie handling, deviations from the myopic estimate.
 
 Numeric targets were computed by hand with exact rational arithmetic and
 cross-checked against the brute-force search over history strategies (see
@@ -21,7 +21,6 @@ from dyninfer import (
     minimum_inference_loss,
     optimal_strategy,
     random_problem,
-    solution_report,
     solve,
 )
 
@@ -44,8 +43,9 @@ def ties(result, i, x):
     return tuple(problem.yhat_space.labels[ai] for ai in result.tie_sets[i - 1][problem.x_space.index(x)])
 
 
-def deviations(result):
-    return {(row.round, row.x) for row in solution_report(result) if row.differs_from_myopic}
+def deviations(r):
+    x_labels = r.problem.x_space.labels
+    return {(k + 1, x_labels[xi]) for k, xi in np.argwhere(r.policy != r.myopic).tolist()}
 
 
 def test_section33_policy_and_values(section33):
@@ -99,7 +99,6 @@ def test_tie_sets_are_the_tie_mask_read_on_demand(section33):
     assert result.tied.shape == result.q_star.shape and not result.tied.flags.writeable
     for format in ("dot", "text"):
         export_trellis(result, format)
-    solution_report(result)
     assert "tie_sets" not in vars(result)  # no writer builds the nested tuples
     expected = tuple(tuple(tuple(np.flatnonzero(row).tolist()) for row in rows) for rows in result.tied)
     assert result.tie_sets == expected
@@ -197,13 +196,14 @@ def test_minimum_inference_loss_values(section33):
     assert minimum_inference_loss(solve(one_round)) == pytest.approx(0.1, abs=1e-12)
 
 
-def test_solution_report_counts(section33, stock):
-    assert len([r for r in solution_report(solve(section33)) if r.differs_from_myopic]) == 3
-    assert len([r for r in solution_report(solve(stock)) if r.differs_from_myopic]) == 3
+def test_deviation_counts(section33, stock):
+    for problem in (section33, stock):
+        result = solve(problem)
+        assert np.count_nonzero(result.policy != result.myopic) == 3
     one_round = example_stock(1)
-    report = solution_report(solve(one_round))
-    assert len(report) == 2
-    assert not any(row.differs_from_myopic for row in report)
-    row = report[0]
-    assert row.q_row == (pytest.approx(0.4, abs=1e-12), pytest.approx(0.6, abs=1e-12))
-    assert row.chosen == row.myopic == "0"
+    result = solve(one_round)
+    assert result.policy.shape == (1, 2)
+    assert deviations(result) == set()
+    assert result.q_star[0, 0].tolist() == [pytest.approx(0.4, abs=1e-12), pytest.approx(0.6, abs=1e-12)]
+    labels = one_round.yhat_space.labels
+    assert labels[result.policy[0, 0]] == labels[result.myopic[0, 0]] == "0"

@@ -1,5 +1,6 @@
 """Trellis rendering to DOT and text."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from writer_reference import trellis_edges
 
 from dyninfer import (
+    Alphabet,
     InvalidParams,
     example_section33,
     example_stock,
@@ -72,6 +74,16 @@ def test_text_format(stock):
     assert len(lines) == 12
     assert lines[0] == "round 1: x=0 V*=2.1000 chosen=1 myopic=0 tie=no"
     assert lines[6] == "round 4: x=0 V*=1.2000 chosen=0 myopic=0 tie=yes"
+
+
+def test_text_writes_one_line_per_node(stock):
+    # a label that is not printable is written as its JSON string, so no label breaks a node's line
+    labels = Alphabet(("a\nb", "c d"))
+    problem = dataclasses.replace(stock, x_space=labels, yhat_space=labels)
+    lines = export_trellis(solve(problem), "text").splitlines()
+    assert len(lines) == problem.n * 2
+    assert lines[0] == 'round 1: x="a\\nb" V*=2.1000 chosen=c d myopic="a\\nb" tie=no'
+    assert lines[1].startswith("round 1: x=c d V*=")
 
 
 def test_unknown_format(stock):

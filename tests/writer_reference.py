@@ -11,9 +11,6 @@ import json
 
 import numpy as np
 
-from dyninfer.evaluate import optimal_strategy
-from dyninfer.solver import solution_report
-
 
 def _round12(value):
     return float(format(value, ".12g"))
@@ -54,7 +51,7 @@ def solve_text(problem, result, min_loss):
         "min_loss": min_loss,
         "v_star": _per_round(result.v_star, x_labels),
         "q_star": _per_round(result.q_star, x_labels, yhat_labels),
-        "policy": optimal_strategy(result).to_rows(),
+        "policy": [{x: yhat_labels[ai] for x, ai in zip(x_labels, row)} for row in result.policy.tolist()],
         "ties": [
             {x: [yhat_labels[ai] for ai in result.tie_sets[k][xi]] for xi, x in enumerate(x_labels)}
             for k in range(problem.n)
@@ -69,15 +66,14 @@ def evaluate_text(problem, result):
 
 def trellis_edges(problem, result):
     """``(round, x, yhat, next x, probability, chosen, deviation)`` per positive transition, one at a time."""
-    nodes = solution_report(result)
+    policy, myopic = result.policy.tolist(), result.myopic.tolist()
     positive = problem.transitions > 0.0
     x_labels, yhat_labels = problem.x_space.labels, problem.yhat_space.labels
     edges = []
     for (k, xi, ai, ni), probability in zip(np.argwhere(positive).tolist(), problem.transitions[positive].tolist()):
-        node = nodes[k * len(x_labels) + xi]
-        is_chosen = yhat_labels[ai] == node.chosen
-        deviation = is_chosen and node.differs_from_myopic
-        edges.append((k + 1, node.x, yhat_labels[ai], x_labels[ni], probability, is_chosen, deviation))
+        is_chosen = ai == policy[k][xi]
+        deviation = is_chosen and policy[k][xi] != myopic[k][xi]
+        edges.append((k + 1, x_labels[xi], yhat_labels[ai], x_labels[ni], probability, is_chosen, deviation))
     return edges
 
 
@@ -94,9 +90,10 @@ def dot_text(problem, result):
     for i in range(1, problem.n + 1):
         ids = " ".join(f'"{_node_id(problem, i, x)}";' for x in problem.x_space)
         lines.append(f"  {{ rank=same; {ids} }}")
-    for node in solution_report(result):
-        label = _escape(f"x={node.x}") + "\\n" + _escape(f"V*={node.v_star:.4f}")
-        lines.append(f'  "{_node_id(problem, node.round, node.x)}" [label="{label}"];')
+    for i, row in enumerate(result.v_star.tolist(), start=1):
+        for x, v_star in zip(problem.x_space.labels, row):
+            label = _escape(f"x={x}") + "\\n" + _escape(f"V*={v_star:.4f}")
+            lines.append(f'  "{_node_id(problem, i, x)}" [label="{label}"];')
     for i, x, yhat, next_x, probability, chosen, deviation in trellis_edges(problem, result):
         attrs = [
             f'label="{_escape(f"yhat={yhat} p={probability:.4f}")}"',
@@ -109,11 +106,20 @@ def dot_text(problem, result):
     return "\n".join(lines) + "\n"
 
 
+def _text_label(label):
+    return label if label.isprintable() else json.dumps(label)
+
+
 def trellis_text(result):
+    x_labels, yhat_labels = result.problem.x_space.labels, result.problem.yhat_space.labels
+    policy, myopic = result.policy.tolist(), result.myopic.tolist()
     lines = []
-    for node in solution_report(result):
-        lines.append(
-            f"round {node.round}: x={node.x} V*={node.v_star:.4f} "
-            f"chosen={node.chosen} myopic={node.myopic} tie={'yes' if node.tie else 'no'}"
-        )
+    for k, row in enumerate(result.v_star.tolist()):
+        for xi, v_star in enumerate(row):
+            chosen, myopic_label = yhat_labels[policy[k][xi]], yhat_labels[myopic[k][xi]]
+            tie = len(result.tie_sets[k][xi]) > 1
+            lines.append(
+                f"round {k + 1}: x={_text_label(x_labels[xi])} V*={v_star:.4f} "
+                f"chosen={_text_label(chosen)} myopic={_text_label(myopic_label)} tie={'yes' if tie else 'no'}"
+            )
     return "\n".join(lines) + "\n"
