@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
-import itertools
 import json
 import os
 import sys
@@ -30,7 +30,7 @@ from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
 from .evaluate import MarkovStrategy, evaluate_markov, simulate
 from .model import Problem, _init_row, _normalized, problem_to_dict, validate_problem
 from .oracle import (
-    DEFAULT_STRATEGY_LIMIT, HistoryMode, HistoryStrategy, OracleReport, brute_force_optimum, random_sweep
+    DEFAULT_STRATEGY_LIMIT, HistoryMode, OracleReport, OracleStack, brute_force_optimum, random_sweep
 )
 # unused here: perfbench/tracing.py hooks this name, and every name it hooks must resolve
 from .oracle import random_problem  # noqa: F401
@@ -260,48 +260,98 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _witness_template(witness: HistoryStrategy) -> tuple[str, list[str], list[str]]:
-    """JSON text of the mode, of each witness row up to its estimate (by round and rank), and of each estimate.
+# histories whose decisions are coded as one integer when a witness is written
+WITNESS_CHUNK = 8
+
+
+def _witness_heads(stack: OracleStack) -> list[str]:
+    """JSON text of each witness row up to its estimate, by round and rank.
 
     A row is ``{"round": i, "x_history": [...], "y_history": [...], "yhat": label}``,
-    as ``json.dumps`` writes it with sorted keys, so only the estimate varies
-    between witnesses of one shape.
+    as ``json.dumps`` writes it with sorted keys. The text of each round's
+    histories extends that of the round before by one label.
     """
-    x_labels, y_labels = witness.x_labels, witness.y_labels
-    heads = [
-        f'{{"round": {i}, "x_history": {json.dumps([x_labels[v] for v in xs])}, '
-        f'"y_history": {json.dumps([y_labels[v] for v in ys])}, "yhat": '
-        for i, xs, ys, _ in witness.rows()
-    ]
-    return json.dumps(witness.mode.value), heads, [json.dumps(label) + "}" for label in witness.yhat_labels]
+    x_labels = [json.dumps(label) for label in stack.x_labels]
+    y_labels = [json.dumps(label) for label in stack.y_labels]
+    revealed = stack.mode is HistoryMode.REVEALED
+    xs, ys = x_labels, [""]
+    heads = []
+    for i in range(1, stack.n + 1):
+        if i > 1:
+            xs = [f"{prefix}, {x}" for prefix in xs for x in x_labels]
+            if revealed:
+                ys = y_labels if i == 2 else [f"{prefix}, {y}" for prefix in ys for y in y_labels]
+        heads.extend([f'{{"round": {i}, "x_history": [{x}], "y_history": [{y}], "yhat": ' for x in xs for y in ys])
+    return heads
 
 
-def _oracle_lines(reports: list[OracleReport], instances: Iterable[str]) -> str:
-    """One JSON line per report, with sorted keys and 12-digit floats, as ``json.dumps`` writes it.
+def _chunk_text(code: int, heads: list[str], estimates: list[str]) -> str:
+    """The witness rows of ``heads`` with the estimates read from ``code``'s base-|Yhat| digits, lowest first."""
+    rows = []
+    for head in heads:
+        code, digit = divmod(code, len(estimates))
+        rows.append(head + estimates[digit])
+    return ", ".join(rows)
 
-    ``instances`` holds each line's instance as JSON text. The text of the
-    witness rows is built once per witness shape; each float is written
-    once, by ``_number``.
+
+def _witness_texts(stack: OracleStack) -> Iterator[str]:
+    """The witness rows of each row of ``stack``, as the text between the brackets of its ``witness``.
+
+    The histories are read in chunks of at most ``WITNESS_CHUNK``: a chunk's
+    decisions are coded as one base-|Yhat| integer per row, which stays
+    below 2^63, and the chunk's text is built once per distinct code.
     """
-    templates: dict[tuple, tuple[str, list[str], list[str]]] = {}
-    lines = []
-    for report, instance in zip(reports, instances):
-        witness = report.witness
-        shape = (witness.mode, witness.n, witness.x_labels, witness.y_labels, witness.yhat_labels)
-        if shape not in templates:
-            templates[shape] = _witness_template(witness)
-        mode, heads, estimates = templates[shape]
-        rows = ", ".join(
-            [head + estimates[ai] for head, ai in zip(heads, itertools.chain.from_iterable(witness.tables))]
+    heads = _witness_heads(stack)
+    estimates = [json.dumps(label) + "}" for label in stack.yhat_labels]
+    radix = len(estimates)
+    width = min(WITNESS_CHUNK, 63 // radix.bit_length())  # radix**width < 2**63
+    batch, size = len(stack.instances), len(heads)
+    chunks = -(-size // width)
+    digits = np.zeros((batch, chunks * width), dtype=np.int64)
+    np.concatenate(stack.decisions, axis=1, out=digits[:, :size])
+    codes = digits.reshape(batch, chunks, width) @ radix ** np.arange(width, dtype=np.int64)
+    columns = []
+    for start, column in zip(range(0, size, width), codes.T.tolist()):
+        texts = {code: _chunk_text(code, heads[start : start + width], estimates) for code in set(column)}
+        columns.append(map(texts.__getitem__, column))
+    return map(", ".join, zip(*columns))
+
+
+def _oracle_lines(stacks: Iterable[OracleStack], instances: Sequence[str]) -> list[str]:
+    """One JSON line per instance, with sorted keys and 12-digit floats, as ``json.dumps`` writes it.
+
+    ``instances`` holds the JSON text of each instance, indexed by the row
+    numbers of the stacks, which together cover them once each; the lines
+    come in that order. A line is written straight from its stack's arrays:
+    each float once, by ``_number``, and the witness by
+    :func:`_witness_texts`.
+    """
+    lines = [""] * len(instances)
+    for stack in stacks:
+        fields = (
+            f'"mode": {json.dumps(stack.mode.value)}, "n": {stack.n}, '
+            f'"strategies_searched": {stack.strategies_searched}, "witness": ['
         )
-        pairs = ", ".join(f"[{_number(lhs)}, {_number(rhs)}]" for lhs, rhs in report.lemma1_pairs)
-        lines.append(
-            f'{{"brute_min": {_number(report.brute_min)}, "dp_min": {_number(report.dp_min)}, '
-            f'"gap": {_number(report.gap)}, "instance": {instance}, "lemma1_pairs": [{pairs}], '
-            f'"mode": {mode}, "n": {witness.n}, '
-            f'"strategies_searched": {report.strategies_searched}, "witness": [{rows}]}}\n'
-        )
-    return "".join(lines)
+        floats = (stack.brute_min, stack.dp_min, stack.gap, stack.lhs, stack.rhs)
+        numbers = (map(_number, column.tolist()) for column in floats)
+        rows = zip(stack.instances.tolist(), *numbers, _witness_texts(stack))
+        for k, brute, dp, gap, lhs, rhs, witness in rows:
+            lines[k] = (
+                f'{{"brute_min": {brute}, "dp_min": {dp}, "gap": {gap}, "instance": {instances[k]}, '
+                f'"lemma1_pairs": [[{lhs}, {rhs}]], {fields}{witness}]}}\n'
+            )
+    return lines
+
+
+def _report_stack(report: OracleReport) -> OracleStack:
+    """``report`` as a stack of one, its row numbered 0."""
+    witness = report.witness
+    ((lhs, rhs),) = report.lemma1_pairs
+    labels = (witness.x_labels, witness.y_labels, witness.yhat_labels)
+    floats = (np.array([value]) for value in (report.brute_min, report.dp_min, report.gap_bound, lhs, rhs))
+    decisions = [np.array(table)[None] for table in witness.tables]
+    count = report.strategies_searched
+    return OracleStack(witness.mode, witness.n, *labels, count, *floats, decisions, np.zeros(1, np.intp))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -311,17 +361,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise InvalidParams(f"--instances must be >= 1, got {args.instances}")
         check_seed(args.seed)
         rng = np.random.default_rng(args.seed)
-        reports = random_sweep(rng, args.instances, mode, args.limit)
-        instances: Iterable[str] = map(str, range(args.instances))
+        stacks = random_sweep(rng, args.instances, mode, args.limit)
+        instances = list(map(str, range(args.instances)))
     else:
         if args.model is None:
             raise InvalidModelError("verify needs --model or --instances")
-        reports = [brute_force_optimum(_load_problem(args.model), mode, args.limit)]
+        stacks = [_report_stack(brute_force_optimum(_load_problem(args.model), mode, args.limit))]
         instances = [json.dumps("model")]
-    gap_max = max(abs(report.gap) for report in reports)
-    verdict = "PASS" if all(abs(report.gap) <= report.gap_bound for report in reports) else "FAIL"
-    out = _oracle_lines(reports, instances) + f"{verdict} gap_max={format(gap_max, '.3e')}\n"
-    _write(args.output, [out])
+    gaps = [np.abs(stack.gap) for stack in stacks]
+    gap_max = max(float(gap.max()) for gap in gaps)
+    verdict = "PASS" if all((gap <= stack.gap_bound).all() for gap, stack in zip(gaps, stacks)) else "FAIL"
+    _write(args.output, [*_oracle_lines(stacks, instances), f"{verdict} gap_max={format(gap_max, '.3e')}\n"])
     return 0 if verdict == "PASS" else 1
 
 
@@ -373,9 +423,12 @@ def _cmd_example(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, tuple[argparse.Action, ...]]:
+    """The parser, built once per process, and its ``--seed`` actions, whose default ``run`` sets before each parse."""
     parser = argparse.ArgumentParser(prog="dyninfer", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    seeds = []
 
     def add_model(p: argparse._ActionsContainer, required: bool = True) -> None:
         p.add_argument("-m", "--model", required=required, default=None, help="model JSON file ('-' for stdin)")
@@ -401,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p_sim)
     p_sim.add_argument("-s", "--strategy", required=True)
     p_sim.add_argument("--rollouts", type=int, default=10_000)
-    p_sim.add_argument("--seed", type=int, default=os.environ.get("DYNINFER_SEED", "0"))
+    seeds.append(p_sim.add_argument("--seed", type=int))
     add_output(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -416,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_STRATEGY_LIMIT,
         help="largest admissible strategy-space size and history count",
     )
-    p_verify.add_argument("--seed", type=int, default=os.environ.get("DYNINFER_SEED", "0"))
+    seeds.append(p_verify.add_argument("--seed", type=int))
     add_output(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -456,12 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p_yield)
     p_yield.set_defaults(func=_cmd_example, which="yield")
 
-    return parser
+    return parser, tuple(seeds)
 
 
 def run(argv: list[str] | None = None) -> int:
     """Dispatch one invocation; returns the process exit status."""
-    parser = build_parser()
+    parser, seeds = _parser()
+    # a string default is converted by the action's type, and a bad one is a usage error, as a bad --seed is
+    for action in seeds:
+        action.default = os.environ.get("DYNINFER_SEED", "0")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help

@@ -29,7 +29,11 @@ index arrays are gathered: memory stays of the order of the histories times
 order a loop over one history's successors sums them; a term of zero
 probability is masked out with ``np.where``, never multiplied by 0.0, so
 signed zeros come out as in that loop; and ``argmin`` takes the first
-minimizer.
+minimizer. A stack's outcome is one :class:`OracleStack`: (B,) arrays of
+minima, bounds and identity pairs, and one (B, histories) array of the
+witnesses' decisions per round. A sweep keeps its stacks as they are up to
+the writer; only :func:`brute_force_optimum` reads its row of one into an
+:class:`OracleReport` with a :class:`HistoryStrategy` witness.
 
 The identity pair of :func:`verify_lemma1` and the loss of
 :func:`exact_loss_history` come from :mod:`dyninfer.walks`: forward array
@@ -58,7 +62,7 @@ import numpy as np
 
 from .errors import SearchSpaceTooLarge, ShapeMismatch
 from .evaluate import MarkovStrategy, _markov_binding
-from .model import Alphabet, Problem, problem_from_tables
+from .model import Alphabet, Problem, _check_horizon, problem_from_tables
 from .reduction import _label_sum, bar_loss_table, bar_loss_values
 from .solver import value_tables
 from .walks import bar_sums, loss_sums
@@ -293,6 +297,36 @@ class OracleReport:
     gap_bound: float
 
 
+@dataclass(frozen=True, eq=False)
+class OracleStack:
+    """The comparison of :class:`OracleReport` for each problem of a stack of B problems of one shape, as arrays.
+
+    Row ``b`` holds what the report of the stack's ``b``-th problem holds:
+    ``brute_min``, ``dp_min``, ``gap_bound`` and the identity pair ``lhs`` and
+    ``rhs`` are (B,) float arrays, and the witnesses' decisions are one
+    (B, histories) array per round, by rank. ``instances`` numbers the rows,
+    in a sweep by draw order.
+    """
+
+    mode: HistoryMode
+    n: int
+    x_labels: tuple[str, ...]
+    y_labels: tuple[str, ...]
+    yhat_labels: tuple[str, ...]
+    strategies_searched: int
+    brute_min: np.ndarray
+    dp_min: np.ndarray
+    gap_bound: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    decisions: list[np.ndarray]
+    instances: np.ndarray
+
+    @property
+    def gap(self) -> np.ndarray:
+        return self.brute_min - self.dp_min
+
+
 def brute_force_optimum(
     problem: Problem, mode: HistoryMode, limit: int = DEFAULT_STRATEGY_LIMIT
 ) -> OracleReport:
@@ -315,7 +349,11 @@ def brute_force_optimum(
     """
     spaces = (problem.x_space, problem.y_space, problem.yhat_space)
     stack = (problem.init, problem.transitions, problem.quantities, problem.loss)
-    return _stack_reports(problem.n, spaces, mode, limit, *(table[None] for table in stack))[0]
+    one = _stack_reports(problem.n, spaces, mode, limit, *(table[None] for table in stack))
+    witness = HistoryStrategy(mode, *_history_binding(problem), tuple(table[0].tolist() for table in one.decisions))
+    columns = (one.brute_min, one.dp_min, one.gap_bound, one.lhs, one.rhs)
+    brute, dp, bound, lhs, rhs = (float(column[0]) for column in columns)
+    return OracleReport(brute, dp, brute - dp, witness, one.strategies_searched, ((lhs, rhs),), bound)
 
 
 def _history_optimum(
@@ -369,11 +407,19 @@ def enumerate_markov_strategies(problem: Problem) -> Iterator[MarkovStrategy]:
         yield MarkovStrategy(*_markov_binding(problem), choices)
 
 
-def _random_tables(
-    rng: np.random.Generator, n: int, nx: int, ny: int, nyhat: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One random instance's draws, in the order taken: init, transitions, quantities, loss."""
-    return rng.random(nx), rng.random((n - 1, nx, nyhat, nx)), rng.random((n, nx, ny)), rng.random((nx, ny, nyhat))
+def _table_shapes(n: int, nx: int, ny: int, nyhat: int) -> tuple[tuple[int, ...], ...]:
+    """The shapes of one random instance's tables, in the order drawn: init, transitions, quantities, loss."""
+    return (nx,), (n - 1, nx, nyhat, nx), (n, nx, ny), (nx, ny, nyhat)
+
+
+def _cut_tables(draws: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> list[np.ndarray]:
+    """The last axis of ``draws`` cut into consecutive tables of ``shapes``, as views."""
+    tables, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        tables.append(draws[..., start:stop].reshape(*draws.shape[:-1], *shape))
+        start = stop
+    return tables
 
 
 def _positive_rows(draws: np.ndarray) -> np.ndarray:
@@ -389,8 +435,15 @@ def _digit_spaces(nx: int, ny: int, nyhat: int) -> tuple[Alphabet, Alphabet, Alp
 def random_problem(
     rng: np.random.Generator, n: int, nx: int = 2, ny: int = 2, nyhat: int = 2
 ) -> Problem:
-    """A random instance with strictly positive kernels and losses in [0, 1]."""
-    init, transitions, quantities, loss = _random_tables(rng, n, nx, ny, nyhat)
+    """A random instance with strictly positive kernels and losses in [0, 1].
+
+    Its tables are cut from one ``rng.random`` draw, which fills them in the
+    order of :func:`_table_shapes` as one draw per table would. A horizon
+    below 1 raises InvalidModelError before anything is drawn.
+    """
+    _check_horizon(n)
+    shapes = _table_shapes(n, nx, ny, nyhat)
+    init, transitions, quantities, loss = _cut_tables(rng.random(sum(map(math.prod, shapes))), shapes)
     rows = (_positive_rows(table) for table in (init, transitions, quantities))
     return problem_from_tables(n, *_digit_spaces(nx, ny, nyhat), *rows, loss)
 
@@ -400,16 +453,18 @@ SWEEP_MAX_N = 3
 SWEEP_SHAPE = (2, 2, 2)
 
 
-def random_sweep(rng: np.random.Generator, instances: int, mode: HistoryMode, limit: int) -> list[OracleReport]:
-    """:func:`brute_force_optimum` on ``instances`` random problems, in draw order.
+def random_sweep(rng: np.random.Generator, instances: int, mode: HistoryMode, limit: int) -> list[OracleStack]:
+    """:func:`brute_force_optimum` on ``instances`` random problems, one stack per horizon drawn.
 
     Each instance draws its horizon from 1..``SWEEP_MAX_N``, then its tables
-    of shape ``SWEEP_SHAPE`` as :func:`random_problem` does; every instance is
-    drawn before any is solved, so the rng stream is that of one such draw
-    after another. The problems of each horizon are then solved as one
-    stack: one history DP, one bar-loss table and one backward induction
-    over a leading instance axis, and the identity walks per instance. The
-    limit is checked on the largest horizon before the first draw.
+    of shape ``SWEEP_SHAPE`` as :func:`random_problem` does, in one
+    ``rng.random`` call; every instance is drawn before any is solved, so the
+    rng stream is that of one such draw after another. The problems of each
+    horizon are then solved as one stack: one history DP, one bar-loss table
+    and one backward induction over a leading instance axis, and the identity
+    walks over the whole stack. The stacks come in horizon order, and each
+    numbers its rows by draw order. The limit is checked on the largest
+    horizon before the first draw.
 
     Each probability row is divided by its sum once more, elementwise, as
     :func:`problem_from_tables` divides the rows of :func:`random_problem`,
@@ -418,20 +473,23 @@ def random_sweep(rng: np.random.Generator, instances: int, mode: HistoryMode, li
     normalized by construction, and the losses lie in [0, 1).
     """
     checked_shape_space(SWEEP_MAX_N, *SWEEP_SHAPE, mode, limit)
-    drawn = []
+    shapes = {n: _table_shapes(n, *SWEEP_SHAPE) for n in range(1, SWEEP_MAX_N + 1)}
+    sizes = {n: sum(map(math.prod, shape)) for n, shape in shapes.items()}
+    horizons, draws = [], []
     for _ in range(instances):
         n = int(rng.integers(1, SWEEP_MAX_N + 1))
-        drawn.append((n, _random_tables(rng, n, *SWEEP_SHAPE)))
+        horizons.append(n)
+        draws.append(rng.random(sizes[n]))
     spaces = _digit_spaces(*SWEEP_SHAPE)
-    reports: list[OracleReport] = [None] * instances  # type: ignore[list-item]
-    for n in sorted({n for n, _ in drawn}):
-        members = [k for k, (m, _) in enumerate(drawn) if m == n]
-        init, transitions, quantities, loss = (np.stack(tables) for tables in zip(*(drawn[k][1] for k in members)))
+    horizons = np.array(horizons)
+    stacks = []
+    for n in np.unique(horizons).tolist():
+        members = np.flatnonzero(horizons == n)
+        init, transitions, quantities, loss = _cut_tables(np.stack([draws[k] for k in members.tolist()]), shapes[n])
         rows = (_positive_rows(table) for table in (init, transitions, quantities))
         stack = (*(table / table.sum(axis=-1, keepdims=True) for table in rows), loss)
-        for k, report in zip(members, _stack_reports(n, spaces, mode, limit, *stack)):
-            reports[k] = report
-    return reports
+        stacks.append(_stack_reports(n, spaces, mode, limit, *stack, instances=members))
+    return stacks
 
 
 def _stack_reports(
@@ -443,8 +501,9 @@ def _stack_reports(
     transitions: np.ndarray,
     quantities: np.ndarray,
     loss: np.ndarray,
-) -> list[OracleReport]:
-    """:func:`brute_force_optimum` on each problem of a stack of B problems of one shape.
+    instances: np.ndarray | None = None,
+) -> OracleStack:
+    """:func:`brute_force_optimum` on each problem of a stack of B problems of one shape, as one record.
 
     ``init``, ``transitions``, ``quantities`` and ``loss`` have shapes
     (B, |X|), (B, n-1, |X|, |Yhat|, |X|), (B, n, |X|, |Y|) and
@@ -455,7 +514,7 @@ def _stack_reports(
     limit is checked first. The solver's minimum comes from its array core
     (``solve`` on one problem runs the same core), and the identity pair from
     the walks of :func:`verify_lemma1`, run once over the whole stack on the
-    witnesses' decisions.
+    witnesses' decisions. ``instances`` numbers the rows, 0..B-1 if not given.
     """
     _, count = checked_shape_space(n, *(len(space) for space in spaces), mode, limit)
     bar = bar_loss_values(quantities, loss)
@@ -464,12 +523,7 @@ def _stack_reports(
     revealed = mode is HistoryMode.REVEALED
     lhs = loss_sums(revealed, tables, init, transitions, quantities, loss)
     rhs = bar_sums(revealed, tables, init, transitions, quantities, bar)
-    binding = (n, *(space.labels for space in spaces))
-    tables = [table.tolist() for table in tables]
-    bounds = (GAP_RTOL * n * np.abs(loss).max(axis=(1, 2, 3))).tolist()
-    reports = []
-    pairs = zip(lhs.tolist(), rhs.tolist())
-    for b, (brute, dp, pair, bound) in enumerate(zip(brute_min.tolist(), dp_min.tolist(), pairs, bounds)):
-        witness = HistoryStrategy(mode, *binding, tuple(table[b] for table in tables))
-        reports.append(OracleReport(brute, dp, brute - dp, witness, count, (pair,), bound))
-    return reports
+    bound = GAP_RTOL * n * np.abs(loss).max(axis=(1, 2, 3))
+    rows = np.arange(len(init)) if instances is None else instances
+    labels = (space.labels for space in spaces)
+    return OracleStack(mode, n, *labels, count, brute_min, dp_min, bound, lhs, rhs, tables, rows)

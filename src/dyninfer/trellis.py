@@ -52,7 +52,8 @@ def _render_dot(result: SolveResult) -> str:
 
 
 def _text_label(label: str) -> str:
-    return label if label.isprintable() else json.dumps(label)
+    # a label that starts with '"' is written as JSON too, so no bare label reads as another's JSON string
+    return label if label.isprintable() and not label.startswith('"') else json.dumps(label)
 
 
 def _render_text(result: SolveResult) -> str:

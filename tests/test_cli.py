@@ -134,6 +134,24 @@ def test_seed_env_default(tmp_path, stock_model, strategy_file, monkeypatch):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_seed_env_is_read_at_each_run(tmp_path, stock_model, strategy_file, monkeypatch):
+    # the parser is built once per process, so the variable must be read when each command line is parsed
+    out = tmp_path / "sim.json"
+    base = ["simulate", "-m", str(stock_model), "-s", str(strategy_file), "--rollouts", "10", "-o", str(out)]
+    seeds = []
+    for value in ("11", "12"):
+        monkeypatch.setenv("DYNINFER_SEED", value)
+        assert run(base) == 0
+        seeds.append(json.loads(out.read_text())["seed"])
+        sweep = tmp_path / f"verify-{value}.txt"
+        assert run(["verify", "--instances", "2", "--limit", str(2**50), "-o", str(sweep)]) == 0
+    monkeypatch.delenv("DYNINFER_SEED")
+    assert run(base) == 0
+    assert seeds + [json.loads(out.read_text())["seed"]] == [11, 12, 0]
+    assert run(["verify", "--instances", "2", "--limit", str(2**50), "--seed", "12", "-o", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "verify-12.txt").read_bytes() != (tmp_path / "verify-11.txt").read_bytes()
+
+
 def test_determinism_byte_identical(tmp_path, stock_model, strategy_file):
     for argv_tail, name in [
         (["solve", "-m", str(stock_model)], "solve"),
@@ -208,6 +226,20 @@ def test_verify_sweep_bytes_are_pinned(tmp_path, mode):
     argv = ["verify", "--instances", "40", "--seed", "5", "--limit", str(2**50), "--mode", mode]
     assert run([*argv, "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SWEEP_SHA256[mode]
+
+
+def test_verify_sweep_builds_no_report_or_strategy(tmp_path, monkeypatch):
+    # the sweep's stacks go to the writer as arrays: no per-instance object is made on the way
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-instance object was built")
+
+    monkeypatch.setattr(oracle, "HistoryStrategy", refuse)
+    monkeypatch.setattr(oracle, "OracleReport", refuse)
+    for mode in ("revealed", "unrevealed"):
+        out = tmp_path / f"{mode}.txt"
+        argv = ["verify", "--instances", "40", "--seed", "5", "--limit", str(2**50), "--mode", mode]
+        assert run([*argv, "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SWEEP_SHA256[mode]
 
 
 # sha256 of `verify --instances 1000 --limit 2**50` per (mode, seed), recorded before the

@@ -18,6 +18,7 @@ from scalar_reference import decision
 from dyninfer import (
     HistoryMode,
     HistoryStrategy,
+    InvalidModelError,
     MarkovStrategy,
     SearchSpaceTooLarge,
     ShapeMismatch,
@@ -316,20 +317,42 @@ def test_witness_rows_come_in_rank_order():
 
 
 def _report_bits(report):
-    """Every number of a report as float hex strings, and its witness decisions."""
-    floats = (report.brute_min, report.dp_min, report.gap, *itertools.chain(*report.lemma1_pairs))
-    return [value.hex() for value in floats], report.witness.tables, report.strategies_searched
+    """Every number of a report as float hex strings, its witness decisions, and what the witness is shaped for."""
+    floats = (report.brute_min, report.dp_min, report.gap, *itertools.chain(*report.lemma1_pairs), report.gap_bound)
+    witness = report.witness
+    shape = (witness.mode, witness.n, witness.x_labels, witness.y_labels, witness.yhat_labels)
+    return [value.hex() for value in floats], witness.tables, report.strategies_searched, shape
+
+
+def _stack_row_bits(stack, b):
+    """``_report_bits`` of row ``b`` of a stacked record, read from its arrays."""
+    floats = (stack.brute_min, stack.dp_min, stack.gap, stack.lhs, stack.rhs, stack.gap_bound)
+    tables = tuple(tuple(table[b].tolist()) for table in stack.decisions)
+    shape = (stack.mode, stack.n, stack.x_labels, stack.y_labels, stack.yhat_labels)
+    return [float(column[b]).hex() for column in floats], tables, stack.strategies_searched, shape
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("mode", BOTH_MODES)
 def test_sweep_reports_are_those_of_each_replayed_random_problem(seed, mode):
     # the sweep builds no Problem; replaying its draws through random_problem runs every model check
-    reports = random_sweep(np.random.default_rng(seed), 200, mode, 2**50)
+    stacks = random_sweep(np.random.default_rng(seed), 200, mode, 2**50)
+    assert [stack.n for stack in stacks] == [1, 2, 3]  # one stack per horizon, in horizon order
+    rows = {k: (stack, b) for stack in stacks for b, k in enumerate(stack.instances.tolist())}
+    assert sorted(rows) == list(range(200)) and sum(len(stack.instances) for stack in stacks) == 200
     rng = np.random.default_rng(seed)
-    for report in reports:
+    for k in range(200):
         problem = random_problem(rng, int(rng.integers(1, 4)))
-        assert _report_bits(brute_force_optimum(problem, mode, 2**50)) == _report_bits(report)
+        assert _report_bits(brute_force_optimum(problem, mode, 2**50)) == _stack_row_bits(*rows[k])
+
+
+def test_random_problem_rejects_a_horizon_below_one():
+    # the tables are cut from one draw, so a horizon that no table shape can hold is refused before drawing
+    for n in (0, -1):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidModelError, match=f"n must be an integer >= 1, got {n}"):
+            random_problem(rng, n)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_deep_horizon_memory_is_bounded():

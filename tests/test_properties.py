@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from dyninfer import (
     Alphabet,
     HistoryMode,
+    HistoryStrategy,
     InvalidParams,
     MarkovStrategy,
     NotStochastic,
@@ -36,7 +37,7 @@ from dyninfer import (
     verify_lemma1,
 )
 from dyninfer import walks
-from dyninfer.oracle import _stack_reports
+from dyninfer.oracle import _history_binding, _stack_reports
 from dyninfer.reduction import bar_loss_values
 from dyninfer.solver import TIE_TOLERANCE, value_tables
 
@@ -189,20 +190,22 @@ def test_stacked_oracle_and_solver_match_each_problem(problems):
     bar = bar_loss_values(quantities, loss)
     q_star, v_star = value_tables(bar, transitions)
     for mode in HistoryMode:
-        reports = _stack_reports(first.n, spaces, mode, 10**10_000, init, transitions, quantities, loss)
-        assert len(reports) == len(problems)
-        for b, (problem, report) in enumerate(zip(problems, reports)):
+        stack = _stack_reports(first.n, spaces, mode, 10**10_000, init, transitions, quantities, loss)
+        assert stack.instances.tolist() == list(range(len(problems)))
+        assert all(table.shape[0] == len(problems) for table in stack.decisions)
+        for b, problem in enumerate(problems):
             alone = solve(problem)  # a stack of one
             assert _same_bits(bar[b], bar_loss_table(problem).values)
             assert _same_bits(q_star[b], alone.q_star) and _same_bits(v_star[b], alone.v_star)
-            assert _same_bits(report.dp_min, minimum_inference_loss(alone))
+            assert _same_bits(stack.dp_min[b], minimum_inference_loss(alone))
             brute_min, decisions = scalar_reference.brute_force(problem, mode)
-            assert _same_bits(report.brute_min, brute_min)
-            assert list(report.witness.tables) == [tuple(table[key] for key in sorted(table)) for table in decisions]
-            ((lhs, rhs),) = report.lemma1_pairs
-            expected_lhs, expected_rhs = scalar_reference.lemma1(problem, report.witness)
-            assert _same_bits(lhs, expected_lhs) and _same_bits(rhs, expected_rhs)
-            assert report.strategies_searched == strategy_count(problem, mode)
+            assert _same_bits(stack.brute_min[b], brute_min)
+            witness = [tuple(table[b].tolist()) for table in stack.decisions]
+            assert witness == [tuple(table[key] for key in sorted(table)) for table in decisions]
+            strategy = HistoryStrategy(mode, *_history_binding(problem), witness)
+            expected_lhs, expected_rhs = scalar_reference.lemma1(problem, strategy)
+            assert _same_bits(stack.lhs[b], expected_lhs) and _same_bits(stack.rhs[b], expected_rhs)
+            assert stack.strategies_searched == strategy_count(problem, mode)
 
 
 # fewer examples: each runs both walks at every block size, in both modes
@@ -217,10 +220,13 @@ def test_tiny_blocks_split_the_walks_and_keep_their_bits(problems, seed):
     )
     bar = bar_loss_values(quantities, loss)
     rng = np.random.default_rng(seed)
+    spaces = (first.x_space, first.y_space, first.yhat_space)
     for mode in HistoryMode:
         strategies = [random_history_strategy(problem, mode, rng) for problem in problems]
         decisions = [np.array([strategy.tables[i] for strategy in strategies]) for i in range(first.n)]
         expected = [scalar_reference.lemma1(problem, strategy) for problem, strategy in zip(problems, strategies)]
+        # the stacked record's pair was walked in whole blocks, on its witnesses' decisions
+        stack = _stack_reports(first.n, spaces, mode, 10**10_000, init, transitions, quantities, loss)
         for block in (1, 2, 3, 7):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(walks, "BLOCK_ENTRIES", block)
@@ -231,9 +237,12 @@ def test_tiny_blocks_split_the_walks_and_keep_their_bits(problems, seed):
                     (exact_loss_history(problem, strategy), verify_lemma1(problem, strategy))
                     for problem, strategy in zip(problems, strategies)
                 ]
+                witness_lhs = walks.loss_sums(revealed, stack.decisions, init, transitions, quantities, loss)
+                witness_rhs = walks.bar_sums(revealed, stack.decisions, init, transitions, quantities, bar)
             assert _same_bits(np.stack([lhs, rhs], axis=1), expected)
             for (loss_sum, pair), pair_expected in zip(alone, expected):
                 assert _same_bits(loss_sum, pair_expected[0]) and _same_bits(pair, pair_expected)
+            assert _same_bits(witness_lhs, stack.lhs) and _same_bits(witness_rhs, stack.rhs)
 
 
 def _tables(problem):

@@ -86,6 +86,18 @@ def test_text_writes_one_line_per_node(stock):
     assert lines[1].startswith("round 1: x=c d V*=")
 
 
+def test_text_labels_are_one_to_one():
+    # a printable label spelled like a JSON string is written as JSON too, so it does not read as the unprintable one
+    quoted, unprintable = '"a\\nb"', "a\nb"
+    lines = []
+    for label in (quoted, unprintable):
+        problem = dataclasses.replace(example_stock(1), x_space=Alphabet((label, "c")))
+        lines.append(export_trellis(solve(problem), "text").splitlines()[0])
+    assert lines[0].startswith('round 1: x="\\"a\\\\nb\\"" V*=')
+    assert lines[1].startswith('round 1: x="a\\nb" V*=')
+    assert lines[0] != lines[1]
+
+
 def test_unknown_format(stock):
     with pytest.raises(InvalidParams, match="unknown trellis format 'svg'"):
         export_trellis(solve(stock), "svg")

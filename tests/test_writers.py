@@ -1,9 +1,9 @@
-"""The round-by-round writers of ``solve``, ``evaluate`` and ``export-trellis`` against the dict-based reference.
+"""The array-fed writers of ``solve``, ``evaluate``, ``verify`` and ``export-trellis`` against the dict-based reference.
 
 Every output must be the bytes of ``writer_reference``: labels that JSON or
 DOT must escape, labels whose sorted order is not their index order, one
-label per alphabet, one round, tied estimates, both tie-break rules and an
-``--init`` override.
+label per alphabet, one round, tied estimates, both tie-break rules, an
+``--init`` override, and sweeps that leave horizons undrawn.
 """
 
 import io
@@ -19,12 +19,15 @@ from hypothesis.extra import numpy as hnp
 
 from dyninfer import (
     Alphabet,
+    HistoryMode,
     MarkovStrategy,
     TieBreakRule,
+    brute_force_optimum,
     evaluate_markov,
     minimum_inference_loss,
     problem_from_tables,
     problem_to_dict,
+    random_problem,
     solve,
     validate_problem,
 )
@@ -132,6 +135,33 @@ def test_edge_shapes_match_the_dict_reference(tmp_path, shape):
     problem = _fixed_problem(*shape)
     assert any(len(tie) > 1 for rows in solve(problem).tie_sets for tie in rows) == (len(shape[3]) > 1)
     _check_against_reference(tmp_path, problem)
+
+
+@pytest.mark.parametrize("mode", [mode.value for mode in HistoryMode])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("instances", [1, 2, 7, 40])
+def test_verify_sweep_matches_the_reference(tmp_path, mode, seed, instances):
+    # one or two instances leave some of the horizons 1..3 undrawn; replaying the draws gives each instance's problem
+    out = tmp_path / "verify.txt"
+    argv = ["verify", "--instances", str(instances), "--seed", str(seed), "--mode", mode, "--limit", str(2**50)]
+    assert run([*argv, "-o", str(out)]) == 0
+    rng = np.random.default_rng(seed)
+    problems = [random_problem(rng, int(rng.integers(1, 4))) for _ in range(instances)]
+    reports = [brute_force_optimum(problem, HistoryMode(mode), 2**50) for problem in problems]
+    assert out.read_bytes() == reference.verify_lines(reports, range(instances)).encode()
+
+
+@pytest.mark.parametrize("mode", [mode.value for mode in HistoryMode])
+def test_verify_model_matches_the_reference(tmp_path, mode):
+    # |Yhat| = 3 codes each chunk of decisions in base 3, and with |X| = 3 no round's history count is a multiple of 8
+    problem = random_problem(np.random.default_rng(4), 3, 3, 2, 3)
+    model, out = tmp_path / "model.json", tmp_path / "verify.txt"
+    model.write_text(json.dumps(problem_to_dict(problem)))
+    assert run(["verify", "-m", str(model), "--mode", mode, "--limit", str(2**256), "-o", str(out)]) == 0
+    loaded = validate_problem(json.loads(model.read_text()))
+    report = brute_force_optimum(loaded, HistoryMode(mode), 2**256)
+    assert len({ai for table in report.witness.tables for ai in table}) == 3  # every digit occurs
+    assert out.read_bytes() == reference.verify_lines([report], ["model"]).encode()
 
 
 class _Writes(io.StringIO):

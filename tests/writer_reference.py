@@ -1,12 +1,15 @@
-"""The dict-based writers of ``solve``, ``evaluate`` and ``export-trellis``, kept as the byte reference.
+"""The dict-based writers of ``solve``, ``evaluate``, ``verify`` and ``export-trellis``, kept as the byte reference.
 
 Each output is built whole: nested dicts of Python lists, rounded to 12
 significant digits by a recursive copy, then one ``json.dumps(sort_keys=True,
-indent=2)``; the trellis is one record per edge with positive probability,
-rendered with a label lookup per node id. The CLI writes the same bytes
-round by round from the result arrays; the tests compare the two.
+indent=2)`` (one ``json.dumps(sort_keys=True)`` per ``verify`` line, from one
+report per instance); the trellis is one record per edge with positive
+probability, rendered with a label lookup per node id. The CLI writes the same
+bytes round by round, or stack by stack, from the result arrays; the tests
+compare the two.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -28,6 +31,36 @@ def _canonical(obj):
 
 def dump_json(obj):
     return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
+
+
+def verify_lines(reports, instances):
+    """The ``verify`` output for one report per instance, with ``instances`` the values of the lines' ``instance``."""
+    lines = []
+    for report, instance in zip(reports, instances):
+        witness = report.witness
+        rows = []
+        for i, table in enumerate(witness.tables, start=1):
+            y_length = i - 1 if witness.mode.value == "revealed" else 0
+            histories = itertools.product(
+                itertools.product(witness.x_labels, repeat=i), itertools.product(witness.y_labels, repeat=y_length)
+            )
+            for (xs, ys), ai in zip(histories, table, strict=True):
+                rows.append({"round": i, "x_history": list(xs), "y_history": list(ys), "yhat": witness.yhat_labels[ai]})
+        payload = {
+            "brute_min": report.brute_min,
+            "dp_min": report.dp_min,
+            "gap": report.gap,
+            "instance": instance,
+            "lemma1_pairs": report.lemma1_pairs,
+            "mode": witness.mode.value,
+            "n": witness.n,
+            "strategies_searched": report.strategies_searched,
+            "witness": rows,
+        }
+        lines.append(json.dumps(_canonical(payload), sort_keys=True) + "\n")
+    verdict = "PASS" if all(abs(report.gap) <= report.gap_bound for report in reports) else "FAIL"
+    gap_max = max(abs(report.gap) for report in reports)
+    return "".join(lines) + f"{verdict} gap_max={gap_max:.3e}\n"
 
 
 def _per_round(table, *labels):
@@ -107,7 +140,7 @@ def dot_text(problem, result):
 
 
 def _text_label(label):
-    return label if label.isprintable() else json.dumps(label)
+    return label if label.isprintable() and not label.startswith('"') else json.dumps(label)
 
 
 def trellis_text(result):
