@@ -29,11 +29,9 @@ from . import examples as example_models
 from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
 from .evaluate import MarkovStrategy, evaluate_markov, simulate
 from .model import Problem, _init_row, _normalized, problem_to_dict, validate_problem
-from .oracle import (
-    DEFAULT_STRATEGY_LIMIT, HistoryMode, OracleReport, OracleStack, brute_force_optimum, random_sweep
-)
-# unused here: perfbench/tracing.py hooks this name, and every name it hooks must resolve
-from .oracle import random_problem  # noqa: F401
+from .oracle import DEFAULT_STRATEGY_LIMIT, HistoryMode, OracleStack, _problem_stack, random_sweep
+# unused here: perfbench/tracing.py hooks these names, and every name it hooks must resolve
+from .oracle import brute_force_optimum, random_problem  # noqa: F401
 from .reduction import bar_loss_table
 from .rng import check_seed
 from .solver import TieBreakRule, minimum_inference_loss, solve
@@ -343,17 +341,6 @@ def _oracle_lines(stacks: Iterable[OracleStack], instances: Sequence[str]) -> li
     return lines
 
 
-def _report_stack(report: OracleReport) -> OracleStack:
-    """``report`` as a stack of one, its row numbered 0."""
-    witness = report.witness
-    ((lhs, rhs),) = report.lemma1_pairs
-    labels = (witness.x_labels, witness.y_labels, witness.yhat_labels)
-    floats = (np.array([value]) for value in (report.brute_min, report.dp_min, report.gap_bound, lhs, rhs))
-    decisions = [np.array(table)[None] for table in witness.tables]
-    count = report.strategies_searched
-    return OracleStack(witness.mode, witness.n, *labels, count, *floats, decisions, np.zeros(1, np.intp))
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     mode = HistoryMode(args.mode)
     if args.instances is not None:
@@ -366,7 +353,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.model is None:
             raise InvalidModelError("verify needs --model or --instances")
-        stacks = [_report_stack(brute_force_optimum(_load_problem(args.model), mode, args.limit))]
+        stacks = [_problem_stack(_load_problem(args.model), mode, args.limit)]
         instances = [json.dumps("model")]
     gaps = [np.abs(stack.gap) for stack in stacks]
     gap_max = max(float(gap.max()) for gap in gaps)

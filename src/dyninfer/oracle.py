@@ -31,9 +31,10 @@ probability is masked out with ``np.where``, never multiplied by 0.0, so
 signed zeros come out as in that loop; and ``argmin`` takes the first
 minimizer. A stack's outcome is one :class:`OracleStack`: (B,) arrays of
 minima, bounds and identity pairs, and one (B, histories) array of the
-witnesses' decisions per round. A sweep keeps its stacks as they are up to
-the writer; only :func:`brute_force_optimum` reads its row of one into an
-:class:`OracleReport` with a :class:`HistoryStrategy` witness.
+witnesses' decisions per round. ``verify`` keeps its stacks as they are up
+to the writer, for a sweep and for one model (``-m``) alike; only
+:meth:`OracleStack.report` reads a row into an :class:`OracleReport` with a
+:class:`HistoryStrategy` witness, as :func:`brute_force_optimum` returns it.
 
 The identity pair of :func:`verify_lemma1` and the loss of
 :func:`exact_loss_history` come from :mod:`dyninfer.walks`: forward array
@@ -47,7 +48,7 @@ optimum also bounds the number of histories, its actual work, by the same
 limit. A third bound, ``TRAJECTORY_LIMIT``, caps the complete (x, y)
 trajectories of the identity walks, which grow as (|X|·|Y|)^n even in
 unrevealed mode, where the histories grow only as |X|^n; it is checked
-before every walk.
+before every walk, and before :func:`random_history_strategy` draws.
 """
 
 from __future__ import annotations
@@ -91,16 +92,6 @@ def _spans(nx: int, ny: int, mode: HistoryMode, i: int) -> tuple[int, int]:
     return nx**i, (ny ** (i - 1) if mode is HistoryMode.REVEALED else 1)
 
 
-def _round_histories(
-    nx: int, ny: int, mode: HistoryMode, i: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All syntactic (x-history, y-history) index pairs of round ``i``, in rank order."""
-    y_len = i - 1 if mode is HistoryMode.REVEALED else 0
-    for xs in itertools.product(range(nx), repeat=i):
-        for ys in itertools.product(range(ny), repeat=y_len):
-            yield xs, ys
-
-
 @dataclass(frozen=True, eq=False)
 class HistoryStrategy:
     """A per-round decision table over full histories.
@@ -132,13 +123,6 @@ class HistoryStrategy:
                 raise ShapeMismatch(f"round {i} decision table contains an out-of-range estimate index")
         object.__setattr__(self, "tables", tables)
 
-    def rows(self) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
-        """``(round, x-history, y-history, estimate index)`` for every history, by round, then by rank."""
-        nx, ny = len(self.x_labels), len(self.y_labels)
-        for i, table in enumerate(self.tables, start=1):
-            for (xs, ys), ai in zip(_round_histories(nx, ny, self.mode, i), table):
-                yield i, xs, ys, ai
-
 
 def _history_binding(problem: Problem) -> tuple[int, tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
     """The fields a HistoryStrategy takes from its problem, in constructor order after ``mode``."""
@@ -148,8 +132,14 @@ def _history_binding(problem: Problem) -> tuple[int, tuple[str, ...], tuple[str,
 def random_history_strategy(
     problem: Problem, mode: HistoryMode, rng: np.random.Generator
 ) -> HistoryStrategy:
-    """A history strategy whose decisions are drawn by one ``rng.integers(|Yhat|)`` per history, by round, then by rank."""
+    """A history strategy whose decisions are drawn by one ``rng.integers(|Yhat|)`` per history, by round, then by rank.
+
+    A strategy the identity walks would refuse, with more than
+    ``TRAJECTORY_LIMIT`` trajectories, raises SearchSpaceTooLarge before the
+    first draw, so the refusal is quick and leaves ``rng`` as it was.
+    """
     nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
+    _checked_count("trajectories", TRAJECTORY_LIMIT, nx * ny, problem.n)
     tables = tuple(
         tuple(int(rng.integers(na)) for _ in range(math.prod(_spans(nx, ny, mode, i))))
         for i in range(1, problem.n + 1)
@@ -281,20 +271,26 @@ def verify_lemma1(problem: Problem, strategy: HistoryStrategy) -> tuple[float, f
 
 @dataclass(frozen=True, eq=False)
 class OracleReport:
-    """Outcome of one brute-force-vs-solver comparison.
+    """Outcome of one brute-force-vs-solver comparison: one row of an :class:`OracleStack`.
 
     ``gap_bound`` is ``GAP_RTOL · n · max|loss|`` of the compared problem:
     the comparison passes when ``|gap| <= gap_bound``, so a gap of exactly 0
     always passes, and the verdict does not change when the loss is scaled.
+    ``lhs`` and ``rhs`` are the witness's sides of the loss-marginalization
+    identity (see :func:`verify_lemma1`).
     """
 
     brute_min: float
     dp_min: float
-    gap: float
+    gap_bound: float
+    lhs: float
+    rhs: float
     witness: HistoryStrategy
     strategies_searched: int
-    lemma1_pairs: tuple[tuple[float, float], ...]
-    gap_bound: float
+
+    @property
+    def gap(self) -> float:
+        return self.brute_min - self.dp_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,6 +322,13 @@ class OracleStack:
     def gap(self) -> np.ndarray:
         return self.brute_min - self.dp_min
 
+    def report(self, b: int) -> OracleReport:
+        """Row ``b`` as an :class:`OracleReport`, its witness a :class:`HistoryStrategy`."""
+        labels = (self.x_labels, self.y_labels, self.yhat_labels)
+        witness = HistoryStrategy(self.mode, self.n, *labels, tuple(table[b].tolist() for table in self.decisions))
+        floats = (float(column[b]) for column in (self.brute_min, self.dp_min, self.gap_bound, self.lhs, self.rhs))
+        return OracleReport(*floats, witness, self.strategies_searched)
+
 
 def brute_force_optimum(
     problem: Problem, mode: HistoryMode, limit: int = DEFAULT_STRATEGY_LIMIT
@@ -337,9 +340,10 @@ def brute_force_optimum(
     function space as enumerating every individual strategy (the enumeration
     view is cross-checked in the test suite on instances small enough to
     enumerate literally). Decisions at ties go to the smallest estimate
-    index, so the witness is the lexicographically first minimizer. ``lemma1_pairs`` holds the loss-marginalization pair for
-    the witness. The problem is solved as a stack of one (see the module
-    docstring); values are kept, by rank, for two adjacent rounds only.
+    index, so the witness is the lexicographically first minimizer.
+    ``lhs`` and ``rhs`` hold the loss-marginalization pair for the witness.
+    The report is row 0 of :func:`_problem_stack`; values are kept, by rank,
+    for two adjacent rounds only.
 
     Raises SearchSpaceTooLarge when the strategy space, or the number of
     histories (which bounds the work, and exceeds the strategy count only
@@ -347,13 +351,14 @@ def brute_force_optimum(
     identity pair's walk would visit more than ``TRAJECTORY_LIMIT``
     trajectories.
     """
+    return _problem_stack(problem, mode, limit).report(0)
+
+
+def _problem_stack(problem: Problem, mode: HistoryMode, limit: int) -> OracleStack:
+    """:func:`brute_force_optimum`'s comparison for ``problem`` as a stack of one, its row numbered 0."""
     spaces = (problem.x_space, problem.y_space, problem.yhat_space)
     stack = (problem.init, problem.transitions, problem.quantities, problem.loss)
-    one = _stack_reports(problem.n, spaces, mode, limit, *(table[None] for table in stack))
-    witness = HistoryStrategy(mode, *_history_binding(problem), tuple(table[0].tolist() for table in one.decisions))
-    columns = (one.brute_min, one.dp_min, one.gap_bound, one.lhs, one.rhs)
-    brute, dp, bound, lhs, rhs = (float(column[0]) for column in columns)
-    return OracleReport(brute, dp, brute - dp, witness, one.strategies_searched, ((lhs, rhs),), bound)
+    return _stack_reports(problem.n, spaces, mode, limit, *(table[None] for table in stack))
 
 
 def _history_optimum(

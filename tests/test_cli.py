@@ -229,10 +229,12 @@ def test_verify_sweep_bytes_are_pinned(tmp_path, mode):
 
 
 def test_verify_sweep_builds_no_report_or_strategy(tmp_path, monkeypatch):
-    # the sweep's stacks go to the writer as arrays: no per-instance object is made on the way
+    # the stacks of a sweep and of one model go to the writer as arrays: no per-instance object is made on the way
     def refuse(*args, **kwargs):
         raise AssertionError("a per-instance object was built")
 
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(problem_to_dict(random_problem(np.random.default_rng(0), 3, 3, 2, 2))))
     monkeypatch.setattr(oracle, "HistoryStrategy", refuse)
     monkeypatch.setattr(oracle, "OracleReport", refuse)
     for mode in ("revealed", "unrevealed"):
@@ -240,6 +242,8 @@ def test_verify_sweep_builds_no_report_or_strategy(tmp_path, monkeypatch):
         argv = ["verify", "--instances", "40", "--seed", "5", "--limit", str(2**50), "--mode", mode]
         assert run([*argv, "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SWEEP_SHA256[mode]
+        assert run(["verify", "-m", str(model), "--mode", mode, "--limit", str(2**129), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_MIXED_RADIX_SHA256[mode]
 
 
 # sha256 of `verify --instances 1000 --limit 2**50` per (mode, seed), recorded before the

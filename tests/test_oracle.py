@@ -199,12 +199,18 @@ def test_trajectory_count_bounds_the_identity_walk():
         checked_shape_space(12, 2, 2, 1, HistoryMode.UNREVEALED, 10**6)
     # the public walks are bounded too: 40 unrevealed histories, one per round, but 2^40 trajectories
     problem = random_problem(np.random.default_rng(0), 40, 1, 2, 2)
-    strategy = random_history_strategy(problem, HistoryMode.UNREVEALED, np.random.default_rng(1))
+    strategy = HistoryStrategy(HistoryMode.UNREVEALED, 40, ("0",), ("0", "1"), ("0", "1"), [(1,)] * 40)
     start = time.perf_counter()
     for walk in (exact_loss_history, verify_lemma1):
         with pytest.raises(SearchSpaceTooLarge, match=r"^1099511627776 trajectories exceed the limit of 10000000$"):
             walk(problem, strategy)
     assert time.perf_counter() - start < 2.0
+    # and a random strategy the walks would refuse is refused before its first draw
+    rng = np.random.default_rng(1)
+    for mode in BOTH_MODES:
+        with pytest.raises(SearchSpaceTooLarge, match=r"^1099511627776 trajectories exceed the limit of 10000000$"):
+            random_history_strategy(problem, mode, rng)
+    assert rng.random() == np.random.default_rng(1).random()
 
 
 def test_history_count_closed_form_equals_the_summed_definition():
@@ -303,33 +309,12 @@ def test_truncated_model_matches_v_star():
         assert report.dp_min == pytest.approx(minimum_inference_loss(result), abs=1e-12)
 
 
-def test_witness_rows_come_in_rank_order():
-    # |X| = 3 and |Y| = 2, so a mix-up of the two radices would show
-    problem = random_problem(np.random.default_rng(0), 3, 3, 2, 2)
-    for mode in BOTH_MODES:
-        witness = brute_force_optimum(problem, mode, limit=2**129).witness
-        rows = list(witness.rows())
-        assert len(rows) == history_count(problem, mode)
-        assert rows == sorted(rows)  # by round, then lexicographically by history
-        for i, xs, ys, ai in rows:
-            assert len(xs) == i and len(ys) == (i - 1 if mode is HistoryMode.REVEALED else 0)
-            assert decision(witness, i, xs, ys) == ai
-
-
 def _report_bits(report):
     """Every number of a report as float hex strings, its witness decisions, and what the witness is shaped for."""
-    floats = (report.brute_min, report.dp_min, report.gap, *itertools.chain(*report.lemma1_pairs), report.gap_bound)
+    floats = (report.brute_min, report.dp_min, report.gap, report.lhs, report.rhs, report.gap_bound)
     witness = report.witness
     shape = (witness.mode, witness.n, witness.x_labels, witness.y_labels, witness.yhat_labels)
     return [value.hex() for value in floats], witness.tables, report.strategies_searched, shape
-
-
-def _stack_row_bits(stack, b):
-    """``_report_bits`` of row ``b`` of a stacked record, read from its arrays."""
-    floats = (stack.brute_min, stack.dp_min, stack.gap, stack.lhs, stack.rhs, stack.gap_bound)
-    tables = tuple(tuple(table[b].tolist()) for table in stack.decisions)
-    shape = (stack.mode, stack.n, stack.x_labels, stack.y_labels, stack.yhat_labels)
-    return [float(column[b]).hex() for column in floats], tables, stack.strategies_searched, shape
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -343,7 +328,8 @@ def test_sweep_reports_are_those_of_each_replayed_random_problem(seed, mode):
     rng = np.random.default_rng(seed)
     for k in range(200):
         problem = random_problem(rng, int(rng.integers(1, 4)))
-        assert _report_bits(brute_force_optimum(problem, mode, 2**50)) == _stack_row_bits(*rows[k])
+        stack, b = rows[k]
+        assert _report_bits(brute_force_optimum(problem, mode, 2**50)) == _report_bits(stack.report(b))
 
 
 def test_random_problem_rejects_a_horizon_below_one():
@@ -437,8 +423,7 @@ def test_report_identity_pairs_hold():
     rng = np.random.default_rng(55)
     problem = random_problem(rng, 2)
     report = brute_force_optimum(problem, HistoryMode.REVEALED, limit=2 ** 50)
-    for lhs, rhs in report.lemma1_pairs:
-        assert abs(lhs - rhs) <= 1e-12
+    assert abs(report.lhs - report.rhs) <= 1e-12
 
 
 # ---- markov enumeration ----

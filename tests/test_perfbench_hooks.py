@@ -1,5 +1,6 @@
 """The benchmark's tracer patches dyninfer by name; every name it hooks must still exist."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -11,7 +12,8 @@ import pytest
 from dyninfer import HistoryMode, example_stock, random_problem, solve
 from dyninfer.oracle import history_count
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 # hooks on the myopic-estimate functions that bar_loss_table absorbed, and on
 # build_trellis, whose document the trellis renderers no longer build (the
@@ -42,6 +44,20 @@ def test_every_hook_target_resolves(monkeypatch):
         if not hasattr(importlib.import_module(module), attribute)
     }
     assert missing <= STALE_HOOKS
+
+
+def test_every_exempt_import_is_a_hook_target(monkeypatch):
+    # tests/test_imports.py exempts a `# noqa: F401` import; only a name the tracer hooks may keep one
+    hooked = {(module, attribute) for module, attribute, _, _ in _load_tracing(monkeypatch).HOOKS}
+    exempt = set()
+    for path in sorted((ROOT / "src" / "dyninfer").glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        module = "dyninfer" if path.stem == "__init__" else f"dyninfer.{path.stem}"
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = (alias.asname or alias.name for alias in node.names if "# noqa: F401" in lines[alias.lineno - 1])
+                exempt.update((module, name) for name in names)
+    assert exempt and exempt <= hooked
 
 
 def test_history_counts_hook_reads_a_real_brute_force_call(monkeypatch):

@@ -4,7 +4,9 @@ The kernels are checked on single problems and on stacks of problems of one shap
 """
 
 import dataclasses
+from fractions import Fraction
 
+import exact_reference
 import numpy as np
 import pytest
 import scalar_reference
@@ -163,7 +165,7 @@ def test_oracle_matches_scalar_reference(problem, seed):
         assert abs(report.gap) <= report.gap_bound
         # the reference keys each round's decisions by history tuple; sorted keys are rank order
         assert list(report.witness.tables) == [tuple(table[key] for key in sorted(table)) for table in decisions]
-        assert _same_bits(report.lemma1_pairs, (scalar_reference.lemma1(problem, report.witness),))
+        assert _same_bits((report.lhs, report.rhs), scalar_reference.lemma1(problem, report.witness))
         drawn = random_history_strategy(problem, mode, np.random.default_rng(seed))
         assert _same_bits(exact_loss_history(problem, drawn), scalar_reference.exact_loss_history(problem, drawn))
         assert _same_bits(verify_lemma1(problem, drawn), scalar_reference.lemma1(problem, drawn))
@@ -402,6 +404,36 @@ def test_brute_force_equals_the_solver_on_transformed_problems(problem, data):
             report = brute_force_optimum(transformed, mode, limit=10**10_000)  # no limit
             assert _same_bits(report.dp_min, dp_min)
             assert abs(report.gap) <= report.gap_bound
+
+
+# a loss scale of 2^k multiplies exactly, and even the smallest keeps every product far from
+# underflow, which the bounds of exact_reference assume; few examples, as fractions are slow
+EXACT_SETTINGS = settings(max_examples=30, deadline=None)
+LOSS_SCALES = st.integers(-60, 60).map(lambda k: 2.0**k)
+
+
+def _scaled(problem, scale):
+    init, transitions, quantities, loss = _tables(problem)
+    return problem_from_tables(problem.n, *_spaces(problem), init, transitions, quantities, loss * scale)
+
+
+@EXACT_SETTINGS
+@given(problems(), LOSS_SCALES)
+def test_q_star_is_within_its_bound_of_the_exact_q(problem, scale):
+    problem = _scaled(problem, scale)
+    error = np.abs(exact_reference.exact(solve(problem).q_star) - exact_reference.solve(problem)[0])
+    assert (error.max(axis=(1, 2)) <= exact_reference.q_star_bound(problem)).all()
+
+
+@EXACT_SETTINGS
+@given(SMALL_PROBLEMS, LOSS_SCALES)
+def test_both_minima_are_within_their_bound_of_the_exact_j(problem, scale):
+    problem = _scaled(problem, scale)
+    j_star, bound = exact_reference.minimum_loss(problem), exact_reference.minimum_bound(problem)
+    for mode in HistoryMode:
+        report = brute_force_optimum(problem, mode, limit=10**10_000)  # no limit
+        assert abs(Fraction(report.brute_min) - j_star) <= bound
+        assert abs(Fraction(report.dp_min) - j_star) <= bound
 
 
 @SETTINGS

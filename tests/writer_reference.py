@@ -51,7 +51,7 @@ def verify_lines(reports, instances):
             "dp_min": report.dp_min,
             "gap": report.gap,
             "instance": instance,
-            "lemma1_pairs": report.lemma1_pairs,
+            "lemma1_pairs": [[report.lhs, report.rhs]],
             "mode": witness.mode.value,
             "n": witness.n,
             "strategies_searched": report.strategies_searched,
