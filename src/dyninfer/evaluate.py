@@ -9,6 +9,7 @@ function of (problem, strategy, rollouts, seed) regardless of scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -164,6 +165,59 @@ def _draw(table: np.ndarray, width: int, rows: np.ndarray, u: np.ndarray) -> np.
     return pos
 
 
+def _guide_table(table: np.ndarray, width: int) -> np.ndarray:
+    """An exact guide to a search table (Chen and Asau's indexed search), flattened.
+
+    Table row ``r`` gets ``K = 2 * width`` buckets; bucket ``b`` covers the
+    uniforms in ``[b / K, (b + 1) / K)``. ``guide[r * K + b]`` is the draw of
+    every uniform in the bucket, the count of the row's entries ``<= b / K``,
+    unless an entry lies strictly inside ``(b / K, (b + 1) / K)``: then the
+    draw depends on the uniform and the entry is -1. Scaling by the power of
+    two ``K`` is exact, so ``e <= b / K`` is ``ceil(e * K) <= b``. The guide
+    holds two 8-byte entries per table entry, twice the table's bytes.
+    """
+    buckets = 2 * width
+    scaled = table.reshape(-1, width) * buckets
+    lows = np.floor(scaled)
+    # row r's histogram of min(ceil(e * K), K) over its entries e; its running sums are the counts
+    keys = np.minimum(np.ceil(scaled), buckets).astype(np.intp)
+    keys += np.arange(len(scaled))[:, None] * (buckets + 1)
+    counts = np.bincount(keys.reshape(-1), minlength=len(scaled) * (buckets + 1)).reshape(-1, buckets + 1)
+    np.cumsum(counts, axis=1, out=counts)
+    rows, entries = np.nonzero((lows < scaled) & (scaled < buckets))
+    counts[rows, lows[rows, entries].astype(np.intp)] = -1
+    # the slice is not contiguous, so reshape copies it, marks included
+    return counts[:, :buckets].reshape(-1)
+
+
+def _guided_draw(table: np.ndarray, width: int, guide: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The draws of :func:`_draw`, read from the guide where a bucket decides them.
+
+    A uniform ``u = k * 2**-53`` falls in bucket ``floor(u * K)``, exactly;
+    only the draws whose bucket is marked -1 go to :func:`_draw`.
+    """
+    buckets = 2 * width
+    draws = (u * buckets).astype(np.intp)
+    draws += rows * buckets
+    draws = guide[draws]
+    misses = np.flatnonzero(draws < 0)
+    if misses.size:
+        draws[misses] = _draw(table, width, rows[misses], u[misses])
+    return draws
+
+
+def _sampler(rows: np.ndarray):
+    """The inverse-CDF draw ``(table rows, uniforms) -> label indices`` for the probability rows ``rows``.
+
+    Rows of 4 or more labels (a search table of width 4 or more) draw
+    through a guide; shorter rows' binary search reads at most 2 entries.
+    """
+    table, width = _search_table(rows)
+    if width < 4:
+        return functools.partial(_draw, table, width)
+    return functools.partial(_guided_draw, table, width, _guide_table(table, width))
+
+
 def _in_blocks(values: np.ndarray, rows: int):
     """The entries of ``values`` as Python floats in index order, one block of ``rows`` at a time."""
     for start in range(0, len(values), rows):
@@ -178,11 +232,9 @@ def _rollout_losses(problem: Problem, strategy: MarkovStrategy, rollouts: int, s
     tile_draws = max(1, BLOCK_DRAWS // tile_rollouts)
     choices = strategy.choices
     # one table row per (round, observation), holding the strategy's own transition rows and losses
-    init_table, init_width = _search_table(problem.init)
-    quantity_table, quantity_width = _search_table(problem.quantities)
-    transition_table, transition_width = _search_table(
-        np.take_along_axis(problem.transitions, choices[:-1, :, None, None], axis=2)[:, :, 0]
-    )
+    draw_init = _sampler(problem.init)
+    draw_quantity = _sampler(problem.quantities)
+    draw_transition = _sampler(np.take_along_axis(problem.transitions, choices[:-1, :, None, None], axis=2)[:, :, 0])
     chosen_loss = problem.loss.transpose(2, 0, 1)[choices, np.arange(nx)].reshape(-1)
 
     losses = np.zeros(rollouts)
@@ -194,13 +246,13 @@ def _rollout_losses(problem: Problem, strategy: MarkovStrategy, rollouts: int, s
             columns = uniform_matrix(seed, stop - start, draws, start, first, 2 * n).T
             for t, u in enumerate(columns, first):
                 if t == 0:  # the initial observation
-                    xs = _draw(init_table, init_width, np.zeros(stop - start, dtype=np.intp), u)
+                    xs = draw_init(np.zeros(stop - start, dtype=np.intp), u)
                 elif t % 2:  # the quantity of round t // 2, and its loss
                     rows = xs + (t // 2) * nx
-                    ys = _draw(quantity_table, quantity_width, rows, u)
+                    ys = draw_quantity(rows, u)
                     tile_losses += chosen_loss[rows * ny + ys]
                 else:  # the next observation, after the estimate chosen at ``rows``
-                    xs = _draw(transition_table, transition_width, rows, u)
+                    xs = draw_transition(rows, u)
     return losses
 
 
@@ -211,16 +263,18 @@ def simulate(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: in
     for ``seed`` (see :mod:`dyninfer.rng`), with ``2 n`` draws per rollout in
     the order: initial observation, then per round the quantity and (except
     in the final round) the next observation. Categorical draws invert the
-    row CDF in label-index order. The mean is accumulated over rollouts in
-    index order once all rollouts are complete, so the result does not depend
-    on how the rollouts were scheduled.
+    row CDF in label-index order, through an exact guide table for rows of
+    4 or more labels (see :func:`_guide_table`). The mean is accumulated
+    over rollouts in index order once all rollouts are complete, so the
+    result does not depend on how the rollouts were scheduled.
 
     The draws are made in tiles of ``R = min(rollouts, BLOCK_DRAWS)``
     rollouts by ``max(1, BLOCK_DRAWS // R)`` consecutive draws, so a tile
     holds at most ``BLOCK_DRAWS`` draws. Each draw is one array step over
     the tile's rollouts, whether the tiles split the rollouts, the rounds
     or both. Memory is 8 bytes per rollout (its loss) plus one tile of
-    draws, and the result is bit-identical to drawing every rollout at once.
+    draws and the strategy's search tables, each guide at most twice its
+    table, and the result is bit-identical to drawing every rollout at once.
     """
     _check_strategy(problem, strategy)
     if isinstance(rollouts, bool) or not isinstance(rollouts, int) or rollouts < 1:
@@ -230,9 +284,15 @@ def simulate(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: in
     check_seed(seed)
     losses = _rollout_losses(problem, strategy, rollouts, seed)
 
+    # the running sums of [total, *block] are the left-to-right adds of a loop over the losses
     total = 0.0
-    for value in _in_blocks(losses, BLOCK_DRAWS):
-        total += value
+    sums = np.empty(min(rollouts, BLOCK_DRAWS) + 1)
+    with np.errstate(over="ignore"):  # a sum past the float64 range is inf, refused below
+        for start in range(0, rollouts, BLOCK_DRAWS):
+            block = sums[: min(BLOCK_DRAWS, rollouts - start) + 1]
+            block[0] = total
+            block[1:] = losses[start : start + BLOCK_DRAWS]
+            total = float(np.add.accumulate(block, out=block)[-1])
     mean = total / rollouts
     variance = 0.0
     if rollouts > 1:

@@ -132,7 +132,10 @@ def _history_binding(problem: Problem) -> tuple[int, tuple[str, ...], tuple[str,
 def random_history_strategy(
     problem: Problem, mode: HistoryMode, rng: np.random.Generator
 ) -> HistoryStrategy:
-    """A history strategy whose decisions are drawn by one ``rng.integers(|Yhat|)`` per history, by round, then by rank.
+    """A history strategy whose decisions are drawn by one ``rng.integers(|Yhat|, size=histories)`` per round.
+
+    The draws are those of one ``rng.integers(|Yhat|)`` per history, by
+    round, then by rank, and leave ``rng`` in the same state.
 
     A strategy the identity walks would refuse, with more than
     ``TRAJECTORY_LIMIT`` trajectories, raises SearchSpaceTooLarge before the
@@ -141,8 +144,7 @@ def random_history_strategy(
     nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
     _checked_count("trajectories", TRAJECTORY_LIMIT, nx * ny, problem.n)
     tables = tuple(
-        tuple(int(rng.integers(na)) for _ in range(math.prod(_spans(nx, ny, mode, i))))
-        for i in range(1, problem.n + 1)
+        tuple(rng.integers(na, size=math.prod(_spans(nx, ny, mode, i))).tolist()) for i in range(1, problem.n + 1)
     )
     return HistoryStrategy(mode, *_history_binding(problem), tables)
 

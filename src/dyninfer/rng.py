@@ -33,13 +33,22 @@ def check_seed(seed: int) -> None:
 def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) at the given counter positions of the seed's stream.
 
-    Each output has the full 53 bits of double-precision resolution. The
-    SplitMix64 finalizer runs in place on one array of states, with one
-    scratch array for the shifted copies that then holds the output.
+    Each output has the full 53 bits of double-precision resolution. This is
+    the reference form of the stream: one state ``seed + (t + 1) * GAMMA``
+    per counter ``t``, finalized by :func:`_uniforms_from_states`.
     """
     z = np.asarray(counters, dtype=np.uint64) + np.uint64(1)
     z *= _GAMMA
     z += np.uint64(seed & _MASK64)
+    return _uniforms_from_states(z)
+
+
+def _uniforms_from_states(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of each state in ``z``, as a uniform in [0, 1).
+
+    The finalizer runs in place on ``z``, with one scratch array for the
+    shifted copies that then holds the output.
+    """
     shifted = np.empty_like(z)
     for shift, mult in ((30, _MULT1), (27, _MULT2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=shifted)
@@ -47,10 +56,7 @@ def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
         if mult is not None:
             z *= mult
     z >>= np.uint64(11)
-    uniforms = shifted.view(np.float64)
-    uniforms[...] = z
-    uniforms *= 2.0**-53
-    return uniforms
+    return np.multiply(z, 2.0**-53, out=shifted.view(np.float64))
 
 
 def uniform_matrix(
@@ -69,11 +75,18 @@ def uniform_matrix(
     and consecutive draws therefore matches the same tile of a single call
     over every stream and draw. The matrix is a transposed view of a
     draw-major array, so each draw's column over the streams is contiguous.
+
+    Draw ``t`` of stream ``s`` has state ``seed + (t + 1) * GAMMA + s * d *
+    GAMMA`` (mod 2**64), the state :func:`counter_uniforms` gives counter
+    ``t + s * d``, so the tile's states are one outer sum of a per-draw and
+    a per-stream vector.
     """
     if draws_per_stream is None:
         draws_per_stream = draws
-    stream_starts = np.arange(first_stream, first_stream + streams, dtype=np.uint64)
-    stream_starts *= np.uint64(draws_per_stream)
-    offsets = np.arange(first_draw, first_draw + draws, dtype=np.uint64)
-    counters = np.add.outer(offsets, stream_starts)
-    return counter_uniforms(seed, counters).T
+    # uint64 array arithmetic wraps mod 2**64; the scalar factors are reduced in Python
+    draw_states = np.arange(first_draw + 1, first_draw + draws + 1, dtype=np.uint64)
+    draw_states *= _GAMMA
+    draw_states += np.uint64(seed & _MASK64)
+    stream_offsets = np.arange(first_stream, first_stream + streams, dtype=np.uint64)
+    stream_offsets *= np.uint64(draws_per_stream * int(_GAMMA) & _MASK64)
+    return _uniforms_from_states(np.add.outer(draw_states, stream_offsets)).T

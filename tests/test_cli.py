@@ -644,6 +644,13 @@ def test_losses_that_overflow_a_sum_are_domain_errors(tmp_path, capsys):
     assert run(["example", "yield", "--beta", "1e308", "-o", str(tmp_path / "yield.json")]) == 0
 
 
+def test_a_mean_past_the_float64_range_is_one_error_line(tmp_path, capsys):
+    # each rollout's loss is at most 3e307, but the sum of 100 of them is not finite
+    model, strategy = _stock_with_losses(tmp_path, 1e307)
+    assert run(["simulate", "-m", str(model), "-s", str(strategy), "--rollouts", "100"]) == 1
+    assert _single_error_line(capsys)["error"] == "InvalidParams"
+
+
 def test_sizes_past_the_array_index_range_are_domain_errors(tmp_path, capsys, stock_model, strategy_file):
     doc = json.loads(stock_model.read_text())
     doc["n"] = 2**70

@@ -404,6 +404,28 @@ def test_random_history_strategy_draws_are_pinned():
     assert drawn == [revealed, ((1, 1), (1, 1, 1, 1))]
 
 
+@pytest.mark.parametrize("nyhat", [1, 2, 3, 5])
+def test_random_history_strategy_is_one_scalar_draw_per_history(nyhat):
+    # one rng.integers(|Yhat|) per history, by round, then by rank, and the rng state they leave
+    problem = random_problem(np.random.default_rng(nyhat), 3, 3, 2, nyhat)
+    for mode in BOTH_MODES:
+        drawn, scalar = np.random.default_rng(7), np.random.default_rng(7)
+        tables = random_history_strategy(problem, mode, drawn).tables
+        spans = [3**i * (2 ** (i - 1) if mode is HistoryMode.REVEALED else 1) for i in (1, 2, 3)]
+        assert tables == tuple(tuple(int(scalar.integers(nyhat)) for _ in range(span)) for span in spans)
+        assert drawn.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("nyhat", [1, 2, 3, 5, 7, 12, 255, 256, 65537, 2**31 + 1, 2**32, 2**32 + 1])
+def test_a_round_of_draws_is_the_scalar_draws(nyhat):
+    # random_history_strategy draws a round as rng.integers(|Yhat|, size=span); numpy's bounded draws
+    # switch from 32-bit to 64-bit words past 2**32, where no alphabet fits in memory
+    for span in (1, 2, 7, 1000):
+        batch, scalar = np.random.default_rng(span), np.random.default_rng(span)
+        assert batch.integers(nyhat, size=span).tolist() == [int(scalar.integers(nyhat)) for _ in range(span)]
+        assert batch.bit_generator.state == scalar.bit_generator.state
+
+
 def test_marginalization_identity_with_y_dependent_strategy():
     problem = example_section33(2)
 

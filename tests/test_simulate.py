@@ -143,6 +143,29 @@ def test_uniform_source_is_platform_independent():
         assert np.array_equal(tile, whole[first : first + streams, first_draw : first_draw + draws])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    streams=st.integers(1, 6),
+    draws=st.integers(1, 6),
+    first_stream=st.one_of(st.integers(0, 50), st.integers(0, 2**62)),
+    first_draw=st.integers(0, 40),
+    draws_per_stream=st.one_of(st.none(), st.integers(1, 50), st.integers(1, 2**62)),
+)
+@example(seed=2**64 - 1, streams=3, draws=2, first_stream=2**40, first_draw=5, draws_per_stream=2**30)
+@example(seed=0, streams=1, draws=1, first_stream=2**62, first_draw=0, draws_per_stream=2**62)
+def test_uniform_matrix_is_the_counter_stream(seed, streams, draws, first_stream, first_draw, draws_per_stream):
+    # entry [k, t] is counter (first_draw + t) + (first_stream + k) * d of the reference stream, with the
+    # counters formed in Python integers mod 2**64 (first_stream * d may pass 2**64)
+    d = draws if draws_per_stream is None else draws_per_stream
+    counters = [
+        [(first_draw + t + (first_stream + k) * d) % 2**64 for t in range(draws)] for k in range(streams)
+    ]
+    expected = counter_uniforms(seed, np.array(counters, dtype=np.uint64))
+    tile = uniform_matrix(seed, streams, draws, first_stream, first_draw, draws_per_stream)
+    assert tile.tobytes(order="C") == expected.tobytes()
+
+
 def _random_case(seed, n, nx, ny, nyhat):
     rng = np.random.default_rng(seed)
     problem = random_problem(rng, n, nx, ny, nyhat)
@@ -249,19 +272,31 @@ def test_memory_is_one_loss_per_rollout_plus_a_block():
     assert peak < 8 * rollouts + 24 * 2**20
 
 
-# zero steps repeat a running sum, 0.7 and 1.0 push it past 1.0 before the pinned end, and 5e-324 is subnormal
-ENTRIES = st.one_of(st.sampled_from([0.0, 5e-324, 2.5e-310, 1e-300, 0.1, 1 / 3, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0))
+# zero steps repeat a running sum, 0.7 and 1.0 push it past 1.0 before the pinned end, 5e-324 is subnormal,
+# and multiples of 1/64 put running sums on and between the guide's bucket edges b / K (K <= 32 here)
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.5e-310, 1e-300, 0.1, 1 / 3, 0.5, 0.7, 1.0]),
+    st.integers(0, 64).map(lambda k: k / 64),
+    st.floats(0.0, 1.0),
+)
 
 
 @st.composite
 def rows_and_uniforms(draw):
-    """1 to 3 rows of 1 to 17 non-negative entries, and uniforms at, just below and just above each running sum."""
+    """1 to 3 rows of 1 to 17 non-negative entries, and uniforms at, just below and just above each running sum.
+
+    The uniforms also hold each guide bucket's edge ``b / K`` and its two
+    neighbours, for the ``K`` of the rows' search table.
+    """
     width = draw(st.integers(1, 17))
     rows = draw(hnp.arrays(np.float64, (draw(st.integers(1, 3)), width), elements=ENTRIES))
     sums = scalar_reference.row_cdfs(rows).ravel()
+    buckets = 2 * evaluate_module._search_table(rows)[1]
+    edges = np.arange(buckets) / buckets
     free = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
     ends = [0.0, np.nextafter(1.0, 0.0)]
-    points = np.concatenate([sums, np.nextafter(sums, 0.0), np.nextafter(sums, 1.0), ends, free])
+    near = np.concatenate([sums, edges])
+    points = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, 1.0), ends, free])
     return rows, np.unique(points[(points >= 0.0) & (points < 1.0)])
 
 
@@ -277,6 +312,11 @@ def test_binary_search_draws_what_the_row_gather_draws(case):
     u = np.tile(uniforms, len(rows))
     expected = scalar_reference.sample(scalar_reference.row_cdfs(rows)[row_index], u)
     assert evaluate_module._draw(table, width, row_index, u).tolist() == expected.tolist()
+    # the guide decides the draw of each uniform in an unmarked bucket, and sends the rest to _draw
+    guide = evaluate_module._guide_table(table, width)
+    assert guide.nbytes == 2 * table.nbytes
+    assert evaluate_module._guided_draw(table, width, guide, row_index, u).tolist() == expected.tolist()
+    assert evaluate_module._sampler(rows)(row_index, u).tolist() == expected.tolist()
 
 
 def test_long_horizon_tables_hold_only_the_strategy_rows(monkeypatch):
