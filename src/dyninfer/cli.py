@@ -29,6 +29,7 @@ from . import examples as example_models
 from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
 from .evaluate import MarkovStrategy, evaluate_markov, simulate
 from .model import Problem, _init_row, _normalized, problem_to_dict, validate_problem
+from .model import _number as _model_number  # cli._number is the JSON number writer
 from .oracle import DEFAULT_STRATEGY_LIMIT, HistoryMode, OracleStack, _problem_stack, random_sweep
 # unused here: perfbench/tracing.py hooks these names, and every name it hooks must resolve
 from .oracle import brute_force_optimum, random_problem  # noqa: F401
@@ -204,13 +205,7 @@ def _with_init(problem: Problem, text: str) -> Problem:
         doc = {text: 1.0}
     probs = np.zeros(len(problem.x_space))
     for label, value in doc.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidModelError(f"--init: probability for {label!r} must be a number")
-        index = problem.x_space.index(label)
-        try:
-            probs[index] = float(value)
-        except OverflowError:
-            raise InvalidModelError(f"--init: probability for {label!r} is an integer too large for a float64") from None
+        probs[problem.x_space.index(label)] = _model_number(value, f"--init: probability for {label!r}")
     return dataclasses.replace(problem, init=_normalized(probs, _init_row))
 
 

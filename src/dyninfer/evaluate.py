@@ -126,6 +126,8 @@ def evaluate_markov(problem: Problem, strategy: MarkovStrategy) -> EvalResult:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
+    """The sample mean and sample variance (0.0 for one rollout) of ``rollouts`` seeded rollouts' accumulated losses."""
+
     mean: float
     variance: float
     rollouts: int
@@ -218,12 +220,6 @@ def _sampler(rows: np.ndarray):
     return functools.partial(_guided_draw, table, width, _guide_table(table, width))
 
 
-def _in_blocks(values: np.ndarray, rows: int):
-    """The entries of ``values`` as Python floats in index order, one block of ``rows`` at a time."""
-    for start in range(0, len(values), rows):
-        yield from values[start : start + rows].tolist()
-
-
 def _rollout_losses(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: int) -> np.ndarray:
     """The accumulated loss of each rollout, in rollout order, drawn tile by tile as :func:`simulate` describes."""
     n = problem.n
@@ -256,6 +252,27 @@ def _rollout_losses(problem: Problem, strategy: MarkovStrategy, rollouts: int, s
     return losses
 
 
+def _ordered_sum(values: np.ndarray, mean: float | None = None) -> float:
+    """``0.0 + values[0] + values[1] + ...`` in index order, or the same sum of ``(values[k] - mean) ** 2``.
+
+    Each square is C ``pow(d, 2)``, as Python's ``d ** 2`` is. A sum or a
+    square past the float64 range is inf.
+    """
+    total = 0.0
+    buffer = np.empty(min(len(values), BLOCK_DRAWS) + 1)
+    with np.errstate(over="ignore"):
+        for start in range(0, len(values), BLOCK_DRAWS):
+            # the running sums of [total, *terms] are the left-to-right adds of a loop over the terms
+            block = buffer[: min(BLOCK_DRAWS, len(values) - start) + 1]
+            block[0] = total
+            terms = block[1:]
+            terms[:] = values[start : start + BLOCK_DRAWS]
+            if mean is not None:
+                np.float_power(np.subtract(terms, mean, out=terms), 2.0, out=terms)
+            total = float(np.add.accumulate(block, out=block)[-1])
+    return total
+
+
 def simulate(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: int) -> SimulationResult:
     """Seeded Monte Carlo rollouts of the estimation process.
 
@@ -264,9 +281,10 @@ def simulate(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: in
     the order: initial observation, then per round the quantity and (except
     in the final round) the next observation. Categorical draws invert the
     row CDF in label-index order, through an exact guide table for rows of
-    4 or more labels (see :func:`_guide_table`). The mean is accumulated
-    over rollouts in index order once all rollouts are complete, so the
-    result does not depend on how the rollouts were scheduled.
+    4 or more labels (see :func:`_guide_table`). The mean and the variance
+    are sums over rollouts in index order (see :func:`_ordered_sum`), taken
+    once all rollouts are complete, so the result does not depend on how
+    the rollouts were scheduled.
 
     The draws are made in tiles of ``R = min(rollouts, BLOCK_DRAWS)``
     rollouts by ``max(1, BLOCK_DRAWS // R)`` consecutive draws, so a tile
@@ -284,25 +302,8 @@ def simulate(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: in
     check_seed(seed)
     losses = _rollout_losses(problem, strategy, rollouts, seed)
 
-    # the running sums of [total, *block] are the left-to-right adds of a loop over the losses
-    total = 0.0
-    sums = np.empty(min(rollouts, BLOCK_DRAWS) + 1)
-    with np.errstate(over="ignore"):  # a sum past the float64 range is inf, refused below
-        for start in range(0, rollouts, BLOCK_DRAWS):
-            block = sums[: min(BLOCK_DRAWS, rollouts - start) + 1]
-            block[0] = total
-            block[1:] = losses[start : start + BLOCK_DRAWS]
-            total = float(np.add.accumulate(block, out=block)[-1])
-    mean = total / rollouts
-    variance = 0.0
-    if rollouts > 1:
-        square_sum = 0.0
-        try:
-            for value in _in_blocks(losses, BLOCK_DRAWS):
-                square_sum += (value - mean) ** 2
-        except OverflowError:  # a float power past the float64 range raises rather than giving inf
-            square_sum = math.inf
-        variance = square_sum / (rollouts - 1)
+    mean = _ordered_sum(losses) / rollouts
+    variance = _ordered_sum(losses, mean) / (rollouts - 1) if rollouts > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise InvalidParams(f"the mean or variance of {rollouts} rollouts' losses is past the float64 range")
     return SimulationResult(mean, variance, rollouts, seed)

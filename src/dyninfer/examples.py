@@ -69,8 +69,13 @@ class PlannerStyle(enum.Enum):
     FALL_BACK = "fall_back"
 
 
-def _grid_label(value: float) -> str:
-    return format(float(value), "g")
+def _grid_labels(grid: np.ndarray) -> tuple[str, ...]:
+    """The grid points at the fewest significant digits from 6 (``format(v, "g")``) that keep them distinct.
+
+    17 digits always do: they tell any two distinct floats apart.
+    """
+    candidates = (tuple(format(float(v), f".{digits}g") for v in grid) for digits in range(6, 18))
+    return next(labels for labels in candidates if len(set(labels)) == len(labels))
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,7 @@ def example_yield(n: int, params: YieldParams | None = None) -> Problem:
     params = params or YieldParams()
     grid = np.asarray(params.grid)
     m = len(grid)
-    x_space = Alphabet(tuple(_grid_label(v) for v in grid))
+    x_space = Alphabet(_grid_labels(grid))
     outcome = Alphabet(("yield", "not_yield"))
 
     with np.errstate(over="ignore"):  # a slope past the float range gives z = +-inf, whose logistic is 1 or 0

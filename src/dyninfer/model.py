@@ -91,17 +91,19 @@ class Alphabet:
         labels = tuple(self.labels)
         if not labels:
             raise InvalidModelError("an alphabet must contain at least one label")
-        if any(not isinstance(label, str) for label in labels):
-            raise InvalidModelError(f"alphabet labels must be strings: {labels!r}")
-        for label in labels:
+        # each message names one label, never the whole tuple, so it stays short for any alphabet
+        index: dict[str, int] = {}
+        for k, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise InvalidModelError(f"alphabet labels must be strings, got {label!r}")
             try:
                 label.encode("utf-8")
             except UnicodeEncodeError:  # a lone surrogate, which no output could write
                 raise InvalidModelError(f"alphabet label {ascii(label)} is not valid Unicode text") from None
-        if len(set(labels)) != len(labels):
-            raise InvalidModelError(f"alphabet labels must be distinct: {labels!r}")
+            if index.setdefault(label, k) != k:
+                raise InvalidModelError(f"alphabet labels must be distinct, got {label!r} twice")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", {label: k for k, label in enumerate(labels)})
+        object.__setattr__(self, "_index", index)
 
     def index(self, label: object) -> int:
         try:

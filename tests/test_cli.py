@@ -398,7 +398,10 @@ def test_usage_errors_exit_2(capsys):
 
 def test_bad_init_override_is_a_domain_error(capsys, stock_model):
     assert run(["solve", "-m", str(stock_model), "--init", '{"0": "high"}']) == 1
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "InvalidModelError"
+    assert _single_error_line(capsys) == {
+        "error": "InvalidModelError",
+        "message": "--init: probability for '0' must be a number, got 'high'",
+    }
     assert run(["solve", "-m", str(stock_model), "--init", "no-such-label"]) == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "UnknownLabel"
 
@@ -540,6 +543,14 @@ def test_yield_grid_must_be_finite_with_a_positive_step(capsys):
     ):
         assert run(["example", "yield", *argv]) == 1
         assert _single_error_line(capsys)["error"] == "InvalidParams"
+
+
+def test_yield_grid_points_past_six_digits_get_distinct_labels(tmp_path):
+    # at 6 significant digits every point is "1e+06"
+    model = tmp_path / "yield.json"
+    argv = ["--grid-min", "1000000", "--grid-max", "1000010", "--grid-step", "1", "--dc", "1000005"]
+    assert run(["example", "yield", *argv, "-o", str(model)]) == 0
+    assert json.loads(model.read_text())["x_space"] == [str(v) for v in range(1000000, 1000011)]
 
 
 def test_yield_parameters_that_overflow_are_domain_errors(capsys):

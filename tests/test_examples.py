@@ -104,6 +104,15 @@ def test_yield_loss_shape():
     assert loss("20", "not_yield", "yield") == pytest.approx(0.5, abs=1e-12)
 
 
+def test_yield_grid_labels_take_the_fewest_digits_that_tell_the_points_apart():
+    # "g" keeps 6 significant digits, at which 1000000 and 1000001 are both "1e+06"
+    assert example_yield(1).x_space.labels == tuple(format(float(v), "g") for v in range(0, 21, 2))
+    close = example_yield(1, YieldParams(grid=(1e6, 1e6 + 1, 1e6 + 2), d_c=1e6 + 1))
+    assert close.x_space.labels == ("1000000", "1000001", "1000002")
+    adjacent = (1.0, math.nextafter(1.0, 2.0))  # 17 digits tell any two floats apart
+    assert example_yield(1, YieldParams(grid=adjacent, d_c=1.0)).x_space.labels == ("1", "1.0000000000000002")
+
+
 def test_yield_planner_styles_differ():
     persist = example_yield(3, YieldParams(planner=PlannerStyle.PERSIST))
     fall_back = example_yield(3, YieldParams(planner=PlannerStyle.FALL_BACK))

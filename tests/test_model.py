@@ -83,6 +83,12 @@ def test_alphabet_rejects_duplicates_and_empty():
         Alphabet(())
     with pytest.raises(InvalidModelError):
         Alphabet((1, 2))  # type: ignore[arg-type]
+    # a message names the one faulty label, so its length does not grow with the alphabet
+    many = tuple(map(str, range(10**5)))
+    for labels, fault in ((("x",) * 10**5, "got 'x' twice"), ((*many, "7"), "got '7' twice"), ((*many, 7), "strings, got 7")):
+        with pytest.raises(InvalidModelError, match=fault) as error:
+            Alphabet(labels)  # type: ignore[arg-type]
+        assert len(str(error.value)) < 100
 
 
 def test_alphabet_rejects_labels_utf8_cannot_encode():

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -270,6 +272,66 @@ def test_memory_is_one_loss_per_rollout_plus_a_block():
         tracemalloc.stop()
     # whole-matrix simulation reached about 300 MB here
     assert peak < 8 * rollouts + 24 * 2**20
+
+
+def _python_square(d):
+    """Python's ``d ** 2``, or inf where it raises ``OverflowError``."""
+    try:
+        return d**2
+    except OverflowError:
+        return math.inf
+
+
+def _double(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+ROOT_MAX = math.sqrt(sys.float_info.max)  # the squares of larger doubles are past the float64 range
+DOUBLES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite),
+    st.integers(0, 2**52 - 1).map(lambda mantissa: _double(0x3FF << 52 | mantissa)),  # [1, 2), any mantissa
+    st.floats(-2.3e-308, 2.3e-308),  # subnormals among them
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.builds(math.copysign, st.floats(ROOT_MAX * (1 - 1e-12), ROOT_MAX * (1 + 1e-12)), st.sampled_from([1.0, -1.0])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DOUBLES, min_size=1, max_size=64))
+@example([ROOT_MAX, math.nextafter(ROOT_MAX, math.inf), -math.nextafter(ROOT_MAX, math.inf), sys.float_info.max, -0.0])
+@example([0.3493787908695549, -0.803434124030634, -0.39464743475060593])  # where d * d is not d ** 2
+def test_float_power_squares_as_python_does(values):
+    # simulate's variance squares deviations with float_power, which calls C pow as ``**`` does;
+    # d * d and np.square round differently on about 0.08% of doubles
+    squares = np.array(values)
+    with np.errstate(over="ignore"):
+        np.float_power(squares, 2.0, out=squares)
+    assert squares.tobytes() == np.array([_python_square(d) for d in values]).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+    block_draws=st.integers(1, 8),
+)
+@example(values=[1e308, 1e308, -1e308], block_draws=2)  # the sum passes the float64 range, and so the mean
+@example(values=[-1.7e308, 1.7e308, 1.7e308], block_draws=1)  # a deviation passes it
+@example(values=[1e200, -1e200], block_draws=8)  # a square passes it
+@example(values=[0.3493787908695549, -0.3493787908695549], block_draws=1)  # d * d is not d ** 2 here
+def test_ordered_sums_are_the_python_loops(values, block_draws):
+    total = 0.0
+    for value in values:
+        total += value
+    mean = total / len(values)
+    square_sum = 0.0
+    for value in values:
+        square_sum += _python_square(value - mean)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate_module, "BLOCK_DRAWS", block_draws)
+        losses = np.array(values)
+        assert evaluate_module._ordered_sum(losses).hex() == total.hex()
+        assert evaluate_module._ordered_sum(losses, mean).hex() == square_sum.hex()
+        assert losses.tolist() == values  # the losses are read, not written
 
 
 # zero steps repeat a running sum, 0.7 and 1.0 push it past 1.0 before the pinned end, 5e-324 is subnormal,
