@@ -59,6 +59,27 @@ def _number(value: float) -> str:
     return text if "." in text else text + ".0"
 
 
+# the most values the writers format in one pass; a table is read this many cells at a time
+BLOCK = 2**12
+
+
+def _numbers(values: Sequence[float]) -> list[str]:
+    """``[_number(v) for v in values]``, formatted by one ``%`` pass per block of at most ``BLOCK`` values.
+
+    ``"%.12g" % v`` is ``format(v, ".12g")``, so only a text with no ``.``
+    or with an exponent, which ``_number`` would change, goes through it.
+    """
+    texts: list[str] = []
+    for start in range(0, len(values), BLOCK):
+        block = values[start : start + BLOCK]
+        text = ("%.12g\n" * len(block)) % tuple(block)
+        part = text.split()
+        if "e" in text or text.count(".") < len(part):
+            part = [piece if "." in piece and "e" not in piece else _number(v) for piece, v in zip(part, block)]
+        texts += part
+    return texts
+
+
 def _canonical(obj: Any) -> Any:
     if isinstance(obj, float):
         return _round12(obj)
@@ -92,58 +113,72 @@ class _RoundTables:
     """Per-round tables keyed by labels, written as ``json.dumps(sort_keys=True, indent=2)`` writes them.
 
     A table is a member of a top-level object: an array with one object per
-    round, keyed by the observation labels. Each label is encoded once, and
-    the members of every object are written in the sorted order of their
-    labels. A value is a number, an object of numbers keyed by the estimate
-    labels, an estimate label, or an array of estimate labels (a tie set,
-    read from a row of the tie mask, whose text is made once per distinct
-    row).
+    round, keyed by the observation labels. A value is a number, an object
+    of numbers keyed by the estimate labels, an estimate label, or an array
+    of estimate labels (a tie set, read from a row of the tie mask, whose
+    text is made once per distinct row). Each round is one ``%`` template,
+    made once from the label texts, filled with its values' texts in the
+    sorted order of the labels.
     """
 
     def __init__(self, x_labels: tuple[str, ...], yhat_labels: tuple[str, ...]) -> None:
-        self._rounds = self._object(x_labels, 3)
-        self._values = self._object(yhat_labels, 4)
-        self._estimates = [json.dumps(label) for label in yhat_labels]
-        self._tie_texts: dict[tuple[bool, ...], str] = {}
+        self._x_order, self._flat = self._object(x_labels, 3, "%s")
+        self._yhat_order, numbers = self._object(yhat_labels, 4, "%s")
+        self._nested = self._object(x_labels, 3, numbers)[1]
+        self._estimates = np.array([json.dumps(label) for label in yhat_labels], dtype=object)
+        self._tie_texts: dict[bytes, str] = {}
 
     @staticmethod
-    def _object(labels: tuple[str, ...], depth: int) -> tuple[list[int], list[str], str]:
-        """The label indices in sorted order, the text before each member's value, and the closing text."""
+    def _object(labels: tuple[str, ...], depth: int, value: str) -> tuple[np.ndarray, str]:
+        """The label indices in sorted order, and a ``%`` template of the object with ``value`` for each member's value.
+
+        Each ``%`` of a label is doubled, so the only fields are those of the values.
+        """
         order = sorted(range(len(labels)), key=labels.__getitem__)
         indent = "\n" + "  " * depth
-        heads = [("," if j else "{") + indent + json.dumps(labels[i]) + ": " for j, i in enumerate(order)]
-        return order, heads, "\n" + "  " * (depth - 1) + "}"
+        keys = [json.dumps(labels[i]).replace("%", "%%") for i in order]
+        heads = [("," if j else "{") + indent + key + ": " for j, key in enumerate(keys)]
+        return np.array(order), value.join(heads) + value + "\n" + "  " * (depth - 1) + "}"
 
-    def table(self, rounds: Iterable[Sequence], value: Callable[[Any], str]) -> Iterator[str]:
-        """The text of one table, one chunk per round; ``rounds`` yields each round's rows by observation index."""
-        order, heads, tail = self._rounds
+    def table(self, table: np.ndarray, texts: Callable[[np.ndarray], list[str]], nested: bool = False) -> Iterator[str]:
+        """The text of one table, one chunk per round.
+
+        ``table`` is indexed by round, then observation (then estimate, for
+        ``nested`` objects of numbers). ``texts`` makes the value texts of a
+        block of rounds, read with their observations (and estimates) in
+        sorted label order; a block holds at most ``BLOCK`` values, or one
+        round.
+        """
+        size = len(self._x_order)
+        if nested:
+            index, template = (slice(None), self._x_order[:, None], self._yhat_order), self._nested
+            size *= len(self._yhat_order)
+        else:
+            index, template = (slice(None), self._x_order), self._flat
+        step = max(1, BLOCK // size)
         yield "[\n    "
         separator = ""
-        for rows in rounds:
-            texts = [value(row) for row in rows]
-            yield separator + "".join([head + texts[i] for head, i in zip(heads, order)]) + tail
-            separator = ",\n    "
+        for start in range(0, len(table), step):
+            block = texts(table[start : start + step][index])
+            for offset in range(0, len(block), size):
+                yield separator + template % tuple(block[offset : offset + size])
+                separator = ",\n    "
         yield "\n  ]"
 
-    def numbers(self, row: list[float]) -> str:
-        order, heads, tail = self._values
-        return "".join([head + _number(row[i]) for head, i in zip(heads, order)]) + tail
+    @staticmethod
+    def numbers(block: np.ndarray) -> list[str]:
+        return _numbers(block.ravel().tolist())
 
-    def estimate(self, index: int) -> str:
-        return self._estimates[index]
+    def estimates(self, block: np.ndarray) -> list[str]:
+        return self._estimates[block.ravel()].tolist()
 
-    def tie_set(self, mask: list[bool]) -> str:
-        key = tuple(mask)
-        text = self._tie_texts.get(key)
-        if text is None:
-            text = ",".join([f"\n        {estimate}" for estimate, tied in zip(self._estimates, key) if tied])
-            text = self._tie_texts[key] = "[" + text + "\n      ]"
-        return text
-
-
-def _array_rounds(table: np.ndarray) -> Iterator[list]:
-    """Each round of ``table`` as nested lists, made one round at a time."""
-    return map(np.ndarray.tolist, table)
+    def tie_sets(self, block: np.ndarray) -> list[str]:
+        """The text of each tie set of ``block``, keyed by the bytes of its mask row."""
+        rows = np.ascontiguousarray(block).view(np.dtype((np.void, block.shape[-1]))).ravel().tolist()
+        for key in set(rows).difference(self._tie_texts):
+            tied = self._estimates[np.frombuffer(key, dtype=bool)]
+            self._tie_texts[key] = "[" + ",".join([f"\n        {estimate}" for estimate in tied]) + "\n      ]"
+        return list(map(self._tie_texts.__getitem__, rows))
 
 
 def _read_text(path: str) -> str:
@@ -219,11 +254,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     members = {
         "min_loss": [_number(min_loss)],
         "n": [str(problem.n)],
-        "policy": tables.table(_array_rounds(result.policy), tables.estimate),
-        "q_star": tables.table(_array_rounds(result.q_star), tables.numbers),
+        "policy": tables.table(result.policy, tables.estimates),
+        "q_star": tables.table(result.q_star, tables.numbers, nested=True),
         "tie_break": [json.dumps(result.rule.value)],
-        "ties": tables.table(_array_rounds(result.tied), tables.tie_set),
-        "v_star": tables.table(_array_rounds(result.v_star), _number),
+        "ties": tables.table(result.tied, tables.tie_sets),
+        "v_star": tables.table(result.v_star, tables.numbers),
     }
     _write(args.output, _document(members))
     return 0
@@ -234,7 +269,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     strategy = _load_strategy(problem, args.strategy)
     result = evaluate_markov(problem, strategy)
     tables = _RoundTables(problem.x_space.labels, problem.yhat_space.labels)
-    members = {"j": [_number(result.j)], "v": tables.table(_array_rounds(result.v), _number)}
+    members = {"j": [_number(result.j)], "v": tables.table(result.v, tables.numbers)}
     _write(args.output, _document(members))
     return 0
 
@@ -316,7 +351,7 @@ def _oracle_lines(stacks: Iterable[OracleStack], instances: Sequence[str]) -> li
     ``instances`` holds the JSON text of each instance, indexed by the row
     numbers of the stacks, which together cover them once each; the lines
     come in that order. A line is written straight from its stack's arrays:
-    each float once, by ``_number``, and the witness by
+    each float once, by ``_numbers``, and the witness by
     :func:`_witness_texts`.
     """
     lines = [""] * len(instances)
@@ -326,7 +361,7 @@ def _oracle_lines(stacks: Iterable[OracleStack], instances: Sequence[str]) -> li
             f'"strategies_searched": {stack.strategies_searched}, "witness": ['
         )
         floats = (stack.brute_min, stack.dp_min, stack.gap, stack.lhs, stack.rhs)
-        numbers = (map(_number, column.tolist()) for column in floats)
+        numbers = (_numbers(column.tolist()) for column in floats)
         rows = zip(stack.instances.tolist(), *numbers, _witness_texts(stack))
         for k, brute, dp, gap, lhs, rhs, witness in rows:
             lines[k] = (

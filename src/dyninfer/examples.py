@@ -100,11 +100,21 @@ class YieldParams:
     def __post_init__(self) -> None:
         grid = tuple(float(v) for v in self.grid)
         object.__setattr__(self, "grid", grid)
-        if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+        # a message names one value or pair, as a grid may hold millions
+        if len(grid) < 2:
             raise InvalidParams(f"grid must be strictly increasing with >= 2 values, got {grid}")
+        k = next((k for k, (a, b) in enumerate(zip(grid, grid[1:])) if b <= a), None)
+        if k is not None:
+            raise InvalidParams(
+                f"grid must be strictly increasing with >= 2 values, got grid[{k}] = {grid[k]!r} "
+                f"and grid[{k + 1}] = {grid[k + 1]!r}"
+            )
         # a finite span bounds every difference of grid values and of d_c and a grid value
-        if not (all(map(math.isfinite, grid)) and math.isfinite(grid[-1] - grid[0])):
-            raise InvalidParams(f"grid values and their span must be finite, got {grid}")
+        k = next((k for k, v in enumerate(grid) if not math.isfinite(v)), None)
+        if k is not None:
+            raise InvalidParams(f"grid values and their span must be finite, got grid[{k}] = {grid[k]!r}")
+        if not math.isfinite(grid[-1] - grid[0]):
+            raise InvalidParams(f"grid values and their span must be finite, got {grid[0]!r} to {grid[-1]!r}")
         for name in ("beta", "d_c", "c_missed", "c_danger"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParams(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -143,6 +153,8 @@ def example_yield(n: int, params: YieldParams | None = None) -> Problem:
     params = params or YieldParams()
     grid = np.asarray(params.grid)
     m = len(grid)
+    # the largest table first: a grid too large for it fails here, before any per-point work
+    transition = np.zeros((m, 2, m))
     x_space = Alphabet(_grid_labels(grid))
     outcome = Alphabet(("yield", "not_yield"))
 
@@ -158,7 +170,6 @@ def example_yield(n: int, params: YieldParams | None = None) -> Problem:
         loss[xi, 0, 1] = params.c_missed * x  # would yield, predicted not: wasted chance
         loss[xi, 1, 0] = params.c_danger * max(0.0, 1.0 + (params.d_c - x) / span)
 
-    transition = np.zeros((m, 2, m))
     for xi in range(m):
         down, up = max(xi - 1, 0), min(xi + 1, m - 1)
         transition[xi, 0, down] += 0.7

@@ -12,6 +12,7 @@ in (round, x, yhat, next x) index order.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -24,31 +25,35 @@ def _escape(text: str) -> str:
 
 
 def _render_dot(result: SolveResult) -> str:
+    """The DOT digraph, with each text made once: one id per node, one probability text per distinct value.
+
+    An edge line is spliced from the text of its source, its target, its
+    estimate, its probability and its style, and every line is joined once.
+    """
     problem = result.problem
+    n, nx = problem.n, len(problem.x_space)
     # node "r<round>_x<index>"; escaping maps each character alone, so a label is escaped once and spliced in
-    x_text = [_escape(x) for x in problem.x_space]
-    yhat_text = [_escape(yhat) for yhat in problem.yhat_space]
-    lines = ["digraph trellis {", "  rankdir=LR;", "  node [shape=ellipse];"]
-    for i in range(1, problem.n + 1):
-        ids = " ".join(f'"r{i}_x{xi}";' for xi in range(len(x_text)))
-        lines.append(f"  {{ rank=same; {ids} }}")
-    for i, row in enumerate(result.v_star.tolist(), start=1):
-        lines.extend(f'  "r{i}_x{xi}" [label="x={x_text[xi]}\\nV*={v:.4f}"];' for xi, v in enumerate(row))
+    rounds = np.array([f'"r{i}_x' for i in range(1, n + 1)], dtype=object)
+    ids = (rounds[:, None] + np.array([f'{xi}"' for xi in range(nx)], dtype=object)).ravel()
+    x_text = [_escape(x) for x in problem.x_space] * n
+    node_fields = chain.from_iterable(zip(ids, x_text, result.v_star.ravel().tolist()))
+    nodes = ('  %s [label="x=%s\\nV*=%.4f"];\n' * len(ids)) % tuple(node_fields)
+    ranks = ["  { rank=same; " + "; ".join(ids[k : k + nx]) + "; }\n" for k in range(0, len(ids), nx)]
     positive = problem.transitions > 0.0
     k, xi, ai, ni = np.argwhere(positive).T
     policy = result.policy[k, xi]
     chosen = ai == policy
     # 0 dashed, 1 chosen, 2 chosen and off the myopic estimate; a bool sum would be a logical or
     style = chosen.astype(np.intp) + (chosen & (policy != result.myopic[k, xi]))
-    styles = ("style=dashed", "style=solid", "style=solid, color=blue")
-    probabilities = problem.transitions[positive]
-    edges = zip((k + 1).tolist(), xi.tolist(), ai.tolist(), ni.tolist(), probabilities.tolist(), style.tolist())
-    for i, x, yhat, next_x, probability, s in edges:
-        lines.append(
-            f'  "r{i}_x{x}" -> "r{i + 1}_x{next_x}" [label="yhat={yhat_text[yhat]} p={probability:.4f}", {styles[s]}];'
-        )
-    lines.append("}\n")  # the last line ends the text, so the joined text is not copied to append it
-    return "\n".join(lines)
+    styles = np.array(['", style=dashed];\n', '", style=solid];\n', '", style=solid, color=blue];\n'], dtype=object)
+    distinct, p = np.unique(problem.transitions[positive], return_inverse=True)
+    p_text = np.array((("%.4f\n" * len(distinct)) % tuple(distinct.tolist())).split(), dtype=object)
+    yhat_text = np.array([f' [label="yhat={_escape(yhat)} p=' for yhat in problem.yhat_space], dtype=object)
+    source = k * nx + xi
+    edges = (("  " + ids + " -> ")[source], ids[source + nx + (ni - xi)], yhat_text[ai], p_text[p], styles[style])
+    lines = chain.from_iterable(zip(*(column.tolist() for column in edges)))
+    head = "digraph trellis {\n  rankdir=LR;\n  node [shape=ellipse];\n"
+    return "".join(chain([head], ranks, [nodes], lines, ["}\n"]))
 
 
 def _text_label(label: str) -> str:

@@ -553,6 +553,22 @@ def test_yield_grid_points_past_six_digits_get_distinct_labels(tmp_path):
     assert json.loads(model.read_text())["x_space"] == [str(v) for v in range(1000000, 1000011)]
 
 
+def test_yield_grids_too_large_for_their_table_fail_at_once(capsys):
+    # 2e6 points need a 58.2 TiB transition table; it is allocated before any per-point work, which took 8.9 s
+    start = time.perf_counter()
+    assert run(["example", "yield", "--grid-min", "0", "--grid-max", "1999999", "--grid-step", "1"]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert _single_error_line(capsys)["error"] == "MemoryError"
+
+
+def test_yield_grid_errors_name_one_pair(capsys):
+    # 0.5 steps at 1e16 round back onto the grid's first point; the message held every point (14 MB)
+    argv = ["--grid-min", "1e16", "--grid-max", "1.0000000001e16", "--grid-step", "0.5", "--dc", "1e16"]
+    assert run(["example", "yield", *argv]) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "InvalidParams" and len(error["message"]) < 200
+
+
 def test_yield_parameters_that_overflow_are_domain_errors(capsys):
     # each printed a RuntimeWarning from the table's arithmetic; --beta inf then failed a row sum
     for argv in (["--c-missed", "1e308"], ["--beta", "inf"], ["--c-danger", "1.7e308"], ["--dc", "nan"]):

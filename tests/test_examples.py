@@ -145,6 +145,12 @@ def test_yield_invalid_params():
     for grid in ((0.0, math.nan, 2.0), (0.0, math.inf), (-1e308, 1e308)):
         with pytest.raises(InvalidParams, match="span must be finite"):
             YieldParams(grid=grid, d_c=0.0)
+    # a message names the first bad pair or value, not a grid of 10^5 points
+    repeated, unbounded = (1.0,) * 10**5, (*range(10**5), math.inf)
+    for grid, match in ((repeated, r"grid\[0\] = 1.0 and grid\[1\] = 1.0"), (unbounded, r"grid\[100000\] = inf")):
+        with pytest.raises(InvalidParams, match=match) as error:
+            YieldParams(grid=grid, d_c=1.0)
+        assert len(str(error.value)) < 200
     # each loss entry would overflow, though every parameter is finite
     for bad in ({"c_missed": 1e307}, {"c_danger": 1.7e308}):
         with pytest.raises(InvalidParams, match="largest losses"):

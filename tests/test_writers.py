@@ -9,6 +9,8 @@ label per alphabet, one round, tied estimates, both tie-break rules, an
 import io
 import json
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,14 +33,15 @@ from dyninfer import (
     solve,
     validate_problem,
 )
-from dyninfer.cli import _number, _with_init, run
+from dyninfer import cli
+from dyninfer.cli import _number, _numbers, _with_init, run
 
 # '|' joins the composite transition keys of a model document, so a label holding it may not resolve;
 # a lone surrogate (category Cs) is not a valid label, which test_model and test_cli check on their own
 LABELS = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="|"), max_size=3),
     st.text("0123456789", min_size=1, max_size=3),
-    st.text('"\\\x00\x01\x1f\n\t\x7fé€ \U0001f600{} ', max_size=3),
+    st.text('"\\\x00\x01\x1f\n\t\x7fé€ \U0001f600{}% ', max_size=3),
 )
 # few distinct values make exact ties; the others take exponents or 12-digit rounding in JSON
 LOSS_VALUES = (0.0, 0.5, 1.0, 3.0, -2.5, 1 / 3, 2 / 7, 1e-5, 1234567890123.25, 0.1 + 0.2)
@@ -129,6 +132,7 @@ def _fixed_problem(n, x_labels, y_labels, yhat_labels):
         (4, ("only",), ("u", "v"), ("10", "2")),
         (3, ("10", "2", "1"), ("y",), ("only",)),
         (3, ('q"', "\\", "é"), ("\x01", "\n"), ("\U0001f600", "\t", "")),
+        (2, ("100%", "%s", "%(x)d"), ("%",), ("100%", "%s", "%(x)d")),  # every round is written through a % template
     ],
 )
 def test_edge_shapes_match_the_dict_reference(tmp_path, shape):
@@ -204,6 +208,33 @@ def test_solve_and_evaluate_write_one_round_at_a_time(monkeypatch, tmp_path):
     assert 0 <= evaluate_2000 - evaluate_100 <= 2  # |X| numbers in a v round
 
 
+def _writer_peak(monkeypatch, tmp_path, n):
+    """The tracemalloc peak of draining the chunks of ``solve`` on ``example stock``, its result already made."""
+    model = tmp_path / f"stock{n}.json"
+    assert run(["example", "stock", "--n", str(n), "-o", str(model)]) == 0
+    peaks = []
+
+    def drain(path, chunks):
+        tracemalloc.start()
+        try:
+            for _ in chunks:
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_write", drain)
+        assert run(["solve", "-m", str(model)]) == 0
+    return peaks[0]
+
+
+def test_the_solve_writer_holds_one_block_of_texts(monkeypatch, tmp_path):
+    # the texts of at most BLOCK values, about 0.8 MB; those of a whole table at n = 20000 take over 6 MB
+    for n in (2000, 20000):
+        assert _writer_peak(monkeypatch, tmp_path, n) < 2**20
+
+
 def test_a_failing_solve_leaves_its_output_file_unchanged(tmp_path, capsys):
     model, out = tmp_path / "stock.json", tmp_path / "solved.json"
     assert run(["example", "stock", "-o", str(model)]) == 0
@@ -227,23 +258,33 @@ def test_number_is_the_json_text_of_the_12_digit_rounding(value):
     assert _number(value) == _json_number(value)
 
 
-@pytest.mark.parametrize(
-    "value",
-    [
-        0.0,
-        -0.0,
-        5e-324,  # the smallest subnormal
-        1e-5,  # below 1e-4 both write an exponent
-        1e-4,  # the smallest power of ten both write positionally
-        -1e-4,
-        999999999999.4,  # rounds to 12 nines, still positional
-        999999999999.5,  # rounds up to 1e+12, which repr writes positionally
-        1e12,
-        123456789012345.0,  # past 12 digits .12g writes an exponent and repr does not
-        1e16,  # repr's first exponent
-        sys.float_info.max,
-        -sys.float_info.max,
-    ],
-)
+BOUNDARIES = [
+    0.0,
+    -0.0,
+    5e-324,  # the smallest subnormal
+    1e-5,  # below 1e-4 both write an exponent
+    1e-4,  # the smallest power of ten both write positionally
+    -1e-4,
+    999999999999.4,  # rounds to 12 nines, still positional
+    999999999999.5,  # rounds up to 1e+12, which repr writes positionally
+    1e12,
+    123456789012345.0,  # past 12 digits .12g writes an exponent and repr does not
+    1e16,  # repr's first exponent
+    sys.float_info.max,
+    -sys.float_info.max,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(BOUNDARIES), max_size=40))
+def test_numbers_are_the_number_texts(values):
+    assert _numbers(values) == [_number(v) for v in values]
+    # blocks of 1 to 8 put whole numbers and exponents at a block's edges as well as inside it
+    for block in range(1, 9):
+        with mock.patch.object(cli, "BLOCK", block):
+            assert _numbers(values) == [_number(v) for v in values]
+
+
+@pytest.mark.parametrize("value", BOUNDARIES)
 def test_number_boundaries(value):
     assert _number(value) == _json_number(value)
