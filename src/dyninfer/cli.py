@@ -20,7 +20,9 @@ import functools
 import io
 import json
 import os
+import stat
 import sys
+import tempfile
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -188,13 +190,62 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+def _replacement_mode(path: str, target: str) -> int | None:
+    """The mode bits of a file that replaces ``path``'s resolved ``target``, or None to write in place.
+
+    A path under ``/dev/`` or ``/proc/`` is written in place, checked before
+    its links are resolved, as ``/dev/stdout`` may lead to a regular file. So
+    is a file that is not regular, not writable or cannot be looked up, and
+    ``open`` then reports any fault as before. A new file takes ``0o666``
+    less the umask.
+    """
+    if os.path.abspath(path).startswith(("/dev/", "/proc/")):
+        return None
+    try:
+        info = os.stat(target)
+    except FileNotFoundError:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        return 0o666 & ~umask
+    except OSError:
+        return None
+    if stat.S_ISREG(info.st_mode) and os.access(target, os.W_OK):
+        return stat.S_IMODE(info.st_mode)
+    return None
+
+
 def _write(path: str, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` one by one to ``path`` (``-`` for stdout), opened only now."""
+    """Write ``chunks`` one by one to ``path`` (``-`` for stdout), opened only now.
+
+    A regular or new file is replaced only once the last chunk is written:
+    the chunks go to a temporary file in the resolved file's directory, which
+    takes the old file's mode bits and is renamed onto it, so a failure or an
+    interrupt part way leaves the old file as it was, and a symlink stays a
+    link. Anything :func:`_replacement_mode` refuses, and a file whose
+    directory takes no new file, is written in place.
+    """
     if path == "-":
         sys.stdout.writelines(chunks)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(chunks)
+    target = os.path.realpath(path)
+    mode = _replacement_mode(path, target)
+    if mode is not None:
+        try:
+            fd, temp = tempfile.mkstemp(prefix=".dyninfer-", dir=os.path.dirname(target))
+        except OSError:  # no such directory, or no new file allowed there
+            mode = None
+    if mode is None:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(chunks)
+        return
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(chunks)
+        os.chmod(temp, mode)
+        os.replace(temp, target)
+    except BaseException:  # Ctrl-C too
+        os.unlink(temp)
+        raise
 
 
 def _parse_json(text: str, source: str) -> Any:

@@ -14,12 +14,20 @@ shared freely across threads. Raw tables enter through
 :func:`validate_problem` and :func:`problem_from_tables`; there, probability
 rows whose sum drifts from 1 by at most ``ROW_SUM_TOLERANCE`` are
 renormalized exactly once, and larger drift is rejected.
+
+:func:`validate_problem` reads each probability table of a document (init,
+the transition stack, the quantity stack) in one pass when it is plain dicts
+of numbers under exactly the expected keys, and the loss records in one pass
+when they are plain dicts that fill every slot once. Any other table is read
+again one entry at a time, and that reader names the first fault.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -322,24 +330,29 @@ def _space_from(doc: Mapping, key: str) -> Alphabet:
     return Alphabet(tuple(raw))
 
 
-def _row_from_object(obj, alphabet: Alphabet, what: str) -> np.ndarray:
-    """The row of a label -> number object, in alphabet order, or :func:`_checked_row`'s error."""
-    row = _plain_row(obj, alphabet)
-    return _checked_row(obj, alphabet, what) if row is None else row
+def _plain_stack(nodes: list, levels: Sequence[Sequence[str]]) -> np.ndarray | None:
+    """The numbers under ``nodes`` as one float64 array of shape ``(len(nodes), *map(len, levels))``, or None.
 
-
-def _plain_row(obj, alphabet: Alphabet) -> np.ndarray | None:
-    """The row of a plain dict holding a number for exactly the alphabet's labels, in one pass; else None."""
-    if type(obj) is dict and len(obj) == len(alphabet.labels):
+    Below ``nodes`` each level must be plain dicts holding exactly that
+    level's keys, and the last level numbers, as :func:`_float_array` takes
+    them. Each level is gathered in key order with one ``itemgetter`` pass.
+    Anything else returns None, and the caller's checked reader names the fault.
+    """
+    shape = (len(nodes), *map(len, levels))
+    for keys in levels:
+        if not ({dict}.issuperset(map(type, nodes)) and {len(keys)}.issuperset(map(len, nodes))):
+            return None
+        gathered = map(itemgetter(*keys), nodes)  # one key gives bare values, not tuples
         try:
-            return _float_array([obj[label] for label in alphabet.labels])
-        except KeyError:  # a label is missing, so another key stands in its place
-            pass
-    return None
+            nodes = list(chain.from_iterable(gathered) if len(keys) > 1 else gathered)
+        except KeyError:  # a key is missing, so another stands in its place
+            return None
+    values = _float_array(nodes)
+    return None if values is None else values.reshape(shape)
 
 
 def _checked_row(obj, alphabet: Alphabet, what: str) -> np.ndarray:
-    """:func:`_row_from_object` one entry at a time, raising on the first fault."""
+    """The row of a label -> number object, in alphabet order, read one entry at a time and raising on the first fault."""
     if not isinstance(obj, Mapping):
         raise InvalidModelError(f"{what} must be an object mapping labels to numbers")
     unknown = set(obj) - set(alphabet.labels)
@@ -373,9 +386,7 @@ def _transition_from_object(
             raise InvalidModelError(
                 f"transition key {key!r} does not identify exactly one 'x_prev|yhat_prev' pair"
             )
-        rows[slot] = _plain_row(row, x_space)
-        if rows[slot] is None:
-            rows[slot] = _checked_row(row, x_space, f"transition row (round {i}, key {key!r})")
+        rows[slot] = _checked_row(row, x_space, f"transition row (round {i}, key {key!r})")
     if len(obj) < len(rows):  # each key fills its own slot, so some slot is empty
         missing = [
             f"{x}|{yhat}"
@@ -384,7 +395,7 @@ def _transition_from_object(
             if rows[xi * len(yhat_space) + ai] is None
         ]
         raise DimensionMismatch(f"transitions for round {i} are missing rows {missing}")
-    return np.array(rows).reshape(len(x_space), len(yhat_space), len(x_space))
+    return np.array(rows)  # by pair slot
 
 
 def _quantity_from_object(obj, i: int, x_space: Alphabet, y_space: Alphabet) -> np.ndarray:
@@ -397,7 +408,7 @@ def _quantity_from_object(obj, i: int, x_space: Alphabet, y_space: Alphabet) -> 
     if missing:
         raise DimensionMismatch(f"quantities for round {i} are missing rows for {sorted(missing)}")
     return np.stack(
-        [_row_from_object(obj[x], y_space, f"quantity row (round {i}, x={x!r})") for x in x_space]
+        [_checked_row(obj[x], y_space, f"quantity row (round {i}, x={x!r})") for x in x_space]
     )
 
 
@@ -471,7 +482,9 @@ def validate_problem(candidate: Mapping) -> Problem:
     x_space = _space_from(candidate, "x_space")
     y_space = _space_from(candidate, "y_space")
     yhat_space = _space_from(candidate, "yhat_space")
-    init = _row_from_object(_require(candidate, "init"), x_space, "init")
+    init = _require(candidate, "init")
+    plain = _plain_stack([init], [x_space.labels])
+    init = _checked_row(init, x_space, "init") if plain is None else plain[0]
     stationary = candidate.get("stationary", False)
     if not isinstance(stationary, bool):
         raise InvalidModelError(f"stationary must be true or false, got {stationary!r}")
@@ -498,12 +511,18 @@ def validate_problem(candidate: Mapping) -> Problem:
 
     nx, ny, na = len(x_space), len(y_space), len(yhat_space)
     pairs = _pair_index(x_space, yhat_space)
-    transitions = np.empty((len(raw_transitions), nx, na, nx))
-    for k, obj in enumerate(raw_transitions):
-        transitions[k] = _transition_from_object(obj, k + 2, x_space, yhat_space, pairs)
-    quantities = np.empty((len(raw_quantities), nx, ny))
-    for k, obj in enumerate(raw_quantities):
-        quantities[k] = _quantity_from_object(obj, k + 1, x_space, y_space)
+    # a key naming two pairs leaves fewer keys than pairs, and only the checked reader names it
+    transitions = _plain_stack(raw_transitions, [tuple(pairs), x_space.labels]) if len(pairs) == nx * na else None
+    if transitions is None:
+        transitions = np.empty((len(raw_transitions), nx * na, nx))
+        for k, obj in enumerate(raw_transitions):
+            transitions[k] = _transition_from_object(obj, k + 2, x_space, yhat_space, pairs)
+    transitions = transitions.reshape(-1, nx, na, nx)  # each pair slot xi * |Yhat| + ai split in two
+    quantities = _plain_stack(raw_quantities, [x_space.labels, y_space.labels])
+    if quantities is None:
+        quantities = np.empty((len(raw_quantities), nx, ny))
+        for k, obj in enumerate(raw_quantities):
+            quantities[k] = _quantity_from_object(obj, k + 1, x_space, y_space)
     loss = _loss_from_records(_require(candidate, "loss"), x_space, y_space, yhat_space)
     return problem_from_tables(n, x_space, y_space, yhat_space, init, transitions, quantities, loss)
 

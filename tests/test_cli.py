@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 import time
@@ -432,6 +434,68 @@ def test_stdout_output(capsys, stock_model):
     assert run(["solve", "-m", str(stock_model)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["min_loss"] == 2.1
+
+
+@pytest.mark.parametrize("fault", [OSError(28, "No space left on device"), KeyboardInterrupt()], ids=["disk-full", "ctrl-c"])
+def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path, monkeypatch, capsys, fault):
+    model = tmp_path / "stock50.json"
+    assert run(["example", "stock", "--n", "50", "-o", str(model)]) == 0
+    folder = tmp_path / "out"
+    folder.mkdir()
+    out = folder / "out.json"
+    out.write_bytes(b"OLD")
+    numbers, calls = cli._numbers, []
+
+    def failing(values):  # q_star's blocks are written, then v_star's first one fails
+        calls.append(1)
+        if len(calls) == 2:
+            raise fault
+        return numbers(values)
+
+    monkeypatch.setattr(cli, "_numbers", failing)
+    if isinstance(fault, OSError):
+        assert run(["solve", "-m", str(model), "-o", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "OSError"
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            run(["solve", "-m", str(model), "-o", str(out)])
+    assert len(calls) == 2
+    assert out.read_bytes() == b"OLD"
+    assert [path.name for path in folder.iterdir()] == ["out.json"]
+
+
+def test_an_output_symlink_stays_a_link_and_its_target_gets_the_output(tmp_path, capsys, stock_model):
+    assert run(["solve", "-m", str(stock_model)]) == 0
+    expected = capsys.readouterr().out
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("OLD")
+    link.symlink_to(target)
+    assert run(["solve", "-m", str(stock_model), "-o", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == expected
+
+
+def test_output_files_keep_their_mode_and_new_ones_follow_the_umask(tmp_path, stock_model):
+    kept = tmp_path / "kept.json"
+    kept.write_text("OLD")
+    kept.chmod(0o600)
+    assert run(["solve", "-m", str(stock_model), "-o", str(kept)]) == 0
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+    umask = os.umask(0o027)
+    try:
+        assert run(["solve", "-m", str(stock_model), "-o", str(tmp_path / "new.json")]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o640
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["kept.json", "new.json", "stock.json"]
+
+
+def test_devices_and_missing_folders_are_opened_in_place(tmp_path, capsys, stock_model):
+    assert run(["solve", "-m", str(stock_model), "-o", os.devnull]) == 0
+    missing = tmp_path / "missing" / "out.json"
+    assert run(["solve", "-m", str(stock_model), "-o", str(missing)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "FileNotFoundError" and error["message"].endswith(f"{str(missing)!r}")
 
 
 def test_module_entry_point(tmp_path):

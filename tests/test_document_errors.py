@@ -1,8 +1,9 @@
 """Model documents: the exact error each fault raises, and the inputs that must read as the same Problem.
 
 Every (class, message) pin below was recorded from the per-entry reader
-before the row-level fast path existed, so the fast path must leave each
-fault's class, its text and which of two faults is reported first as they were.
+before any table was read as a whole stack, so the stack read, which hands
+any table it cannot take to the per-entry reader, must leave each fault's
+class, its text and which of two faults is reported first as they were.
 """
 
 import copy
@@ -17,6 +18,7 @@ from test_properties import problems
 
 from dyninfer import (
     Alphabet,
+    DynamicInferenceError,
     InvalidModelError,
     example_section33,
     example_stock,
@@ -142,11 +144,18 @@ def test_fault_is_named_exactly(edits, error, message):
 
 
 def _retyped(doc, convert):
-    """A copy of ``doc`` with every probability row passed through ``convert``."""
+    """A copy of ``doc`` with every probability row passed through ``convert``; a row or round that is no dict is kept."""
+
+    def row(obj):
+        return convert(obj) if type(obj) is dict else obj
+
+    def rounds(entries):
+        return [{key: row(obj) for key, obj in entry.items()} if type(entry) is dict else entry for entry in entries]
+
     doc = copy.deepcopy(doc)
-    doc["init"] = convert(doc["init"])
-    doc["transitions"] = [{key: convert(row) for key, row in entry.items()} for entry in doc["transitions"]]
-    doc["quantities"] = [{x: convert(row) for x, row in entry.items()} for entry in doc["quantities"]]
+    doc["init"] = row(doc["init"])
+    doc["transitions"] = rounds(doc["transitions"])
+    doc["quantities"] = rounds(doc["quantities"])
     return doc
 
 
@@ -187,7 +196,7 @@ def test_huge_integer_is_a_named_model_error(path, message):
     assert str(caught.value) == message
 
 
-# ---- the row-level fast path ----
+# ---- the stack read: one pass per table, or the per-entry reader ----
 
 
 def test_float_documents_never_reach_the_per_entry_checker(monkeypatch):
@@ -210,8 +219,53 @@ def test_float_documents_never_reach_the_per_entry_checker(monkeypatch):
     assert set(calls) == {"_checked_row", "_checked_loss"}
 
 
+def test_each_table_is_read_in_one_pass_at_any_horizon(monkeypatch):
+    arrays = []
+
+    def counted(values):
+        arrays.append(len(values))
+        return float_array(values)
+
+    def refused(*args):
+        raise AssertionError("a plain float document reached the per-entry reader")
+
+    float_array = model._float_array
+    monkeypatch.setattr(model, "_float_array", counted)
+    monkeypatch.setattr(model, "_checked_row", refused)
+    counts = []
+    for n in (10, 40):
+        doc = json.loads(json.dumps(problem_to_dict(random_problem(np.random.default_rng(n), n, 20, 5, 12), False)))
+        arrays.clear()
+        validate_problem(doc)
+        counts.append(len(arrays))
+    # init, transitions, quantities and loss: one array each, however many rounds
+    assert counts == [4, 4]
+
+
+def _labelled(n, x_labels, y_labels, yhat_labels, seed=0):
+    """A random problem over the given labels, rows strictly positive."""
+    nx, ny, na = len(x_labels), len(y_labels), len(yhat_labels)
+    rng = np.random.default_rng(seed)
+
+    def rows(*shape):
+        table = rng.random(shape) + 0.1
+        return table / table.sum(axis=-1, keepdims=True)
+
+    return problem_from_tables(
+        n, Alphabet(x_labels), Alphabet(y_labels), Alphabet(yhat_labels),
+        rows(nx), rows(n - 1, nx, na, nx), rows(n, nx, ny), rng.random((nx, ny, na)),
+    )
+
+
 def test_both_readers_give_equal_problems():
     varying = [random_problem(np.random.default_rng(variant), 10, 20, 5, 12) for variant in range(2)]
+    # one label gives bare values, not tuples, at its level; n = 1 has no transition rounds
+    varying += [random_problem(np.random.default_rng(2), *shape) for shape in ((3, 1, 1, 1), (3, 1, 4, 1), (3, 2, 1, 1))]
+    varying += [random_problem(np.random.default_rng(3), 1, 2, 3, 4)]
+    # labels holding '|' whose pair keys stay distinct: 'a||p', 'a|||q', 'b|p', 'b||q'
+    varying += [_labelled(3, ("a|", "b"), ("u", "v"), ("p", "|q"))]
+    # 'a|b|c' names two pairs, which no transition round can then hold, but n = 1 has none
+    varying += [_labelled(1, ("a|b", "a"), ("u",), ("c", "b|c"))]
     # the compact form holds one round's tables, so it is written from stationary problems:
     # the examples, and the random problems' first-round tables serving every round
     stationary = [example_section33(6), example_stock(6), example_yield(20)]
@@ -226,6 +280,66 @@ def test_both_readers_give_equal_problems():
     for doc in docs:
         doc = json.loads(json.dumps(doc))
         assert validate_problem(doc) == validate_problem(per_entry(doc))
+
+
+def test_a_key_naming_two_pairs_is_named_by_both_readers():
+    doc = problem_to_dict(_labelled(2, ("a|b", "a"), ("u",), ("c", "b|c")), False)
+    assert len(doc["transitions"][0]) == 3  # the two 'a|b|c' rows share one key
+    for candidate in (doc, per_entry(doc)):
+        with pytest.raises(InvalidModelError, match="transition key 'a|b|c' does not identify exactly one"):
+            validate_problem(candidate)
+
+
+# faults injected into init, transitions and quantities
+BAD_ENTRIES = (True, "0.5", None, HUGE, float("nan"))
+FAULT_KINDS = ("delete-key", "unknown-key", "bad-entry", "made-a-list")
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _fault_sites(doc):
+    """Paths to init, each round object and each row that is still a non-empty dict."""
+    paths = [("init",)]
+    for section in ("transitions", "quantities"):
+        for k, entry in enumerate(doc[section]):
+            paths.append((section, k))
+            if type(entry) is dict:
+                paths += [(section, k, key) for key in entry]
+    return [path for path in paths if type(_at(doc, path)) is dict and _at(doc, path)]
+
+
+def _inject(doc, data):
+    path = data.draw(st.sampled_from(_fault_sites(doc)))
+    node = _at(doc, path)
+    kind = data.draw(st.sampled_from(FAULT_KINDS))
+    if kind == "delete-key":
+        del node[data.draw(st.sampled_from(list(node)))]
+    elif kind == "unknown-key":
+        node["zz"] = 0.0
+    elif kind == "bad-entry":
+        node[data.draw(st.sampled_from(list(node)))] = data.draw(st.sampled_from(BAD_ENTRIES))
+    else:
+        _at(doc, path[:-1])[path[-1]] = list(node.values())
+
+
+def _outcome(doc):
+    try:
+        return validate_problem(doc)
+    except DynamicInferenceError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems(max_labels=3, max_n=3), st.sampled_from(("auto", False)), st.integers(1, 2), st.data())
+def test_faults_read_the_same_through_both_readers(problem, stationary, faults, data):
+    doc = problem_to_dict(problem, stationary)
+    for _ in range(faults):
+        _inject(doc, data)
+    assert _outcome(doc) == _outcome(per_entry(doc))
 
 
 @settings(max_examples=100, deadline=None)
