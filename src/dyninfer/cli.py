@@ -64,12 +64,19 @@ def _number(value: float) -> str:
 # the most values the writers format in one pass; a table is read this many cells at a time
 BLOCK = 2**12
 
+# the last five characters of the ``.12g`` texts with an exponent that ``_number`` changes: exponents
+# 12 to 15, which ``repr`` writes positionally, and -308 to -324, where subnormals may take fewer digits
+_CHANGED_TAILS = frozenset(
+    [f"{digit}e+1{k}" for digit in "0123456789" for k in "2345"] + [f"e-{k}" for k in range(308, 325)]
+)
+
 
 def _numbers(values: Sequence[float]) -> list[str]:
     """``[_number(v) for v in values]``, formatted by one ``%`` pass per block of at most ``BLOCK`` values.
 
-    ``"%.12g" % v`` is ``format(v, ".12g")``, so only a text with no ``.``
-    or with an exponent, which ``_number`` would change, goes through it.
+    ``"%.12g" % v`` is ``format(v, ".12g")``, and ``_number`` keeps that text
+    unless it is a whole number, has an exponent of 12 to 15, or is a
+    subnormal's; only those pieces go through ``_number``.
     """
     texts: list[str] = []
     for start in range(0, len(values), BLOCK):
@@ -77,7 +84,12 @@ def _numbers(values: Sequence[float]) -> list[str]:
         text = ("%.12g\n" * len(block)) % tuple(block)
         part = text.split()
         if "e" in text or text.count(".") < len(part):
-            part = [piece if "." in piece and "e" not in piece else _number(v) for piece, v in zip(part, block)]
+            part = [
+                piece
+                if ("." in piece and "e" not in piece) or ("e" in piece and piece[-5:] not in _CHANGED_TAILS)
+                else _number(v)
+                for piece, v in zip(part, block)
+            ]
         texts += part
     return texts
 

@@ -11,19 +11,25 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidParams, ShapeMismatch
-from .model import _MAX_ARRAY_BYTES, Problem, _fields_equal
+from .model import _MAX_ARRAY_BYTES, Problem, _fields_equal, _labels_text
 from .reduction import _label_sum, bar_loss_table
 from .rng import check_seed, uniform_matrix
 from .solver import SolveResult
 
 # draws per tile of rollouts and rounds in ``simulate`` (512 KiB per 8-byte temporary)
 BLOCK_DRAWS = 2**16
+# tiles of uniforms a producer thread holds: the one being drawn and at most two made ahead of it
+RING_TILES = 3
 
 
 def _markov_binding(problem: Problem) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
@@ -60,25 +66,52 @@ class MarkovStrategy:
         """Build from the wire form: one {x label -> estimate label} object per round."""
         if len(rows) != problem.n:
             raise ShapeMismatch(f"strategy has {len(rows)} rounds, problem has {problem.n}")
-        x_labels = set(problem.x_space.labels)
-        choices = np.empty((problem.n, len(problem.x_space)), dtype=np.int64)
-        for k, row in enumerate(rows):
-            if not isinstance(row, Mapping):
-                raise ShapeMismatch(f"strategy round {k + 1} is not an object of observation labels")
-            unknown = set(row) - x_labels
-            if unknown:
-                raise ShapeMismatch(f"strategy round {k + 1} has unknown observations {sorted(unknown)}")
-            missing = x_labels - set(row)
-            if missing:
-                raise ShapeMismatch(f"strategy round {k + 1} is missing observations {sorted(missing)}")
-            for xi, x in enumerate(problem.x_space):
-                choices[k, xi] = problem.yhat_space.index(row[x])
+        choices = _plain_choices(problem, rows)
+        if choices is None:
+            choices = _checked_choices(problem, rows)
         return cls(*_markov_binding(problem), choices)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MarkovStrategy):
             return NotImplemented
         return _fields_equal(self, other, ("n", "x_labels", "yhat_labels", "choices"))
+
+
+def _plain_choices(problem: Problem, rows: Sequence) -> np.ndarray | None:
+    """The estimate indices of ``rows``, gathered in one ``itemgetter`` pass, or None.
+
+    Each row must be a plain dict holding exactly the observation labels,
+    each mapped to an estimate label. Anything else returns None, and
+    :func:`_checked_choices` names the fault.
+    """
+    x_labels = problem.x_space.labels
+    if not ({dict}.issuperset(map(type, rows)) and {len(x_labels)}.issuperset(map(len, rows))):
+        return None
+    gathered = map(itemgetter(*x_labels), rows)  # one label gives bare values, not tuples
+    estimates = chain.from_iterable(gathered) if len(x_labels) > 1 else gathered
+    try:
+        indices = np.fromiter(map(problem.yhat_space._index.__getitem__, estimates), dtype=np.int64)
+    except (KeyError, TypeError):  # a missing observation, or an unknown or unhashable estimate
+        return None
+    return indices.reshape(problem.n, len(x_labels))
+
+
+def _checked_choices(problem: Problem, rows: Sequence) -> np.ndarray:
+    """The estimate indices of ``rows``, read one round at a time and raising on the first fault."""
+    x_labels = set(problem.x_space.labels)
+    choices = np.empty((problem.n, len(problem.x_space)), dtype=np.int64)
+    for k, row in enumerate(rows):
+        if not isinstance(row, Mapping):
+            raise ShapeMismatch(f"strategy round {k + 1} is not an object of observation labels")
+        unknown = set(row) - x_labels
+        if unknown:
+            raise ShapeMismatch(f"strategy round {k + 1} has unknown observations {_labels_text(sorted(unknown))}")
+        missing = x_labels - set(row)
+        if missing:
+            raise ShapeMismatch(f"strategy round {k + 1} is missing observations {_labels_text(sorted(missing))}")
+        for xi, x in enumerate(problem.x_space):
+            choices[k, xi] = problem.yhat_space.index(row[x])
+    return choices
 
 
 def optimal_strategy(result: SolveResult) -> MarkovStrategy:
@@ -220,12 +253,82 @@ def _sampler(rows: np.ndarray):
     return functools.partial(_guided_draw, table, width, _guide_table(table, width))
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _tiles(rollouts: int, draws: int, tile_rollouts: int, tile_draws: int):
+    """``(first rollout, rollouts, first draw, draws)`` of each tile, rollouts outermost."""
+    for start in range(0, rollouts, tile_rollouts):
+        for first in range(0, draws, tile_draws):
+            yield start, min(tile_rollouts, rollouts - start), first, min(tile_draws, draws - first)
+
+
+def _uniform_tiles(seed: int, rollouts: int, draws: int):
+    """``(first rollout, first draw, columns)`` of each tile in order; ``columns[t, k]`` is draw ``first + t`` of rollout ``start + k``.
+
+    A tile's columns are valid until the next one is asked for. With more
+    than one tile and more than one CPU, a producer thread makes them into
+    a ring of ``RING_TILES`` buffers, ahead of the caller by at most two
+    tiles; otherwise each tile is made when it is asked for, into one
+    buffer. Each tile is a pure function of the seed and its place, so the
+    draws are the same either way. Closing the generator stops and joins
+    the producer, and a fault in the producer is raised here.
+    """
+    tile_rollouts = min(rollouts, BLOCK_DRAWS)
+    tile_draws = min(max(1, BLOCK_DRAWS // tile_rollouts), draws)
+    tiles = functools.partial(_tiles, rollouts, draws, tile_rollouts, tile_draws)
+    size = tile_rollouts * tile_draws
+    states = np.empty(size, dtype=np.uint64)
+    one_tile = rollouts == tile_rollouts and draws == tile_draws
+    if one_tile or _cpu_count() < 2:
+        output = np.empty(size, dtype=np.uint64)
+        for start, streams, first, count in tiles():
+            yield start, first, uniform_matrix(seed, streams, count, start, first, draws, buffers=(states, output)).T
+        return
+
+    ring = [np.empty(size, dtype=np.uint64) for _ in range(RING_TILES)]
+    made: list = [None] * RING_TILES
+    free, ready = threading.Semaphore(RING_TILES), threading.Semaphore(0)
+    halt = threading.Event()
+    fault: list[BaseException] = []
+
+    def produce() -> None:
+        try:
+            for k, (start, streams, first, count) in enumerate(tiles()):
+                free.acquire()
+                if halt.is_set():
+                    return
+                slot = ring[k % RING_TILES]
+                made[k % RING_TILES] = uniform_matrix(seed, streams, count, start, first, draws, buffers=(states, slot))
+                ready.release()
+        except BaseException as error:  # handed to the caller's thread, which raises it
+            fault.append(error)
+            ready.release()
+
+    producer = threading.Thread(target=produce, name="dyninfer-uniforms", daemon=True)
+    producer.start()
+    try:
+        for k, (start, _, first, _) in enumerate(tiles()):
+            ready.acquire()
+            if fault:
+                raise fault[0]
+            yield start, first, made[k % RING_TILES].T
+            free.release()
+    finally:
+        halt.set()
+        free.release()  # a producer waiting for a free buffer wakes and sees the halt
+        producer.join()
+
+
 def _rollout_losses(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: int) -> np.ndarray:
     """The accumulated loss of each rollout, in rollout order, drawn tile by tile as :func:`simulate` describes."""
     n = problem.n
     nx, ny = len(problem.x_space), len(problem.y_space)
-    tile_rollouts = min(rollouts, BLOCK_DRAWS)
-    tile_draws = max(1, BLOCK_DRAWS // tile_rollouts)
     choices = strategy.choices
     # one table row per (round, observation), holding the strategy's own transition rows and losses
     draw_init = _sampler(problem.init)
@@ -234,21 +337,21 @@ def _rollout_losses(problem: Problem, strategy: MarkovStrategy, rollouts: int, s
     chosen_loss = problem.loss.transpose(2, 0, 1)[choices, np.arange(nx)].reshape(-1)
 
     losses = np.zeros(rollouts)
-    for start in range(0, rollouts, tile_rollouts):
-        stop = min(start + tile_rollouts, rollouts)
-        tile_losses = losses[start:stop]
-        for first in range(0, 2 * n, tile_draws):
-            draws = min(tile_draws, 2 * n - first)
-            columns = uniform_matrix(seed, stop - start, draws, start, first, 2 * n).T
+    tiles = _uniform_tiles(seed, rollouts, 2 * n)
+    try:
+        for start, first, columns in tiles:
+            tile_losses = losses[start : start + columns.shape[1]]
             for t, u in enumerate(columns, first):
                 if t == 0:  # the initial observation
-                    xs = draw_init(np.zeros(stop - start, dtype=np.intp), u)
+                    xs = draw_init(np.zeros(len(u), dtype=np.intp), u)
                 elif t % 2:  # the quantity of round t // 2, and its loss
                     rows = xs + (t // 2) * nx
                     ys = draw_quantity(rows, u)
                     tile_losses += chosen_loss[rows * ny + ys]
                 else:  # the next observation, after the estimate chosen at ``rows``
                     xs = draw_transition(rows, u)
+    finally:
+        tiles.close()  # on a fault in the draws, this stops and joins the producer
     return losses
 
 
@@ -290,9 +393,13 @@ def simulate(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: in
     rollouts by ``max(1, BLOCK_DRAWS // R)`` consecutive draws, so a tile
     holds at most ``BLOCK_DRAWS`` draws. Each draw is one array step over
     the tile's rollouts, whether the tiles split the rollouts, the rounds
-    or both. Memory is 8 bytes per rollout (its loss) plus one tile of
-    draws and the strategy's search tables, each guide at most twice its
-    table, and the result is bit-identical to drawing every rollout at once.
+    or both. With more than one tile and more than one CPU, a second
+    thread makes the uniforms of the next tiles, at most two ahead, while
+    this one draws; the tiles are drawn in the same order either way.
+    Memory is 8 bytes per rollout (its loss) plus two tile buffers of
+    uniforms (four with the second thread) and the strategy's search
+    tables, each guide at most twice its table, and the result is
+    bit-identical to drawing every rollout at once.
     """
     _check_strategy(problem, strategy)
     if isinstance(rollouts, bool) or not isinstance(rollouts, int) or rollouts < 1:

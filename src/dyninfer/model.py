@@ -89,6 +89,18 @@ def _check_horizon(n: object) -> None:
         raise InvalidModelError(f"n must be an integer >= 1, got {n!r}")
 
 
+# an error message names at most this many labels of a list, then says how many it holds
+_NAMED_LABELS = 5
+
+
+def _labels_text(labels: Sequence) -> str:
+    """``repr(labels)``, or past ``_NAMED_LABELS`` labels the first few of them and their count."""
+    if len(labels) <= _NAMED_LABELS:
+        return repr(labels)
+    head = repr(labels[:_NAMED_LABELS])
+    return f"{head[:-1]}, ...{head[-1]} ({len(labels)} labels)"
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite set of distinct string labels with a stable index."""
@@ -117,7 +129,7 @@ class Alphabet:
         try:
             return self._index[label]  # type: ignore[attr-defined]
         except (KeyError, TypeError):  # an unhashable label is never a member
-            raise UnknownLabel(f"label {label!r} not in alphabet {self.labels}") from None
+            raise UnknownLabel(f"label {label!r} not in alphabet {_labels_text(self.labels)}") from None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -357,10 +369,10 @@ def _checked_row(obj, alphabet: Alphabet, what: str) -> np.ndarray:
         raise InvalidModelError(f"{what} must be an object mapping labels to numbers")
     unknown = set(obj) - set(alphabet.labels)
     if unknown:
-        raise DimensionMismatch(f"{what} has entries for unknown labels {sorted(unknown)}")
+        raise DimensionMismatch(f"{what} has entries for unknown labels {_labels_text(sorted(unknown))}")
     missing = set(alphabet.labels) - set(obj)
     if missing:
-        raise DimensionMismatch(f"{what} is missing entries for labels {sorted(missing)}")
+        raise DimensionMismatch(f"{what} is missing entries for labels {_labels_text(sorted(missing))}")
     return np.array([_number(obj[label], f"{what}[{label!r}]") for label in alphabet])
 
 
@@ -394,7 +406,7 @@ def _transition_from_object(
             for ai, yhat in enumerate(yhat_space)
             if rows[xi * len(yhat_space) + ai] is None
         ]
-        raise DimensionMismatch(f"transitions for round {i} are missing rows {missing}")
+        raise DimensionMismatch(f"transitions for round {i} are missing rows {_labels_text(missing)}")
     return np.array(rows)  # by pair slot
 
 
@@ -403,10 +415,10 @@ def _quantity_from_object(obj, i: int, x_space: Alphabet, y_space: Alphabet) -> 
         raise InvalidModelError(f"quantities[{i - 1}] must be an object")
     unknown = set(obj) - set(x_space.labels)
     if unknown:
-        raise DimensionMismatch(f"quantities for round {i} have rows for unknown labels {sorted(unknown)}")
+        raise DimensionMismatch(f"quantities for round {i} have rows for unknown labels {_labels_text(sorted(unknown))}")
     missing = set(x_space.labels) - set(obj)
     if missing:
-        raise DimensionMismatch(f"quantities for round {i} are missing rows for {sorted(missing)}")
+        raise DimensionMismatch(f"quantities for round {i} are missing rows for {_labels_text(sorted(missing))}")
     return np.stack(
         [_checked_row(obj[x], y_space, f"quantity row (round {i}, x={x!r})") for x in x_space]
     )
@@ -558,7 +570,8 @@ def problem_to_dict(problem: Problem, stationary: bool | str = "auto") -> dict:
     length-1 form whenever every round shares identical tables (and n >= 2).
     Any other value raises InvalidParams, and so does True on a problem
     whose rounds differ, as the compact form would keep only the first
-    round's tables.
+    round's tables. So does a problem whose transitions are written and two
+    of whose ``"x|yhat"`` keys are one text, as a reader takes neither.
     """
     if stationary == "auto":
         stationary = problem.n >= 2 and _rounds_agree(problem)
@@ -577,6 +590,12 @@ def problem_to_dict(problem: Problem, stationary: bool | str = "auto") -> dict:
     if stationary:
         doc["stationary"] = True
         transitions, quantities = transitions[:1], quantities[:1]
+    if len(transitions):
+        collided = [key for key, slot in _pair_index(problem.x_space, problem.yhat_space).items() if slot is None]
+        if collided:
+            raise InvalidParams(
+                f"transition key {collided[0]!r} would name two 'x_prev|yhat_prev' pairs, so no document holds the problem"
+            )
     doc["transitions"] = [_transition_to_object(t, problem.x_space, problem.yhat_space) for t in transitions]
     doc["quantities"] = [_quantity_to_object(q, problem.x_space, problem.y_space) for q in quantities]
     doc["loss"] = [

@@ -40,16 +40,16 @@ def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     z = np.asarray(counters, dtype=np.uint64) + np.uint64(1)
     z *= _GAMMA
     z += np.uint64(seed & _MASK64)
-    return _uniforms_from_states(z)
+    return _uniforms_from_states(z, np.empty_like(z))
 
 
-def _uniforms_from_states(z: np.ndarray) -> np.ndarray:
+def _uniforms_from_states(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
     """The SplitMix64 finalizer of each state in ``z``, as a uniform in [0, 1).
 
-    The finalizer runs in place on ``z``, with one scratch array for the
-    shifted copies that then holds the output.
+    The finalizer runs in place on ``z``, with ``shifted``, a uint64 array
+    of ``z``'s shape, for the shifted copies; ``shifted`` then holds the
+    output, viewed as float64.
     """
-    shifted = np.empty_like(z)
     for shift, mult in ((30, _MULT1), (27, _MULT2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=shifted)
         z ^= shifted
@@ -66,6 +66,8 @@ def uniform_matrix(
     first_stream: int = 0,
     first_draw: int = 0,
     draws_per_stream: int | None = None,
+    *,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Matrix of uniforms whose row ``k`` holds draws of substream ``first_stream + k`` of ``seed``.
 
@@ -80,13 +82,22 @@ def uniform_matrix(
     GAMMA`` (mod 2**64), the state :func:`counter_uniforms` gives counter
     ``t + s * d``, so the tile's states are one outer sum of a per-draw and
     a per-stream vector.
+
+    ``buffers``, two flat uint64 arrays of at least ``streams * draws``
+    entries, take the tile's states and then its output, which is then a
+    view of the second; by default both are new arrays.
     """
     if draws_per_stream is None:
         draws_per_stream = draws
+    size = streams * draws
+    if buffers is None:
+        buffers = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    states, output = (buffer[:size].reshape(draws, streams) for buffer in buffers)
     # uint64 array arithmetic wraps mod 2**64; the scalar factors are reduced in Python
     draw_states = np.arange(first_draw + 1, first_draw + draws + 1, dtype=np.uint64)
     draw_states *= _GAMMA
     draw_states += np.uint64(seed & _MASK64)
     stream_offsets = np.arange(first_stream, first_stream + streams, dtype=np.uint64)
     stream_offsets *= np.uint64(draws_per_stream * int(_GAMMA) & _MASK64)
-    return _uniforms_from_states(np.add.outer(draw_states, stream_offsets)).T
+    np.add.outer(draw_states, stream_offsets, out=states)
+    return _uniforms_from_states(states, output).T

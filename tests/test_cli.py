@@ -107,6 +107,19 @@ def test_bad_init_fails_before_solving(tmp_path, stock_model, monkeypatch, capsy
     assert not out.exists()
 
 
+def test_an_unknown_label_of_a_large_alphabet_is_one_short_line(tmp_path, capsys):
+    # the message names the first few of the 20000 labels and their count, not the whole alphabet
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(problem_to_dict(random_problem(np.random.default_rng(0), 1, 20000, 2, 2))))
+    assert run(["solve", "-m", str(model), "--init", "nosuch"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and len(captured.err.encode()) < 300
+    error = json.loads(captured.err)
+    assert error["error"] == "UnknownLabel"
+    assert error["message"].startswith("label 'nosuch' not in alphabet (")
+    assert error["message"].endswith(", ...) (20000 labels)")
+
+
 def test_evaluate_matches_library(tmp_path, stock_model, strategy_file):
     out = tmp_path / "eval.json"
     assert run(["evaluate", "-m", str(stock_model), "-s", str(strategy_file), "-o", str(out)]) == 0

@@ -20,6 +20,7 @@ from dyninfer import (
     Alphabet,
     DynamicInferenceError,
     InvalidModelError,
+    InvalidParams,
     example_section33,
     example_stock,
     example_yield,
@@ -283,11 +284,28 @@ def test_both_readers_give_equal_problems():
 
 
 def test_a_key_naming_two_pairs_is_named_by_both_readers():
-    doc = problem_to_dict(_labelled(2, ("a|b", "a"), ("u",), ("c", "b|c")), False)
-    assert len(doc["transitions"][0]) == 3  # the two 'a|b|c' rows share one key
+    # problem_to_dict refuses to write the round, so it is written here: the two 'a|b|c' rows share one key
+    doc = problem_to_dict(_labelled(1, ("a|b", "a"), ("u",), ("c", "b|c")), False)
+    row = {"a|b": 0.5, "a": 0.5}
+    doc["n"], doc["transitions"], doc["quantities"] = 2, [{"a|b|c": row, "a|b|b|c": row, "a|c": row}], 2 * doc["quantities"]
     for candidate in (doc, per_entry(doc)):
         with pytest.raises(InvalidModelError, match="transition key 'a|b|c' does not identify exactly one"):
             validate_problem(candidate)
+
+
+@pytest.mark.parametrize("stationary", [False, True, "auto"])
+def test_a_problem_whose_pair_keys_collide_is_not_written(stationary):
+    # ('a|b', 'c') and ('a', 'b|c') both make the key 'a|b|c', which no reader takes
+    problem = _labelled(3, ("a|b", "a"), ("u",), ("c", "b|c"))
+    stationary_problem = problem_from_tables(
+        3, problem.x_space, problem.y_space, problem.yhat_space, problem.init,
+        problem.transitions[:1], problem.quantities[:1], problem.loss,
+    )
+    with pytest.raises(InvalidParams, match=r"transition key 'a\|b\|c' would name two 'x_prev\|yhat_prev' pairs"):
+        problem_to_dict(stationary_problem if stationary is True else problem, stationary)
+    # one round has no transitions, so its document holds no pair key
+    single = _labelled(1, ("a|b", "a"), ("u",), ("c", "b|c"))
+    assert validate_problem(problem_to_dict(single, False)) == single
 
 
 # faults injected into init, transitions and quantities

@@ -2,11 +2,16 @@
 
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_properties import problems
 
 from dyninfer import (
+    DynamicInferenceError,
     MarkovStrategy,
     ShapeMismatch,
     UnknownLabel,
@@ -19,6 +24,7 @@ from dyninfer import (
     random_problem,
     solve,
 )
+from dyninfer import evaluate as evaluate_module
 from dyninfer.cli import run
 
 
@@ -89,6 +95,63 @@ def test_strategy_wire_round_trip(tmp_path, stock):
         MarkovStrategy.from_rows(stock, [{"0": "1"}] * 6)
     with pytest.raises(UnknownLabel):
         MarkovStrategy.from_rows(stock, [{"0": "up", "1": "1"}] * 6)
+
+
+def test_strategy_rows_are_read_in_one_pass(monkeypatch, stock):
+    rows = [{"0": "1", "1": "0"}] * 6
+
+    def refused(*args):
+        raise AssertionError("plain strategy rows reached the per-round reader")
+
+    monkeypatch.setattr(evaluate_module, "_checked_choices", refused)
+    assert MarkovStrategy.from_rows(stock, rows).choices.tolist() == [[1, 0]] * 6
+
+
+def test_strategy_label_lists_are_bounded(stock):
+    extra = {f"z{k}": "0" for k in range(7)}
+    with pytest.raises(ShapeMismatch) as raised:
+        MarkovStrategy.from_rows(stock, [{"0": "1", "1": "0", **extra}] * 6)
+    assert str(raised.value) == "strategy round 1 has unknown observations ['z0', 'z1', 'z2', 'z3', 'z4', ...] (7 labels)"
+    with pytest.raises(ShapeMismatch, match=r"missing observations \['0'\]$"):
+        MarkovStrategy.from_rows(stock, [{"1": "0"}] * 6)
+
+
+def _strategy_outcome(problem, rows):
+    try:
+        return MarkovStrategy.from_rows(problem, rows)
+    except DynamicInferenceError as exc:
+        return type(exc), str(exc)
+
+
+# faults injected into a round: an observation deleted or added, an estimate replaced, the round retyped
+BAD_ESTIMATES = ("zz", ["a0"], None, 0, True, "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems(max_labels=3, max_n=3), st.integers(0, 2), st.data())
+def test_strategy_faults_read_the_same_through_both_readers(problem, faults, data):
+    labels = problem.yhat_space.labels
+    rows = [
+        {x: data.draw(st.sampled_from(labels)) for x in problem.x_space.labels} for _ in range(problem.n)
+    ]
+    for _ in range(faults):
+        k = data.draw(st.integers(0, problem.n - 1))
+        row = rows[k]
+        kind = data.draw(st.sampled_from(("delete", "add", "estimate", "list", "mapping")))
+        if kind == "delete" and isinstance(row, dict) and row:
+            del row[data.draw(st.sampled_from(list(row)))]
+        elif kind == "add" and isinstance(row, dict):
+            row[data.draw(st.sampled_from(("zz", "x9")))] = labels[0]
+        elif kind == "estimate" and isinstance(row, dict) and row:
+            row[data.draw(st.sampled_from(list(row)))] = data.draw(st.sampled_from(BAD_ESTIMATES))
+        elif kind == "list":
+            rows[k] = list(row.values()) if isinstance(row, dict) else row
+        elif kind == "mapping" and isinstance(row, dict):
+            rows[k] = types.MappingProxyType(row)  # a Mapping, but no plain dict
+    checked = _strategy_outcome(problem, rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate_module, "_plain_choices", lambda *args: None)
+        assert _strategy_outcome(problem, rows) == checked
 
 
 def test_eval_j_is_initial_expectation_of_v():

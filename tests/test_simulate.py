@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import os
 import struct
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -166,6 +168,10 @@ def test_uniform_matrix_is_the_counter_stream(seed, streams, draws, first_stream
     expected = counter_uniforms(seed, np.array(counters, dtype=np.uint64))
     tile = uniform_matrix(seed, streams, draws, first_stream, first_draw, draws_per_stream)
     assert tile.tobytes(order="C") == expected.tobytes()
+    # given buffers, longer than the tile and holding other bits, take the states and then the output
+    buffers = np.full(streams * draws + 3, 2**64 - 1, dtype=np.uint64), np.arange(streams * draws + 5, dtype=np.uint64)
+    tile = uniform_matrix(seed, streams, draws, first_stream, first_draw, draws_per_stream, buffers=buffers)
+    assert tile.tobytes(order="C") == expected.tobytes() and np.shares_memory(tile, buffers[1])
 
 
 def _random_case(seed, n, nx, ny, nyhat):
@@ -258,6 +264,121 @@ def test_small_blocks_match_whole_matrix_reference(monkeypatch):
         strategy = MarkovStrategy(n, problem.x_space.labels, problem.yhat_space.labels, choices)
         for rollouts in (1, 2, 37, 250):
             _assert_matches_reference(problem, strategy, rollouts, 2**64 - rollouts)
+
+
+def _recording_tiles(monkeypatch):
+    """Patch ``uniform_matrix`` to record, per tile made, whether the main thread made it."""
+    made_on_main = []
+    original = evaluate_module.uniform_matrix
+
+    def recording(*args, **kwargs):
+        made_on_main.append(threading.current_thread() is threading.main_thread())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate_module, "uniform_matrix", recording)
+    return made_on_main
+
+
+@pytest.mark.parametrize("case", ["yield-50", "stock-30", "random-40-3-2-2", "random-25-5-4-3"])
+def test_losses_are_the_same_with_and_without_the_producer(monkeypatch, case):
+    # one CPU makes every tile on the calling thread, two make them on a producer thread ahead of the draws
+    problem, strategy = SIMULATE_CASES[case]()
+    made_on_main = _recording_tiles(monkeypatch)
+    for block_draws, rollouts in [(evaluate_module.BLOCK_DRAWS, 3000), *((block, 13) for block in range(1, 9))]:
+        monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", block_draws)
+        texts = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(evaluate_module, "_cpu_count", lambda cpus=cpus: cpus)
+            made_on_main.clear()
+            texts.append([loss.hex() for loss in _rollout_losses(problem, strategy, rollouts, 5).tolist()])
+            assert len(made_on_main) > 1 and made_on_main == [cpus == 1] * len(made_on_main)
+        assert texts[0] == texts[1]
+        _, _, losses = scalar_reference.simulate(problem, strategy.choices, rollouts, 5)
+        assert texts[0] == [loss.hex() for loss in losses.tolist()]
+    # one tile is made on the calling thread, with no producer
+    monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", 2**16)
+    made_on_main.clear()
+    _rollout_losses(problem, strategy, 1, 5)
+    assert made_on_main == [True]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_fault_making_a_tile_propagates_and_leaves_no_thread(monkeypatch, cpus):
+    problem, strategy = SIMULATE_CASES["yield-50"]()
+    made = []
+    original = evaluate_module.uniform_matrix
+
+    def failing(*args, **kwargs):
+        made.append(args)
+        if len(made) == 3:
+            raise MemoryError("the third tile")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate_module, "uniform_matrix", failing)
+    monkeypatch.setattr(evaluate_module, "_cpu_count", lambda: cpus)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="the third tile"):
+        simulate(problem, strategy, 20000, 3)  # 34 tiles
+    assert threading.active_count() == threads
+    assert len(made) == 3  # no tile is made after the fault
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_interrupt_while_drawing_stops_the_producer(monkeypatch, cpus):
+    problem, strategy = SIMULATE_CASES["yield-50"]()
+    made_on_main = _recording_tiles(monkeypatch)
+    draws = []
+    draw = evaluate_module._draw
+
+    def interrupted(*args):
+        draws.append(None)
+        if len(draws) == 20:  # made while drawing tile 7
+            raise KeyboardInterrupt
+        return draw(*args)
+
+    monkeypatch.setattr(evaluate_module, "_draw", interrupted)
+    monkeypatch.setattr(evaluate_module, "_cpu_count", lambda: cpus)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        simulate(problem, strategy, 20000, 3)  # 34 tiles
+    assert threading.active_count() == threads
+    # the producer is at most two tiles ahead of the draws, and stops with them
+    assert 7 <= len(made_on_main) <= 7 + 2
+
+
+def test_concurrent_calls_with_a_short_switch_interval_keep_their_bits(monkeypatch):
+    # four calling threads on two CPUs, each with its own producer, hand over 250 tiles of 8 draws a call
+    problem, strategy = SIMULATE_CASES["random-25-5-4-3"]()
+    monkeypatch.setattr(evaluate_module, "BLOCK_DRAWS", 8)
+    monkeypatch.setattr(evaluate_module, "_cpu_count", lambda: 1)
+    expected = {seed: _rollout_losses(problem, strategy, 40, seed).tobytes() for seed in range(4)}
+    monkeypatch.setattr(evaluate_module, "_cpu_count", lambda: 2)
+    results = {seed: [] for seed in range(4)}
+
+    def calls(seed):
+        for _ in range(5):
+            results[seed].append(_rollout_losses(problem, strategy, 40, seed).tobytes())
+
+    callers = [threading.Thread(target=calls, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == {seed: [expected[seed]] * 5 for seed in range(4)}
+
+
+def test_cpu_count_falls_back_to_the_machine_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert evaluate_module._cpu_count() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
+    assert evaluate_module._cpu_count() == 1
 
 
 def test_memory_is_one_loss_per_rollout_plus_a_block():

@@ -275,14 +275,51 @@ BOUNDARIES = [
 ]
 
 
+# texts with an exponent: kept by _number below 1e-4 and from 1e16 on, rewritten from 1e12 to 1e16 and for subnormals
+EXPONENTS = [
+    1e-5,
+    -8.61708560966e-05,
+    1e-300,
+    2.2250738585072014e-308,  # the smallest normal, whose exponent -308 subnormals share
+    1e-310,
+    5e-324,
+    1e13,
+    -123456789012345.0,
+    9.99999999999e15,
+    1e16,
+    -1e17,
+    1e300,
+]
+EXPONENT_FLOATS = (
+    st.sampled_from(EXPONENTS)
+    | st.floats(min_value=1e12, max_value=1e16)
+    | st.floats(min_value=-1e16, max_value=-1e12)
+    | st.floats(min_value=1e16, allow_infinity=False)
+    | st.floats(min_value=-2.3e-308, max_value=2.3e-308)
+    | st.floats(min_value=-1e-5, max_value=1e-5)
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(BOUNDARIES), max_size=40))
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(BOUNDARIES), max_size=40)
+    | st.lists(EXPONENT_FLOATS | st.sampled_from([0.5, 3.0]), max_size=40)  # blocks heavy in exponents
+)
 def test_numbers_are_the_number_texts(values):
     assert _numbers(values) == [_number(v) for v in values]
     # blocks of 1 to 8 put whole numbers and exponents at a block's edges as well as inside it
     for block in range(1, 9):
         with mock.patch.object(cli, "BLOCK", block):
             assert _numbers(values) == [_number(v) for v in values]
+
+
+def test_only_the_texts_number_changes_go_through_it():
+    # exponents that _number keeps take no call, so a block of them is one % pass; the rest take one each
+    kept = [1e-5, -8.61708560966e-05, 2.5e-300, 1e16, -3.5e200, 0.25]
+    changed = [1e13, 5e-324, 1e-310, 3.0]
+    with mock.patch.object(cli, "_number", wraps=_number) as number:
+        assert _numbers(kept * 5 + changed) == [_number(v) for v in kept * 5 + changed]
+    assert [call.args[0] for call in number.call_args_list] == changed
 
 
 @pytest.mark.parametrize("value", BOUNDARIES)
