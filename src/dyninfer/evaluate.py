@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidParams, ShapeMismatch
 from .model import _MAX_ARRAY_BYTES, Problem, _fields_equal, _labels_text
 from .reduction import _label_sum, bar_loss_table
-from .rng import check_seed, uniform_matrix
+from .rng import check_seed, stream_offsets, uniform_matrix
 from .solver import SolveResult
 
 # draws per tile of rollouts and rounds in ``simulate`` (512 KiB per 8-byte temporary)
@@ -187,7 +187,9 @@ def _draw(table: np.ndarray, width: int, rows: np.ndarray, u: np.ndarray) -> np.
     That count is the smallest label index ``m`` with ``u < cdf[m]``. A
     branchless binary search finds it, reading ``log2(width) + 1`` entries
     per draw: running sums of non-negative entries never decrease, and an
-    entry past 1.0 or the 2.0 padding is never ``<= u < 1``.
+    entry past 1.0 or the 2.0 padding is never ``<= u < 1``. It draws the
+    rows of 3 labels, and the split draws of a guide whose buckets are too
+    crowded to scan (see :func:`_sampler`).
     """
     base = rows * width
     pos = base.copy()
@@ -200,15 +202,31 @@ def _draw(table: np.ndarray, width: int, rows: np.ndarray, u: np.ndarray) -> np.
     return pos
 
 
-def _guide_table(table: np.ndarray, width: int) -> np.ndarray:
-    """An exact guide to a search table (Chen and Asau's indexed search), flattened.
+def _threshold_draw(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The draws of :func:`_draw` from a search table of width 1 (rows of 1 or 2 labels), as bools.
+
+    The count of the row's one entry ``<= u`` is that comparison; a bool
+    adds to an integer as 0 or 1.
+    """
+    return table[rows] <= u
+
+
+def _guide_table(table: np.ndarray, width: int) -> tuple[np.ndarray, int]:
+    """An exact guide to a search table (Chen and Asau's indexed search), flattened, and its scan length.
 
     Table row ``r`` gets ``K = 2 * width`` buckets; bucket ``b`` covers the
     uniforms in ``[b / K, (b + 1) / K)``. ``guide[r * K + b]`` is the draw of
-    every uniform in the bucket, the count of the row's entries ``<= b / K``,
-    unless an entry lies strictly inside ``(b / K, (b + 1) / K)``: then the
-    draw depends on the uniform and the entry is -1. Scaling by the power of
-    two ``K`` is exact, so ``e <= b / K`` is ``ceil(e * K) <= b``. The guide
+    every uniform in the bucket, the count ``c`` of the row's entries ``<=
+    b / K``, unless an entry lies strictly inside ``(b / K, (b + 1) / K)``:
+    then the draw depends on the uniform, and the bucket is split. ``P``,
+    the scan length, is the most entries strictly inside one bucket of the
+    table, and a split bucket holds ``-1 - s`` with ``s = min(c, width -
+    P)``. The draw of ``u`` in it is ``s`` plus how many of the ``P``
+    entries from position ``s`` on are ``<= u``: the entries before ``s``
+    are ``<= b / K <= u``, those after the ``P`` are past the bucket, and
+    the ``P`` lie inside the row, which matters for rows of 5, 9 or 17
+    labels, whose tables have no padding. Scaling by the power of two
+    ``K`` is exact, so ``e <= b / K`` is ``ceil(e * K) <= b``. The guide
     holds two 8-byte entries per table entry, twice the table's bytes.
     """
     buckets = 2 * width
@@ -220,37 +238,59 @@ def _guide_table(table: np.ndarray, width: int) -> np.ndarray:
     counts = np.bincount(keys.reshape(-1), minlength=len(scaled) * (buckets + 1)).reshape(-1, buckets + 1)
     np.cumsum(counts, axis=1, out=counts)
     rows, entries = np.nonzero((lows < scaled) & (scaled < buckets))
-    counts[rows, lows[rows, entries].astype(np.intp)] = -1
+    split = rows, lows[rows, entries].astype(np.intp)  # the bucket of each entry strictly inside one
+    passes = int(np.bincount(split[0] * buckets + split[1]).max(initial=0))
+    counts[split] = -1 - np.minimum(counts[split], width - passes)
     # the slice is not contiguous, so reshape copies it, marks included
-    return counts[:, :buckets].reshape(-1)
+    return counts[:, :buckets].reshape(-1), passes
 
 
-def _guided_draw(table: np.ndarray, width: int, guide: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _guided_draw(
+    table: np.ndarray, width: int, guide: np.ndarray, passes: int, rows: np.ndarray, u: np.ndarray
+) -> np.ndarray:
     """The draws of :func:`_draw`, read from the guide where a bucket decides them.
 
-    A uniform ``u = k * 2**-53`` falls in bucket ``floor(u * K)``, exactly;
-    only the draws whose bucket is marked -1 go to :func:`_draw`.
+    A uniform ``u = k * 2**-53`` falls in bucket ``floor(u * K)``, exactly.
+    A draw in a split bucket advances from the bucket's start ``s`` once
+    per entry ``<= u`` in ``passes`` steps of one read each (see
+    :func:`_guide_table`); the steps stop advancing at the first entry past
+    ``u``. A table whose most crowded bucket holds more entries than the
+    binary search reads, ``log2(width) + 1``, sends its split draws to
+    :func:`_draw` instead, so no table draws slower than by binary search.
     """
     buckets = 2 * width
     draws = (u * buckets).astype(np.intp)
     draws += rows * buckets
     draws = guide[draws]
     misses = np.flatnonzero(draws < 0)
-    if misses.size:
-        draws[misses] = _draw(table, width, rows[misses], u[misses])
+    if not misses.size:
+        return draws
+    rows, u = rows[misses], u[misses]
+    if passes > width.bit_length():
+        draws[misses] = _draw(table, width, rows, u)
+    else:
+        base = rows * width
+        pos = base - draws[misses]
+        pos -= 1  # base + s
+        for _ in range(passes):
+            pos += table[pos] <= u
+        draws[misses] = pos - base
     return draws
 
 
 def _sampler(rows: np.ndarray):
     """The inverse-CDF draw ``(table rows, uniforms) -> label indices`` for the probability rows ``rows``.
 
-    Rows of 4 or more labels (a search table of width 4 or more) draw
-    through a guide; shorter rows' binary search reads at most 2 entries.
+    Rows of 1 or 2 labels (a search table of width 1) draw by one
+    comparison, rows of 4 or more labels (width 4 or more) through a
+    guide; the binary search of rows of 3 labels reads 2 entries.
     """
     table, width = _search_table(rows)
+    if width == 1:
+        return functools.partial(_threshold_draw, table)
     if width < 4:
         return functools.partial(_draw, table, width)
-    return functools.partial(_guided_draw, table, width, _guide_table(table, width))
+    return functools.partial(_guided_draw, table, width, *_guide_table(table, width))
 
 
 def _cpu_count() -> int:
@@ -284,11 +324,13 @@ def _uniform_tiles(seed: int, rollouts: int, draws: int):
     tiles = functools.partial(_tiles, rollouts, draws, tile_rollouts, tile_draws)
     size = tile_rollouts * tile_draws
     states = np.empty(size, dtype=np.uint64)
+    offsets = stream_offsets(tile_rollouts, draws)  # made once; a last, shorter block of rollouts reads a prefix
     one_tile = rollouts == tile_rollouts and draws == tile_draws
     if one_tile or _cpu_count() < 2:
         output = np.empty(size, dtype=np.uint64)
         for start, streams, first, count in tiles():
-            yield start, first, uniform_matrix(seed, streams, count, start, first, draws, buffers=(states, output)).T
+            tile = uniform_matrix(seed, streams, count, start, first, draws, offsets=offsets, buffers=(states, output))
+            yield start, first, tile.T
         return
 
     ring = [np.empty(size, dtype=np.uint64) for _ in range(RING_TILES)]
@@ -304,7 +346,9 @@ def _uniform_tiles(seed: int, rollouts: int, draws: int):
                 if halt.is_set():
                     return
                 slot = ring[k % RING_TILES]
-                made[k % RING_TILES] = uniform_matrix(seed, streams, count, start, first, draws, buffers=(states, slot))
+                made[k % RING_TILES] = uniform_matrix(
+                    seed, streams, count, start, first, draws, offsets=offsets, buffers=(states, slot)
+                )
                 ready.release()
         except BaseException as error:  # handed to the caller's thread, which raises it
             fault.append(error)
@@ -383,11 +427,12 @@ def simulate(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: in
     for ``seed`` (see :mod:`dyninfer.rng`), with ``2 n`` draws per rollout in
     the order: initial observation, then per round the quantity and (except
     in the final round) the next observation. Categorical draws invert the
-    row CDF in label-index order, through an exact guide table for rows of
-    4 or more labels (see :func:`_guide_table`). The mean and the variance
-    are sums over rollouts in index order (see :func:`_ordered_sum`), taken
-    once all rollouts are complete, so the result does not depend on how
-    the rollouts were scheduled.
+    row CDF in label-index order: by one comparison for rows of 2 labels,
+    by binary search for rows of 3, and through an exact guide table for
+    rows of 4 or more (see :func:`_guide_table`). The mean and the
+    variance are sums over rollouts in index order (see
+    :func:`_ordered_sum`), taken once all rollouts are complete, so the
+    result does not depend on how the rollouts were scheduled.
 
     The draws are made in tiles of ``R = min(rollouts, BLOCK_DRAWS)``
     rollouts by ``max(1, BLOCK_DRAWS // R)`` consecutive draws, so a tile

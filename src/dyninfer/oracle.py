@@ -490,7 +490,7 @@ def random_sweep(rng: np.random.Generator, instances: int, mode: HistoryMode, li
     spaces = _digit_spaces(*SWEEP_SHAPE)
     horizons = np.array(horizons)
     stacks = []
-    for n in np.unique(horizons).tolist():
+    for n in sorted(set(horizons.tolist())):
         members = np.flatnonzero(horizons == n)
         init, transitions, quantities, loss = _cut_tables(np.stack([draws[k] for k in members.tolist()]), shapes[n])
         rows = (_positive_rows(table) for table in (init, transitions, quantities))

@@ -59,6 +59,13 @@ def _uniforms_from_states(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
     return np.multiply(z, 2.0**-53, out=shifted.view(np.float64))
 
 
+def stream_offsets(streams: int, draws_per_stream: int) -> np.ndarray:
+    """``k * draws_per_stream * GAMMA`` (mod 2**64) for ``k < streams``: the state offsets of the streams of a tile."""
+    offsets = np.arange(streams, dtype=np.uint64)
+    offsets *= np.uint64(draws_per_stream * int(_GAMMA) & _MASK64)
+    return offsets
+
+
 def uniform_matrix(
     seed: int,
     streams: int,
@@ -68,6 +75,7 @@ def uniform_matrix(
     draws_per_stream: int | None = None,
     *,
     buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    offsets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Matrix of uniforms whose row ``k`` holds draws of substream ``first_stream + k`` of ``seed``.
 
@@ -80,24 +88,28 @@ def uniform_matrix(
 
     Draw ``t`` of stream ``s`` has state ``seed + (t + 1) * GAMMA + s * d *
     GAMMA`` (mod 2**64), the state :func:`counter_uniforms` gives counter
-    ``t + s * d``, so the tile's states are one outer sum of a per-draw and
-    a per-stream vector.
+    ``t + s * d``, so the tile's states are one outer sum of a per-draw
+    vector, which holds ``seed + first_stream * d * GAMMA``, and the
+    per-stream vector :func:`stream_offsets` of ``k = s - first_stream``.
 
     ``buffers``, two flat uint64 arrays of at least ``streams * draws``
     entries, take the tile's states and then its output, which is then a
-    view of the second; by default both are new arrays.
+    view of the second; by default both are new arrays. ``offsets``, made
+    once for many tiles, is ``stream_offsets(m, d)`` for some ``m >=
+    streams``, of which the first ``streams`` entries are read; by default
+    it is made here.
     """
     if draws_per_stream is None:
         draws_per_stream = draws
     size = streams * draws
     if buffers is None:
         buffers = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    if offsets is None:
+        offsets = stream_offsets(streams, draws_per_stream)
     states, output = (buffer[:size].reshape(draws, streams) for buffer in buffers)
-    # uint64 array arithmetic wraps mod 2**64; the scalar factors are reduced in Python
+    # uint64 array arithmetic wraps mod 2**64; the scalar terms are reduced in Python
     draw_states = np.arange(first_draw + 1, first_draw + draws + 1, dtype=np.uint64)
     draw_states *= _GAMMA
-    draw_states += np.uint64(seed & _MASK64)
-    stream_offsets = np.arange(first_stream, first_stream + streams, dtype=np.uint64)
-    stream_offsets *= np.uint64(draws_per_stream * int(_GAMMA) & _MASK64)
-    np.add.outer(draw_states, stream_offsets, out=states)
+    draw_states += np.uint64((seed + first_stream * draws_per_stream * int(_GAMMA)) & _MASK64)
+    np.add.outer(draw_states, offsets[:streams], out=states)
     return _uniforms_from_states(states, output).T

@@ -523,6 +523,21 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["n"] == 3
 
 
+@pytest.mark.parametrize("command", [["verify", "--instances", "3"], ["export-trellis", "-f", "dot"]])
+def test_verify_and_the_dot_trellis_leave_numpy_ma_unimported(tmp_path, command):
+    # numpy 2.4's np.unique without an inverse asks np.ma.is_masked, and importing numpy.ma costs a fresh
+    # process about 10 ms and 1 MB
+    model = tmp_path / "m.json"
+    assert run(["example", "stock", "--n", "4", "-o", str(model)]) == 0
+    if command[0] == "export-trellis":
+        command = [*command, "-m", str(model)]
+    script = "import sys\nfrom dyninfer.cli import run\nprint(run(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *command, "-o", str(tmp_path / "out")], capture_output=True, text=True
+    )
+    assert (proc.stdout, proc.stderr) == ("0 False\n", "")
+
+
 def test_evaluate_cross_checks_with_library(tmp_path, stock_model):
     strategy = tmp_path / "myopic.json"
     stock = example_stock(6)

@@ -192,6 +192,8 @@ SIMULATE_CASES = {
     "stock-30": lambda: _optimal_case(example_stock(30)),
     "section33-40": lambda: _optimal_case(example_section33(40)),
     "yield-50": lambda: _optimal_case(example_yield(50)),
+    # 9 and 17 labels: search tables of widths 8 and 16 with no padding, so a guide's scan can reach a row's end
+    "random-20-9-17-3": lambda: _random_case(5, 20, 9, 17, 3),
 }
 
 
@@ -279,7 +281,7 @@ def _recording_tiles(monkeypatch):
     return made_on_main
 
 
-@pytest.mark.parametrize("case", ["yield-50", "stock-30", "random-40-3-2-2", "random-25-5-4-3"])
+@pytest.mark.parametrize("case", ["yield-50", "stock-30", "random-40-3-2-2", "random-25-5-4-3", "random-20-9-17-3"])
 def test_losses_are_the_same_with_and_without_the_producer(monkeypatch, case):
     # one CPU makes every tile on the calling thread, two make them on a producer thread ahead of the draws
     problem, strategy = SIMULATE_CASES[case]()
@@ -327,16 +329,22 @@ def test_a_fault_making_a_tile_propagates_and_leaves_no_thread(monkeypatch, cpus
 def test_an_interrupt_while_drawing_stops_the_producer(monkeypatch, cpus):
     problem, strategy = SIMULATE_CASES["yield-50"]()
     made_on_main = _recording_tiles(monkeypatch)
-    draws = []
-    draw = evaluate_module._draw
+    columns = []
+    sampler = evaluate_module._sampler
 
-    def interrupted(*args):
-        draws.append(None)
-        if len(draws) == 20:  # made while drawing tile 7
-            raise KeyboardInterrupt
-        return draw(*args)
+    def interrupted_sampler(rows):
+        draw = sampler(rows)
 
-    monkeypatch.setattr(evaluate_module, "_draw", interrupted)
+        def interrupted(*args):
+            columns.append(None)
+            if len(columns) == 20:  # in tile 7, which holds draw columns 19 to 21
+                raise KeyboardInterrupt
+            return draw(*args)
+
+        return interrupted
+
+    # every draw column calls one of the samplers
+    monkeypatch.setattr(evaluate_module, "_sampler", interrupted_sampler)
     monkeypatch.setattr(evaluate_module, "_cpu_count", lambda: cpus)
     threads = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
@@ -488,6 +496,14 @@ def rows_and_uniforms(draw):
 @example((np.array([[0.7, 0.7, 0.0, 0.3]]), np.array([0.0, 0.7, np.nextafter(0.7, 0.0), np.nextafter(1.0, 0.0)])))
 @example((np.array([[5e-324, 0.0, 5e-324, 1.0], [0.0, 0.0, 0.0, 1.0]]), np.array([0.0, 5e-324, 1e-323, 0.5])))
 @example((np.array([[1.0]]), np.array([0.0, 0.5])))
+# rows of 5, 9 and 17 labels fill tables of width 4, 8 and 16: uniforms in the split bucket of a row's last
+# running sum (0.8 with 8 buckets, 8/9 with 16, 16/17 with 32) draw the last label, and the scan ends at the
+# row's end; the second row's first entry is <= u, so a read past the first row's end draws a wrong label
+@example((np.array([[0.2] * 5, [0.05, 0.05, 0.3, 0.3, 0.3]]), np.array([0.1, 0.8, 0.85, 0.875, 1 - 2**-53])))
+@example((np.array([[1 / 9] * 9, [0.05] + [0.1] * 7 + [0.25]]), np.array([0.05, 8 / 9, 0.9, 0.9375, 1 - 2**-53])))
+@example((np.array([[1 / 17] * 17, [0.01] * 16 + [0.84]]), np.array([0.9, 16 / 17, 0.95, 0.96875, 1 - 2**-53])))
+# four running sums in the first of 8 buckets: more than the binary search's 3 reads, so it keeps the search
+@example((np.array([[0.1, 0.001, 0.001, 0.001, 0.897]]), np.array([0.0, 0.1, 0.1005, 0.103, 0.12, 1 - 2**-53])))
 def test_binary_search_draws_what_the_row_gather_draws(case):
     rows, uniforms = case
     table, width = evaluate_module._search_table(rows)
@@ -495,10 +511,13 @@ def test_binary_search_draws_what_the_row_gather_draws(case):
     u = np.tile(uniforms, len(rows))
     expected = scalar_reference.sample(scalar_reference.row_cdfs(rows)[row_index], u)
     assert evaluate_module._draw(table, width, row_index, u).tolist() == expected.tolist()
-    # the guide decides the draw of each uniform in an unmarked bucket, and sends the rest to _draw
-    guide = evaluate_module._guide_table(table, width)
+    # the guide decides the draw of each uniform in an unsplit bucket, and a scan from the bucket's start the rest
+    guide, passes = evaluate_module._guide_table(table, width)
     assert guide.nbytes == 2 * table.nbytes
-    assert evaluate_module._guided_draw(table, width, guide, row_index, u).tolist() == expected.tolist()
+    assert evaluate_module._guided_draw(table, width, guide, passes, row_index, u).tolist() == expected.tolist()
+    # past log2(width) + 1 steps, the split draws go to the binary search instead of the scan
+    binary = evaluate_module._guided_draw(table, width, guide, width.bit_length() + 1, row_index, u)
+    assert binary.tolist() == expected.tolist()
     assert evaluate_module._sampler(rows)(row_index, u).tolist() == expected.tolist()
 
 
