@@ -130,8 +130,9 @@ class _RoundTables:
     round, keyed by the observation labels. A value is a number, an object
     of numbers keyed by the estimate labels, an estimate label, or an array
     of estimate labels (a tie set, read from a row of the tie mask, whose
-    text is made once per distinct row). Each round is one ``%`` template,
-    made once from the label texts, filled with its values' texts in the
+    text is made once per distinct row). A round's ``%`` template is made
+    once from the label texts; a block of rounds is that template joined
+    once per round, filled in one ``%`` pass with its values' texts in the
     sorted order of the labels.
     """
 
@@ -155,13 +156,14 @@ class _RoundTables:
         return np.array(order), value.join(heads) + value + "\n" + "  " * (depth - 1) + "}"
 
     def table(self, table: np.ndarray, texts: Callable[[np.ndarray], list[str]], nested: bool = False) -> Iterator[str]:
-        """The text of one table, one chunk per round.
+        """The text of one table, one chunk per block of rounds.
 
         ``table`` is indexed by round, then observation (then estimate, for
         ``nested`` objects of numbers). ``texts`` makes the value texts of a
         block of rounds, read with their observations (and estimates) in
         sorted label order; a block holds at most ``BLOCK`` values, or one
-        round.
+        round. Each round's text follows a ``,`` and a line end; the first
+        block drops its leading ``,``.
         """
         size = len(self._x_order)
         if nested:
@@ -170,13 +172,13 @@ class _RoundTables:
         else:
             index, template = (slice(None), self._x_order), self._flat
         step = max(1, BLOCK // size)
-        yield "[\n    "
-        separator = ""
+        template = ",\n    " + template
+        block = template * min(step, len(table))
+        yield "["
         for start in range(0, len(table), step):
-            block = texts(table[start : start + step][index])
-            for offset in range(0, len(block), size):
-                yield separator + template % tuple(block[offset : offset + size])
-                separator = ",\n    "
+            rounds = min(step, len(table) - start)
+            # one expression, so no block's texts outlive its chunk; a last, shorter block fills a prefix
+            yield block[start == 0 : rounds * len(template)] % tuple(texts(table[start : start + rounds][index]))
         yield "\n  ]"
 
     @staticmethod
@@ -234,10 +236,17 @@ def _write(path: str, chunks: Iterable[str]) -> None:
     takes the old file's mode bits and is renamed onto it, so a failure or an
     interrupt part way leaves the old file as it was, and a symlink stays a
     link. Anything :func:`_replacement_mode` refuses, and a file whose
-    directory takes no new file, is written in place.
+    directory takes no new file, is written in place. Standard output is
+    flushed here, so a closed pipe fails inside the command; what it still
+    buffers then goes to the null device, not to the exit flush.
     """
     if path == "-":
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
         return
     target = os.path.realpath(path)
     mode = _replacement_mode(path, target)

@@ -14,14 +14,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidParams, ShapeMismatch
-from .model import _MAX_ARRAY_BYTES, Problem, _fields_equal, _labels_text
+from .model import _MAX_ARRAY_BYTES, Problem, _fields_equal, _labels_text, _plain_stack
 from .reduction import _label_sum, bar_loss_table
 from .rng import check_seed, stream_offsets, uniform_matrix
 from .solver import SolveResult
@@ -66,7 +64,9 @@ class MarkovStrategy:
         """Build from the wire form: one {x label -> estimate label} object per round."""
         if len(rows) != problem.n:
             raise ShapeMismatch(f"strategy has {len(rows)} rounds, problem has {problem.n}")
-        choices = _plain_choices(problem, rows)
+        # plain rows are gathered in one pass; a missing observation or an unknown estimate goes to the checked reader
+        index = problem.yhat_space._index.__getitem__
+        choices = _plain_stack(rows, [problem.x_space.labels], lambda labels: np.fromiter(map(index, labels), np.int64))
         if choices is None:
             choices = _checked_choices(problem, rows)
         return cls(*_markov_binding(problem), choices)
@@ -75,25 +75,6 @@ class MarkovStrategy:
         if not isinstance(other, MarkovStrategy):
             return NotImplemented
         return _fields_equal(self, other, ("n", "x_labels", "yhat_labels", "choices"))
-
-
-def _plain_choices(problem: Problem, rows: Sequence) -> np.ndarray | None:
-    """The estimate indices of ``rows``, gathered in one ``itemgetter`` pass, or None.
-
-    Each row must be a plain dict holding exactly the observation labels,
-    each mapped to an estimate label. Anything else returns None, and
-    :func:`_checked_choices` names the fault.
-    """
-    x_labels = problem.x_space.labels
-    if not ({dict}.issuperset(map(type, rows)) and {len(x_labels)}.issuperset(map(len, rows))):
-        return None
-    gathered = map(itemgetter(*x_labels), rows)  # one label gives bare values, not tuples
-    estimates = chain.from_iterable(gathered) if len(x_labels) > 1 else gathered
-    try:
-        indices = np.fromiter(map(problem.yhat_space._index.__getitem__, estimates), dtype=np.int64)
-    except (KeyError, TypeError):  # a missing observation, or an unknown or unhashable estimate
-        return None
-    return indices.reshape(problem.n, len(x_labels))
 
 
 def _checked_choices(problem: Problem, rows: Sequence) -> np.ndarray:

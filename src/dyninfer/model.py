@@ -342,24 +342,27 @@ def _space_from(doc: Mapping, key: str) -> Alphabet:
     return Alphabet(tuple(raw))
 
 
-def _plain_stack(nodes: list, levels: Sequence[Sequence[str]]) -> np.ndarray | None:
-    """The numbers under ``nodes`` as one float64 array of shape ``(len(nodes), *map(len, levels))``, or None.
+def _plain_stack(
+    nodes: Sequence, levels: Sequence[Sequence[str]], leaves: Callable[[list], np.ndarray | None]
+) -> np.ndarray | None:
+    """The leaves under ``nodes`` as one array of shape ``(len(nodes), *map(len, levels))``, or None.
 
     Below ``nodes`` each level must be plain dicts holding exactly that
-    level's keys, and the last level numbers, as :func:`_float_array` takes
-    them. Each level is gathered in key order with one ``itemgetter`` pass.
-    Anything else returns None, and the caller's checked reader names the fault.
+    level's keys. Each level is gathered in key order with one ``itemgetter``
+    pass, and ``leaves`` makes the array of the last level's values, or None
+    (:func:`_float_array` for numbers). Anything else returns None, and the
+    caller's checked reader names the fault.
     """
     shape = (len(nodes), *map(len, levels))
-    for keys in levels:
-        if not ({dict}.issuperset(map(type, nodes)) and {len(keys)}.issuperset(map(len, nodes))):
-            return None
-        gathered = map(itemgetter(*keys), nodes)  # one key gives bare values, not tuples
-        try:
+    try:
+        for keys in levels:
+            if not ({dict}.issuperset(map(type, nodes)) and {len(keys)}.issuperset(map(len, nodes))):
+                return None
+            gathered = map(itemgetter(*keys), nodes)  # one key gives bare values, not tuples
             nodes = list(chain.from_iterable(gathered) if len(keys) > 1 else gathered)
-        except KeyError:  # a key is missing, so another stands in its place
-            return None
-    values = _float_array(nodes)
+        values = leaves(nodes)
+    except (KeyError, TypeError):  # a key is missing (another stands in its place), or ``leaves`` refuses a leaf
+        return None
     return None if values is None else values.reshape(shape)
 
 
@@ -495,7 +498,7 @@ def validate_problem(candidate: Mapping) -> Problem:
     y_space = _space_from(candidate, "y_space")
     yhat_space = _space_from(candidate, "yhat_space")
     init = _require(candidate, "init")
-    plain = _plain_stack([init], [x_space.labels])
+    plain = _plain_stack([init], [x_space.labels], _float_array)
     init = _checked_row(init, x_space, "init") if plain is None else plain[0]
     stationary = candidate.get("stationary", False)
     if not isinstance(stationary, bool):
@@ -524,13 +527,14 @@ def validate_problem(candidate: Mapping) -> Problem:
     nx, ny, na = len(x_space), len(y_space), len(yhat_space)
     pairs = _pair_index(x_space, yhat_space)
     # a key naming two pairs leaves fewer keys than pairs, and only the checked reader names it
-    transitions = _plain_stack(raw_transitions, [tuple(pairs), x_space.labels]) if len(pairs) == nx * na else None
+    levels = [tuple(pairs), x_space.labels]
+    transitions = _plain_stack(raw_transitions, levels, _float_array) if len(pairs) == nx * na else None
     if transitions is None:
         transitions = np.empty((len(raw_transitions), nx * na, nx))
         for k, obj in enumerate(raw_transitions):
             transitions[k] = _transition_from_object(obj, k + 2, x_space, yhat_space, pairs)
     transitions = transitions.reshape(-1, nx, na, nx)  # each pair slot xi * |Yhat| + ai split in two
-    quantities = _plain_stack(raw_quantities, [x_space.labels, y_space.labels])
+    quantities = _plain_stack(raw_quantities, [x_space.labels, y_space.labels], _float_array)
     if quantities is None:
         quantities = np.empty((len(raw_quantities), nx, ny))
         for k, obj in enumerate(raw_quantities):

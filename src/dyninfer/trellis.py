@@ -6,7 +6,8 @@ probability. Chosen estimates are drawn solid, others dashed; a chosen edge
 is colored blue where the dynamic optimum departs from the single-round
 optimum. Both renderers read the solve result alone, its arrays and the
 problem it was solved for: nodes in (round, observation index) order, edges
-in (round, x, yhat, next x) index order.
+in (round, x, yhat, next x) index order. Each fills all its node lines in
+one ``%`` pass.
 """
 
 from __future__ import annotations
@@ -62,19 +63,17 @@ def _text_label(label: str) -> str:
 
 
 def _render_text(result: SolveResult) -> str:
+    """One line per node: a round's lines, the x labels spliced in with each ``%`` doubled, repeated once per round."""
+    problem = result.problem
     # a label holding a line end or another unprintable character is written as its JSON string, so a node is one line
-    x_labels = [_text_label(x) for x in result.problem.x_space]
-    yhat_labels = [_text_label(yhat) for yhat in result.problem.yhat_space]
-    tie = np.count_nonzero(result.tied, axis=-1) > 1
-    rounds = zip(result.v_star.tolist(), result.policy.tolist(), result.myopic.tolist(), tie.tolist())
-    lines = []
-    for i, (v_row, policy_row, myopic_row, tie_row) in enumerate(rounds, start=1):
-        for xi, x in enumerate(x_labels):
-            lines.append(
-                f"round {i}: x={x} V*={v_row[xi]:.4f} chosen={yhat_labels[policy_row[xi]]} "
-                f"myopic={yhat_labels[myopic_row[xi]]} tie={'yes' if tie_row[xi] else 'no'}\n"
-            )
-    return "".join(lines)
+    x_labels = [_text_label(x).replace("%", "%%") for x in problem.x_space]
+    yhat_labels = np.array([_text_label(yhat) for yhat in problem.yhat_space], dtype=object)
+    tie = np.array(["no", "yes"], dtype=object)[(np.count_nonzero(result.tied, axis=-1) > 1).astype(np.intp)]
+    rounds = np.broadcast_to(np.arange(1, problem.n + 1)[:, None], tie.shape)
+    columns = (rounds, result.v_star, yhat_labels[result.policy], yhat_labels[result.myopic], tie)
+    fields = chain.from_iterable(zip(*(column.ravel().tolist() for column in columns)))
+    template = "".join([f"round %d: x={x} V*=%.4f chosen=%s myopic=%s tie=%s\n" for x in x_labels])
+    return (template * problem.n) % tuple(fields)
 
 
 def export_trellis(result: SolveResult, format: str = "dot") -> str:

@@ -84,6 +84,20 @@ def test_solve_init_override(tmp_path, stock_model):
     assert json.loads(out.read_text())["min_loss"] == pytest.approx((2.1 + 1.8) / 2, abs=1e-9)
 
 
+def test_an_init_text_that_starts_with_a_brace_is_read_as_json(tmp_path, capsys):
+    # so a label that starts with "{" is given inside an object, never bare
+    model, out = tmp_path / "braces.json", tmp_path / "out.json"
+    problem = dataclasses.replace(example_stock(6), x_space=Alphabet(("{a", "b")))
+    model.write_text(json.dumps(problem_to_dict(problem)))
+    assert run(["solve", "-m", str(model), "--init", "{a", "-o", str(out)]) == 1
+    error = _single_error_line(capsys)
+    assert error["error"] == "InvalidModelError" and error["message"].startswith("--init: not valid JSON: ")
+    assert not out.exists()
+    assert run(["solve", "-m", str(model), "--init", '{"{a": 1}', "-o", str(out)]) == 0
+    solved = json.loads(out.read_text())
+    assert solved["min_loss"] == solved["v_star"][0]["{a"] == 2.1
+
+
 def test_init_override_shares_the_checked_tables():
     # the override is a new problem that shares the loaded, read-only tables rather than copying them
     problem = example_stock(6)
@@ -509,6 +523,31 @@ def test_devices_and_missing_folders_are_opened_in_place(tmp_path, capsys, stock
     assert run(["solve", "-m", str(stock_model), "-o", str(missing)]) == 1
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "FileNotFoundError" and error["message"].endswith(f"{str(missing)!r}")
+
+
+@pytest.mark.parametrize("unread", [None, 10])
+def test_a_closed_stdout_ends_solve_with_at_most_one_error_line(tmp_path, unread):
+    # the reader takes the first 5 bytes of a 6 MB output, or all but the last 10, and closes the pipe. A later
+    # write or the command's own flush fails with EPIPE, an OSError: one line and status 1. Closed at the end,
+    # the pipe may have taken the last bytes already (status 0), but the exit flush never adds a second fault.
+    model, solved = tmp_path / "stock.json", tmp_path / "solved.json"
+    assert run(["example", "stock", "--n", "20000", "-o", str(model)]) == 0
+    assert run(["solve", "-m", str(model), "-o", str(solved)]) == 0
+    size = 5 if unread is None else solved.stat().st_size - unread
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    argv = [sys.executable, "-m", "dyninfer", "solve", "-m", str(model)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        try:
+            assert child.stdout.read(size) == solved.read_bytes()[:size]
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()  # nothing to do once it has exited
+    broken = {"error": "BrokenPipeError", "message": "[Errno 32] Broken pipe"}
+    if unread is not None and child.returncode == 0:
+        assert err == b""
+    else:
+        assert child.returncode == 1 and err.count(b"\n") == 1 and json.loads(err) == broken
 
 
 def test_module_entry_point(tmp_path):

@@ -150,7 +150,7 @@ def test_strategy_faults_read_the_same_through_both_readers(problem, faults, dat
             rows[k] = types.MappingProxyType(row)  # a Mapping, but no plain dict
     checked = _strategy_outcome(problem, rows)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluate_module, "_plain_choices", lambda *args: None)
+        patch.setattr(evaluate_module, "_plain_stack", lambda *args: None)
         assert _strategy_outcome(problem, rows) == checked
 
 

@@ -4,8 +4,9 @@ import dataclasses
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
-from writer_reference import trellis_edges
+from writer_reference import trellis_edges, trellis_text
 
 from dyninfer import (
     Alphabet,
@@ -13,6 +14,7 @@ from dyninfer import (
     example_section33,
     example_stock,
     export_trellis,
+    random_problem,
     solve,
 )
 
@@ -96,6 +98,17 @@ def test_text_labels_are_one_to_one():
     assert lines[0].startswith('round 1: x="\\"a\\\\nb\\"" V*=')
     assert lines[1].startswith('round 1: x="a\\nb" V*=')
     assert lines[0] != lines[1]
+
+
+def test_text_labels_may_hold_percent_signs():
+    # every line is filled from one % template: the observation labels are spliced into it, the estimates filled in
+    labels = Alphabet(("100%", "%s", "%(x)d", "%%"))
+    problem = dataclasses.replace(random_problem(np.random.default_rng(2), 3, 4, 2, 4), x_space=labels, yhat_space=labels)
+    result = solve(problem)
+    text = export_trellis(result, "text")
+    assert text == trellis_text(result)
+    assert [line.split(" V*=")[0] for line in text.splitlines()[:4]] == [f"round 1: x={x}" for x in labels]
+    assert {line.split(" chosen=")[1].split(" myopic=")[0] for line in text.splitlines()} <= set(labels.labels)
 
 
 def test_unknown_format(stock):

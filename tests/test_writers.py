@@ -141,6 +141,20 @@ def test_edge_shapes_match_the_dict_reference(tmp_path, shape):
     _check_against_reference(tmp_path, problem)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (7, ("only",), ("u", "v"), ("10", "2")),  # rounds of 1 and 2 values
+        (7, ("100%", "b", "%s"), ("y",), ("a", "%(x)d")),  # rounds of 3 and 6 values
+    ],
+)
+def test_tables_split_into_any_block_match_the_dict_reference(tmp_path, block, shape):
+    # a block of several rounds, a last block of fewer, and a round whose values take more than one block
+    with mock.patch.object(cli, "BLOCK", block):
+        _check_against_reference(tmp_path, _fixed_problem(*shape))
+
+
 @pytest.mark.parametrize("mode", [mode.value for mode in HistoryMode])
 @pytest.mark.parametrize("seed", [0, 1, 5])
 @pytest.mark.parametrize("instances", [1, 2, 7, 40])
@@ -169,43 +183,48 @@ def test_verify_model_matches_the_reference(tmp_path, mode):
 
 
 class _Writes(io.StringIO):
-    """A text stream that records the length of every ``write``."""
+    """A text stream that records the text of every ``write``."""
 
     def __init__(self):
         super().__init__()
-        self.sizes = []
+        self.texts = []
 
     def write(self, text):
-        self.sizes.append(len(text))
+        self.texts.append(text)
         return super().write(text)
 
 
 def _largest_writes(monkeypatch, tmp_path, n):
-    """The largest single write of ``solve`` and of ``evaluate`` (on the solved policy) on ``example stock``."""
+    """The largest single write of ``solve`` and of ``evaluate`` (on the solved policy) on ``example stock``.
+
+    Then the most table values any one write holds: each ``": "`` but those that open an object of numbers.
+    """
     model, solved = tmp_path / f"stock{n}.json", tmp_path / f"solved{n}.json"
     assert run(["example", "stock", "--n", str(n), "-o", str(model)]) == 0
-    largest = []
+    largest, values = [], 0
     for argv, out in ((["solve", "-m", str(model)], solved), (["evaluate", "-m", str(model), "-s", str(solved)], None)):
         stream = _Writes()
         monkeypatch.setattr(sys, "stdout", stream)
         assert run(argv) == 0
         monkeypatch.undo()
         assert len(stream.getvalue()) > 40 * n  # the output grows with n ...
-        largest.append(max(stream.sizes))
+        largest.append(max(map(len, stream.texts)))
+        values = max(values, *(text.count(": ") - text.count(": {") for text in stream.texts))
         if out is not None:
             out.write_text(stream.getvalue())
-    return largest
+    return (*largest, values)
 
 
-def test_solve_and_evaluate_write_one_round_at_a_time(monkeypatch, tmp_path):
-    # ... the largest write does not: it is one round, whose numbers at n = 2000 have at most
-    # one more integer digit (values grow about linearly in n: min_loss 30.3 -> 600.3)
-    (solve_100, evaluate_100), (solve_2000, evaluate_2000) = (
-        _largest_writes(monkeypatch, tmp_path, n) for n in (100, 2000)
+def test_solve_and_evaluate_write_one_block_at_a_time(monkeypatch, tmp_path):
+    # ... the largest write does not: it is one block of rounds, at most BLOCK values, and from n = 2000
+    # (a v table of 2000 rounds in one block) to n = 20000 (blocks of 2048 rounds) it grows by a few rounds
+    # and one more integer digit per number (values grow about linearly in n)
+    (solve_2000, evaluate_2000, values_2000), (solve_20000, evaluate_20000, values_20000) = (
+        _largest_writes(monkeypatch, tmp_path, n) for n in (2000, 20000)
     )
-    assert solve_100 < 200 and evaluate_100 < 100
-    assert 0 <= solve_2000 - solve_100 <= 2 * 2  # |X| * |Yhat| numbers in a q_star round
-    assert 0 <= evaluate_2000 - evaluate_100 <= 2  # |X| numbers in a v round
+    assert values_2000 == values_20000 == cli.BLOCK
+    assert solve_2000 <= solve_20000 < 1.2 * solve_2000
+    assert evaluate_2000 <= evaluate_20000 < 1.2 * evaluate_2000
 
 
 def _writer_peak(monkeypatch, tmp_path, n):
