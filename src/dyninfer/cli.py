@@ -228,6 +228,35 @@ def _replacement_mode(path: str, target: str) -> int | None:
     return None
 
 
+# bytes an output file, or an unbuffered standard output, holds before it writes them out
+WRITE_BUFFER = 2**16
+
+
+def _write_stdout(chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to standard output's buffer as bytes in its encoding, and flush it.
+
+    Under ``python -u`` the buffer is the raw file, which may take part of a
+    write; a buffered writer around it writes the rest and is detached after.
+    """
+    stream = sys.stdout
+    binary = getattr(stream, "buffer", None)
+    if binary is None:  # a text stream alone, such as io.StringIO
+        stream.writelines(chunks)
+        return
+    out = io.BufferedWriter(binary, WRITE_BUFFER) if isinstance(binary, io.RawIOBase) else binary
+    try:
+        stream.flush()  # text written before this command goes first
+        for chunk in chunks:
+            out.write(chunk.encode(stream.encoding, stream.errors))
+        out.flush()
+    except BrokenPipeError:  # what the buffers still hold goes to the null device, not to the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
+    finally:
+        if out is not binary:
+            out.detach()
+
+
 def _write(path: str, chunks: Iterable[str]) -> None:
     """Write ``chunks`` one by one to ``path`` (``-`` for stdout), opened only now.
 
@@ -236,17 +265,12 @@ def _write(path: str, chunks: Iterable[str]) -> None:
     takes the old file's mode bits and is renamed onto it, so a failure or an
     interrupt part way leaves the old file as it was, and a symlink stays a
     link. Anything :func:`_replacement_mode` refuses, and a file whose
-    directory takes no new file, is written in place. Standard output is
-    flushed here, so a closed pipe fails inside the command; what it still
-    buffers then goes to the null device, not to the exit flush.
+    directory takes no new file, is written in place. Either file holds
+    ``WRITE_BUFFER`` bytes between writes. Standard output is flushed here
+    (see :func:`_write_stdout`), so a closed pipe fails inside the command.
     """
     if path == "-":
-        try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise
+        _write_stdout(chunks)
         return
     target = os.path.realpath(path)
     mode = _replacement_mode(path, target)
@@ -256,11 +280,11 @@ def _write(path: str, chunks: Iterable[str]) -> None:
         except OSError:  # no such directory, or no new file allowed there
             mode = None
     if mode is None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with open(path, "w", WRITE_BUFFER, encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
         return
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with open(fd, "w", WRITE_BUFFER, encoding="utf-8", newline="\n") as handle:
             handle.writelines(chunks)
         os.chmod(temp, mode)
         os.replace(temp, target)

@@ -118,6 +118,12 @@ class EvalResult:
     v: np.ndarray  # (n, |X|)
 
 
+def _chosen_rows(problem: Problem, strategy: MarkovStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """The transition rows (n-1, |X|, |X|) and loss rows (n, |X|, |Y|) at the estimate each (round, x) chooses."""
+    transitions = np.take_along_axis(problem.transitions, strategy.choices[:-1, :, None, None], axis=2)[:, :, 0]
+    return transitions, problem.loss.transpose(2, 0, 1)[strategy.choices, np.arange(len(problem.x_space))]
+
+
 def evaluate_markov(problem: Problem, strategy: MarkovStrategy) -> EvalResult:
     """Exact expected accumulated loss of a strategy, by backward recursion.
 
@@ -126,13 +132,10 @@ def evaluate_markov(problem: Problem, strategy: MarkovStrategy) -> EvalResult:
     expectation.
     """
     _check_strategy(problem, strategy)
-    bar = bar_loss_table(problem).values
-    choices = strategy.choices
-    v = np.take_along_axis(bar, choices[..., None], axis=-1)[..., 0]
+    transitions, loss = _chosen_rows(problem, strategy)
+    v = _label_sum(problem.quantities, loss)
     for k in range(problem.n - 2, -1, -1):
-        # row xi is the law of the next observation after the estimate chosen at xi
-        transition = problem.transitions[k][np.arange(len(problem.x_space)), choices[k]]
-        v[k] += _label_sum(transition, v[k + 1])
+        v[k] += _label_sum(transitions[k], v[k + 1])
     j = float(_label_sum(problem.init, v[0]))
     v.setflags(write=False)
     return EvalResult(j, v)
@@ -352,17 +355,13 @@ def _uniform_tiles(seed: int, rollouts: int, draws: int):
 
 def _rollout_losses(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: int) -> np.ndarray:
     """The accumulated loss of each rollout, in rollout order, drawn tile by tile as :func:`simulate` describes."""
-    n = problem.n
     nx, ny = len(problem.x_space), len(problem.y_space)
-    choices = strategy.choices
-    # one table row per (round, observation), holding the strategy's own transition rows and losses
-    draw_init = _sampler(problem.init)
-    draw_quantity = _sampler(problem.quantities)
-    draw_transition = _sampler(np.take_along_axis(problem.transitions, choices[:-1, :, None, None], axis=2)[:, :, 0])
-    chosen_loss = problem.loss.transpose(2, 0, 1)[choices, np.arange(nx)].reshape(-1)
+    transitions, loss = _chosen_rows(problem, strategy)
+    draw_init, draw_quantity, draw_transition = map(_sampler, (problem.init, problem.quantities, transitions))
+    chosen_loss = loss.reshape(-1)
 
     losses = np.zeros(rollouts)
-    tiles = _uniform_tiles(seed, rollouts, 2 * n)
+    tiles = _uniform_tiles(seed, rollouts, 2 * problem.n)
     try:
         for start, first, columns in tiles:
             tile_losses = losses[start : start + columns.shape[1]]

@@ -550,6 +550,29 @@ def test_a_closed_stdout_ends_solve_with_at_most_one_error_line(tmp_path, unread
         assert child.returncode == 1 and err.count(b"\n") == 1 and json.loads(err) == broken
 
 
+@pytest.mark.parametrize("command", [["export-trellis", "-f", "dot"], ["export", "bar-loss"], ["solve"]])
+def test_an_unbuffered_closed_stdout_ends_with_one_error_line(tmp_path, command):
+    # under PYTHONUNBUFFERED stdout's buffer is the raw file, which may take part of a write. A text stream
+    # dropped the rest, so a command that writes one chunk lost its output with status 0 and no error line
+    model, written = tmp_path / "stock.json", tmp_path / "written"
+    assert run(["example", "stock", "--n", "20000", "-o", str(model)]) == 0
+    argv = [*command, "-m", str(model)]
+    assert run([*argv, "-o", str(written)]) == 0
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    child_argv = [sys.executable, "-m", "dyninfer", *argv]
+    whole = subprocess.run(child_argv, capture_output=True, env=env, timeout=60)
+    assert whole.returncode == 0 and whole.stderr == b"" and whole.stdout == written.read_bytes()
+    with subprocess.Popen(child_argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        try:
+            assert child.stdout.read(5) == whole.stdout[:5]
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()  # nothing to do once it has exited
+    broken = {"error": "BrokenPipeError", "message": "[Errno 32] Broken pipe"}
+    assert child.returncode == 1 and err.count(b"\n") == 1 and json.loads(err) == broken
+
+
 def test_module_entry_point(tmp_path):
     model = tmp_path / "m.json"
     assert run(["example", "section33", "--n", "3", "-o", str(model)]) == 0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scalar_reference
 from enumeration_reference import strategy_count
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -119,21 +119,32 @@ def test_solve_matches_scalar_reference(problem):
         assert result.tie_sets == tie_sets
 
 
-@SETTINGS
-@given(problems(), st.data())
-def test_evaluate_matches_scalar_reference(problem, data):
+@st.composite
+def problems_and_choices(draw):
+    """A problem from :func:`problems` and a strategy table drawn for it."""
+    problem = draw(problems())
     shape = (problem.n, len(problem.x_space))
-    drawn = MarkovStrategy(
-        problem.n,
-        problem.x_space.labels,
-        problem.yhat_space.labels,
-        data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, len(problem.yhat_space) - 1))),
-    )
+    return problem, draw(hnp.arrays(np.int64, shape, elements=st.integers(0, len(problem.yhat_space) - 1)))
+
+
+def _negative_zero_row_problem():
+    """Two rounds whose loss entries at (x0, a0) are all -0.0: their bar-loss is the 0.0 a sum from 0.0 gives."""
+    labels = [Alphabet((f"{prefix}0", f"{prefix}1")) for prefix in "xya"]
+    loss = np.array([[[-0.0, 1.0], [-0.0, 0.5]], [[0.25, -1.0], [3.0, -0.0]]])
+    return problem_from_tables(2, *labels, [0.5, 0.5], [np.full((2, 2, 2), 0.5)], [np.full((2, 2), 0.5)], loss)
+
+
+@SETTINGS
+@given(problems_and_choices())
+@example((_negative_zero_row_problem(), np.zeros((2, 2), dtype=np.int64)))
+def test_evaluate_matches_scalar_reference(case):
+    problem, choices = case
+    drawn = MarkovStrategy(problem.n, problem.x_space.labels, problem.yhat_space.labels, choices)
     for strategy in (myopic_strategy(problem), optimal_strategy(solve(problem)), drawn):
         result = evaluate_markov(problem, strategy)
         v, j = scalar_reference.evaluate_markov(problem, strategy.choices)
-        assert np.array_equal(result.v, v)
-        assert result.j == j
+        assert _same_bits(result.v, v)
+        assert _same_bits(result.j, j)
 
 
 def _same_bits(a, b) -> bool:
