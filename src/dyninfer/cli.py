@@ -30,53 +30,26 @@ import numpy as np
 from . import examples as example_models
 from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
 from .evaluate import MarkovStrategy, evaluate_markov, simulate
-from .model import Problem, _init_row, _normalized, problem_to_dict, validate_problem
-from .model import _number as _model_number  # cli._number is the JSON number writer
+from .model import Problem, _init_row, _normalized, _number, problem_to_dict, validate_problem
 from .oracle import DEFAULT_STRATEGY_LIMIT, HistoryMode, OracleStack, _problem_stack, random_sweep
-# unused here: perfbench/tracing.py hooks these names, and every name it hooks must resolve
-from .oracle import brute_force_optimum, random_problem  # noqa: F401
 from .reduction import bar_loss_table
 from .rng import check_seed
 from .solver import TieBreakRule, minimum_inference_loss, solve
 from .trellis import export_trellis
 
 
-def _round12(value: float) -> float:
-    # fixed 12-significant-digit formatting keeps emitted JSON byte-stable
-    return float(format(value, ".12g"))
-
-
-def _number(value: float) -> str:
-    """JSON text of a finite float at 12 significant digits: ``repr`` of its rounding, as ``json`` writes it.
-
-    A decimal of at most 12 significant digits is already the shortest text
-    that reads back as its float, so ``repr`` of that float writes the same
-    digits wherever it writes positional text: exponents in [-4, 16), which
-    hold ``.12g``'s positional range [-4, 12). Only text with an exponent
-    goes through ``repr``; a whole number gets the ``.0`` that ``repr`` adds.
-    """
-    text = format(value, ".12g")
-    if "e" in text:
-        return repr(float(text))
-    return text if "." in text else text + ".0"
-
-
 # the most values the writers format in one pass; a table is read this many cells at a time
 BLOCK = 2**12
 
-# the last five characters of the ``.12g`` texts with an exponent that ``_number`` changes: exponents
-# 12 to 15, which ``repr`` writes positionally, and -308 to -324, where subnormals may take fewer digits
-_CHANGED_TAILS = frozenset(
-    [f"{digit}e+1{k}" for digit in "0123456789" for k in "2345"] + [f"e-{k}" for k in range(308, 325)]
-)
-
 
 def _numbers(values: Sequence[float]) -> list[str]:
-    """``[_number(v) for v in values]``, formatted by one ``%`` pass per block of at most ``BLOCK`` values.
+    """The JSON text of each finite float rounded to 12 significant digits, ``repr(float(format(v, ".12g")))``.
 
-    ``"%.12g" % v`` is ``format(v, ".12g")``, and ``_number`` keeps that text
-    unless it is a whole number, has an exponent of 12 to 15, or is a
-    subnormal's; only those pieces go through ``_number``.
+    The values are formatted by one ``"%.12g"`` pass per block of at most
+    ``BLOCK`` values. A piece of at most 12 significant digits is already the
+    shortest text that reads back as its float, so ``repr`` writes the same
+    digits wherever both write positional text; a piece with an exponent or
+    without a ``.`` is written as ``repr(float(piece))``.
     """
     texts: list[str] = []
     for start in range(0, len(values), BLOCK):
@@ -84,28 +57,20 @@ def _numbers(values: Sequence[float]) -> list[str]:
         text = ("%.12g\n" * len(block)) % tuple(block)
         part = text.split()
         if "e" in text or text.count(".") < len(part):
-            part = [
-                piece
-                if ("." in piece and "e" not in piece) or ("e" in piece and piece[-5:] not in _CHANGED_TAILS)
-                else _number(v)
-                for piece, v in zip(part, block)
-            ]
+            part = [piece if "." in piece and "e" not in piece else repr(float(piece)) for piece in part]
         texts += part
     return texts
 
 
 def _canonical(obj: Any) -> Any:
+    """``obj`` with every float rounded to 12 significant digits, which keeps its JSON text byte-stable."""
     if isinstance(obj, float):
-        return _round12(obj)
+        return float(format(obj, ".12g"))
     if isinstance(obj, dict):
         return {key: _canonical(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canonical(value) for value in obj]
     return obj
-
-
-def _dump_json(obj: Any) -> str:
-    return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
 
 
 def _document(members: dict[str, Iterable[str]]) -> Iterator[str]:
@@ -336,7 +301,7 @@ def _with_init(problem: Problem, text: str) -> Problem:
         doc = {text: 1.0}
     probs = np.zeros(len(problem.x_space))
     for label, value in doc.items():
-        probs[problem.x_space.index(label)] = _model_number(value, f"--init: probability for {label!r}")
+        probs[problem.x_space.index(label)] = _number(value, f"--init: probability for {label!r}")
     return dataclasses.replace(problem, init=_normalized(probs, _init_row))
 
 
@@ -348,7 +313,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     min_loss = minimum_inference_loss(result)
     tables = _RoundTables(problem.x_space.labels, problem.yhat_space.labels)
     members = {
-        "min_loss": [_number(min_loss)],
+        "min_loss": _numbers([min_loss]),
         "n": [str(problem.n)],
         "policy": tables.table(result.policy, tables.estimates),
         "q_star": tables.table(result.q_star, tables.numbers, nested=True),
@@ -365,7 +330,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     strategy = _load_strategy(problem, args.strategy)
     result = evaluate_markov(problem, strategy)
     tables = _RoundTables(problem.x_space.labels, problem.yhat_space.labels)
-    members = {"j": [_number(result.j)], "v": tables.table(result.v, tables.numbers)}
+    members = {"j": _numbers([result.j]), "v": tables.table(result.v, tables.numbers)}
     _write(args.output, _document(members))
     return 0
 
@@ -374,13 +339,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model)
     strategy = _load_strategy(problem, args.strategy)
     result = simulate(problem, strategy, args.rollouts, args.seed)
-    payload = {
-        "mean": result.mean,
-        "var": result.variance,
-        "rollouts": result.rollouts,
-        "seed": result.seed,
+    members = {
+        "mean": _numbers([result.mean]),
+        "rollouts": [str(result.rollouts)],
+        "seed": [str(result.seed)],
+        "var": _numbers([result.variance]),
     }
-    _write(args.output, [_dump_json(payload)])
+    _write(args.output, _document(members))
     return 0
 
 
@@ -532,7 +497,7 @@ def _cmd_example(args: argparse.Namespace) -> int:
             planner=example_models.PlannerStyle(args.planner),
         )
         problem = example_models.example_yield(args.n, params)
-    _write(args.output, [_dump_json(problem_to_dict(problem))])
+    _write(args.output, [json.dumps(_canonical(problem_to_dict(problem)), sort_keys=True, indent=2) + "\n"])
     return 0
 
 

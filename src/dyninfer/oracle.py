@@ -67,8 +67,6 @@ from .model import Alphabet, Problem, _check_horizon, problem_from_tables
 from .reduction import _label_sum, bar_loss_table, bar_loss_values
 from .solver import value_tables
 from .walks import bar_sums, loss_sums
-# unused here: perfbench/tracing.py hooks this name, and every name it hooks must resolve
-from .solver import solve  # noqa: F401
 
 DEFAULT_STRATEGY_LIMIT = 10**6
 # a brute-force and a solver minimum may differ by rounding alone by up to

@@ -1,4 +1,4 @@
-"""The array-fed writers of ``solve``, ``evaluate``, ``verify`` and ``export-trellis`` against the dict-based reference.
+"""The array-fed writers of ``solve``, ``evaluate``, ``simulate``, ``verify`` and ``export-trellis`` against the dict-based reference.
 
 Every output must be the bytes of ``writer_reference``: labels that JSON or
 DOT must escape, labels whose sorted order is not their index order, one
@@ -6,6 +6,7 @@ label per alphabet, one round, tied estimates, both tie-break rules, an
 ``--init`` override, and sweeps that leave horizons undrawn.
 """
 
+import dataclasses
 import io
 import json
 import sys
@@ -30,11 +31,12 @@ from dyninfer import (
     problem_from_tables,
     problem_to_dict,
     random_problem,
+    simulate,
     solve,
     validate_problem,
 )
 from dyninfer import cli
-from dyninfer.cli import _number, _numbers, _with_init, run
+from dyninfer.cli import _numbers, _with_init, run
 
 # '|' joins the composite transition keys of a model document, so a label holding it may not resolve;
 # a lone surrogate (category Cs) is not a valid label, which test_model and test_cli check on their own
@@ -153,6 +155,25 @@ def test_tables_split_into_any_block_match_the_dict_reference(tmp_path, block, s
     # a block of several rounds, a last block of fewer, and a round whose values take more than one block
     with mock.patch.object(cli, "BLOCK", block):
         _check_against_reference(tmp_path, _fixed_problem(*shape))
+
+
+@pytest.mark.parametrize("rollouts", [1, 1000])
+def test_simulate_matches_the_reference(tmp_path, rollouts):
+    # losses scaled by 1e-13 write mean and var with exponents; one rollout has a var of 0.0
+    problem = random_problem(np.random.default_rng(6), 5, 3, 2, 3)
+    problem = dataclasses.replace(problem, loss=problem.loss * 1e-13)
+    model, solved, out = tmp_path / "model.json", tmp_path / "solved.json", tmp_path / "simulated.json"
+    model.write_text(json.dumps(problem_to_dict(problem)))
+    assert run(["solve", "-m", str(model), "-o", str(solved)]) == 0
+    argv = ["simulate", "-m", str(model), "-s", str(solved), "--rollouts", str(rollouts), "--seed", "5"]
+    assert run([*argv, "-o", str(out)]) == 0
+    loaded = validate_problem(json.loads(model.read_text()))
+    strategy = MarkovStrategy.from_rows(loaded, json.loads(solved.read_text())["policy"])
+    result = simulate(loaded, strategy, rollouts, 5)
+    payload = {"mean": result.mean, "rollouts": result.rollouts, "seed": result.seed, "var": result.variance}
+    assert out.read_bytes() == reference.dump_json(payload).encode()
+    text = out.read_text()
+    assert text.count("e-") == (1 if rollouts == 1 else 2) and ('"var": 0.0\n' in text) == (rollouts == 1)
 
 
 @pytest.mark.parametrize("mode", [mode.value for mode in HistoryMode])
@@ -274,7 +295,7 @@ def _json_number(value):
 @settings(max_examples=2000, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_number_is_the_json_text_of_the_12_digit_rounding(value):
-    assert _number(value) == _json_number(value)
+    assert _numbers([value]) == [_json_number(value)]
 
 
 BOUNDARIES = [
@@ -294,7 +315,8 @@ BOUNDARIES = [
 ]
 
 
-# texts with an exponent: kept by _number below 1e-4 and from 1e16 on, rewritten from 1e12 to 1e16 and for subnormals
+# texts with an exponent, which repr writes the same below 1e-4 and from 1e16 on, positionally from 1e12 to 1e16,
+# and with fewer digits for some subnormals
 EXPONENTS = [
     1e-5,
     -8.61708560966e-05,
@@ -325,22 +347,18 @@ EXPONENT_FLOATS = (
     | st.lists(EXPONENT_FLOATS | st.sampled_from([0.5, 3.0]), max_size=40)  # blocks heavy in exponents
 )
 def test_numbers_are_the_number_texts(values):
-    assert _numbers(values) == [_number(v) for v in values]
+    expected = [_json_number(v) for v in values]
+    assert _numbers(values) == expected
     # blocks of 1 to 8 put whole numbers and exponents at a block's edges as well as inside it
     for block in range(1, 9):
         with mock.patch.object(cli, "BLOCK", block):
-            assert _numbers(values) == [_number(v) for v in values]
-
-
-def test_only_the_texts_number_changes_go_through_it():
-    # exponents that _number keeps take no call, so a block of them is one % pass; the rest take one each
-    kept = [1e-5, -8.61708560966e-05, 2.5e-300, 1e16, -3.5e200, 0.25]
-    changed = [1e13, 5e-324, 1e-310, 3.0]
-    with mock.patch.object(cli, "_number", wraps=_number) as number:
-        assert _numbers(kept * 5 + changed) == [_number(v) for v in kept * 5 + changed]
-    assert [call.args[0] for call in number.call_args_list] == changed
+            assert _numbers(values) == expected
 
 
 @pytest.mark.parametrize("value", BOUNDARIES)
 def test_number_boundaries(value):
-    assert _number(value) == _json_number(value)
+    assert _numbers([value]) == [_json_number(value)]
+
+
+def test_number_boundaries_in_one_block():
+    assert _numbers(BOUNDARIES) == [_json_number(v) for v in BOUNDARIES]
