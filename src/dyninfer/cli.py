@@ -33,7 +33,6 @@ from .evaluate import MarkovStrategy, evaluate_markov, simulate
 from .model import Problem, _init_row, _normalized, _number, problem_to_dict, validate_problem
 from .oracle import DEFAULT_STRATEGY_LIMIT, HistoryMode, OracleStack, _problem_stack, random_sweep
 from .reduction import bar_loss_table
-from .rng import check_seed
 from .solver import TieBreakRule, minimum_inference_loss, solve
 from .trellis import export_trellis
 
@@ -437,9 +436,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.instances is not None:
         if args.instances < 1:
             raise InvalidParams(f"--instances must be >= 1, got {args.instances}")
-        check_seed(args.seed)
-        rng = np.random.default_rng(args.seed)
-        stacks = random_sweep(rng, args.instances, mode, args.limit)
+        stacks = random_sweep(args.seed, args.instances, mode, args.limit)
         instances = list(map(str, range(args.instances)))
     else:
         if args.model is None:

@@ -61,10 +61,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import SearchSpaceTooLarge, ShapeMismatch
+from .errors import InvalidParams, SearchSpaceTooLarge, ShapeMismatch
 from .evaluate import MarkovStrategy, _markov_binding
-from .model import Alphabet, Problem, _check_horizon, problem_from_tables
+from .model import _MAX_ARRAY_BYTES, Alphabet, Problem, _check_horizon, problem_from_tables
 from .reduction import _label_sum, bar_loss_table, bar_loss_values
+from .rng import check_seed
 from .solver import value_tables
 from .walks import bar_sums, loss_sums
 
@@ -456,20 +457,94 @@ def random_problem(
 # `verify --instances` draws instances with horizons 1..SWEEP_MAX_N and binary alphabets: (|X|, |Y|, |Yhat|)
 SWEEP_MAX_N = 3
 SWEEP_SHAPE = (2, 2, 2)
+# numpy's bounded draw of integers(1, SWEEP_MAX_N + 1) (Lemire's method) scales a 32-bit half by SWEEP_MAX_N and
+# redraws while the low 32 bits of the product are below this threshold: 2**32 mod 3 = 1, so only a zero half
+_HALF = (1 << 32) - 1
+_REDRAW_BELOW = (1 << 32) % SWEEP_MAX_N
 
 
-def random_sweep(rng: np.random.Generator, instances: int, mode: HistoryMode, limit: int) -> list[OracleStack]:
+def _sweep_layout(words: np.ndarray, instances: int, sizes: dict[int, int]) -> tuple[list[int], list[int]] | None:
+    """Each instance's horizon and the index of its first table word in ``words``, or None if ``words`` runs short.
+
+    ``words`` are raw PCG64 outputs, read as ``default_rng`` reads them for
+    one ``integers(1, SWEEP_MAX_N + 1)`` and then one ``random(sizes[n])`` per
+    instance. A double takes the next word. A bounded integer takes a 32-bit
+    half: the one held over from the last word it split, if any, else the
+    low half of the next word, holding its high half; a half that Lemire's
+    method rejects is replaced by the next one the same way. The held half
+    outlives the doubles drawn after it.
+    """
+    raw = memoryview(words)  # an index reads a Python int
+    horizons, starts = [], []
+    held, pos = None, 0
+    for _ in range(instances):
+        while True:
+            if held is None:
+                if pos >= len(raw):
+                    return None
+                word = raw[pos]
+                half, held = word & _HALF, word >> 32
+                pos += 1
+            else:
+                half, held = held, None
+            scaled = half * SWEEP_MAX_N
+            if scaled & _HALF >= _REDRAW_BELOW:
+                break
+        n = (scaled >> 32) + 1
+        horizons.append(n)
+        starts.append(pos)
+        pos += sizes[n]
+    return (horizons, starts) if pos <= len(raw) else None
+
+
+def _sweep_draws(seed: int, instances: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The draws of ``instances`` random problems from ``default_rng(seed)``, grouped by horizon.
+
+    Instance by instance, the stream is that of ``integers(1, SWEEP_MAX_N +
+    1)`` for the horizon n, then ``random(size)`` for the tables of
+    :func:`random_problem` (``size`` draws in all), decoded from one block
+    of raw words of ``PCG64(seed)``, the bit generator of ``default_rng``.
+    Each double is ``(word >> 11) * 2**-53``, as ``random`` makes it. The
+    block holds ``1 + size`` words per instance at the largest horizon, which
+    only redrawn halves can overrun; then it is extended and decoded again.
+
+    Returns, by increasing horizon, each horizon drawn with its instances'
+    numbers in draw order and their (B, size) draws. More instances than an
+    array of their words can index raise InvalidParams before any draw.
+    """
+    sizes = {n: sum(map(math.prod, _table_shapes(n, *SWEEP_SHAPE))) for n in range(1, SWEEP_MAX_N + 1)}
+    per_instance = 1 + sizes[SWEEP_MAX_N]
+    if instances * per_instance * 8 > _MAX_ARRAY_BYTES:
+        raise InvalidParams(f"{instances} instances are more than an array of their draws can index")
+    bits = np.random.PCG64(seed)
+    raw = bits.random_raw(instances * per_instance)
+    while (layout := _sweep_layout(raw, instances, sizes)) is None:
+        raw = np.concatenate((raw, bits.random_raw(per_instance)))
+    horizons, starts = map(np.array, layout)
+    groups = []
+    for n in sorted(set(layout[0])):
+        members = np.flatnonzero(horizons == n)
+        drawn = raw[starts[members, None] + np.arange(sizes[n])]
+        drawn >>= np.uint64(11)
+        groups.append((n, members, drawn * 2.0**-53))
+    return groups
+
+
+def random_sweep(seed: int, instances: int, mode: HistoryMode, limit: int) -> list[OracleStack]:
     """:func:`brute_force_optimum` on ``instances`` random problems, one stack per horizon drawn.
 
     Each instance draws its horizon from 1..``SWEEP_MAX_N``, then its tables
-    of shape ``SWEEP_SHAPE`` as :func:`random_problem` does, in one
-    ``rng.random`` call; every instance is drawn before any is solved, so the
-    rng stream is that of one such draw after another. The problems of each
+    of shape ``SWEEP_SHAPE`` as :func:`random_problem` does, from the one
+    stream of ``default_rng(seed)``: the draws are those of one
+    ``integers(1, SWEEP_MAX_N + 1)`` and one ``random`` call per instance,
+    one after another, decoded from one block by :func:`_sweep_draws`.
+    Every instance is drawn before any is solved. The problems of each
     horizon are then solved as one stack: one history DP, one bar-loss table
-    and one backward induction over a leading instance axis, and the identity
-    walks over the whole stack. The stacks come in horizon order, and each
-    numbers its rows by draw order. The limit is checked on the largest
-    horizon before the first draw.
+    and one backward induction over a leading instance axis, and the
+    identity walks over the whole stack. The stacks come in horizon order,
+    and each numbers its rows by draw order. The seed must be an integer in
+    [0, 2**64) (InvalidParams), and the limit is checked on the largest
+    horizon, both before the first draw.
 
     Each probability row is divided by its sum once more, elementwise, as
     :func:`problem_from_tables` divides the rows of :func:`random_problem`,
@@ -477,20 +552,12 @@ def random_sweep(rng: np.random.Generator, instances: int, mode: HistoryMode, li
     Nothing else of ``Problem``'s checks is run: the rows are positive and
     normalized by construction, and the losses lie in [0, 1).
     """
+    check_seed(seed)
     checked_shape_space(SWEEP_MAX_N, *SWEEP_SHAPE, mode, limit)
-    shapes = {n: _table_shapes(n, *SWEEP_SHAPE) for n in range(1, SWEEP_MAX_N + 1)}
-    sizes = {n: sum(map(math.prod, shape)) for n, shape in shapes.items()}
-    horizons, draws = [], []
-    for _ in range(instances):
-        n = int(rng.integers(1, SWEEP_MAX_N + 1))
-        horizons.append(n)
-        draws.append(rng.random(sizes[n]))
     spaces = _digit_spaces(*SWEEP_SHAPE)
-    horizons = np.array(horizons)
     stacks = []
-    for n in sorted(set(horizons.tolist())):
-        members = np.flatnonzero(horizons == n)
-        init, transitions, quantities, loss = _cut_tables(np.stack([draws[k] for k in members.tolist()]), shapes[n])
+    for n, members, draws in _sweep_draws(seed, instances):
+        init, transitions, quantities, loss = _cut_tables(draws, _table_shapes(n, *SWEEP_SHAPE))
         rows = (_positive_rows(table) for table in (init, transitions, quantities))
         stack = (*(table / table.sum(axis=-1, keepdims=True) for table in rows), loss)
         stacks.append(_stack_reports(n, spaces, mode, limit, *stack, instances=members))

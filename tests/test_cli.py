@@ -631,6 +631,16 @@ def test_verify_rejects_bad_instance_counts_and_seeds(capsys):
         assert _single_error_line(capsys)["error"] == "InvalidParams"
 
 
+def test_verify_refuses_more_instances_than_an_array_of_their_draws_can_index(tmp_path):
+    # 2^62 instances of 39 words each: a fresh process must refuse them at once, without drawing a word
+    out = tmp_path / "verify.txt"
+    out.write_text("kept\n")
+    argv = ["verify", "--instances", str(2**62), "--limit", str(2**50), "-o", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "dyninfer", *argv], capture_output=True, timeout=30)
+    assert proc.returncode == 1 and proc.stdout == b"" and proc.stderr.count(b"\n") == 1
+    assert json.loads(proc.stderr)["error"] == "InvalidParams" and out.read_text() == "kept\n"
+
+
 def test_verify_sweep_checks_the_limit_before_drawing(capsys):
     # the largest sweep instance is binary with n = 3: 2^42 revealed, 2^14 unrevealed
     # strategies; seed 1 draws n = 2 first, so only the up-front check can fail here

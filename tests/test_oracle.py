@@ -13,6 +13,8 @@ from enumeration_reference import (
     enumeration_minimum,
     strategy_count,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scalar_reference import decision
 
 from dyninfer import (
@@ -35,7 +37,15 @@ from dyninfer import (
     solve,
     verify_lemma1,
 )
-from dyninfer.oracle import checked_shape_space, history_count, random_sweep, shape_history_count
+from dyninfer import oracle
+from dyninfer.oracle import (
+    _sweep_draws,
+    _sweep_layout,
+    checked_shape_space,
+    history_count,
+    random_sweep,
+    shape_history_count,
+)
 
 BOTH_MODES = (HistoryMode.REVEALED, HistoryMode.UNREVEALED)
 
@@ -321,7 +331,7 @@ def _report_bits(report):
 @pytest.mark.parametrize("mode", BOTH_MODES)
 def test_sweep_reports_are_those_of_each_replayed_random_problem(seed, mode):
     # the sweep builds no Problem; replaying its draws through random_problem runs every model check
-    stacks = random_sweep(np.random.default_rng(seed), 200, mode, 2**50)
+    stacks = random_sweep(seed, 200, mode, 2**50)
     assert [stack.n for stack in stacks] == [1, 2, 3]  # one stack per horizon, in horizon order
     rows = {k: (stack, b) for stack in stacks for b, k in enumerate(stack.instances.tolist())}
     assert sorted(rows) == list(range(200)) and sum(len(stack.instances) for stack in stacks) == 200
@@ -330,6 +340,54 @@ def test_sweep_reports_are_those_of_each_replayed_random_problem(seed, mode):
         problem = random_problem(rng, int(rng.integers(1, 4)))
         stack, b = rows[k]
         assert _report_bits(brute_force_optimum(problem, mode, 2**50)) == _report_bits(stack.report(b))
+
+
+# the words each horizon's tables take: init, transitions, quantities and loss of a binary instance
+SWEEP_SIZES = {1: 14, 2: 26, 3: 38}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 300))
+def test_sweep_draws_are_those_of_default_rng(seed, instances):
+    # the decoder's reference: per instance, integers(1, 4) and then random(size) of default_rng(seed)
+    rows = {}
+    for n, members, draws in _sweep_draws(seed, instances):
+        assert draws.shape == (len(members), SWEEP_SIZES[n])
+        rows.update((k, (n, row)) for k, row in zip(members.tolist(), draws))
+    assert sorted(rows) == list(range(instances))
+    rng = np.random.default_rng(seed)
+    for k in range(instances):
+        n = int(rng.integers(1, 4))
+        assert rows[k][0] == n and rows[k][1].tobytes() == rng.random(SWEEP_SIZES[n]).tobytes()
+
+
+def test_sweep_layout_redraws_zero_halves():
+    # numpy draws no zero half on demand. Word 0's zero low half is redrawn from its high half 2^32 - 1 (n = 3);
+    # word 4 gives n = 1 from its low half 1 and holds its zero high half, which instance 2 redraws from word 6
+    low, high = [0, 1, 2**31], [2**32 - 1, 0, 0x55555556]
+    words = np.zeros(11, dtype=np.uint64)
+    words[[0, 4, 6]] = [h << 32 | lo for lo, h in zip(low, high)]
+    sizes = {1: 1, 2: 2, 3: 3}
+    assert _sweep_layout(words, 4, sizes) == ([3, 1, 2, 2], [1, 5, 7, 9])
+    assert _sweep_layout(words[:10], 4, sizes) is None  # the last instance's tables run past the block
+    assert _sweep_layout(words[:6], 3, sizes) is None  # a horizon half past the block
+
+
+def test_a_short_sweep_block_is_extended_from_the_same_stream(monkeypatch):
+    # only redrawn halves can overrun the first block; refusing it once must not change a draw
+    decode, sizes = oracle._sweep_layout, []
+
+    def refuse_the_first_block(words, instances, table_sizes):
+        sizes.append(len(words))
+        return None if len(sizes) == 1 else decode(words, instances, table_sizes)
+
+    expected = _sweep_draws(7, 50)
+    monkeypatch.setattr(oracle, "_sweep_layout", refuse_the_first_block)
+    extended = _sweep_draws(7, 50)
+    assert sizes == [50 * 39, 51 * 39]
+    assert [(n, members.tolist(), draws.tobytes()) for n, members, draws in extended] == [
+        (n, members.tolist(), draws.tobytes()) for n, members, draws in expected
+    ]
 
 
 def test_random_problem_rejects_a_horizon_below_one():

@@ -177,7 +177,7 @@ def test_simulate_matches_the_reference(tmp_path, rollouts):
 
 
 @pytest.mark.parametrize("mode", [mode.value for mode in HistoryMode])
-@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**64 - 1])
 @pytest.mark.parametrize("instances", [1, 2, 7, 40])
 def test_verify_sweep_matches_the_reference(tmp_path, mode, seed, instances):
     # one or two instances leave some of the horizons 1..3 undrawn; replaying the draws gives each instance's problem
