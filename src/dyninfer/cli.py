@@ -214,7 +214,11 @@ def _write_stdout(chunks: Iterable[str]) -> None:
             out.write(chunk.encode(stream.encoding, stream.errors))
         out.flush()
     except BrokenPipeError:  # what the buffers still hold goes to the null device, not to the exit flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, stream.fileno())
+        finally:
+            os.close(null)
         raise
     finally:
         if out is not binary:
@@ -527,7 +531,7 @@ def _parser() -> tuple[argparse.ArgumentParser, tuple[argparse.Action, ...]]:
 
     p_sim = sub.add_parser("simulate", help="seeded Monte Carlo rollouts of a strategy")
     add_model(p_sim)
-    p_sim.add_argument("-s", "--strategy", required=True)
+    p_sim.add_argument("-s", "--strategy", required=True, help="strategy JSON file ('-' for stdin)")
     p_sim.add_argument("--rollouts", type=int, default=10_000)
     seeds.append(p_sim.add_argument("--seed", type=int))
     add_output(p_sim)

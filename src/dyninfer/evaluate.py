@@ -165,25 +165,31 @@ def _search_table(rows: np.ndarray) -> tuple[np.ndarray, int]:
     return table.reshape(-1), width
 
 
-def _draw(table: np.ndarray, width: int, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: for each table row in ``rows``, how many of its entries are ``<= u``.
+def _search(table: np.ndarray, pos: np.ndarray, window: int, u: np.ndarray) -> np.ndarray:
+    """``pos`` advanced, in place, past each entry ``<= u`` of the ``window`` entries from it.
 
-    That count is the smallest label index ``m`` with ``u < cdf[m]``. A
-    branchless binary search finds it, reading ``log2(width) + 1`` entries
-    per draw: running sums of non-negative entries never decrease, and an
-    entry past 1.0 or the 2.0 padding is never ``<= u < 1``. It draws the
-    rows of 3 labels, and the split draws of a guide whose buckets are too
-    crowded to scan (see :func:`_sampler`).
+    A branchless binary search reads ``log2(window) + 1`` of them per draw,
+    ``window`` a power of two: entries that never decrease along the window
+    are ``<= u`` up to some position and past ``u`` from there on.
     """
-    base = rows * width
-    pos = base.copy()
-    step = width // 2
+    step = window // 2
     while step:
         pos += step * (table[pos + (step - 1)] <= u)
         step //= 2
     pos += table[pos] <= u
-    pos -= base
     return pos
+
+
+def _draw(table: np.ndarray, width: int, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: for each table row in ``rows``, how many of its entries are ``<= u``.
+
+    That count is the smallest label index ``m`` with ``u < cdf[m]``. The
+    search runs over the whole row: running sums of non-negative entries
+    never decrease, and an entry past 1.0 or the 2.0 padding is never ``<=
+    u < 1``. It draws the rows of 3 labels.
+    """
+    base = rows * width
+    return _search(table, base.copy(), width, u) - base
 
 
 def _threshold_draw(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -196,22 +202,23 @@ def _threshold_draw(table: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nd
 
 
 def _guide_table(table: np.ndarray, width: int) -> tuple[np.ndarray, int]:
-    """An exact guide to a search table (Chen and Asau's indexed search), flattened, and its scan length.
+    """An exact guide to a search table (Chen and Asau's indexed search), flattened, and its search window.
 
     Table row ``r`` gets ``K = 2 * width`` buckets; bucket ``b`` covers the
     uniforms in ``[b / K, (b + 1) / K)``. ``guide[r * K + b]`` is the draw of
     every uniform in the bucket, the count ``c`` of the row's entries ``<=
     b / K``, unless an entry lies strictly inside ``(b / K, (b + 1) / K)``:
-    then the draw depends on the uniform, and the bucket is split. ``P``,
-    the scan length, is the most entries strictly inside one bucket of the
-    table, and a split bucket holds ``-1 - s`` with ``s = min(c, width -
-    P)``. The draw of ``u`` in it is ``s`` plus how many of the ``P``
-    entries from position ``s`` on are ``<= u``: the entries before ``s``
-    are ``<= b / K <= u``, those after the ``P`` are past the bucket, and
-    the ``P`` lie inside the row, which matters for rows of 5, 9 or 17
-    labels, whose tables have no padding. Scaling by the power of two
-    ``K`` is exact, so ``e <= b / K`` is ``ceil(e * K) <= b``. The guide
-    holds two 8-byte entries per table entry, twice the table's bytes.
+    then the draw depends on the uniform, and the bucket is split. The
+    window is the least power of two at or above ``P``, the most entries
+    strictly inside one bucket of the table, and a split bucket holds ``-1
+    - s`` with ``s = min(c, width - window)``. The draw of ``u`` in it is
+    ``s`` plus how many of the ``window`` entries from position ``s`` on are
+    ``<= u``: the entries before ``s`` are ``<= b / K <= u``, those after
+    the ones inside the bucket are past it, and the window lies inside the
+    row, which matters for rows of 5, 9 or 17 labels, whose tables have no
+    padding. Scaling by the power of two ``K`` is exact, so ``e <= b / K``
+    is ``ceil(e * K) <= b``. The guide holds two 8-byte entries per table
+    entry, twice the table's bytes.
     """
     buckets = 2 * width
     scaled = table.reshape(-1, width) * buckets
@@ -223,24 +230,22 @@ def _guide_table(table: np.ndarray, width: int) -> tuple[np.ndarray, int]:
     np.cumsum(counts, axis=1, out=counts)
     rows, entries = np.nonzero((lows < scaled) & (scaled < buckets))
     split = rows, lows[rows, entries].astype(np.intp)  # the bucket of each entry strictly inside one
-    passes = int(np.bincount(split[0] * buckets + split[1]).max(initial=0))
-    counts[split] = -1 - np.minimum(counts[split], width - passes)
+    crowd = int(np.bincount(split[0] * buckets + split[1]).max(initial=0))  # P
+    window = 1 << max(crowd - 1, 0).bit_length()  # at most width: a row has width entries
+    counts[split] = -1 - np.minimum(counts[split], width - window)
     # the slice is not contiguous, so reshape copies it, marks included
-    return counts[:, :buckets].reshape(-1), passes
+    return counts[:, :buckets].reshape(-1), window
 
 
 def _guided_draw(
-    table: np.ndarray, width: int, guide: np.ndarray, passes: int, rows: np.ndarray, u: np.ndarray
+    table: np.ndarray, width: int, guide: np.ndarray, window: int, rows: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """The draws of :func:`_draw`, read from the guide where a bucket decides them.
 
     A uniform ``u = k * 2**-53`` falls in bucket ``floor(u * K)``, exactly.
-    A draw in a split bucket advances from the bucket's start ``s`` once
-    per entry ``<= u`` in ``passes`` steps of one read each (see
-    :func:`_guide_table`); the steps stop advancing at the first entry past
-    ``u``. A table whose most crowded bucket holds more entries than the
-    binary search reads, ``log2(width) + 1``, sends its split draws to
-    :func:`_draw` instead, so no table draws slower than by binary search.
+    A draw in a split bucket searches the ``window`` entries from the
+    bucket's start ``s`` (see :func:`_guide_table`), in ``log2(window) + 1``
+    reads, never more than the ``log2(width) + 1`` of a search over the row.
     """
     buckets = 2 * width
     draws = (u * buckets).astype(np.intp)
@@ -250,15 +255,10 @@ def _guided_draw(
     if not misses.size:
         return draws
     rows, u = rows[misses], u[misses]
-    if passes > width.bit_length():
-        draws[misses] = _draw(table, width, rows, u)
-    else:
-        base = rows * width
-        pos = base - draws[misses]
-        pos -= 1  # base + s
-        for _ in range(passes):
-            pos += table[pos] <= u
-        draws[misses] = pos - base
+    base = rows * width
+    pos = base - draws[misses]
+    pos -= 1  # base + s
+    draws[misses] = _search(table, pos, window, u) - base
     return draws
 
 
@@ -309,12 +309,15 @@ def _uniform_tiles(seed: int, rollouts: int, draws: int):
     size = tile_rollouts * tile_draws
     states = np.empty(size, dtype=np.uint64)
     offsets = stream_offsets(tile_rollouts, draws)  # made once; a last, shorter block of rollouts reads a prefix
+
+    def make(start: int, streams: int, first: int, count: int, output: np.ndarray) -> np.ndarray:
+        return uniform_matrix(seed, streams, count, start, first, draws, offsets=offsets, buffers=(states, output))
+
     one_tile = rollouts == tile_rollouts and draws == tile_draws
     if one_tile or _cpu_count() < 2:
         output = np.empty(size, dtype=np.uint64)
         for start, streams, first, count in tiles():
-            tile = uniform_matrix(seed, streams, count, start, first, draws, offsets=offsets, buffers=(states, output))
-            yield start, first, tile.T
+            yield start, first, make(start, streams, first, count, output).T
         return
 
     ring = [np.empty(size, dtype=np.uint64) for _ in range(RING_TILES)]
@@ -329,10 +332,7 @@ def _uniform_tiles(seed: int, rollouts: int, draws: int):
                 free.acquire()
                 if halt.is_set():
                     return
-                slot = ring[k % RING_TILES]
-                made[k % RING_TILES] = uniform_matrix(
-                    seed, streams, count, start, first, draws, offsets=offsets, buffers=(states, slot)
-                )
+                made[k % RING_TILES] = make(start, streams, first, count, ring[k % RING_TILES])
                 ready.release()
         except BaseException as error:  # handed to the caller's thread, which raises it
             fault.append(error)
@@ -409,10 +409,11 @@ def simulate(problem: Problem, strategy: MarkovStrategy, rollouts: int, seed: in
     in the final round) the next observation. Categorical draws invert the
     row CDF in label-index order: by one comparison for rows of 2 labels,
     by binary search for rows of 3, and through an exact guide table for
-    rows of 4 or more (see :func:`_guide_table`). The mean and the
-    variance are sums over rollouts in index order (see
-    :func:`_ordered_sum`), taken once all rollouts are complete, so the
-    result does not depend on how the rollouts were scheduled.
+    rows of 4 or more, whose split buckets binary-search a window of the
+    row (see :func:`_guide_table`). The mean and the variance are sums over
+    rollouts in index order (see :func:`_ordered_sum`), taken once all
+    rollouts are complete, so the result does not depend on how the
+    rollouts were scheduled.
 
     The draws are made in tiles of ``R = min(rollouts, BLOCK_DRAWS)``
     rollouts by ``max(1, BLOCK_DRAWS // R)`` consecutive draws, so a tile

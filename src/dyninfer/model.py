@@ -15,11 +15,11 @@ shared freely across threads. Raw tables enter through
 rows whose sum drifts from 1 by at most ``ROW_SUM_TOLERANCE`` are
 renormalized exactly once, and larger drift is rejected.
 
-:func:`validate_problem` reads each probability table of a document (init,
-the transition stack, the quantity stack) in one pass when it is plain dicts
-of numbers under exactly the expected keys, and the loss records in one pass
-when they are plain dicts that fill every slot once. Any other table is read
-again one entry at a time, and that reader names the first fault.
+:func:`validate_problem` reads the transition and quantity stacks, which
+grow with n, in one pass when they are plain dicts of numbers under exactly
+the expected keys; any other stack is read again one entry at a time, and
+that reader names the first fault. The init row and the loss records have
+one reader each, which names the first fault as it reads.
 """
 
 from __future__ import annotations
@@ -428,56 +428,43 @@ def _quantity_from_object(obj, i: int, x_space: Alphabet, y_space: Alphabet) -> 
 
 
 def _loss_from_records(records, x_space: Alphabet, y_space: Alphabet, yhat_space: Alphabet) -> np.ndarray:
-    """The loss table of one ``{x, y, yhat, value}`` record per triple.
+    """The loss table of one ``{x, y, yhat, value}`` record per triple, read in one pass that raises on the first fault.
 
-    Plain-dict records that fill every slot once with a finite number are
-    read in one pass; anything else goes to :func:`_checked_loss`, which
-    names the fault.
+    A record's labels are looked up in the alphabets' index dicts and a
+    finite float value is taken as it is; only an unknown label goes
+    through :meth:`Alphabet.index`, and only another value through
+    :func:`_number`, which name it. An empty slot reads as NaN.
     """
-    shape = (len(x_space), len(y_space), len(yhat_space))
-    values: list = [None] * (shape[0] * shape[1] * shape[2])
-    if type(records) is list and len(records) == len(values):
-        x_index, y_index, yhat_index = x_space._index, y_space._index, yhat_space._index  # type: ignore[attr-defined]
-        try:
-            for record in records:
-                if type(record) is not dict:
-                    break
-                slot = (x_index[record["x"]] * shape[1] + y_index[record["y"]]) * shape[2] + yhat_index[record["yhat"]]
-                values[slot] = record["value"]
-            else:
-                # as many records as slots: a None left behind means a duplicate
-                table = _float_array(values)
-                if table is not None and np.isfinite(table).all():
-                    return table.reshape(shape)
-        except (KeyError, TypeError):  # a missing key, or an unknown or unhashable label
-            pass
-    return _checked_loss(records, x_space, y_space, yhat_space)
-
-
-def _checked_loss(records, x_space: Alphabet, y_space: Alphabet, yhat_space: Alphabet) -> np.ndarray:
-    """:func:`_loss_from_records` one record at a time, raising on the first fault."""
     if not isinstance(records, list):
         raise InvalidModelError("loss must be an array of {x, y, yhat, value} records")
-    table = np.full((len(x_space), len(y_space), len(yhat_space)), np.nan)
+    nx, ny, na = len(x_space), len(y_space), len(yhat_space)
+    x_index, y_index, yhat_index = x_space._index, y_space._index, yhat_space._index  # type: ignore[attr-defined]
+    values: list = [None] * (nx * ny * na)
     for record in records:
-        if not isinstance(record, Mapping):
+        if type(record) is not dict and not isinstance(record, Mapping):
             raise InvalidModelError(f"loss record {record!r} is not an object")
         try:
             x, y, yhat = record["x"], record["y"], record["yhat"]
         except KeyError as exc:
             raise InvalidModelError(f"loss record {record!r} is missing key {exc}") from None
-        xi, yi, ai = x_space.index(x), y_space.index(y), yhat_space.index(yhat)
-        if not np.isnan(table[xi, yi, ai]):
+        try:
+            slot = (x_index[x] * ny + y_index[y]) * na + yhat_index[yhat]
+        except (KeyError, TypeError):  # an unknown or unhashable label, which ``index`` names
+            slot = (x_space.index(x) * ny + y_space.index(y)) * na + yhat_space.index(yhat)
+        if values[slot] is not None:
             raise InvalidModelError(f"loss record for ({x!r}, {y!r}, {yhat!r}) appears twice")
-        value = _number(record.get("value"), f"loss value for ({x!r}, {y!r}, {yhat!r})")
-        if not np.isfinite(value):
+        value = record.get("value")
+        if type(value) is not float:
+            value = _number(value, f"loss value for ({x!r}, {y!r}, {yhat!r})")
+        if not math.isfinite(value):
             raise InvalidModelError(f"loss value for ({x!r}, {y!r}, {yhat!r}) is not finite")
-        table[xi, yi, ai] = value
-    if np.any(np.isnan(table)):
-        first = np.argwhere(np.isnan(table))[0]
+        values[slot] = value
+    table = np.array(values, dtype=np.float64).reshape(nx, ny, na)  # None reads as NaN
+    gaps = np.argwhere(np.isnan(table))
+    if len(gaps):
+        xi, yi, ai = gaps[0]
         raise InvalidModelError(
-            "loss is missing a record for "
-            f"({x_space.labels[first[0]]!r}, {y_space.labels[first[1]]!r}, {yhat_space.labels[first[2]]!r})"
+            f"loss is missing a record for ({x_space.labels[xi]!r}, {y_space.labels[yi]!r}, {yhat_space.labels[ai]!r})"
         )
     return table
 
@@ -497,9 +484,7 @@ def validate_problem(candidate: Mapping) -> Problem:
     x_space = _space_from(candidate, "x_space")
     y_space = _space_from(candidate, "y_space")
     yhat_space = _space_from(candidate, "yhat_space")
-    init = _require(candidate, "init")
-    plain = _plain_stack([init], [x_space.labels], _float_array)
-    init = _checked_row(init, x_space, "init") if plain is None else plain[0]
+    init = _checked_row(_require(candidate, "init"), x_space, "init")
     stationary = candidate.get("stationary", False)
     if not isinstance(stationary, bool):
         raise InvalidModelError(f"stationary must be true or false, got {stationary!r}")

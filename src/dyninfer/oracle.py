@@ -179,11 +179,6 @@ def exact_loss_history(problem: Problem, strategy: HistoryStrategy) -> float:
     return float(loss_sums(*_walk_arguments(problem, strategy), problem.loss[None])[0])
 
 
-def history_count(problem: Problem, mode: HistoryMode) -> int:
-    """Number of syntactic histories across all rounds (exact integer)."""
-    return shape_history_count(problem.n, len(problem.x_space), len(problem.y_space), mode)
-
-
 def shape_history_count(n: int, nx: int, ny: int, mode: HistoryMode) -> int:
     """Number of syntactic histories of any problem with ``n`` rounds, |X| = nx and |Y| = ny.
 

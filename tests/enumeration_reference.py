@@ -19,13 +19,14 @@ from dyninfer.oracle import (
     _spans,
     checked_shape_space,
     exact_loss_history,
-    history_count,
+    shape_history_count,
 )
 
 
 def strategy_count(problem, mode):
     """Size of the deterministic history-strategy space (exact integer)."""
-    return len(problem.yhat_space) ** history_count(problem, mode)
+    histories = shape_history_count(problem.n, len(problem.x_space), len(problem.y_space), mode)
+    return len(problem.yhat_space) ** histories
 
 
 def build_history_strategy(problem, mode, decide):

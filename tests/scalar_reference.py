@@ -23,7 +23,7 @@ import numpy as np
 
 from dyninfer.oracle import HistoryMode
 from dyninfer.reduction import bar_loss_table
-from dyninfer.rng import uniform_matrix
+from dyninfer.rng import counter_uniforms
 from dyninfer.solver import TIE_TOLERANCE
 
 
@@ -134,7 +134,8 @@ def sample(cdf_rows, u):
 def simulate(problem, choices, rollouts, seed):
     """All rollouts from one uniform matrix: (mean, variance, per-rollout losses)."""
     n = problem.n
-    uniforms = uniform_matrix(seed, rollouts, 2 * n)
+    # rollout k's draws are counters [2nk, 2n(k + 1)) of the seed's stream
+    uniforms = counter_uniforms(seed, np.arange(rollouts * 2 * n, dtype=np.uint64)).reshape(rollouts, 2 * n)
     init_cdf = row_cdfs(problem.init[None, :])[0]
     quantity_cdfs = row_cdfs(problem.quantities)
     transition_cdfs = row_cdfs(problem.transitions)

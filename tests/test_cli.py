@@ -573,6 +573,23 @@ def test_an_unbuffered_closed_stdout_ends_with_one_error_line(tmp_path, command)
     assert child.returncode == 1 and err.count(b"\n") == 1 and json.loads(err) == broken
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc/self/fd")
+def test_a_closed_stdout_in_process_leaves_no_descriptor_open(monkeypatch, capsys):
+    # a library caller runs many commands in one process; each closed pipe must not leave its null device open
+    broken = {"error": "BrokenPipeError", "message": "[Errno 32] Broken pipe"}
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(20):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert run(["example", "stock"]) == 1
+            monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err) == broken
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_module_entry_point(tmp_path):
     model = tmp_path / "m.json"
     assert run(["example", "section33", "--n", "3", "-o", str(model)]) == 0

@@ -127,6 +127,12 @@ FAULTS = [
     ("loss-value-infinity", [(("loss", 6, "value"), float("inf"))], "InvalidModelError",
      "loss value for ('b', 'u', 'p') is not finite"),
     # two faults: the first one found in document order is reported ...
+    ("loss-bad-value-before-non-object",
+     [(("loss", 1, "value"), "x"), (("loss", 9), "oops")], "InvalidModelError",
+     "loss value for ('a', 'u', 'q') must be a number, got 'x'"),
+    ("loss-duplicate-before-gap",
+     [(("loss", 11), dict(RECORD_3)), (("loss", 0), DELETE)], "InvalidModelError",
+     "loss record for ('a', 'v', 'q') appears twice"),
     ("entry-in-round-3-before-loss-record",
      [(("quantities", 2, "b", "v"), "bad"), (("loss", 0), 7)], "InvalidModelError",
      "quantity row (round 3, x='b')['v'] must be a number, got 'bad'"),
@@ -212,12 +218,12 @@ def test_float_documents_never_reach_the_per_entry_checker(monkeypatch):
 
         return wrapper
 
-    for name in ("_checked_row", "_checked_loss"):
+    for name in ("_transition_from_object", "_quantity_from_object"):
         monkeypatch.setattr(model, name, counted(getattr(model, name)))
     assert validate_problem(doc) == expected
     assert calls == []
     validate_problem(per_entry(doc))  # the counters do see the per-entry path
-    assert set(calls) == {"_checked_row", "_checked_loss"}
+    assert set(calls) == {"_transition_from_object", "_quantity_from_object"}
 
 
 def test_each_table_is_read_in_one_pass_at_any_horizon(monkeypatch):
@@ -232,15 +238,16 @@ def test_each_table_is_read_in_one_pass_at_any_horizon(monkeypatch):
 
     float_array = model._float_array
     monkeypatch.setattr(model, "_float_array", counted)
-    monkeypatch.setattr(model, "_checked_row", refused)
+    monkeypatch.setattr(model, "_transition_from_object", refused)
+    monkeypatch.setattr(model, "_quantity_from_object", refused)
     counts = []
     for n in (10, 40):
         doc = json.loads(json.dumps(problem_to_dict(random_problem(np.random.default_rng(n), n, 20, 5, 12), False)))
         arrays.clear()
         validate_problem(doc)
         counts.append(len(arrays))
-    # init, transitions, quantities and loss: one array each, however many rounds
-    assert counts == [4, 4]
+    # transitions and quantities: one array each, however many rounds
+    assert counts == [2, 2]
 
 
 def _labelled(n, x_labels, y_labels, yhat_labels, seed=0):

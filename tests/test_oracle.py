@@ -42,7 +42,6 @@ from dyninfer.oracle import (
     _sweep_draws,
     _sweep_layout,
     checked_shape_space,
-    history_count,
     random_sweep,
     shape_history_count,
 )
@@ -170,7 +169,7 @@ def test_search_space_limit():
     # one estimate means one strategy at any horizon, so only the history count bounds the work
     problem = random_problem(np.random.default_rng(3), 8, 2, 2, 1)
     assert strategy_count(problem, HistoryMode.REVEALED) == 1
-    assert history_count(problem, HistoryMode.REVEALED) == 43690
+    assert shape_history_count(problem.n, 2, 2, HistoryMode.REVEALED) == 43690
     with pytest.raises(SearchSpaceTooLarge, match="43690 histories"):
         brute_force_optimum(problem, HistoryMode.REVEALED, limit=1000)
 

@@ -82,7 +82,7 @@ def test_rollout_substreams_are_prefix_stable(stock):
 
 def _one_rollout_loss(problem, choices, seed, r):
     """The loss of rollout ``r`` drawn alone from substream ``r``, one round and one draw at a time."""
-    draws = iter(uniform_matrix(seed, 1, 2 * problem.n, r)[0].tolist())
+    draws = iter(counter_uniforms(seed, np.arange(2 * problem.n * r, 2 * problem.n * (r + 1), dtype=np.uint64)).tolist())
 
     def pick(row):
         # inverse CDF in label-index order, with the last cumulative entry read as 1.0
@@ -502,7 +502,7 @@ def rows_and_uniforms(draw):
 @example((np.array([[0.2] * 5, [0.05, 0.05, 0.3, 0.3, 0.3]]), np.array([0.1, 0.8, 0.85, 0.875, 1 - 2**-53])))
 @example((np.array([[1 / 9] * 9, [0.05] + [0.1] * 7 + [0.25]]), np.array([0.05, 8 / 9, 0.9, 0.9375, 1 - 2**-53])))
 @example((np.array([[1 / 17] * 17, [0.01] * 16 + [0.84]]), np.array([0.9, 16 / 17, 0.95, 0.96875, 1 - 2**-53])))
-# four running sums in the first of 8 buckets: more than the binary search's 3 reads, so it keeps the search
+# four running sums in the first of 8 buckets: a split draw searches a window of 4 entries in 3 reads
 @example((np.array([[0.1, 0.001, 0.001, 0.001, 0.897]]), np.array([0.0, 0.1, 0.1005, 0.103, 0.12, 1 - 2**-53])))
 def test_binary_search_draws_what_the_row_gather_draws(case):
     rows, uniforms = case
@@ -511,14 +511,51 @@ def test_binary_search_draws_what_the_row_gather_draws(case):
     u = np.tile(uniforms, len(rows))
     expected = scalar_reference.sample(scalar_reference.row_cdfs(rows)[row_index], u)
     assert evaluate_module._draw(table, width, row_index, u).tolist() == expected.tolist()
-    # the guide decides the draw of each uniform in an unsplit bucket, and a scan from the bucket's start the rest
-    guide, passes = evaluate_module._guide_table(table, width)
+    # the guide decides the draw of each uniform in an unsplit bucket, and a search from the bucket's start the rest
+    guide, window = evaluate_module._guide_table(table, width)
     assert guide.nbytes == 2 * table.nbytes
-    assert evaluate_module._guided_draw(table, width, guide, passes, row_index, u).tolist() == expected.tolist()
-    # past log2(width) + 1 steps, the split draws go to the binary search instead of the scan
-    binary = evaluate_module._guided_draw(table, width, guide, width.bit_length() + 1, row_index, u)
-    assert binary.tolist() == expected.tolist()
+    assert evaluate_module._guided_draw(table, width, guide, window, row_index, u).tolist() == expected.tolist()
     assert evaluate_module._sampler(rows)(row_index, u).tolist() == expected.tolist()
+
+
+# entries a split guide bucket can hold many of: 2**-53 and below lie under one step of the uniforms' grid
+TINY = st.sampled_from([0.0, 5e-324, 2**-60, 2**-53, 3e-12, 2**-20, 1e-4])
+
+
+@st.composite
+def crowded_rows_and_uniforms(draw):
+    """1 to 3 rows of m labels whose leading entries are tiny, and uniforms on the 2**-53 grid at and next to each running sum.
+
+    The tiny entries put many running sums strictly inside the first guide
+    buckets, so a split draw searches a window of up to ``width`` entries.
+    """
+    m = draw(st.sampled_from([4, 5, 9, 17, 33, 65]))
+    crowded = draw(st.integers(2, m - 1))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        tiny = draw(st.lists(TINY, min_size=crowded, max_size=crowded))
+        rest = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m - crowded, max_size=m - crowded))) + 1e-3
+        rows.append(np.concatenate([tiny, rest * ((1.0 - sum(tiny)) / rest.sum())]))
+    rows = np.array(rows)
+    grid = np.floor(scalar_reference.row_cdfs(rows).ravel() * 2.0**53)
+    steps = np.concatenate([grid - 1, grid, grid + 1, grid + 2, [0.0, 2.0**53 - 1]])
+    return rows, np.unique(np.clip(steps, 0.0, 2.0**53 - 1)) * 2.0**-53
+
+
+@settings(max_examples=200, deadline=None)
+@given(crowded_rows_and_uniforms())
+# 63 running sums inside the first of 128 buckets: the window is the whole row of width 64
+@example((np.array([[1e-9] * 63 + [0.5, 0.5 - 6.3e-8]]), np.array([0.0, 1e-9, 3e-8, 6.3e-8, 0.25, 0.5, 1 - 2**-53])))
+def test_crowded_guides_search_a_window_inside_the_row(case):
+    rows, uniforms = case
+    table, width = evaluate_module._search_table(rows)
+    guide, window = evaluate_module._guide_table(table, width)
+    assert window <= width
+    row_index = np.repeat(np.arange(len(rows)), len(uniforms))
+    u = np.tile(uniforms, len(rows))
+    expected = scalar_reference.sample(scalar_reference.row_cdfs(rows)[row_index], u)
+    assert evaluate_module._draw(table, width, row_index, u).tolist() == expected.tolist()
+    assert evaluate_module._guided_draw(table, width, guide, window, row_index, u).tolist() == expected.tolist()
 
 
 def test_long_horizon_tables_hold_only_the_strategy_rows(monkeypatch):
