@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import decimal
 import functools
 import io
 import json
@@ -31,7 +32,7 @@ from . import examples as example_models
 from .errors import DynamicInferenceError, InvalidModelError, InvalidParams
 from .evaluate import MarkovStrategy, evaluate_markov, simulate
 from .model import Problem, _init_row, _normalized, _number, problem_to_dict, validate_problem
-from .oracle import DEFAULT_STRATEGY_LIMIT, HistoryMode, OracleStack, _problem_stack, random_sweep
+from .oracle import DEFAULT_HISTORY_LIMIT, HistoryMode, OracleStack, _problem_stack, random_sweep
 from .reduction import bar_loss_table
 from .solver import TieBreakRule, minimum_inference_loss, solve
 from .trellis import export_trellis
@@ -409,6 +410,11 @@ def _witness_texts(stack: OracleStack) -> Iterator[str]:
     return map(", ".join, zip(*columns))
 
 
+def _power_text(base: int, exponent: int) -> str:
+    """``str(base**exponent)``, formed exactly in ``decimal``: unlike an ``int``'s, its text has no digit limit."""
+    return str(decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX).power(decimal.Decimal(base), exponent))
+
+
 def _oracle_lines(stacks: Iterable[OracleStack], instances: Sequence[str]) -> list[str]:
     """One JSON line per instance, with sorted keys and 12-digit floats, as ``json.dumps`` writes it.
 
@@ -422,7 +428,7 @@ def _oracle_lines(stacks: Iterable[OracleStack], instances: Sequence[str]) -> li
     for stack in stacks:
         fields = (
             f'"mode": {json.dumps(stack.mode.value)}, "n": {stack.n}, '
-            f'"strategies_searched": {stack.strategies_searched}, "witness": ['
+            f'"strategies_searched": {_power_text(len(stack.yhat_labels), stack.histories)}, "witness": ['
         )
         floats = (stack.brute_min, stack.dp_min, stack.gap, stack.lhs, stack.rhs)
         numbers = (_numbers(column.tolist()) for column in floats)
@@ -545,8 +551,8 @@ def _parser() -> tuple[argparse.ArgumentParser, tuple[argparse.Action, ...]]:
     p_verify.add_argument(
         "--limit",
         type=int,
-        default=DEFAULT_STRATEGY_LIMIT,
-        help="largest admissible strategy-space size and history count",
+        default=DEFAULT_HISTORY_LIMIT,
+        help="largest admissible number of histories to search",
     )
     seeds.append(p_verify.add_argument("--seed", type=int))
     add_output(p_verify)

@@ -24,8 +24,9 @@ a stack of one, and :func:`random_sweep` one stack per horizon. The values
 of a round are an array by rank. As a rank is ``(prefix * |X| + x) *
 y_span + ry``, the next round's values reshape to (B, |X|^(i-1), |X|, |X|,
 y_span, y_base), so every history's successors are broadcast slices and no
-index arrays are gathered: memory stays of the order of the histories times
-|Yhat|. A Python loop runs only over the successor's digits (yi, xn), in the
+index arrays are gathered. A round is computed in blocks of about
+``_DP_BLOCK`` values, so memory stays of the order of the histories, whatever
+|Yhat| is. A Python loop runs only over the successor's digits (yi, xn), in the
 order a loop over one history's successors sums them; a term of zero
 probability is masked out with ``np.where``, never multiplied by 0.0, so
 signed zeros come out as in that loop; and ``argmin`` takes the first
@@ -42,10 +43,9 @@ passes over a stack that read only a strategy's decisions and the problem's
 tables, never the history DP's values or the solver's, so they stay the
 independent check of the identity.
 
-Strategy spaces grow as a double exponential, so every search is gated by a
-limit on the number of strategy functions in the space; the brute-force
-optimum also bounds the number of histories, its actual work, by the same
-limit. A third bound, ``TRAJECTORY_LIMIT``, caps the complete (x, y)
+The search's work is one decision per history, so it is gated by a limit
+on the number of histories, never by the |Yhat|^H strategy functions it
+covers. A second bound, ``TRAJECTORY_LIMIT``, caps the complete (x, y)
 trajectories of the identity walks, which grow as (|X|·|Y|)^n even in
 unrevealed mode, where the histories grow only as |X|^n; it is checked
 before every walk, and before :func:`random_history_strategy` draws.
@@ -69,12 +69,14 @@ from .rng import check_seed
 from .solver import value_tables
 from .walks import bar_sums, loss_sums
 
-DEFAULT_STRATEGY_LIMIT = 10**6
+DEFAULT_HISTORY_LIMIT = 10**6
 # a brute-force and a solver minimum may differ by rounding alone by up to
 # about n·ε·max|loss| (ε = 2^-52); a gap within GAP_RTOL·n·max|loss| passes
 GAP_RTOL = 1e-9
 # the identity walk's trajectories, which grow as (|X|·|Y|)^n even where the histories do not
 TRAJECTORY_LIMIT = 10**7
+# the history DP works on blocks of about this many values per array (512 KB per float64 array)
+_DP_BLOCK = 2**16
 # a count that may need more bits than this is not written out in decimal in an error message
 _COUNT_BITS = 1024
 
@@ -141,7 +143,7 @@ def random_history_strategy(
     first draw, so the refusal is quick and leaves ``rng`` as it was.
     """
     nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
-    _checked_count("trajectories", TRAJECTORY_LIMIT, nx * ny, problem.n)
+    _check_trajectories(nx * ny, problem.n)
     tables = tuple(
         tuple(rng.integers(na, size=math.prod(_spans(nx, ny, mode, i))).tolist()) for i in range(1, problem.n + 1)
     )
@@ -160,7 +162,7 @@ def _walk_arguments(problem: Problem, strategy: HistoryStrategy) -> tuple:
     ``TRAJECTORY_LIMIT``, checked before any walk.
     """
     _check_history_strategy(problem, strategy)
-    _checked_count("trajectories", TRAJECTORY_LIMIT, len(problem.x_space) * len(problem.y_space), problem.n)
+    _check_trajectories(len(problem.x_space) * len(problem.y_space), problem.n)
     decisions = [np.array(table)[None] for table in strategy.tables]
     revealed = strategy.mode is HistoryMode.REVEALED
     return revealed, decisions, problem.init[None], problem.transitions[None], problem.quantities[None]
@@ -190,65 +192,47 @@ def shape_history_count(n: int, nx: int, ny: int, mode: HistoryMode) -> int:
     return n * nx if r == 1 else nx * (r**n - 1) // (r - 1)
 
 
-def _count_text(count: int) -> str:
-    """``count`` in decimal, or a power of two below it when the decimal form would be too long."""
-    if count.bit_length() <= _COUNT_BITS:
-        return str(count)
-    return f"at least 2^{count.bit_length() - 1}"
+def _check_trajectories(base: int, n: int) -> None:
+    """SearchSpaceTooLarge when the ``base**n`` trajectories of a walk exceed ``TRAJECTORY_LIMIT``.
 
-
-def _checked_count(what: str, limit: int, base: int, exponent: int) -> int:
-    """``base**exponent``, or SearchSpaceTooLarge when that exceeds ``limit``.
-
-    With ``base >= 2`` the count is at least ``2**exponent``, so an exponent
-    of ``limit.bit_length()`` or more settles the question without forming
-    the power. An error names the count in decimal when it has fewer than
-    ``_COUNT_BITS`` bits, else as ``base^exponent`` when the exponent has at
-    most that many, and as ``at least 2^(2^k)`` otherwise.
+    An error names the count in decimal when it has fewer than
+    ``_COUNT_BITS`` bits, and as ``base^n`` otherwise, without forming the
+    power: with ``base >= 2`` such a count is at least ``2**512``.
     """
-    short = exponent * base.bit_length() < _COUNT_BITS  # bounds the count's bits
-    if short or base < 2 or exponent < limit.bit_length():
-        count = base**exponent
-        if count <= limit:
-            return count
-        if short or base < 2:
-            raise SearchSpaceTooLarge(f"{count} {what} exceed the limit of {limit}")
-    if exponent.bit_length() > _COUNT_BITS:
-        text = f"at least 2^(2^{exponent.bit_length() - 1})"
-    else:
-        text = f"{base}^{exponent}"
-    raise SearchSpaceTooLarge(f"{text} {what} exceed the limit of {limit}")
+    if n * base.bit_length() < _COUNT_BITS:
+        if base**n > TRAJECTORY_LIMIT:
+            raise SearchSpaceTooLarge(f"{base**n} trajectories exceed the limit of {TRAJECTORY_LIMIT}")
+    elif base > 1:
+        raise SearchSpaceTooLarge(f"{base}^{n} trajectories exceed the limit of {TRAJECTORY_LIMIT}")
 
 
-def checked_shape_space(n: int, nx: int, ny: int, na: int, mode: HistoryMode, limit: int) -> tuple[int, int]:
-    """The numbers of histories and of history strategies, or SearchSpaceTooLarge when either exceeds ``limit``.
+def checked_shape_space(n: int, nx: int, ny: int, mode: HistoryMode, limit: int) -> int:
+    """The number of histories of any problem with ``n`` rounds, |X| = nx and |Y| = ny.
 
-    They are those of any problem with ``n`` rounds and ``nx``, ``ny`` and
-    ``na`` labels in its observation, quantity and estimate alphabets. The
-    identity walk of :func:`exact_loss_history` visits up to ``(nx * ny)**n``
-    complete trajectories, in either mode, so more than ``TRAJECTORY_LIMIT``
-    of them are refused too, after the strategies and histories.
+    Raises InvalidParams when ``limit`` is not an integer of at least 1, and
+    SearchSpaceTooLarge when the histories exceed it or, checked after them,
+    when the ``(nx * ny)**n`` complete trajectories that the identity walk
+    of :func:`exact_loss_history` visits in either mode exceed ``TRAJECTORY_LIMIT``.
 
     The last round alone has ``nx * r**(n - 1) >= 2**k`` histories (``r`` as in
     :func:`shape_history_count`; ``k`` below is exact when nx and r are powers
     of two). Once ``2**k`` exceeds the limit and is too long to write out, the
     closed form, whose size grows with ``n``, is not formed.
     """
+    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+        raise InvalidParams(f"limit must be an integer >= 1, got {limit!r}")
     r = nx * ny if mode is HistoryMode.REVEALED else nx
     k = nx.bit_length() - 1 + (n - 1) * (r.bit_length() - 1)
-    what = f"history strategies ({mode.value} mode)"
     if k >= max(_COUNT_BITS, limit.bit_length()):
-        if na > 1:
-            raise SearchSpaceTooLarge(f"at least 2^(2^{k}) {what} exceed the limit of {limit}")
-        raise SearchSpaceTooLarge(f"at least 2^{k} histories ({mode.value} mode) exceed the limit of {limit}")
-    histories = shape_history_count(n, nx, ny, mode)
-    count = _checked_count(what, limit, na, histories)
-    if histories > limit:
-        raise SearchSpaceTooLarge(
-            f"{_count_text(histories)} histories ({mode.value} mode) exceed the limit of {limit}"
-        )
-    _checked_count("trajectories", TRAJECTORY_LIMIT, nx * ny, n)
-    return histories, count
+        text = f"at least 2^{k}"
+    else:
+        histories = shape_history_count(n, nx, ny, mode)
+        if histories <= limit:
+            _check_trajectories(nx * ny, n)
+            return histories
+        bits = histories.bit_length()
+        text = str(histories) if bits <= _COUNT_BITS else f"at least 2^{bits - 1}"
+    raise SearchSpaceTooLarge(f"{text} histories ({mode.value} mode) exceed the limit of {limit}")
 
 
 def verify_lemma1(problem: Problem, strategy: HistoryStrategy) -> tuple[float, float]:
@@ -296,8 +280,9 @@ class OracleStack:
     Row ``b`` holds what the report of the stack's ``b``-th problem holds:
     ``brute_min``, ``dp_min``, ``gap_bound`` and the identity pair ``lhs`` and
     ``rhs`` are (B,) float arrays, and the witnesses' decisions are one
-    (B, histories) array per round, by rank. ``instances`` numbers the rows,
-    in a sweep by draw order.
+    (B, histories) array per round, by rank. ``histories`` counts a row's
+    histories, so each row searched ``|Yhat|**histories`` strategies.
+    ``instances`` numbers the rows, in a sweep by draw order.
     """
 
     mode: HistoryMode
@@ -305,7 +290,7 @@ class OracleStack:
     x_labels: tuple[str, ...]
     y_labels: tuple[str, ...]
     yhat_labels: tuple[str, ...]
-    strategies_searched: int
+    histories: int
     brute_min: np.ndarray
     dp_min: np.ndarray
     gap_bound: np.ndarray
@@ -323,11 +308,11 @@ class OracleStack:
         labels = (self.x_labels, self.y_labels, self.yhat_labels)
         witness = HistoryStrategy(self.mode, self.n, *labels, tuple(table[b].tolist() for table in self.decisions))
         floats = (float(column[b]) for column in (self.brute_min, self.dp_min, self.gap_bound, self.lhs, self.rhs))
-        return OracleReport(*floats, witness, self.strategies_searched)
+        return OracleReport(*floats, witness, len(self.yhat_labels) ** self.histories)
 
 
 def brute_force_optimum(
-    problem: Problem, mode: HistoryMode, limit: int = DEFAULT_STRATEGY_LIMIT
+    problem: Problem, mode: HistoryMode, limit: int = DEFAULT_HISTORY_LIMIT
 ) -> OracleReport:
     """Exact minimum over every deterministic history strategy.
 
@@ -341,11 +326,10 @@ def brute_force_optimum(
     The report is row 0 of :func:`_problem_stack`; values are kept, by rank,
     for two adjacent rounds only.
 
-    Raises SearchSpaceTooLarge when the strategy space, or the number of
-    histories (which bounds the work, and exceeds the strategy count only
-    when there is a single estimate), exceeds ``limit``, or when the
-    identity pair's walk would visit more than ``TRAJECTORY_LIMIT``
-    trajectories.
+    Raises InvalidParams when ``limit`` is not an integer of at least 1, and
+    SearchSpaceTooLarge when the number of histories, which bounds the work,
+    exceeds ``limit``, or when the identity pair's walk would visit more than
+    ``TRAJECTORY_LIMIT`` trajectories.
     """
     return _problem_stack(problem, mode, limit).report(0)
 
@@ -368,7 +352,8 @@ def _history_optimum(
     B minima and, for each round, the (B, histories) array of decisions by
     rank. Each round is a few array steps, with a Python loop only over the
     successor's digits (yi, xn), so every value is summed in the order of a
-    loop over one history's successors.
+    loop over one history's successors. A round runs in blocks of prefixes
+    and y-ranks of about ``_DP_BLOCK`` values each, at least one of each.
     """
     batch, n, nx, na = bar.shape
     ny = quantities.shape[-1]
@@ -381,21 +366,28 @@ def _history_optimum(
         x_span, y_span = _spans(nx, ny, mode, i)
         # a history's x-rank is prefix·|X| + x, its last observation: values have
         # axes (batch, prefix, x, y-rank, estimate), the immediate cost broadcast over the rest
-        values = bar[:, i - 1, None, :, None, :]
-        if later is not None:
-            # the successor (rx·|X| + xn, ry·y_base + yi) of (rx, ry) has axes (batch, prefix, x, xn, y-rank, yi)
-            successors = later.reshape(batch, x_span // nx, nx, nx, y_span, y_base)
-            for yi in range(y_base):
+        minima = np.empty((batch, x_span // nx, nx, y_span))
+        decisions = np.empty(minima.shape, dtype=np.intp)
+        # the successor (rx·|X| + xn, ry·y_base + yi) of (rx, ry) has axes (batch, prefix, x, xn, y-rank, yi)
+        successors = None if later is None else later.reshape(batch, x_span // nx, nx, nx, y_span, y_base)
+        r_step = min(y_span, max(1, _DP_BLOCK // (batch * nx * na)))
+        p_step = max(1, _DP_BLOCK // (batch * nx * r_step * na))
+        for p0, r0 in itertools.product(range(0, x_span // nx, p_step), range(0, y_span, r_step)):
+            prefixes, ranks = slice(p0, p0 + p_step), slice(r0, r0 + r_step)
+            values = bar[:, i - 1, None, :, None, :]
+            for yi in range(y_base if i < n else 0):
                 p_y = weights[:, i - 1, :, yi, None]
                 for xn in range(nx):
                     p_x = transitions[:, i - 1, :, :, xn]
                     # a zero weight skips its term, so that no 0.0 is added to a -0.0
                     skip = ((p_y == 0.0) | (p_x == 0.0))[:, None, :, None, :]
-                    term = (p_y * p_x)[:, None, :, None, :] * successors[:, :, :, xn, :, yi, None]
+                    term = (p_y * p_x)[:, None, :, None, :] * successors[:, prefixes, :, xn, ranks, yi, None]
                     values = np.where(skip, values, values + term)
-        values = np.broadcast_to(values, (batch, x_span // nx, nx, y_span, na))
-        tables.append(values.argmin(axis=-1).reshape(batch, -1))  # the first minimizer
-        later = values.min(axis=-1).reshape(batch, -1)
+            values = np.broadcast_to(values, minima[:, prefixes, :, ranks].shape + (na,))
+            decisions[:, prefixes, :, ranks] = values.argmin(axis=-1)  # the first minimizer
+            minima[:, prefixes, :, ranks] = values.min(axis=-1)
+        tables.append(decisions.reshape(batch, -1))
+        later = minima.reshape(batch, -1)
     tables.reverse()
     return _label_sum(init, later), tables
 
@@ -538,8 +530,8 @@ def random_sweep(seed: int, instances: int, mode: HistoryMode, limit: int) -> li
     and one backward induction over a leading instance axis, and the
     identity walks over the whole stack. The stacks come in horizon order,
     and each numbers its rows by draw order. The seed must be an integer in
-    [0, 2**64) (InvalidParams), and the limit is checked on the largest
-    horizon, both before the first draw.
+    [0, 2**64) and the limit an integer of at least 1 (InvalidParams), and
+    the limit is checked on the largest horizon, all before the first draw.
 
     Each probability row is divided by its sum once more, elementwise, as
     :func:`problem_from_tables` divides the rows of :func:`random_problem`,
@@ -548,7 +540,7 @@ def random_sweep(seed: int, instances: int, mode: HistoryMode, limit: int) -> li
     normalized by construction, and the losses lie in [0, 1).
     """
     check_seed(seed)
-    checked_shape_space(SWEEP_MAX_N, *SWEEP_SHAPE, mode, limit)
+    checked_shape_space(SWEEP_MAX_N, *SWEEP_SHAPE[:2], mode, limit)
     spaces = _digit_spaces(*SWEEP_SHAPE)
     stacks = []
     for n, members, draws in _sweep_draws(seed, instances):
@@ -583,7 +575,7 @@ def _stack_reports(
     the walks of :func:`verify_lemma1`, run once over the whole stack on the
     witnesses' decisions. ``instances`` numbers the rows, 0..B-1 if not given.
     """
-    _, count = checked_shape_space(n, *(len(space) for space in spaces), mode, limit)
+    histories = checked_shape_space(n, len(spaces[0]), len(spaces[1]), mode, limit)
     bar = bar_loss_values(quantities, loss)
     brute_min, tables = _history_optimum(mode, init, transitions, quantities, bar)
     dp_min = _label_sum(init, value_tables(bar, transitions)[1][:, 0])
@@ -593,4 +585,4 @@ def _stack_reports(
     bound = GAP_RTOL * n * np.abs(loss).max(axis=(1, 2, 3))
     rows = np.arange(len(init)) if instances is None else instances
     labels = (space.labels for space in spaces)
-    return OracleStack(mode, n, *labels, count, brute_min, dp_min, bound, lhs, rhs, tables, rows)
+    return OracleStack(mode, n, *labels, histories, brute_min, dp_min, bound, lhs, rhs, tables, rows)

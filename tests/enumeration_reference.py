@@ -4,7 +4,9 @@
 history over the history tree. This module enumerates the strategy functions
 themselves, one at a time, and prices each by full trajectory enumeration, so
 the tests can check that both views of the space give the same minimum. The
-enumeration is gated by the oracle's own limit check.
+enumeration is gated by the oracle's own check of the histories and
+trajectories, and then by a bound of its own on the strategies it would
+enumerate, which the oracle never does.
 """
 
 import itertools
@@ -12,8 +14,8 @@ import math
 
 from scalar_reference import _round_histories
 
+from dyninfer import SearchSpaceTooLarge
 from dyninfer.oracle import (
-    DEFAULT_STRATEGY_LIMIT,
     HistoryStrategy,
     _history_binding,
     _spans,
@@ -21,6 +23,8 @@ from dyninfer.oracle import (
     exact_loss_history,
     shape_history_count,
 )
+
+STRATEGY_LIMIT = 10**6
 
 
 def strategy_count(problem, mode):
@@ -37,16 +41,20 @@ def build_history_strategy(problem, mode, decide):
     return HistoryStrategy(mode, *_history_binding(problem), tables)
 
 
-def enumerate_history_strategies(problem, mode, limit=DEFAULT_STRATEGY_LIMIT):
+def enumerate_history_strategies(problem, mode, limit=STRATEGY_LIMIT):
     """Every deterministic history strategy exactly once.
 
     Order is lexicographic over the vector of decisions, with histories
     ordered round-by-round and by rank within each round, and the last
     history's decision varying fastest. The limit is checked at call time,
-    before the first strategy is produced, by the oracle's own check.
+    before the first strategy is produced: by the oracle's own check on the
+    histories, then on the |Yhat|^H strategies.
     """
     nx, ny, na = len(problem.x_space), len(problem.y_space), len(problem.yhat_space)
-    histories, _ = checked_shape_space(problem.n, nx, ny, na, mode, limit)
+    histories = checked_shape_space(problem.n, nx, ny, mode, limit)
+    if na**histories > limit:
+        message = f"{na}^{histories} history strategies ({mode.value} mode) exceed the limit of {limit}"
+        raise SearchSpaceTooLarge(message)
     ends = list(itertools.accumulate(math.prod(_spans(nx, ny, mode, i)) for i in range(1, problem.n + 1)))
     binding = _history_binding(problem)
 
@@ -57,7 +65,7 @@ def enumerate_history_strategies(problem, mode, limit=DEFAULT_STRATEGY_LIMIT):
     return generate()
 
 
-def enumeration_minimum(problem, mode, limit=DEFAULT_STRATEGY_LIMIT):
+def enumeration_minimum(problem, mode, limit=STRATEGY_LIMIT):
     """Evaluate every enumerated strategy and keep the best: (loss, strategy).
 
     Ties keep the strategy yielded first, i.e. the lexicographically first

@@ -1,11 +1,13 @@
 """Command-line behavior: schemas, exit codes, determinism."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
 import json
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -14,7 +16,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from enumeration_reference import strategy_count
 
 from dyninfer import (
     Alphabet,
@@ -211,13 +212,54 @@ def test_export_bar_loss_csv(tmp_path, stock_model):
     assert len(lines) == 1 + 6 * 4
 
 
-def test_verify_model_too_large(capsys, stock_model):
-    code = run(["verify", "-m", str(stock_model), "--limit", "1000000"])
-    assert code == 1
-    err = capsys.readouterr().err.strip()
-    payload = json.loads(err)
-    assert payload["error"] == "SearchSpaceTooLarge"
-    assert str(2 ** 126) in payload["message"]
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    """Lift Python's limit on the digits of an int's decimal text, and restore it afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+# sha256 of `verify -m` on each built-in example at its default size, per mode, recorded when `--limit`
+# came to bound the histories alone; each has more than 10^6 strategies, and the strategy-bounded
+# search wrote the same bytes under a limit of 2**200000
+VERIFY_EXAMPLE_SHA256 = {
+    ("section33", "revealed"): "7581e58db349bc689f529603052c5e170fb2544bd2aa23bd59b99bacbd6a4328",
+    ("section33", "unrevealed"): "995efefbd1c687d6fdfc5ac9d647ed3be3a5f280178fce6f14c795bcdd6e6391",
+    ("stock", "revealed"): "a66c51c6fb562e8a0a519a55a1e9823133b81fd90efef1b8fd974ddb2da19eef",
+    ("stock", "unrevealed"): "063bff3c6bf77fc3179a2a07ada1c7fd2152b83925458aca21ed29e9dc66a586",
+    ("yield", "revealed"): "d55e4ecb0b8784e6a4c339147d9734c6719f675b9fd1d239ca249366c3f46dbc",
+    ("yield", "unrevealed"): "6c9c33c519c33467a48df5a6bfcd1e24ffae903507b47c8a778ace91115d8d5b",
+}
+
+
+@pytest.mark.parametrize(("which", "mode"), sorted(VERIFY_EXAMPLE_SHA256))
+def test_verify_passes_each_builtin_example(tmp_path, which, mode):
+    model, out = tmp_path / "model.json", tmp_path / "verify.txt"
+    assert run(["example", which, "-o", str(model)]) == 0
+    assert run(["verify", "-m", str(model), "--mode", mode, "-o", str(out)]) == 0
+    text = out.read_text()
+    assert text.splitlines()[-1].startswith("PASS gap_max=")
+    problem = validate_problem(json.loads(model.read_text()))
+    nx, ny = len(problem.x_space), len(problem.y_space)
+    histories = oracle.shape_history_count(problem.n, nx, ny, HistoryMode(mode))
+    with _no_int_digit_limit():
+        expected = str(len(problem.yhat_space) ** histories)
+    assert text.count('"strategies_searched": ') == 1
+    assert text.split('"strategies_searched": ')[1].split(",")[0] == expected
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_EXAMPLE_SHA256[which, mode]
+
+
+def test_strategy_counts_are_written_exactly_at_any_length():
+    exponents = [*range(1, 70), 1000, 3999, 4000, 4300, 9999, 10_000, 14_285, 19_999, 20_000]
+    with _no_int_digit_limit():
+        for base in range(1, 13):
+            for exponent in exponents:
+                assert cli._power_text(base, exponent) == str(base**exponent)
+        assert cli._power_text(2, 699_050) == str(2**699_050)
 
 
 def test_verify_small_model_passes(tmp_path, capsys):
@@ -319,7 +361,7 @@ def test_verify_huge_strategy_space_is_a_domain_error(tmp_path, capsys):
     payload = _single_error_line(capsys)
     assert payload == {
         "error": "SearchSpaceTooLarge",
-        "message": "2^44739242 history strategies (revealed mode) exceed the limit of 1000000",
+        "message": "44739242 histories (revealed mode) exceed the limit of 1000000",
     }
 
 
@@ -648,6 +690,66 @@ def test_verify_rejects_bad_instance_counts_and_seeds(capsys):
         assert _single_error_line(capsys)["error"] == "InvalidParams"
 
 
+def test_verify_refuses_a_limit_that_is_not_a_positive_integer(tmp_path, capsys, stock_model):
+    out = tmp_path / "verify.txt"
+    for source in (["--instances", "3"], ["-m", str(stock_model)]):
+        for limit in ("1e6", "True"):
+            assert run(["verify", *source, "--limit", limit, "-o", str(out)]) == 2
+            assert capsys.readouterr().out == ""
+        for limit in ("0", "-1"):
+            assert run(["verify", *source, "--limit", limit, "-o", str(out)]) == 1
+            assert _single_error_line(capsys) == {
+                "error": "InvalidParams",
+                "message": f"limit must be an integer >= 1, got {limit}",
+            }
+    assert not out.exists()
+
+
+FORMATS = pathlib.Path(__file__).parents[1] / "docs" / "FORMATS.md"
+# every refusal that the `verify` section of docs/FORMATS.md quotes: (model, verify arguments, message)
+DOCUMENTED_VERIFY_REFUSALS = {
+    "histories": ("stock-13", ["--mode", "revealed"], "44739242 histories (revealed mode) exceed the limit of 1000000"),
+    "horizon": ("stock-1e15", [], f"at least 2^{10**15} histories (unrevealed mode) exceed the limit of 1000000"),
+    "trajectories": ("one-estimate-18", [], "68719476736 trajectories exceed the limit of 10000000"),
+    "sweep": (
+        None,
+        ["--instances", "1", "--seed", "1", "--mode", "revealed", "--limit", "41"],
+        "42 histories (revealed mode) exceed the limit of 41",
+    ),
+    "limit": ("stock-13", ["--limit", "0"], "limit must be an integer >= 1, got 0"),
+    "sweep-limit": (None, ["--instances", "3", "--limit", "0"], "limit must be an integer >= 1, got 0"),
+}
+DOCUMENTED_MODELS = {
+    "stock-13": lambda: example_stock(13),
+    "stock-1e15": lambda: example_stock(10**15),
+    "one-estimate-18": lambda: random_problem(np.random.default_rng(0), 18, 2, 2, 1),
+}
+
+
+def _verify_refusal(tmp_path, capsys, model, argv) -> dict:
+    """The error line of ``verify`` on the named model (None for a sweep) with ``argv``, which must exit 1."""
+    if model is not None:
+        path = tmp_path / f"{model}.json"
+        path.write_text(json.dumps(problem_to_dict(DOCUMENTED_MODELS[model]())))
+        argv = ["-m", str(path), *argv]
+    assert run(["verify", *argv]) == 1
+    return _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("case", sorted(DOCUMENTED_VERIFY_REFUSALS))
+def test_verify_refusals_read_as_documented(tmp_path, capsys, case):
+    model, argv, message = DOCUMENTED_VERIFY_REFUSALS[case]
+    section = FORMATS.read_text(encoding="utf-8").split("\n## `verify` output\n", 1)[1].split("\n## ", 1)[0]
+    assert f"`{message}`" in " ".join(section.split())  # a quote may wrap across lines
+    assert _verify_refusal(tmp_path, capsys, model, argv)["message"] == message
+
+
+def test_the_error_reporting_example_is_a_verify_refusal(tmp_path, capsys):
+    model, argv, _ = DOCUMENTED_VERIFY_REFUSALS["histories"]
+    line = json.dumps(_verify_refusal(tmp_path, capsys, model, argv))
+    assert f"\n{line}\n" in FORMATS.read_text(encoding="utf-8").split("\n## Error reporting\n", 1)[1]
+
+
 def test_verify_refuses_more_instances_than_an_array_of_their_draws_can_index(tmp_path):
     # 2^62 instances of 39 words each: a fresh process must refuse them at once, without drawing a word
     out = tmp_path / "verify.txt"
@@ -659,14 +761,16 @@ def test_verify_refuses_more_instances_than_an_array_of_their_draws_can_index(tm
 
 
 def test_verify_sweep_checks_the_limit_before_drawing(capsys):
-    # the largest sweep instance is binary with n = 3: 2^42 revealed, 2^14 unrevealed
-    # strategies; seed 1 draws n = 2 first, so only the up-front check can fail here
-    for mode, needed in (("revealed", 2**42), ("unrevealed", 2**14)):
+    # the largest sweep instance is binary with n = 3: 42 revealed, 14 unrevealed
+    # histories; seed 1 draws n = 2 first, so only the up-front check can fail here
+    for mode, needed in (("revealed", 42), ("unrevealed", 14)):
         argv = ["verify", "--instances", "1", "--seed", "1", "--mode", mode]
         assert run([*argv, "--limit", str(needed - 1)]) == 1
         payload = _single_error_line(capsys)
-        assert payload["error"] == "SearchSpaceTooLarge"
-        assert str(needed) in payload["message"]
+        assert payload == {
+            "error": "SearchSpaceTooLarge",
+            "message": f"{needed} histories ({mode} mode) exceed the limit of {needed - 1}",
+        }
         assert run([*argv, "--limit", str(needed)]) == 0
         capsys.readouterr()
 
@@ -783,7 +887,7 @@ def test_verify_rejects_a_huge_horizon_promptly(capsys, huge_stock_model):
     assert time.perf_counter() - start < 2.0
     assert _single_error_line(capsys) == {
         "error": "SearchSpaceTooLarge",
-        "message": f"at least 2^(2^{10**15}) history strategies (unrevealed mode) exceed the limit of 1000000",
+        "message": f"at least 2^{10**15} histories (unrevealed mode) exceed the limit of 1000000",
     }
 
 
@@ -909,9 +1013,6 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-CONTRACT_LIMIT = 2**50
-
-
 def test_every_command_writes_strict_output_and_nothing_on_stderr(tmp_path, capsys):
     """Strict JSON (no Infinity or NaN), a CSV of 4 fields per row and an empty stderr on success."""
     models = {}
@@ -937,13 +1038,11 @@ def test_every_command_writes_strict_output_and_nothing_on_stderr(tmp_path, caps
         output("export-trellis", "-f", "text")
         rows = list(csv.reader(io.StringIO(output("export", "bar-loss"), newline="")))
         assert {len(row) for row in rows} == {4}
-        problem = validate_problem(json.loads(model.read_text()))
         for mode in HistoryMode:
-            if strategy_count(problem, mode) <= CONTRACT_LIMIT:
-                lines = output("verify", "--mode", mode.value, "--limit", str(CONTRACT_LIMIT)).splitlines()
-                assert lines[-1].startswith("PASS gap_max=")
-                for line in lines[:-1]:
-                    _strict_json(line)
+            lines = output("verify", "--mode", mode.value).splitlines()
+            assert lines[-1].startswith("PASS gap_max=")
+            for line in lines[:-1]:
+                _strict_json(line)
 
 
 def test_a_label_utf8_cannot_encode_fails_at_load(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -21,6 +22,7 @@ from dyninfer import (
     HistoryMode,
     HistoryStrategy,
     InvalidModelError,
+    InvalidParams,
     MarkovStrategy,
     SearchSpaceTooLarge,
     ShapeMismatch,
@@ -160,12 +162,15 @@ def test_enumeration_count_matches_closed_form():
 
 
 def test_search_space_limit():
+    # 62 unrevealed histories: the literal enumeration refuses their 2^62 strategies, the search visits 62
     problem = example_section33(5)
-    with pytest.raises(SearchSpaceTooLarge) as excinfo:
+    with pytest.raises(SearchSpaceTooLarge, match=r"^2\^62 history strategies \(unrevealed mode\) exceed"):
         enumerate_history_strategies(problem, HistoryMode.UNREVEALED, limit=10 ** 6)
-    assert str(strategy_count(problem, HistoryMode.UNREVEALED)) in str(excinfo.value)
-    with pytest.raises(SearchSpaceTooLarge):
-        brute_force_optimum(problem, HistoryMode.UNREVEALED, limit=10 ** 6)
+    report = brute_force_optimum(problem, HistoryMode.UNREVEALED, limit=10 ** 6)
+    assert report.strategies_searched == strategy_count(problem, HistoryMode.UNREVEALED) == 2**62
+    assert abs(report.gap) <= report.gap_bound
+    with pytest.raises(SearchSpaceTooLarge, match=r"^62 histories \(unrevealed mode\) exceed the limit of 61$"):
+        brute_force_optimum(problem, HistoryMode.UNREVEALED, limit=61)
     # one estimate means one strategy at any horizon, so only the history count bounds the work
     problem = random_problem(np.random.default_rng(3), 8, 2, 2, 1)
     assert strategy_count(problem, HistoryMode.REVEALED) == 1
@@ -175,16 +180,17 @@ def test_search_space_limit():
 
 
 def test_search_space_limit_without_huge_integers():
-    # 16382 unrevealed histories: the strategy count 2^16382 has 4932 digits and is never formed
+    # 16382 unrevealed histories are within the limit, but their identity walk has 4^13 trajectories
     stock = example_stock(13)
-    expected = r"^2\^16382 history strategies \(unrevealed mode\) exceed the limit of 1000000$"
+    expected = r"^67108864 trajectories exceed the limit of 10000000$"
     with pytest.raises(SearchSpaceTooLarge, match=expected):
         brute_force_optimum(stock, HistoryMode.UNREVEALED)
     with pytest.raises(SearchSpaceTooLarge, match=expected):
         enumerate_history_strategies(stock, HistoryMode.UNREVEALED)
     with pytest.raises(SearchSpaceTooLarge, match=expected):
         enumeration_minimum(stock, HistoryMode.UNREVEALED)
-    with pytest.raises(SearchSpaceTooLarge, match=r"^2\^44739242 history strategies \(revealed mode\)"):
+    expected = r"^44739242 histories \(revealed mode\) exceed the limit of 1000000$"
+    with pytest.raises(SearchSpaceTooLarge, match=expected):
         brute_force_optimum(stock, HistoryMode.REVEALED)
     # one estimate, 2^15001 - 2 histories: too many digits to write out
     problem = random_problem(np.random.default_rng(0), 15000, 2, 1, 1)
@@ -199,13 +205,13 @@ def test_trajectory_count_bounds_the_identity_walk():
     with pytest.raises(SearchSpaceTooLarge, match=r"^68719476736 trajectories exceed the limit of 10000000$"):
         brute_force_optimum(problem, HistoryMode.UNREVEALED)
     assert time.perf_counter() - start < 2.0
-    # the strategy and history bounds are checked first, so their messages are unchanged
+    # the history bound is checked first, so its message is unchanged
     with pytest.raises(SearchSpaceTooLarge, match=r"^524286 histories \(unrevealed mode\)"):
         brute_force_optimum(problem, HistoryMode.UNREVEALED, limit=1000)
     # 4^11 trajectories are within the bound, 4^12 are not
-    assert checked_shape_space(11, 2, 2, 1, HistoryMode.UNREVEALED, 10**6) == (4094, 1)
+    assert checked_shape_space(11, 2, 2, HistoryMode.UNREVEALED, 10**6) == 4094
     with pytest.raises(SearchSpaceTooLarge, match=r"^16777216 trajectories"):
-        checked_shape_space(12, 2, 2, 1, HistoryMode.UNREVEALED, 10**6)
+        checked_shape_space(12, 2, 2, HistoryMode.UNREVEALED, 10**6)
     # the public walks are bounded too: 40 unrevealed histories, one per round, but 2^40 trajectories
     problem = random_problem(np.random.default_rng(0), 40, 1, 2, 2)
     strategy = HistoryStrategy(HistoryMode.UNREVEALED, 40, ("0",), ("0", "1"), ("0", "1"), [(1,)] * 40)
@@ -234,11 +240,22 @@ def test_long_horizon_is_rejected_quickly():
     # 2·(4^100000 − 1)/3 revealed histories, a 200000-bit count formed with a single power
     stock = example_stock(10**5)
     start = time.perf_counter()
-    with pytest.raises(
-        SearchSpaceTooLarge, match=r"^at least 2\^\(2\^199999\) history strategies \(revealed mode\) exceed"
-    ):
+    expected = r"^at least 2\^199999 histories \(revealed mode\) exceed the limit of 1000000$"
+    with pytest.raises(SearchSpaceTooLarge, match=expected):
         brute_force_optimum(stock, HistoryMode.REVEALED)
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("limit", [1e6, True, 0, -1])
+def test_a_limit_that_is_not_a_positive_integer_is_refused(limit):
+    expected = rf"^limit must be an integer >= 1, got {re.escape(repr(limit))}$"
+    with pytest.raises(InvalidParams, match=expected):
+        brute_force_optimum(example_stock(3), HistoryMode.UNREVEALED, limit=limit)
+    for mode in BOTH_MODES:
+        with pytest.raises(InvalidParams, match=expected):
+            random_sweep(0, 3, mode, limit)
+        with pytest.raises(InvalidParams, match=expected):
+            checked_shape_space(1, 1, 1, mode, limit)
 
 
 # ---- brute force optimum ----
@@ -409,6 +426,20 @@ def test_deep_horizon_memory_is_bounded():
         tracemalloc.stop()
     assert abs(report.gap) <= 1e-9
     assert peak < 16 * 2**20
+
+
+def test_search_memory_does_not_grow_with_the_estimates():
+    # 16384 last-round histories times 256 estimates: 32 MiB for each array over a whole round
+    problem = random_problem(np.random.default_rng(0), 14, 2, 1, 256)
+    tracemalloc.start()
+    try:
+        report = brute_force_optimum(problem, HistoryMode.UNREVEALED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.strategies_searched == 256**32766
+    assert abs(report.gap) <= report.gap_bound
+    assert peak < 8 * 2**20
 
 
 # ---- loss-marginalization identity ----

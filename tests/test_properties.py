@@ -38,7 +38,7 @@ from dyninfer import (
     validate_problem,
     verify_lemma1,
 )
-from dyninfer import walks
+from dyninfer import oracle, walks
 from dyninfer.oracle import _history_binding, _stack_reports
 from dyninfer.reduction import bar_loss_values
 from dyninfer.solver import TIE_TOLERANCE, value_tables
@@ -218,14 +218,31 @@ def test_stacked_oracle_and_solver_match_each_problem(problems):
             strategy = HistoryStrategy(mode, *_history_binding(problem), witness)
             expected_lhs, expected_rhs = scalar_reference.lemma1(problem, strategy)
             assert _same_bits(stack.lhs[b], expected_lhs) and _same_bits(stack.rhs[b], expected_rhs)
-            assert stack.strategies_searched == strategy_count(problem, mode)
+            assert len(problem.yhat_space) ** stack.histories == strategy_count(problem, mode)
+
+
+# binary shapes with more than 10^6 strategies but at most 10^6 histories, all inside the default limit
+PAST_A_MILLION_STRATEGIES = [(HistoryMode.UNREVEALED, n) for n in range(4, 8)]
+PAST_A_MILLION_STRATEGIES += [(HistoryMode.REVEALED, n) for n in range(3, 6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PAST_A_MILLION_STRATEGIES), st.data())
+def test_brute_force_equals_the_solver_past_a_million_strategies(case, data):
+    mode, n = case
+    problem = data.draw(problems(shape=(n, 2, 2, 2)))
+    report = brute_force_optimum(problem, mode)
+    assert report.strategies_searched == strategy_count(problem, mode) > 10**6
+    assert abs(report.brute_min - report.dp_min) <= report.gap_bound
+    assert abs(report.lhs - report.rhs) <= report.gap_bound
 
 
 # fewer examples: each runs both walks at every block size, in both modes
 @settings(max_examples=50, deadline=None)
 @given(problem_stacks(), st.integers(0, 2**32 - 1))
 def test_tiny_blocks_split_the_walks_and_keep_their_bits(problems, seed):
-    # blocks this small split stacks between problems and problems between subtrees, mid-tree
+    # blocks this small split stacks between problems and problems between subtrees, mid-tree,
+    # and each round of the history DP into runs of prefixes and y-ranks
     first = problems[0]
     init, transitions, quantities, loss = (
         np.stack([getattr(problem, name) for problem in problems])
@@ -243,6 +260,8 @@ def test_tiny_blocks_split_the_walks_and_keep_their_bits(problems, seed):
         for block in (1, 2, 3, 7):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(walks, "BLOCK_ENTRIES", block)
+                patch.setattr(oracle, "_DP_BLOCK", block)
+                brute_min, tables = oracle._history_optimum(mode, init, transitions, quantities, bar)
                 revealed = mode is HistoryMode.REVEALED
                 lhs = walks.loss_sums(revealed, decisions, init, transitions, quantities, loss)
                 rhs = walks.bar_sums(revealed, decisions, init, transitions, quantities, bar)
@@ -256,6 +275,8 @@ def test_tiny_blocks_split_the_walks_and_keep_their_bits(problems, seed):
             for (loss_sum, pair), pair_expected in zip(alone, expected):
                 assert _same_bits(loss_sum, pair_expected[0]) and _same_bits(pair, pair_expected)
             assert _same_bits(witness_lhs, stack.lhs) and _same_bits(witness_rhs, stack.rhs)
+            assert _same_bits(brute_min, stack.brute_min)
+            assert all(np.array_equal(table, expected) for table, expected in zip(tables, stack.decisions))
 
 
 def _tables(problem):
